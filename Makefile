@@ -49,6 +49,6 @@ bench:
 		-bench 'BenchmarkFigure1Macro|BenchmarkScaleTopology|BenchmarkShardedTimeline|BenchmarkEngineComparison|BenchmarkTelemetryOverhead' \
 		./bench > BENCH_PR10.json
 	$(GO) test -json -run '^$$' -benchmem \
-		-bench 'BenchmarkLinkDelivery|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
-		./internal/netem ./internal/sim ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR10.json
+		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
+		./internal/netem ./internal/ipv6 ./internal/sim ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR10.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_PR10.json | sed 's/"Output":"//;s/\\n$$//' || true

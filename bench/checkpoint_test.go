@@ -13,7 +13,7 @@ import (
 // actually buys:
 //
 //   - cold: StartChaos (the shared 15 s ramp) + the cell tail, every time —
-//     what every cell paid before PR 9.
+//     what every cell paid before checkpoints existed.
 //   - live-fork: the cell tail only, from an already-warmed run — the
 //     daemon's first fork per pooled checkpoint. The delta vs cold is the
 //     ramp cost this path amortizes away.

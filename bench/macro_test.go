@@ -1,8 +1,13 @@
-// Package bench holds the macro benchmarks that track the simulator's
-// end-to-end performance trajectory across PRs: a full Figure-1 handover
-// run (the workload every paper metric rests on) and a high-fan-out
-// dense-mode flood. `make bench` records their numbers in BENCH_PR3.json;
-// compare against that file before and after touching the data path.
+// Package bench holds the `go test -bench` macro benchmarks: a full
+// Figure-1 handover run (the workload every paper metric rests on), the
+// scale and sharded-kernel cells, the engine head-to-head, and the
+// telemetry and checkpoint overhead cells. `make bench` writes their
+// numbers, with the per-layer micro-benchmarks, to the BENCH file the
+// Makefile names. Those files are recorded on whatever host ran them, so
+// one BENCH file against another is no evidence of a speed change: judge
+// a change by the benchmark BENCHMARK.json declares (mip6bench, see
+// mip6bench/README.md), which runs the parent and the candidate on the
+// same host.
 package bench
 
 import (

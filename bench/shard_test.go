@@ -16,8 +16,12 @@ import (
 // partition the router graph and run regions in parallel with a 2 ms
 // core-link lookahead. CoreLinkDelay is set at every shard count so the
 // timelines simulate the same network and events/sec compares
-// apples-to-apples. Every iteration asserts zero invariant violations,
-// so the 2000-router cell doubles as the large-scale correctness gate.
+// apples-to-apples. ShardWorkers is left at 0, which runs one goroutine
+// per region: 4 or 8 goroutines whatever the host's core count, so on a
+// 2-core host the sharded lines measure regions contending for 2 cores
+// (GOMAXPROCS bounds how many run at once), not a 4- or 8-way speedup.
+// Every iteration asserts zero invariant violations, so the 2000-router
+// cell doubles as the large-scale correctness gate.
 func BenchmarkShardedTimeline(b *testing.B) {
 	cases := []struct {
 		routers, mns int

@@ -8,7 +8,7 @@ import (
 	"mip6mcast/internal/telemetry"
 )
 
-// BenchmarkTelemetryOverhead prices the PR7 sampling layer on the Figure-1
+// BenchmarkTelemetryOverhead prices the telemetry sampling layer on the Figure-1
 // macro workload: /off is the identical run with no registry (it must
 // match BenchmarkFigure1Macro — the nil-registry hot path adds nothing),
 // /on attaches the standard sampler set at the default 1 s cadence. The

@@ -798,14 +798,13 @@ func (e *Engine) ForwardMulticast(rx netem.RxPacket) {
 	ent.expiry.Reset(e.Config.DataTimeout)
 
 	if rx.Pkt.Hdr.HopLimit > 1 {
+		out := rx.Pkt.Forward() // one shared copy for every interface
 		for _, ifc := range e.Node.Ifaces {
 			ds := ent.downstream[ifc]
 			if ds == nil || !ent.shouldForward(ifc, ds) {
 				continue
 			}
-			out := rx.Pkt.Clone()
-			out.Hdr.HopLimit--
-			if err := ifc.Send(out); err == nil {
+			if err := ifc.Send(&out); err == nil {
 				e.Stats.DataForwarded++
 			}
 		}

@@ -1,18 +1,19 @@
 //go:build !race
 
-// Allocation budget for tunnel encapsulation, the per-packet cost every
+// Allocation budgets for tunnel encapsulation, the per-packet cost every
 // reverse-tunneled multicast datagram pays twice (encap at the mobile node,
-// decap+re-encap paths at the home agent). Excluded under -race; see
-// scripts/check.sh for the non-race pass.
+// decap+re-encap paths at the home agent), and for the link's shared
+// decode. Excluded under -race; see scripts/check.sh for the non-race pass.
 
 package ipv6
 
 import "testing"
 
-// tunnelEncapAllocBudget is the measured cost (one encode buffer + one
-// outer Packet) plus headroom of one. Raise only with a benchmark showing
-// why the extra allocation is unavoidable.
-const tunnelEncapAllocBudget = 3
+// tunnelEncapAllocBudget is the measured cost: the outer Packet. The inner
+// packet is shared, not encoded (that happens once, into the link's frame
+// buffer). Raise only with a benchmark showing why the extra allocation is
+// unavoidable.
+const tunnelEncapAllocBudget = 1
 
 func TestTunnelEncapAllocBudget(t *testing.T) {
 	inner := &Packet{
@@ -29,5 +30,38 @@ func TestTunnelEncapAllocBudget(t *testing.T) {
 	})
 	if allocs > tunnelEncapAllocBudget {
 		t.Errorf("Encapsulate allocates %v objects/op; budget %d", allocs, tunnelEncapAllocBudget)
+	}
+}
+
+// TestDecodeSharedAllocBudget pins the link decode at one Packet per layer:
+// a frame decoded against the packet it was encoded from copies no payload,
+// plain or tunneled.
+func TestDecodeSharedAllocBudget(t *testing.T) {
+	inner := &Packet{
+		Hdr:     Header{Src: MustParseAddr("2001:db8::1"), Dst: MustParseAddr("ff0e::7"), HopLimit: 64},
+		Proto:   ProtoUDP,
+		Payload: make([]byte, 256),
+	}
+	outer, err := Encapsulate(MustParseAddr("2001:db8:1::1"), MustParseAddr("2001:db8:2::1"), 64, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		pkt    *Packet
+		budget float64
+	}{{"plain", inner, 1}, {"tunneled", outer, 2}} {
+		frame, err := c.pkt.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := DecodeShared(frame, c.pkt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: DecodeShared allocates %v objects/op; budget %v", c.name, allocs, c.budget)
+		}
 	}
 }

@@ -48,42 +48,45 @@ func FindOption(opts []Option, typ byte) (Option, bool) {
 }
 
 // marshalOptions encodes an options extension header (HBH or DestOpts):
-// NextHeader, HdrExtLen, then options padded to a multiple of 8 octets.
+// NextHeader, HdrExtLen, then options padded to a multiple of 8 octets. It
+// writes straight into b.
 func marshalOptions(b []byte, next uint8, opts []Option) ([]byte, error) {
-	body := []byte{next, 0}
+	start := len(b)
+	b = append(b, next, 0)
 	for _, o := range opts {
 		if o.Type == OptPad1 {
-			body = append(body, OptPad1)
+			b = append(b, OptPad1)
 			continue
 		}
 		if len(o.Data) > 255 {
 			return nil, fmt.Errorf("ipv6: option %#x data too long (%d)", o.Type, len(o.Data))
 		}
-		body = append(body, o.Type, byte(len(o.Data)))
-		body = append(body, o.Data...)
+		b = append(b, o.Type, byte(len(o.Data)))
+		b = append(b, o.Data...)
 	}
 	// Pad to multiple of 8.
-	switch rem := len(body) % 8; {
+	switch rem := (len(b) - start) % 8; {
 	case rem == 0:
 	case 8-rem == 1:
-		body = append(body, OptPad1)
+		b = append(b, OptPad1)
 	default:
 		pad := 8 - rem // >= 2
-		body = append(body, OptPadN, byte(pad-2))
+		b = append(b, OptPadN, byte(pad-2))
 		for i := 0; i < pad-2; i++ {
-			body = append(body, 0)
+			b = append(b, 0)
 		}
 	}
-	if len(body)/8-1 > 255 {
-		return nil, fmt.Errorf("ipv6: options header too long (%d bytes)", len(body))
+	size := len(b) - start
+	if size/8-1 > 255 {
+		return nil, fmt.Errorf("ipv6: options header too long (%d bytes)", size)
 	}
-	body[1] = byte(len(body)/8 - 1)
-	return append(b, body...), nil
+	b[start+1] = byte(size/8 - 1)
+	return b, nil
 }
 
 // unmarshalOptions parses an options extension header from the front of b,
 // returning the contained options (padding stripped), the NextHeader value,
-// and the number of bytes consumed.
+// and the number of bytes consumed. Option data points into b.
 func unmarshalOptions(b []byte) (opts []Option, next uint8, n int, err error) {
 	if len(b) < 8 {
 		return nil, 0, 0, fmt.Errorf("ipv6: options header truncated")
@@ -108,9 +111,7 @@ func unmarshalOptions(b []byte) (opts []Option, next uint8, n int, err error) {
 			return nil, 0, 0, fmt.Errorf("ipv6: option %#x overruns header", t)
 		}
 		if t != OptPadN {
-			data := make([]byte, l)
-			copy(data, body[i+2:i+2+l])
-			opts = append(opts, Option{Type: t, Data: data})
+			opts = append(opts, Option{Type: t, Data: body[i+2 : i+2+l : i+2+l]})
 		}
 		i += 2 + l
 	}

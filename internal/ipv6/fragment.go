@@ -42,7 +42,10 @@ func Fragment(pkt *Packet, mtu int, id uint32) ([]*Packet, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("ipv6: mtu %d too small to fragment", mtu)
 	}
-	payload := pkt.Payload
+	// Without extension headers the body follows the fixed header; taking
+	// it from the encoding also covers a tunnel packet, whose body is its
+	// inner packet.
+	payload := whole[HeaderLen:]
 	var frags []*Packet
 	for off := 0; off < len(payload); off += capacity {
 		end := off + capacity

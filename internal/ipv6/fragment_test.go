@@ -96,6 +96,34 @@ func reassembleAll(t *testing.T, frags []*Packet, r *Reassembler) *Packet {
 	return whole
 }
 
+// A tunnel packet from Encapsulate has no Payload bytes of its own (its
+// body is Inner); the tunnel entry must still fragment it.
+func TestFragmentEncapsulatedPacket(t *testing.T) {
+	inner := bigPacket(3000)
+	outer, err := Encapsulate(MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::1"), 64, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags, err := Fragment(outer, MinMTU, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frags) < 3 {
+		t.Fatalf("%d fragments, want at least 3", len(frags))
+	}
+	whole := reassembleAll(t, frags, NewReassembler())
+	if whole == nil {
+		t.Fatal("tunnel packet not reassembled")
+	}
+	got, err := Decapsulate(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Payload, inner.Payload) || got.Hdr.Dst != inner.Hdr.Dst {
+		t.Error("inner packet mangled by tunnel fragmentation")
+	}
+}
+
 func TestReassembleRoundtrip(t *testing.T) {
 	for _, size := range []int{1453, 2000, 3000, 8000} {
 		p := bigPacket(size)

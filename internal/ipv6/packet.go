@@ -1,11 +1,22 @@
 package ipv6
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Packet is a parsed IPv6 datagram: the fixed header, the extension headers
 // this system uses (in their RFC 2460 §4.1 recommended order), and the
 // upper-layer payload. Encode/Decode are exact inverses for well-formed
 // packets; links in the simulator carry the encoded form.
+//
+// Packets on the data path are shared and immutable. A packet handed to a
+// link must not change afterwards: receivers decode it with DecodeShared,
+// which aliases its payload instead of copying it, and every receiver of
+// one transmission gets the same decoded *Packet. Code that changes a
+// header field works on a copy of the Packet value (see Forward) and keeps
+// sharing the payload, the option data and the inner packet; code that
+// changes bytes Clones first.
 type Packet struct {
 	Hdr      Header
 	HopByHop []Option        // Hop-by-Hop Options header, nil if absent
@@ -17,12 +28,40 @@ type Packet struct {
 	// ProtoPIM, ProtoIPv6 for tunnels, ProtoNoNext for none).
 	Proto   uint8
 	Payload []byte
+
+	// Inner is the tunneled packet of an IPv6-in-IPv6 packet (RFC 2473):
+	// Encapsulate sets it, Decode parses it, and Encode writes it where the
+	// payload goes, so a tunnel never encodes or decodes its inner packet a
+	// second time. Payload is nil whenever Inner is set. Inner is nil for
+	// every other protocol, for fragments, and for tunneled bytes that do
+	// not parse, which then stay in Payload.
+	Inner *Packet
+}
+
+// bodyLen is the encoded size of the upper-layer body: the payload, or the
+// whole inner packet of a tunnel.
+func (p *Packet) bodyLen() int {
+	if p.Inner != nil {
+		return p.Inner.WireLen()
+	}
+	return len(p.Payload)
+}
+
+// Forward returns the packet as a router sends it on: a copy of the Packet
+// value with the hop limit decremented. Extension headers, payload and
+// inner packet are shared with p, not copied (shared packets are
+// immutable), so one forwarded copy serves every outgoing interface and, as
+// a value that Send does not retain, costs no allocation.
+func (p *Packet) Forward() Packet {
+	q := *p
+	q.Hdr.HopLimit--
+	return q
 }
 
 // Encode serializes the packet. The fixed header's PayloadLen and NextHeader
 // fields are computed; the caller's values are ignored.
 func (p *Packet) Encode() ([]byte, error) {
-	return p.EncodeAppend(make([]byte, 0, HeaderLen+len(p.Payload)+64))
+	return p.EncodeAppend(make([]byte, 0, HeaderLen+p.bodyLen()+64))
 }
 
 // EncodeAppend serializes the packet, appending to b (which may carry
@@ -63,7 +102,13 @@ func (p *Packet) EncodeAppend(b []byte) ([]byte, error) {
 		}
 		i++
 	}
-	b = append(b, p.Payload...)
+	if p.Inner != nil {
+		if b, err = p.Inner.EncodeAppend(b); err != nil {
+			return nil, err
+		}
+	} else {
+		b = append(b, p.Payload...)
+	}
 	plen := len(b) - start - HeaderLen
 	if plen > 0xffff {
 		return nil, fmt.Errorf("ipv6: payload %d exceeds 65535", plen)
@@ -74,59 +119,78 @@ func (p *Packet) EncodeAppend(b []byte) ([]byte, error) {
 }
 
 // nextChain returns the first NextHeader value and, for each present
-// extension header in order, the NextHeader value it carries.
-func (p *Packet) nextChain() (first uint8, chain []uint8) {
-	var kinds []uint8
+// extension header in order, the NextHeader value it carries. The chain is
+// an array so that encoding allocates nothing for it.
+func (p *Packet) nextChain() (first uint8, chain [4]uint8) {
+	var kinds [4]uint8
+	n := 0
 	if p.HopByHop != nil {
-		kinds = append(kinds, ProtoHopByHop)
+		kinds[n], n = ProtoHopByHop, n+1
 	}
 	if p.Routing != nil {
-		kinds = append(kinds, ProtoRouting)
+		kinds[n], n = ProtoRouting, n+1
 	}
 	if p.Fragment != nil {
-		kinds = append(kinds, ProtoFragment)
+		kinds[n], n = ProtoFragment, n+1
 	}
 	if p.DestOpts != nil {
-		kinds = append(kinds, ProtoDestOpts)
+		kinds[n], n = ProtoDestOpts, n+1
 	}
-	if len(kinds) == 0 {
-		return p.Proto, nil
+	if n == 0 {
+		return p.Proto, chain
 	}
-	first = kinds[0]
-	for i := 1; i < len(kinds); i++ {
-		chain = append(chain, kinds[i])
-	}
-	chain = append(chain, p.Proto)
-	return first, chain
+	copy(chain[:], kinds[1:n])
+	chain[n-1] = p.Proto
+	return kinds[0], chain
 }
 
 // Decode parses an encoded IPv6 datagram. Unknown extension headers are an
 // error; trailing bytes beyond PayloadLen are an error (links deliver exact
-// frames).
-func Decode(b []byte) (*Packet, error) {
+// frames). The packet keeps no reference to b. The body of an IPv6-in-IPv6
+// packet is parsed too, into Inner.
+func Decode(b []byte) (*Packet, error) { return DecodeShared(b, nil) }
+
+// DecodeShared decodes b, the encoding of sent, exactly as Decode does, but
+// where a payload in b is byte-equal to the corresponding payload of sent
+// (its own, or one of its inner packets') the decoded packet shares sent's
+// slice instead of copying the bytes. A link decodes each frame this way
+// against the packet it encoded the frame from, so a datagram's payload is
+// allocated once at its origin and shared by every hop and tunnel after
+// that. sent may be nil, and a sent that does not match b only costs the
+// sharing: the result is always what b says.
+func DecodeShared(b []byte, sent *Packet) (*Packet, error) {
 	p := &Packet{}
-	if err := p.Hdr.unmarshal(b); err != nil {
+	if err := p.decode(b, sent); err != nil {
 		return nil, err
+	}
+	return p, nil
+}
+
+// decode fills p from b. b is borrowed: whatever p keeps is either copied
+// out of b or shared from sent.
+func (p *Packet) decode(b []byte, sent *Packet) error {
+	if err := p.Hdr.unmarshal(b); err != nil {
+		return err
 	}
 	want := HeaderLen + int(p.Hdr.PayloadLen)
 	if len(b) != want {
-		return nil, fmt.Errorf("ipv6: frame is %d bytes, header says %d", len(b), want)
+		return fmt.Errorf("ipv6: frame is %d bytes, header says %d", len(b), want)
 	}
 	rest := b[HeaderLen:]
 	next := p.Hdr.NextHeader
-	seen := map[uint8]bool{}
+	var seen uint64 // bit h set: extension header h parsed (all four are < 64)
 	for {
 		switch next {
 		case ProtoHopByHop, ProtoDestOpts, ProtoRouting, ProtoFragment:
-			if seen[next] {
-				return nil, fmt.Errorf("ipv6: duplicate extension header %d", next)
+			if seen&(1<<next) != 0 {
+				return fmt.Errorf("ipv6: duplicate extension header %d", next)
 			}
-			seen[next] = true
+			seen |= 1 << next
 		default:
 			p.Proto = next
-			p.Payload = make([]byte, len(rest))
-			copy(p.Payload, rest)
-			return p, nil
+			p.ownOptions()
+			p.setBody(rest, sent)
+			return nil
 		}
 		var n int
 		var err error
@@ -147,9 +211,55 @@ func Decode(b []byte) (*Packet, error) {
 			p.Fragment, next, n, err = unmarshalFragment(rest)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rest = rest[n:]
+	}
+}
+
+// setBody stores the upper-layer body: a tunnel's inner packet when it
+// parses, else the payload bytes, shared from sent when they match it.
+func (p *Packet) setBody(body []byte, sent *Packet) {
+	if p.Proto == ProtoIPv6 && p.Fragment == nil {
+		var hint *Packet
+		if sent != nil {
+			hint = sent.Inner
+		}
+		inner := &Packet{}
+		if inner.decode(body, hint) == nil {
+			p.Inner = inner
+			return
+		}
+	}
+	// An empty body is copied too: Decode has always given it a non-nil
+	// empty Payload, which sharing a nil one would change.
+	if sent != nil && len(body) > 0 && bytes.Equal(sent.Payload, body) {
+		p.Payload = sent.Payload
+		return
+	}
+	p.Payload = make([]byte, len(body))
+	copy(p.Payload, body)
+}
+
+// ownOptions moves the option data, which parsing left pointing into the
+// borrowed frame, into one buffer the packet owns.
+func (p *Packet) ownOptions() {
+	if len(p.HopByHop)+len(p.DestOpts) == 0 {
+		return
+	}
+	total := 0
+	for _, opts := range [2][]Option{p.HopByHop, p.DestOpts} {
+		for _, o := range opts {
+			total += len(o.Data)
+		}
+	}
+	buf := make([]byte, 0, total)
+	for _, opts := range [2][]Option{p.HopByHop, p.DestOpts} {
+		for i := range opts {
+			start := len(buf)
+			buf = append(buf, opts[i].Data...)
+			opts[i].Data = buf[start:len(buf):len(buf)]
+		}
 	}
 }
 
@@ -157,7 +267,7 @@ func Decode(b []byte) (*Packet, error) {
 // the encoding. Byte accounting in the simulator uses actual encoded frames,
 // but metrics code sometimes needs the size of a hypothetical packet.
 func (p *Packet) WireLen() int {
-	n := HeaderLen + len(p.Payload)
+	n := HeaderLen + p.bodyLen()
 	optLen := func(opts []Option) int {
 		l := 2
 		for _, o := range opts {
@@ -206,6 +316,9 @@ func (p *Packet) Clone() *Packet {
 		q.Fragment = &f
 	}
 	q.Payload = append([]byte(nil), p.Payload...)
+	if p.Inner != nil {
+		q.Inner = p.Inner.Clone()
+	}
 	return &q
 }
 
@@ -226,5 +339,5 @@ func (p *Packet) String() string {
 	if proto == "" {
 		proto = fmt.Sprintf("proto%d", p.Proto)
 	}
-	return fmt.Sprintf("%s -> %s %s hl=%d len=%d", p.Hdr.Src, p.Hdr.Dst, proto, p.Hdr.HopLimit, len(p.Payload))
+	return fmt.Sprintf("%s -> %s %s hl=%d len=%d", p.Hdr.Src, p.Hdr.Dst, proto, p.Hdr.HopLimit, p.bodyLen())
 }

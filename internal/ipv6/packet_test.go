@@ -245,6 +245,60 @@ func TestPacketClone(t *testing.T) {
 	if p.Routing.Addresses[0] == AllNodes || p.Fragment.ID == 1 {
 		t.Error("Clone shares routing/fragment storage")
 	}
+
+	inner := samplePacket()
+	outer, err := Encapsulate(Loopback, Loopback, 64, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := outer.Clone()
+	c.Inner.Payload[0] = 0xee
+	if c.Inner == inner || inner.Payload[0] == 0xee {
+		t.Error("Clone shares the inner packet")
+	}
+}
+
+func TestDecodeSharedAliasesSentPayload(t *testing.T) {
+	sent := samplePacket()
+	frame, err := sent.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeShared(frame, sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Payload[0] != &sent.Payload[0] {
+		t.Error("DecodeShared copied a payload byte-equal to the sent packet's")
+	}
+	plain, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &plain.Payload[0] == &sent.Payload[0] || !bytes.Equal(plain.Payload, sent.Payload) {
+		t.Error("Decode must copy the payload out of the frame")
+	}
+	// A hint that does not match the frame only loses the sharing.
+	other := samplePacket()
+	other.Payload = []byte("different")
+	if got, err = DecodeShared(frame, other); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Payload, sent.Payload) {
+		t.Errorf("mismatched hint leaked into the result: %q", got.Payload)
+	}
+}
+
+func TestForwardSharesBytes(t *testing.T) {
+	p := samplePacket()
+	p.DestOpts = []Option{{Type: 7, Data: []byte{1, 2}}}
+	q := p.Forward()
+	if q.Hdr.HopLimit != 63 || p.Hdr.HopLimit != 64 {
+		t.Fatalf("hop limits: forwarded %d, original %d", q.Hdr.HopLimit, p.Hdr.HopLimit)
+	}
+	if &q.Payload[0] != &p.Payload[0] || &q.DestOpts[0] != &p.DestOpts[0] {
+		t.Error("Forward copied bytes it should share")
+	}
 }
 
 func TestPacketString(t *testing.T) {

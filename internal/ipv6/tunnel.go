@@ -7,6 +7,12 @@ import "fmt"
 // point unwraps. Mobile IPv6 home agents tunnel intercepted packets to the
 // mobile node's care-of address this way, and mobile nodes reverse-tunnel
 // outgoing (including multicast) packets to their home agent.
+//
+// A tunnel packet holds its inner packet as a *Packet (Packet.Inner), not as
+// bytes: encapsulation shares the inner packet, the link encodes it once as
+// part of the outer frame, and the decoded outer packet carries the inner
+// one already parsed, so decapsulation, taps and byte accounting never
+// decode it again.
 
 // TunnelOverheadBytes is the per-packet cost of one encapsulation layer: one
 // extra fixed IPv6 header.
@@ -14,11 +20,11 @@ const TunnelOverheadBytes = HeaderLen
 
 // Encapsulate wraps inner in an outer header from src to dst. The inner
 // packet is carried verbatim (its hop limit is not touched inside the
-// tunnel, per RFC 2473 §3.1).
+// tunnel, per RFC 2473 §3.1) and shared, not copied: it must not change
+// while the outer packet is in use.
 func Encapsulate(src, dst Addr, hopLimit uint8, inner *Packet) (*Packet, error) {
-	enc, err := inner.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("ipv6: encapsulate: %w", err)
+	if n := inner.WireLen(); n > 0xffff {
+		return nil, fmt.Errorf("ipv6: encapsulate: inner packet of %d bytes exceeds the 65535-byte payload limit", n)
 	}
 	return &Packet{
 		Hdr: Header{
@@ -26,16 +32,19 @@ func Encapsulate(src, dst Addr, hopLimit uint8, inner *Packet) (*Packet, error) 
 			Dst:      dst,
 			HopLimit: hopLimit,
 		},
-		Proto:   ProtoIPv6,
-		Payload: enc,
+		Proto: ProtoIPv6,
+		Inner: inner,
 	}, nil
 }
 
 // Decapsulate unwraps one layer of IPv6-in-IPv6 encapsulation, returning the
-// inner packet.
+// inner packet. The inner packet is shared with outer.
 func Decapsulate(outer *Packet) (*Packet, error) {
 	if outer.Proto != ProtoIPv6 {
 		return nil, fmt.Errorf("ipv6: decapsulate: payload protocol %d is not IPv6", outer.Proto)
+	}
+	if outer.Inner != nil {
+		return outer.Inner, nil
 	}
 	inner, err := Decode(outer.Payload)
 	if err != nil {
@@ -44,17 +53,30 @@ func Decapsulate(outer *Packet) (*Packet, error) {
 	return inner, nil
 }
 
+// Tunneled returns the packet p carries through one IPv6-in-IPv6 layer, or
+// nil when p is not a tunnel packet or its body does not parse. Packets
+// from Encapsulate and Decode answer from Inner; only a packet built by
+// hand with raw tunnel bytes in Payload is decoded here.
+func (p *Packet) Tunneled() *Packet {
+	if p.Proto != ProtoIPv6 {
+		return nil
+	}
+	if p.Inner != nil {
+		return p.Inner
+	}
+	inner, err := Decode(p.Payload)
+	if err != nil {
+		return nil
+	}
+	return inner
+}
+
 // TunnelDepth reports how many encapsulation layers wrap the given packet
 // (0 for a plain packet). Used by trace taps to classify tunneled traffic.
 func TunnelDepth(p *Packet) int {
 	depth := 0
-	for p.Proto == ProtoIPv6 {
-		inner, err := Decode(p.Payload)
-		if err != nil {
-			break
-		}
+	for p = p.Tunneled(); p != nil; p = p.Tunneled() {
 		depth++
-		p = inner
 	}
 	return depth
 }
@@ -62,11 +84,7 @@ func TunnelDepth(p *Packet) int {
 // Innermost walks through any encapsulation layers and returns the innermost
 // packet (p itself if not tunneled).
 func Innermost(p *Packet) *Packet {
-	for p.Proto == ProtoIPv6 {
-		inner, err := Decode(p.Payload)
-		if err != nil {
-			return p
-		}
+	for inner := p.Tunneled(); inner != nil; inner = p.Tunneled() {
 		p = inner
 	}
 	return p

@@ -16,6 +16,9 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	if outer.Hdr.Src != ha || outer.Hdr.Dst != coa || outer.Proto != ProtoIPv6 {
 		t.Fatalf("outer header wrong: %+v", outer.Hdr)
 	}
+	if outer.Inner != inner || outer.Payload != nil {
+		t.Fatal("Encapsulate must carry the inner packet itself, not an encoding of it")
+	}
 
 	// Encode/decode the outer packet as it would cross links.
 	enc, err := outer.Encode()
@@ -25,13 +28,24 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	if len(enc) != inner.WireLen()+TunnelOverheadBytes {
 		t.Errorf("tunnel overhead = %d, want %d", len(enc)-inner.WireLen(), TunnelOverheadBytes)
 	}
-	back, err := Decode(enc)
+	if len(enc) != outer.WireLen() {
+		t.Errorf("WireLen %d, encoding %d bytes", outer.WireLen(), len(enc))
+	}
+	// The link decodes against the sent packet: the inner packet comes
+	// back parsed, its payload shared with the tunnel entry's.
+	back, err := DecodeShared(enc, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decapsulate(back)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got != back.Inner || back.Payload != nil {
+		t.Error("decoded tunnel packet must hold its body as Inner, and Decapsulate return it")
+	}
+	if &got.Payload[0] != &inner.Payload[0] {
+		t.Error("inner payload copied instead of shared with the tunnel entry's")
 	}
 	if got.Hdr.Src != inner.Hdr.Src || got.Hdr.Dst != inner.Hdr.Dst {
 		t.Error("inner addresses mangled through tunnel")
@@ -51,6 +65,11 @@ func TestDecapsulateRejectsNonTunnel(t *testing.T) {
 	bad := &Packet{Hdr: Header{HopLimit: 1}, Proto: ProtoIPv6, Payload: []byte{1, 2, 3}}
 	if _, err := Decapsulate(bad); err == nil {
 		t.Fatal("decapsulated garbage inner bytes")
+	}
+	huge := samplePacket()
+	huge.Payload = make([]byte, 0xffff)
+	if _, err := Encapsulate(huge.Hdr.Src, huge.Hdr.Dst, 64, huge); err == nil {
+		t.Fatal("encapsulated an inner packet too large for the outer payload")
 	}
 }
 
@@ -78,5 +97,33 @@ func TestNestedTunnelDepth(t *testing.T) {
 	}
 	if Innermost(p) != p {
 		t.Error("Innermost of plain packet is not itself")
+	}
+}
+
+// BenchmarkTunnelRoundTrip prices one tunnel leg as a link runs it: the
+// entry encapsulates, the link encodes into a reused frame buffer and
+// decodes against the sent packet, and the exit decapsulates.
+func BenchmarkTunnelRoundTrip(b *testing.B) {
+	inner := samplePacket()
+	inner.Payload = make([]byte, 264)
+	src := MustParseAddr("2001:db8:4::1")
+	dst := MustParseAddr("2001:db8:6::beef")
+	var frame []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		outer, err := Encapsulate(src, dst, DefaultHopLimit, inner)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if frame, err = outer.EncodeAppend(frame[:0]); err != nil {
+			b.Fatal(err)
+		}
+		got, err := DecodeShared(frame, outer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Decapsulate(got); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -32,7 +32,9 @@ func (u *UDP) Marshal(src, dst Addr) []byte {
 	return b
 }
 
-// ParseUDP decodes and checksum-verifies a UDP datagram.
+// ParseUDP decodes and checksum-verifies a UDP datagram. The datagram's
+// Payload shares b: every receiver of a multicast datagram reads the same
+// immutable bytes.
 func ParseUDP(src, dst Addr, b []byte) (*UDP, error) {
 	if len(b) < UDPHeaderLen {
 		return nil, fmt.Errorf("ipv6: udp truncated: %d bytes", len(b))
@@ -50,7 +52,7 @@ func ParseUDP(src, dst Addr, b []byte) (*UDP, error) {
 	u := &UDP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
-		Payload: append([]byte(nil), b[8:]...),
+		Payload: b[8:],
 	}
 	return u, nil
 }

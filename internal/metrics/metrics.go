@@ -102,11 +102,7 @@ func SplitInto(pkt *ipv6.Packet, wireLen int, counts *[numClasses]int) {
 	}
 	inner := pkt
 	overhead := 0
-	for inner.Proto == ipv6.ProtoIPv6 {
-		next, err := ipv6.Decode(inner.Payload)
-		if err != nil {
-			break
-		}
+	for next := inner.Tunneled(); next != nil; next = inner.Tunneled() {
 		overhead += ipv6.TunnelOverheadBytes
 		inner = next
 	}

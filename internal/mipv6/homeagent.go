@@ -98,6 +98,10 @@ type HomeAgent struct {
 
 	bindings         map[ipv6.Addr]*Binding // by home address
 	bindingListeners []func(BindingEvent)
+	// sorted is the binding cache in home-address order, rebuilt on first
+	// use after an entry is added or removed (nil = stale). The multicast
+	// fan-out walks it for every datagram it tunnels.
+	sorted []*Binding
 
 	// Stats — the paper's "system load" criterion for home agents.
 	PacketsIntercepted  uint64
@@ -129,6 +133,7 @@ func (ha *HomeAgent) Close() {
 		ha.HomeIface.RemoveProxy(b.Home)
 	}
 	ha.bindings = map[ipv6.Addr]*Binding{}
+	ha.sorted = nil
 }
 
 // NewHomeAgent installs the HA role on node for the home link reached via
@@ -162,12 +167,21 @@ func (ha *HomeAgent) AttachRecorder(rec *obs.Recorder) {
 
 // Bindings returns the current cache entries sorted by home address.
 func (ha *HomeAgent) Bindings() []*Binding {
-	out := make([]*Binding, 0, len(ha.bindings))
-	for _, b := range ha.bindings {
-		out = append(out, b)
+	return append(make([]*Binding, 0, len(ha.bindings)), ha.sortedBindings()...)
+}
+
+// sortedBindings returns the cached home-address order of the binding
+// cache. The slice is shared: callers must not modify it.
+func (ha *HomeAgent) sortedBindings() []*Binding {
+	if ha.sorted == nil && len(ha.bindings) > 0 {
+		out := make([]*Binding, 0, len(ha.bindings))
+		for _, b := range ha.bindings {
+			out = append(out, b)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Home.Less(out[j].Home) })
+		ha.sorted = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Home.Less(out[j].Home) })
-	return out
+	return ha.sorted
 }
 
 // BindingCount reports the number of cached bindings without allocating
@@ -255,6 +269,7 @@ func (ha *HomeAgent) upsertBinding(home, careOf ipv6.Addr, seq uint16, groups []
 		b.expiry = sim.NewTimer(ha.Node.Sched(), func() { ha.removeBinding(h) })
 		b.refreshReq = sim.NewTimer(ha.Node.Sched(), func() { ha.sendBindingRequest(h) })
 		ha.bindings[home] = b
+		ha.sorted = nil
 		ha.HomeIface.AddProxy(home)
 	}
 	b.CareOf = careOf
@@ -322,6 +337,7 @@ func (ha *HomeAgent) removeBinding(home ipv6.Addr) {
 		b.refreshReq.Stop()
 	}
 	delete(ha.bindings, home)
+	ha.sorted = nil
 	ha.HomeIface.RemoveProxy(home)
 	if ha.Obs != nil {
 		ha.Obs.State(ha.Node.Name, "ha "+home.String(), "absent", "")
@@ -391,12 +407,12 @@ func (ha *HomeAgent) intercept(rx netem.RxPacket) bool {
 // address first, with the home address as the final routing-header segment
 // (the draft's lighter alternative to encapsulation).
 func (ha *HomeAgent) deliverViaRoutingHeader(b *Binding, pkt *ipv6.Packet) {
-	out := pkt.Clone()
+	out := *pkt // the payload stays shared; only header fields change
 	home := out.Hdr.Dst
 	out.Hdr.Dst = b.CareOf
 	out.Routing = &ipv6.RoutingHeader{SegmentsLeft: 1, Addresses: []ipv6.Addr{home}}
 	ha.PacketsTunneled++
-	_ = ha.Node.Output(out)
+	_ = ha.Node.Output(&out)
 }
 
 func canUseRoutingHeader(pkt *ipv6.Packet) bool {
@@ -443,7 +459,7 @@ func (ha *HomeAgent) handleReverseTunnel(rx netem.RxPacket) {
 		// Re-originate on the home link, as if the mobile node had sent it
 		// there (paper §4.2.2 B: "the home agent decapsulates the inner
 		// datagram and forwards it on the home link").
-		_ = ha.Node.OutputOn(ha.HomeIface, inner.Clone())
+		_ = ha.Node.OutputOn(ha.HomeIface, inner)
 		if ha.Node.Forwarder != nil && !inner.Hdr.Dst.IsLinkScopedMulticast() {
 			ha.Node.Forwarder.ForwardMulticast(netem.RxPacket{Iface: ha.HomeIface, Pkt: inner})
 		}
@@ -463,7 +479,7 @@ func (ha *HomeAgent) multicastLocal(rx netem.RxPacket) {
 
 func (ha *HomeAgent) fanOutToBindings(pkt *ipv6.Packet, exceptHome ipv6.Addr) {
 	group := pkt.Hdr.Dst
-	for _, b := range ha.Bindings() { // sorted: deterministic fan-out order
+	for _, b := range ha.sortedBindings() { // sorted: deterministic fan-out order
 		if b.Home == exceptHome {
 			continue
 		}

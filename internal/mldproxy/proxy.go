@@ -310,10 +310,9 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 	}
 	group := rx.Pkt.Hdr.Dst
 	st := p.groups[group]
+	out := rx.Pkt.Forward() // one shared copy for every interface
 	if !fromUp {
-		out := rx.Pkt.Clone()
-		out.Hdr.HopLimit--
-		if err := p.up.Send(out); err == nil {
+		if err := p.up.Send(&out); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}
@@ -324,9 +323,7 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 		if st == nil || !st.ifaces[ifc] {
 			continue
 		}
-		out := rx.Pkt.Clone()
-		out.Hdr.HopLimit--
-		if err := ifc.Send(out); err == nil {
+		if err := ifc.Send(&out); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}

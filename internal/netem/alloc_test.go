@@ -15,11 +15,11 @@ import (
 )
 
 // fanoutAllocBudget bounds one multicast transmission delivered to 16
-// receivers, steady state: UDP marshal + shared decode + one delivery
-// closure per receiver. Measured ~50 with the decode-once fast path; the
-// budget adds headroom while staying far below the ~100+ a per-receiver
-// decode regression would cost.
-const fanoutAllocBudget = 70
+// receivers, steady state: UDP marshal + one shared decode (which copies
+// no payload) + one delivery closure and one UDP view per receiver.
+// Measured 33; a per-receiver payload copy adds 16 and breaks the budget,
+// a per-receiver decode far more.
+const fanoutAllocBudget = 40
 
 func TestFanoutDeliveryAllocBudget(t *testing.T) {
 	s := sim.NewScheduler(1)
@@ -61,5 +61,35 @@ func TestFanoutDeliveryAllocBudget(t *testing.T) {
 	t.Logf("fan-out round: %v allocs (budget %d)", allocs, fanoutAllocBudget)
 	if allocs > fanoutAllocBudget {
 		t.Errorf("fan-out round allocates %v objects; budget %d (per-receiver decode regression?)", allocs, fanoutAllocBudget)
+	}
+}
+
+// forwardAllocBudget bounds one unicast datagram sent by a host and
+// forwarded by one router, steady state: per link one decoded Packet and
+// one delivery closure, plus the destination's UDP view. The router's
+// forwarding copy lives on its stack and no payload is copied; measured 5.
+// A payload copy on either link, or a heap-allocated forwarding copy,
+// breaks it (the data plane that cloned and copied cost 10).
+const forwardAllocBudget = 5
+
+func TestForwardAllocBudget(t *testing.T) {
+	run, ia, ir1, b, aA, bA := forwardingNet()
+	got := 0
+	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	pkt := udpTo(aA, bA, 9, string(make([]byte, 256)))
+	for i := 0; i < 8; i++ {
+		_ = ia.SendVia(pkt, ir1.LinkLocal())
+		run()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		_ = ia.SendVia(pkt, ir1.LinkLocal())
+		run()
+	})
+	if got != 8+201 {
+		t.Fatalf("delivered %d datagrams, want %d", got, 8+201)
+	}
+	t.Logf("forwarded datagram: %v allocs (budget %d)", allocs, forwardAllocBudget)
+	if allocs > forwardAllocBudget {
+		t.Errorf("forwarded datagram allocates %v objects; budget %d (payload copy or heap forwarding copy?)", allocs, forwardAllocBudget)
 	}
 }

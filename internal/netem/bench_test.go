@@ -43,6 +43,27 @@ func BenchmarkLinkDelivery(b *testing.B) {
 	}
 }
 
+// BenchmarkUnicastForward measures one datagram from a host through a
+// router to a host: two link transmissions and one forwarding decision,
+// with the payload shared end to end.
+func BenchmarkUnicastForward(b *testing.B) {
+	run, ia, ir1, c, aA, cA := forwardingNet()
+	got := 0
+	c.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	pkt := udpTo(aA, cA, 9, string(make([]byte, 512)))
+	b.SetBytes(int64(pkt.WireLen()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = ia.SendVia(pkt, ir1.LinkLocal())
+		run()
+	}
+	b.StopTimer()
+	if got != b.N {
+		b.Fatalf("delivered %d of %d", got, b.N)
+	}
+}
+
 // BenchmarkMulticastFanout measures delivery of one multicast frame to
 // many member interfaces.
 func BenchmarkMulticastFanout(b *testing.B) {

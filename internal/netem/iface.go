@@ -179,7 +179,7 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 		}
 	}
 	if mtu <= 0 || len(frame) <= mtu {
-		if ifc.Link.transmit(ifc, frame, l2dst) {
+		if ifc.Link.transmit(ifc, frame, pkt, l2dst) {
 			net.putFrameBuf(region, frame)
 		}
 		return nil
@@ -192,7 +192,10 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 		return nil
 	}
 	net.putFrameBuf(region, frame)
-	frags, err := ipv6.Fragment(pkt, mtu, ifc.Node.nextFragID())
+	// Fragment on a copy: pkt itself never escapes Send, so a forwarded
+	// packet can live on its forwarder's stack.
+	whole := *pkt
+	frags, err := ipv6.Fragment(&whole, mtu, ifc.Node.nextFragID())
 	if err != nil {
 		ifc.Node.drop("too-big")
 		return nil
@@ -203,7 +206,7 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 			net.putFrameBuf(region, fb)
 			return fmt.Errorf("netem: %s: %w", ifc, err)
 		}
-		if ifc.Link.transmit(ifc, fb, l2dst) {
+		if ifc.Link.transmit(ifc, fb, f, l2dst) {
 			net.putFrameBuf(region, fb)
 		}
 	}

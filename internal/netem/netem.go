@@ -289,18 +289,22 @@ func (l *Link) Resolve(addr ipv6.Addr) *Interface {
 	return proxy
 }
 
-// transmit schedules delivery of frame to receivers on the link. l2dst is
-// nil for multicast/broadcast frames (delivered subject to each interface's
-// multicast filter) or the specific destination interface for unicast.
+// transmit schedules delivery of frame, the encoding of sent, to receivers
+// on the link. l2dst is nil for multicast/broadcast frames (delivered
+// subject to each interface's multicast filter) or the specific destination
+// interface for unicast.
 //
 // The frame is decoded exactly once, here: taps and every receiver get the
 // same immutable *ipv6.Packet, so an N-receiver multicast delivery costs
-// one parse instead of N (receivers that need to modify the packet —
-// forwarding, routing-header advance — already Clone it). The return value
+// one parse instead of N. The decode shares sent's payload bytes rather than
+// copying them out of the frame (ipv6.DecodeShared), so a datagram forwarded
+// hop by hop, or carried through a tunnel, keeps the one payload its origin
+// allocated. Receivers that change a header field copy the Packet value
+// (ipv6.Packet.Forward) and keep sharing the bytes. The return value
 // reports whether the caller may recycle the frame buffer: true unless the
 // frame failed to decode, in which case delivery falls back to carrying
 // (and re-parsing) the raw bytes.
-func (l *Link) transmit(from *Interface, frame []byte, l2dst *Interface) (recyclable bool) {
+func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst *Interface) (recyclable bool) {
 	s := l.scheduler()
 	now := s.Now()
 
@@ -313,7 +317,7 @@ func (l *Link) transmit(from *Interface, frame []byte, l2dst *Interface) (recycl
 	l.TxBytes += uint64(len(frame))
 	frameLen := uint64(len(frame))
 
-	pkt, decErr := ipv6.Decode(frame)
+	pkt, decErr := ipv6.DecodeShared(frame, sent)
 	if decErr == nil && len(l.Taps) > 0 {
 		ev := TxEvent{Time: now, Link: l, From: from, Frame: frame, Pkt: pkt}
 		for _, t := range l.Taps {

@@ -183,34 +183,82 @@ func (r staticRoutes) NextHop(ipv6.Addr) (*Interface, ipv6.Addr, bool) {
 	return r.out, r.via, true
 }
 
-func TestUnicastForwarding(t *testing.T) {
+// forwardingNet is host a on l1, router r between l1 and l2, host b on l2;
+// r routes everything to b.
+func forwardingNet() (run func(), ia, ir1 *Interface, b *Node, aA, bA ipv6.Addr) {
 	s, net := testNet()
 	l1 := net.NewLink("l1", 0, 0)
 	l2 := net.NewLink("l2", 0, 0)
 	a := net.NewNode("a", false)
 	r := net.NewNode("r", true)
-	b := net.NewNode("b", false)
-	ia := a.AddInterface(l1)
-	ir1 := r.AddInterface(l1)
+	b = net.NewNode("b", false)
+	ia = a.AddInterface(l1)
+	ir1 = r.AddInterface(l1)
 	ir2 := r.AddInterface(l2)
 	ib := b.AddInterface(l2)
-	aA := ipv6.MustParseAddr("2001:db8:1::a")
-	bA := ipv6.MustParseAddr("2001:db8:2::b")
+	aA = ipv6.MustParseAddr("2001:db8:1::a")
+	bA = ipv6.MustParseAddr("2001:db8:2::b")
 	ia.AddAddr(aA)
 	ir1.AddAddr(ipv6.MustParseAddr("2001:db8:1::1"))
 	ir2.AddAddr(ipv6.MustParseAddr("2001:db8:2::1"))
 	ib.AddAddr(bA)
 	r.Routes = staticRoutes{out: ir2, via: bA}
+	return s.Run, ia, ir1, b, aA, bA
+}
 
+// A forwarded datagram arrives with its hop limit decremented once and
+// carrying the very payload bytes its origin allocated: neither the
+// router's forwarding copy nor either link's decode copies them, and the
+// origin's packet is left as it was.
+func TestUnicastForwarding(t *testing.T) {
+	run, ia, ir1, b, aA, bA := forwardingNet()
 	var gotHL uint8
-	b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) { gotHL = rx.Pkt.Hdr.HopLimit })
+	var got []byte
+	b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) { gotHL, got = rx.Pkt.Hdr.HopLimit, u.Payload })
 
 	pkt := udpTo(aA, bA, 9, "fwd")
 	// Host a sends via router (L2 to router's l1 interface).
 	ia.SendVia(pkt, ir1.LinkLocal())
-	s.Run()
+	run()
 	if gotHL != 63 {
 		t.Fatalf("hop limit at destination = %d, want 63 (decremented once)", gotHL)
+	}
+	if string(got) != "fwd" || &got[0] != &pkt.Payload[ipv6.UDPHeaderLen] {
+		t.Errorf("delivered %q as a copy; want the origin's bytes, shared", got)
+	}
+	if pkt.Hdr.HopLimit != 64 {
+		t.Errorf("forwarding changed the origin's packet: hop limit %d", pkt.Hdr.HopLimit)
+	}
+}
+
+// A tunnel packet crosses a router and is decapsulated without its inner
+// packet being encoded or decoded a second time: the inner payload the
+// tunnel exit sees is the one the tunnel entry wrapped.
+func TestTunnelSharesInnerPayload(t *testing.T) {
+	run, ia, ir1, b, aA, bA := forwardingNet()
+	inner := udpTo(ipv6.MustParseAddr("2001:db8:9::1"), ipv6.MustParseAddr("ff0e::7"), 9, "tunneled")
+	outer, err := ipv6.Encapsulate(aA, bA, ipv6.DefaultHopLimit, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *ipv6.Packet
+	b.HandleProto(ipv6.ProtoIPv6, func(rx RxPacket) {
+		if got, err = ipv6.Decapsulate(rx.Pkt); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := ia.SendVia(outer, ir1.LinkLocal()); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	if got == nil {
+		t.Fatal("tunnel packet not delivered")
+	}
+	if got.Hdr.Src != inner.Hdr.Src || got.Hdr.Dst != inner.Hdr.Dst || got.Hdr.HopLimit != inner.Hdr.HopLimit {
+		t.Errorf("inner header changed in the tunnel: %+v", got.Hdr)
+	}
+	if &got.Payload[0] != &inner.Payload[0] {
+		t.Error("inner payload is a copy; want the tunnel entry's bytes, shared")
 	}
 }
 
@@ -456,7 +504,7 @@ func TestMalformedFrameCounted(t *testing.T) {
 	b.AddInterface(link)
 	_ = ia
 	// Inject garbage directly.
-	link.transmit(ia, []byte{0xde, 0xad}, nil)
+	link.transmit(ia, []byte{0xde, 0xad}, nil, nil)
 	s.Run()
 	if b.Drops["malformed"] != 1 {
 		t.Fatalf("drops = %v", b.Drops)

@@ -14,9 +14,11 @@ type RxPacket struct {
 	Iface *Interface
 	// Pkt is the decoded datagram. It is shared: every receiver of the
 	// same link transmission (and every tap) sees the same *ipv6.Packet,
-	// parsed once at transmit. Handlers must treat it as immutable and
-	// Clone before modifying (the forwarding and routing-header paths
-	// already do). Retaining it is safe.
+	// parsed once at transmit, and its payload may be the very bytes the
+	// datagram's origin allocated. Handlers must treat it as immutable:
+	// to change a header field, copy the Packet value (the forwarding
+	// paths use ipv6.Packet.Forward); to change bytes, Clone. Retaining it
+	// is safe.
 	Pkt *ipv6.Packet
 	// LocalDst reports whether the packet is addressed to this node (one of
 	// its unicast addresses or a multicast group an interface accepts).
@@ -379,17 +381,22 @@ func (n *Node) deliverLocal(rx RxPacket) {
 	// IPv6 uses this as the lighter alternative to encapsulation for
 	// home-agent-to-mobile-node delivery.
 	if r := rx.Pkt.Routing; r != nil && r.SegmentsLeft > 0 {
-		adv := rx.Pkt.Clone()
-		i := len(adv.Routing.Addresses) - int(adv.Routing.SegmentsLeft)
-		next := adv.Routing.Addresses[i]
-		adv.Routing.Addresses[i] = adv.Hdr.Dst
+		// Only the routing header and the destination change: copy those,
+		// share the rest of the packet.
+		adv := *rx.Pkt
+		rh := *r
+		rh.Addresses = append([]ipv6.Addr(nil), r.Addresses...)
+		adv.Routing = &rh
+		i := len(rh.Addresses) - int(rh.SegmentsLeft)
+		next := rh.Addresses[i]
+		rh.Addresses[i] = adv.Hdr.Dst
 		adv.Hdr.Dst = next
-		adv.Routing.SegmentsLeft--
+		rh.SegmentsLeft--
 		if n.HasAddr(next) {
-			n.deliverLocal(RxPacket{Iface: rx.Iface, Pkt: adv, LocalDst: true, ViaTunnel: rx.ViaTunnel})
+			n.deliverLocal(RxPacket{Iface: rx.Iface, Pkt: &adv, LocalDst: true, ViaTunnel: rx.ViaTunnel})
 		} else if adv.Hdr.HopLimit > 1 {
 			adv.Hdr.HopLimit--
-			_ = n.Output(adv)
+			_ = n.Output(&adv)
 		}
 		return
 	}
@@ -446,9 +453,8 @@ func (n *Node) forwardUnicast(rx RxPacket) {
 		n.drop("no-route")
 		return
 	}
-	fwd := pkt.Clone()
-	fwd.Hdr.HopLimit--
-	if err := out.SendVia(fwd, via); err != nil {
+	fwd := pkt.Forward()
+	if err := out.SendVia(&fwd, via); err != nil {
 		n.drop("tx-error")
 	}
 }

@@ -727,14 +727,13 @@ func (e *Engine) ForwardMulticast(rx netem.RxPacket) {
 		// Iterate the node's interface slice, not the downstream map:
 		// replication order decides the per-link transmission sequence and
 		// must not vary with map layout (trace reproducibility).
+		out := rx.Pkt.Forward() // one shared copy for every interface
 		for _, ifc := range e.Node.Ifaces {
 			ds := ent.downstream[ifc]
 			if ds == nil || !ent.shouldForward(ifc, ds) {
 				continue
 			}
-			out := rx.Pkt.Clone()
-			out.Hdr.HopLimit--
-			if err := ifc.Send(out); err == nil {
+			if err := ifc.Send(&out); err == nil {
 				e.Stats.DataForwarded++
 				forwarded = true
 			}

@@ -15,6 +15,12 @@ go test -race ./...
 # race pass above skips them; run them in a plain pass here.
 go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6
 
+# Decoder fuzz smoke: a short search from the seed packets (plain, every
+# extension header, fragment, one and two tunnel layers). Decoding must
+# never panic, must re-encode to a fixed point, and must keep nothing of
+# the frame it parsed.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ipv6
+
 # Chaos determinism smoke: the full fault-injection matrix at a fixed seed
 # must produce byte-identical per-timeline JSONL traces AND a byte-identical
 # sampled telemetry series (-telemetry-out writes the master-seed cell's
