@@ -38,6 +38,11 @@ check: build vet race
 # live-fork vs replay-fork — the live-fork delta is the ramp the daemon's
 # checkpoint pool amortizes away). Output is the `go test -json` event
 # stream; baseline numbers are documented in EXPERIMENTS.md.
+# BenchmarkTimerReset prices re-arming a running timer (its old expiry
+# leaves the queue and a pooled event takes its place) and
+# BenchmarkSchedulerChurn prices Schedule+Step at a steady queue depth of
+# 512-1,024 events. TestTimerResetAllocFree, not this target, gates timer
+# re-arming at 0 allocs/op.
 # scripts/compare_bench.sh diffs the two most recent BENCH_PR*.json and
 # fails on macro regressions.
 # The macro cells get a time-based -benchtime so the multi-second runs
@@ -49,6 +54,6 @@ bench:
 		-bench 'BenchmarkFigure1Macro|BenchmarkScaleTopology|BenchmarkShardedTimeline|BenchmarkEngineComparison|BenchmarkTelemetryOverhead' \
 		./bench > BENCH_PR10.json
 	$(GO) test -json -run '^$$' -benchmem \
-		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
+		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkTimerReset|BenchmarkSchedulerChurn|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
 		./internal/netem ./internal/ipv6 ./internal/sim ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR10.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_PR10.json | sed 's/"Output":"//;s/\\n$$//' || true

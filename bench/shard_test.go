@@ -21,7 +21,8 @@ import (
 // 2-core host the sharded lines measure regions contending for 2 cores
 // (GOMAXPROCS bounds how many run at once), not a 4- or 8-way speedup.
 // Every iteration asserts zero invariant violations, so the 2000-router
-// cell doubles as the large-scale correctness gate.
+// cell doubles as the large-scale correctness gate. queue-hwm is the
+// largest region's event-queue high-water mark over the iterations.
 func BenchmarkShardedTimeline(b *testing.B) {
 	cases := []struct {
 		routers, mns int
@@ -35,6 +36,7 @@ func BenchmarkShardedTimeline(b *testing.B) {
 			b.Run(fmt.Sprintf("ba-r%d-mn%d/shards-%d", tc.routers, tc.mns, shards), func(b *testing.B) {
 				b.ReportAllocs()
 				var events uint64
+				hwm := 0
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
 					opt := mip6mcast.DefaultOptions()
@@ -43,7 +45,10 @@ func BenchmarkShardedTimeline(b *testing.B) {
 					opt.CoreLinkDelay = 2 * time.Millisecond
 					ctx := mip6mcast.ExpContext{
 						Opt: opt, Replicates: 1, Workers: 1,
-						Progress: func(cs exp.CellStats) { events += cs.Sched.Dispatched },
+						Progress: func(cs exp.CellStats) {
+							events += cs.Sched.Dispatched
+							hwm = max(hwm, cs.Sched.QueueHighWater)
+						},
 					}
 					res, err := mip6mcast.RunExperiment("scale", ctx, mip6mcast.ExpParams{
 						"families": "ba",
@@ -62,6 +67,7 @@ func BenchmarkShardedTimeline(b *testing.B) {
 				if wall > 0 {
 					b.ReportMetric(float64(events)/wall, "events/sec")
 				}
+				b.ReportMetric(float64(hwm), "queue-hwm")
 			})
 		}
 	}

@@ -61,3 +61,47 @@ func TestStepAllocFreeWithLabels(t *testing.T) {
 		t.Errorf("Schedule+Step with label switching allocates %v objects/op; want 0", allocs)
 	}
 }
+
+// TestTimerResetAllocFree pins allocation-free timer re-arming: arming a
+// stopped timer takes a pooled event and the callback NewTimer bound, and
+// re-arming a running one, earlier or later, recycles its old expiry and
+// takes it straight back. Protocol state refreshes a timer on every
+// datagram.
+func TestTimerResetAllocFree(t *testing.T) {
+	s := NewScheduler(1)
+	tm := NewTimer(s, func() {})
+	for i := 0; i < 64; i++ {
+		tm.Reset(time.Second)
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Reset(time.Second)
+		tm.Reset(2 * time.Second)
+		tm.ResetAt(s.Now().Add(time.Millisecond))
+		s.Step()
+		tm.Reset(time.Second)
+		tm.Stop()
+	})
+	if allocs != 0 {
+		t.Errorf("Timer Reset/ResetAt/Stop allocates %v objects/op with a warm pool; want 0", allocs)
+	}
+}
+
+// TestTickerAllocFree pins the periodic path: a tick re-arms with the
+// callback NewTicker bound, and SetPeriod re-arms through the pool.
+func TestTickerAllocFree(t *testing.T) {
+	s := NewScheduler(1)
+	tk := NewTicker(s, time.Millisecond, time.Microsecond, func() {})
+	for i := 0; i < 64; i++ {
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Step()
+		tk.SetPeriod(2 * time.Millisecond)
+		s.Step()
+		tk.SetPeriod(time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("Ticker tick/SetPeriod allocates %v objects/op with a warm pool; want 0", allocs)
+	}
+}

@@ -104,16 +104,13 @@ type PendingEvent struct {
 	Tag string `json:"tag,omitempty"`
 }
 
-// PendingEvents snapshots the live (non-canceled) queued events sorted
-// by (time, seq) — the exact order they would fire in. Checkpoints
-// record this as the re-armable timer/delivery schedule; a verified
-// restore must reproduce it entry for entry.
+// PendingEvents snapshots the queued events sorted by (time, seq) — the
+// exact order they would fire in. Checkpoints record this as the
+// re-armable timer/delivery schedule; a verified restore must reproduce it
+// entry for entry.
 func (s *Scheduler) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(s.queue))
 	for _, e := range s.queue {
-		if e.dead {
-			continue
-		}
 		out = append(out, PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag})
 	}
 	sort.Slice(out, func(i, j int) bool {

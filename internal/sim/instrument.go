@@ -31,7 +31,9 @@ type TagStat struct {
 type RunStats struct {
 	// Dispatched is the number of events executed.
 	Dispatched uint64
-	// QueueHighWater is the maximum event-queue length observed.
+	// QueueHighWater is the most events ever queued at once. Canceled
+	// events and superseded timer expiries leave the queue immediately,
+	// so it counts live events only.
 	QueueHighWater int
 	// Virtual is the current virtual time.
 	Virtual Time
@@ -113,7 +115,9 @@ func (s *Scheduler) applyLabel(tag string) {
 	s.curLabel = tag
 }
 
-// QueueHighWater returns the maximum event-queue length observed so far.
+// QueueHighWater returns the most events queued at once so far. Only live
+// events count: a canceled event or a re-armed timer's old expiry is not
+// kept in the queue.
 func (s *Scheduler) QueueHighWater() int { return s.hwm }
 
 // PushTag sets the handler tag inherited by events scheduled until the

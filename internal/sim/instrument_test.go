@@ -79,6 +79,16 @@ func TestQueueHighWater(t *testing.T) {
 	if got := s.QueueHighWater(); got != 7 {
 		t.Errorf("high-water after run = %d, want 7", got)
 	}
+	// Re-armed timers and canceled events leave nothing queued: the mark
+	// counts live events only.
+	tm := NewTimer(s, func() {})
+	for i := 0; i < 20; i++ {
+		tm.Reset(time.Duration(i) * time.Second)
+		s.Schedule(time.Second, func() {}).Cancel()
+	}
+	if got := s.QueueHighWater(); got != 7 {
+		t.Errorf("high-water after re-arms and cancels = %d, want 7", got)
+	}
 }
 
 // Without Instrument, RunStats still reports dispatch count, high-water

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -147,5 +148,74 @@ func TestKernelSingleRegionMatchesSequential(t *testing.T) {
 		if seq[i] != par[i] {
 			t.Fatalf("timelines diverge at %d: %v vs %v", i, seq[i], par[i])
 		}
+	}
+}
+
+// timerRingFixture runs four regions that pass tokens to each other and,
+// on every arrival, re-arm one of their own expiry timers to a random time
+// earlier or later than its current one, or stop one — the (S,G) data
+// timeout pattern, inside kernel windows. It returns every region's log
+// followed by its final sequence counter and pending queue.
+func timerRingFixture(workers int) string {
+	const regions, timers = 4, 8
+	scheds := make([]*Scheduler, regions)
+	for r := range scheds {
+		scheds[r] = NewScheduler(DeriveSeed(11, fmt.Sprintf("region-%d", r)))
+	}
+	k := NewKernel(scheds, 2*time.Millisecond, workers)
+	logs := make([][]string, regions)
+	expiry := make([][]*Timer, regions)
+	for r, s := range scheds {
+		r, s := r, s
+		for j := 0; j < timers; j++ {
+			j := j
+			expiry[r] = append(expiry[r], NewTimer(s, func() {
+				logs[r] = append(logs[r], fmt.Sprintf("%v expire%d seq=%d pending=%d", s.Now(), j, s.SeqCounter(), s.Pending()))
+			}))
+		}
+	}
+	var hop func(r, token, n int)
+	hop = func(r, token, n int) {
+		s := scheds[r]
+		rng := s.RandFor("ring")
+		expiry[r][rng.Intn(timers)].Reset(time.Duration(rng.Int63n(int64(30 * time.Millisecond))))
+		if rng.Intn(4) == 0 {
+			expiry[r][rng.Intn(timers)].Stop()
+		}
+		logs[r] = append(logs[r], fmt.Sprintf("%v token%d hop%d seq=%d pending=%d", s.Now(), token, n, s.SeqCounter(), s.Pending()))
+		if n < 300 {
+			dst := (r + 1 + rng.Intn(regions-1)) % regions
+			at := s.Now().Add(2*time.Millisecond + time.Duration(rng.Int63n(int64(3*time.Millisecond))))
+			s.Post(scheds[dst], at, func() { hop(dst, token, n+1) })
+		}
+	}
+	for r, s := range scheds {
+		r := r
+		for token := 0; token < 3; token++ {
+			token := token
+			s.Schedule(time.Duration(token)*time.Millisecond, func() { hop(r, r*3+token, 0) })
+		}
+	}
+	k.RunUntil(Time(2 * time.Second))
+	var out []byte
+	for r, s := range scheds {
+		for _, l := range logs[r] {
+			out = fmt.Appendf(out, "r%d %s\n", r, l)
+		}
+		out = fmt.Appendf(out, "r%d end seq=%d pending=%v\n", r, s.SeqCounter(), s.PendingEvents())
+	}
+	return string(out)
+}
+
+// Re-arming and stopping timers inside windows must give byte-identical
+// timelines at one worker and four (run under -race, so regions that
+// shared queue state would also fail there).
+func TestKernelTimerResetAcrossWorkers(t *testing.T) {
+	w1, w4 := timerRingFixture(1), timerRingFixture(4)
+	if !strings.Contains(w1, "expire") || !strings.Contains(w1, "hop300") {
+		t.Fatalf("fixture did not exercise both expiries and full token rings:\n%.2000s", w1)
+	}
+	if w1 != w4 {
+		t.Fatalf("workers 1 and 4 diverge:\n--- w1\n%.2000s\n--- w4\n%.2000s", w1, w4)
 	}
 }

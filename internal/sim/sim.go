@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -47,51 +46,91 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // String formats the time as seconds with millisecond precision, e.g. "12.345s".
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
-// event is a scheduled callback. Events are pooled: once executed (or
-// drained after cancellation) they return to the scheduler's free list and
-// are reused by later At/Schedule calls. The generation counter invalidates
-// stale Event handles across reuse.
+// event is a scheduled callback. Events are pooled: once executed or
+// canceled they return to the scheduler's free list and are reused by later
+// At/Schedule calls. The generation counter invalidates stale Event handles
+// across reuse.
 type event struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among events at the same instant
 	fn    func()
-	tag   string // handler tag inherited from the scheduling context
-	index int    // heap index, -1 when popped or canceled
-	dead  bool   // canceled
-	gen   uint64 // bumped on recycle; handles carry the gen they were issued at
+	tag   string     // handler tag inherited from the scheduling context
+	s     *Scheduler // owner, whose queue Cancel removes the event from
+	index int        // heap slot, -1 when not queued
+	gen   uint64     // bumped on recycle; handles carry the gen they were issued at
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
+// before orders events by (at, seq): the order they fire in.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of live events ordered by (at, seq). Each
+// event records its slot, so a canceled event (a stopped or re-armed timer's
+// old expiry among them) is removed at once: the heap never holds an event
+// that will not fire.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// up sifts q[i] toward the root.
+func (q eventQueue) up(i int) {
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = e
+	e.index = i
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// down sifts q[i] toward the leaves and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	e, start, n := q[i], i, len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = e
+	e.index = i
+	return i > start
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
+func (q *eventQueue) push(e *event) {
 	*q = append(*q, e)
+	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) Pop() any {
+// remove takes the event in slot i out of the heap. The last event fills
+// the hole and sifts whichever way its key requires.
+func (q *eventQueue) remove(i int) *event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e := old[i]
+	old[i] = old[n]
+	old[n] = nil
+	*q = old[:n]
+	if i < n && !q.down(i) {
+		q.up(i)
+	}
 	e.index = -1
-	*q = old[:n-1]
 	return e
 }
 
@@ -118,8 +157,8 @@ type Scheduler struct {
 	// runaway detection in tests.
 	processed uint64
 
-	// free is the recycled-event list: executed and drained-dead events
-	// land here and are reused by At, so steady-state scheduling does not
+	// free is the recycled-event list: executed and canceled events land
+	// here and are reused by At, so steady-state scheduling does not
 	// allocate.
 	free []*event
 
@@ -127,7 +166,8 @@ type Scheduler struct {
 	// subsystems bracket their scheduling with PushTag/PopTag, and events
 	// inherit the tag active while the currently-executing event runs.
 	curTag string
-	// hwm is the event-queue high-water mark (max observed queue length).
+	// hwm is the event-queue high-water mark (most live events queued at
+	// once).
 	hwm int
 	// instr, when non-nil, accumulates per-tag wall-clock dispatch timing.
 	instr *instr
@@ -215,8 +255,8 @@ func streamSeed(seed int64, stream string) int64 {
 // Processed reports how many events have executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// Pending reports how many events are queued (including canceled events not
-// yet drained).
+// Pending reports how many events are queued to fire. Canceled events leave
+// the queue at once, so this is exactly the live count.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is treated
@@ -243,19 +283,19 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.seq, e.fn, e.tag, e.dead = t, s.seq, fn, s.curTag, false
+		e.at, e.seq, e.fn, e.tag = t, s.seq, fn, s.curTag
 	} else {
-		e = &event{at: t, seq: s.seq, fn: fn, tag: s.curTag}
+		e = &event{at: t, seq: s.seq, fn: fn, tag: s.curTag, s: s}
 	}
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	if len(s.queue) > s.hwm {
 		s.hwm = len(s.queue)
 	}
 	return Event{e: e, gen: e.gen}
 }
 
-// recycle returns a popped event to the free list, invalidating any
+// recycle returns a dequeued event to the free list, invalidating any
 // outstanding handles to it.
 func (s *Scheduler) recycle(e *event) {
 	e.gen++
@@ -270,33 +310,29 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Step executes the single next event, advancing the clock to it. It reports
 // whether an event was executed.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*event)
-		if e.dead {
-			s.recycle(e)
-			continue
-		}
-		s.now = e.at
-		s.processed++
-		s.curTag = e.tag
-		fn, tag := e.fn, e.tag
-		// Recycle before running: fn may reschedule and reuse this slot,
-		// which is fine — the handle generations already diverge.
-		s.recycle(e)
-		if s.labelCtx != nil && tag != s.curLabel {
-			s.applyLabel(tag)
-		}
-		if s.instr != nil {
-			start := time.Now()
-			fn()
-			s.instr.record(tag, time.Since(start))
-		} else {
-			fn()
-		}
-		s.curTag = ""
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	e := s.queue.remove(0)
+	s.now = e.at
+	s.processed++
+	s.curTag = e.tag
+	fn, tag := e.fn, e.tag
+	// Recycle before running: fn may reschedule and reuse this slot,
+	// which is fine — the handle generations already diverge.
+	s.recycle(e)
+	if s.labelCtx != nil && tag != s.curLabel {
+		s.applyLabel(tag)
+	}
+	if s.instr != nil {
+		start := time.Now()
+		fn()
+		s.instr.record(tag, time.Since(start))
+	} else {
+		fn()
+	}
+	s.curTag = ""
+	return true
 }
 
 // RunUntil executes events in order until the queue is empty, Stop is called,
@@ -326,16 +362,12 @@ func (s *Scheduler) Run() {
 	}
 }
 
+// peek returns the next event to fire, or nil when none is queued.
 func (s *Scheduler) peek() *event {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if !e.dead {
-			return e
-		}
-		heap.Pop(&s.queue)
-		s.recycle(e)
+	if len(s.queue) == 0 {
+		return nil
 	}
-	return nil
+	return s.queue[0]
 }
 
 // Event is a cancelable handle to a scheduled callback. It is a small value
@@ -352,26 +384,26 @@ type Event struct {
 // for (the underlying object may have been recycled since).
 func (ev Event) live() bool { return ev.e != nil && ev.e.gen == ev.gen }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op. It reports whether the event was still
-// pending.
+// Cancel prevents the event from firing: it leaves the queue and its slot
+// is recycled at once, so this and every other handle to it go inert.
+// Canceling an already-fired or already-canceled event is a no-op. It
+// reports whether the event was still pending.
 func (ev Event) Cancel() bool {
-	if !ev.live() || ev.e.dead || ev.e.index == -1 {
+	if !ev.Pending() {
 		return false
 	}
-	ev.e.dead = true
+	s := ev.e.s
+	s.recycle(s.queue.remove(ev.e.index))
 	return true
 }
 
 // Pending reports whether the event is still queued to fire.
-func (ev Event) Pending() bool {
-	return ev.live() && !ev.e.dead && ev.e.index != -1
-}
+func (ev Event) Pending() bool { return ev.live() && ev.e.index >= 0 }
 
 // When returns the virtual time the event fires. It is only meaningful
 // while the event is pending; once fired or canceled it returns 0.
 func (ev Event) When() Time {
-	if !ev.live() {
+	if !ev.Pending() {
 		return 0
 	}
 	return ev.e.at

@@ -101,6 +101,9 @@ func TestRunForIsRelative(t *testing.T) {
 	}
 }
 
+// A canceled event leaves the queue at once and its handle goes inert:
+// Pending is false, When is 0, and neither it nor a handle to the event
+// that reuses its slot can touch the new event.
 func TestEventCancel(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
@@ -111,12 +114,29 @@ func TestEventCancel(t *testing.T) {
 	if !ev.Cancel() {
 		t.Fatal("Cancel returned false for pending event")
 	}
+	if ev.Pending() || ev.When() != 0 {
+		t.Fatalf("after Cancel: Pending=%v When=%v, want false, 0", ev.Pending(), ev.When())
+	}
 	if ev.Cancel() {
 		t.Fatal("second Cancel returned true")
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after Cancel, want 0", s.Pending())
+	}
+	reused := false
+	next := s.Schedule(2*time.Second, func() { reused = true })
+	if next.e != ev.e {
+		t.Fatal("the canceled event was not recycled for the next Schedule")
+	}
+	if ev.Pending() || ev.When() != 0 || ev.Cancel() {
+		t.Fatal("stale handle sees or cancels the event that reused its slot")
 	}
 	s.Run()
 	if fired {
 		t.Fatal("canceled event fired")
+	}
+	if !reused {
+		t.Fatal("event in the recycled slot did not fire")
 	}
 }
 
@@ -275,6 +295,16 @@ func TestTimerRemaining(t *testing.T) {
 		}
 	})
 	s.Run()
+	stopped := func(when string) {
+		t.Helper()
+		if tm.Running() || tm.Expiry() != 0 || tm.Remaining() != 0 {
+			t.Errorf("%s: Running=%v Expiry=%v Remaining=%v, want false, 0, 0", when, tm.Running(), tm.Expiry(), tm.Remaining())
+		}
+	}
+	stopped("after firing")
+	tm.Reset(time.Second)
+	tm.Stop()
+	stopped("after Stop")
 }
 
 func TestTimerResetAt(t *testing.T) {

@@ -10,10 +10,10 @@ import "time"
 // The zero value is not usable; create one with NewTimer or the Scheduler's
 // AfterFunc-style helpers.
 type Timer struct {
-	s     *Scheduler
-	fn    func()
-	ev    Event
-	armed bool
+	s    *Scheduler
+	fn   func()
+	fire func() // t.expire, bound once so arming never allocates a closure
+	ev   Event
 }
 
 // NewTimer returns a stopped timer that will run fn on the scheduler when it
@@ -22,7 +22,9 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil func")
 	}
-	return &Timer{s: s, fn: fn}
+	t := &Timer{s: s, fn: fn}
+	t.fire = t.expire
+	return t
 }
 
 // AfterFunc creates a timer and starts it with duration d.
@@ -37,44 +39,32 @@ func AfterFunc(s *Scheduler, d time.Duration, fn func()) *Timer {
 func (t *Timer) Reset(d time.Duration) {
 	t.Stop()
 	t.ev = t.s.Schedule(d, t.fire)
-	t.armed = true
 }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
 	t.Stop()
 	t.ev = t.s.At(at, t.fire)
-	t.armed = true
 }
 
-func (t *Timer) fire() {
+func (t *Timer) expire() {
 	t.ev = Event{}
-	t.armed = false
 	t.fn()
 }
 
 // Stop disarms the timer. It reports whether the timer was running.
 func (t *Timer) Stop() bool {
-	if !t.armed {
-		return false
-	}
 	was := t.ev.Cancel()
 	t.ev = Event{}
-	t.armed = false
 	return was
 }
 
 // Running reports whether the timer is armed.
-func (t *Timer) Running() bool { return t.armed && t.ev.Pending() }
+func (t *Timer) Running() bool { return t.ev.Pending() }
 
-// Expiry returns the virtual time at which the timer will fire. It is only
-// meaningful while Running.
-func (t *Timer) Expiry() Time {
-	if !t.armed {
-		return 0
-	}
-	return t.ev.When()
-}
+// Expiry returns the virtual time at which the timer will fire, or zero if
+// the timer is not running.
+func (t *Timer) Expiry() Time { return t.ev.When() }
 
 // Remaining returns how much virtual time is left before expiry, or zero if
 // the timer is not running.
@@ -93,6 +83,7 @@ type Ticker struct {
 	period  time.Duration
 	jitter  time.Duration
 	fn      func()
+	fire    func() // t.tick, bound once so arming never allocates a closure
 	ev      Event
 	stopped bool
 }
@@ -106,12 +97,13 @@ func NewTicker(s *Scheduler, period time.Duration, jitter time.Duration, fn func
 		panic("sim: NewTicker with non-positive period")
 	}
 	t := &Ticker{s: s, period: period, jitter: jitter, fn: fn}
+	t.fire = t.tick
 	t.arm()
 	return t
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.s.Schedule(t.period+t.s.Jitter("timer-jitter", t.jitter), t.tick)
+	t.ev = t.s.Schedule(t.period+t.s.Jitter("timer-jitter", t.jitter), t.fire)
 }
 
 func (t *Ticker) tick() {
