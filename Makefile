@@ -42,7 +42,11 @@ check: build vet race
 # leaves the queue and a pooled event takes its place) and
 # BenchmarkSchedulerChurn prices Schedule+Step at a steady queue depth of
 # 512-1,024 events. TestTimerResetAllocFree, not this target, gates timer
-# re-arming at 0 allocs/op.
+# re-arming at 0 allocs/op. The unicast routing layer has three:
+# BenchmarkRecompute64 (SPF over a 64-router chain), BenchmarkNextHop (one
+# cached lookup) and BenchmarkRPFLookup (RPF checks across every table of
+# a 500-router Barabási–Albert network); TestRecomputeAllocBudget gates
+# SPF allocation.
 # scripts/compare_bench.sh diffs the two most recent BENCH_PR*.json and
 # fails on macro regressions.
 # The macro cells get a time-based -benchtime so the multi-second runs
@@ -54,6 +58,6 @@ bench:
 		-bench 'BenchmarkFigure1Macro|BenchmarkScaleTopology|BenchmarkShardedTimeline|BenchmarkEngineComparison|BenchmarkTelemetryOverhead' \
 		./bench > BENCH_PR10.json
 	$(GO) test -json -run '^$$' -benchmem \
-		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkTimerReset|BenchmarkSchedulerChurn|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
-		./internal/netem ./internal/ipv6 ./internal/sim ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR10.json
+		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkTimerReset|BenchmarkSchedulerChurn|BenchmarkRecompute64|BenchmarkNextHop|BenchmarkRPFLookup|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
+		./internal/netem ./internal/ipv6 ./internal/sim ./internal/routing ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR10.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_PR10.json | sed 's/"Output":"//;s/\\n$$//' || true

@@ -171,12 +171,12 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 		return fmt.Errorf("netem: %s: %w", ifc, err)
 	}
 	mtu := ifc.Link.MTU
-	isSource := ifc.Node.HasAddr(pkt.Hdr.Src)
-	if isSource {
+	// Whether this node is the packet's source (HasAddr probes every
+	// interface's addresses) matters only under a learned path MTU or for a
+	// frame over the MTU, so it is asked only then.
+	if pm, ok := ifc.Node.pathMTU[pkt.Hdr.Dst]; ok && (mtu <= 0 || pm < mtu) && ifc.Node.HasAddr(pkt.Hdr.Src) {
 		// Honor a learned path MTU even when the local link is wider.
-		if pm, ok := ifc.Node.pathMTU[pkt.Hdr.Dst]; ok && (mtu <= 0 || pm < mtu) {
-			mtu = pm
-		}
+		mtu = pm
 	}
 	if mtu <= 0 || len(frame) <= mtu {
 		if ifc.Link.transmit(ifc, frame, pkt, l2dst) {
@@ -184,7 +184,7 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 		}
 		return nil
 	}
-	if !isSource {
+	if !ifc.Node.HasAddr(pkt.Hdr.Src) {
 		// The frame escapes into the ICMP error's invoking-packet copy;
 		// leave this (rare) buffer to the garbage collector.
 		ifc.Node.drop("too-big")

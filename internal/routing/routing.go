@@ -1,15 +1,17 @@
-// Package routing provides the unicast routing substrate: link-state
-// shortest-path-first tables for routers (the role an IGP plays under
-// PIM-DM, whose RPF checks are "protocol independent" — they use whatever
-// unicast routes exist), and dynamic default routes for hosts.
+// Package routing provides the unicast routing substrate: shortest-path
+// tables for routers (the role an IGP plays under PIM-DM, whose RPF checks
+// are "protocol independent" — they use whatever unicast routes exist), and
+// dynamic default routes for hosts.
 //
-// A Domain assigns each link a /64 prefix and computes, for every router, a
-// next-hop entry per link prefix by breadth-first search over the
-// router/link bipartite graph (all links cost 1). Tables implement
-// netem.RouteTable.
+// A Domain assigns each link a /64 prefix and a dense link number, and
+// computes, for every router, a next-hop entry per link by breadth-first
+// search over the router/link bipartite graph (all links cost 1). A router
+// table is a slice indexed by link number, so a lookup is one probe of the
+// prefix map plus a slice index. Tables implement netem.RouteTable.
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"mip6mcast/internal/ipv6"
@@ -19,36 +21,66 @@ import (
 // Domain is the routed internetwork: prefix assignments plus computed
 // tables.
 type Domain struct {
-	Net      *netem.Network
-	prefixes map[*netem.Link]ipv6.Addr // /64 prefix per link
-	byPrefix map[ipv6.Addr]*netem.Link // /64 prefix -> link (LinkFor fast path)
+	Net *netem.Network
+
+	// Every canonical link the domain has seen gets a number, once: both
+	// halves of a split link share it, and it never changes, so a table
+	// computed earlier keeps indexing the right links.
+	linkNum  map[*netem.Link]int32
+	links    []linkInfo       // by link number
+	byPrefix map[uint64]int32 // upper 64 bits of a /64 -> link number
 	tables   map[*netem.Node]*RouterTable
+}
+
+type linkInfo struct {
+	link      *netem.Link // canonical identity
+	prefix    ipv6.Addr
+	hasPrefix bool
 }
 
 // NewDomain creates an empty routing domain over net.
 func NewDomain(net *netem.Network) *Domain {
 	return &Domain{
 		Net:      net,
-		prefixes: map[*netem.Link]ipv6.Addr{},
-		byPrefix: map[ipv6.Addr]*netem.Link{},
+		linkNum:  map[*netem.Link]int32{},
+		byPrefix: map[uint64]int32{},
 		tables:   map[*netem.Node]*RouterTable{},
 	}
+}
+
+// prefixKey is the /64 of a as a map key.
+func prefixKey(a ipv6.Addr) uint64 { return binary.BigEndian.Uint64(a[:8]) }
+
+// number returns l's link number, assigning the next one on first sight.
+func (d *Domain) number(l *netem.Link) int32 {
+	l = l.Canon()
+	if i, ok := d.linkNum[l]; ok {
+		return i
+	}
+	i := int32(len(d.links))
+	d.linkNum[l] = i
+	d.links = append(d.links, linkInfo{link: l})
+	return i
 }
 
 // AssignPrefix gives link a /64 prefix. Unicast routing resolves
 // destinations by longest (here: only) prefix match against these.
 func (d *Domain) AssignPrefix(l *netem.Link, prefix ipv6.Addr) {
+	i := d.number(l)
 	p := prefix.Prefix(64)
-	d.prefixes[l.Canon()] = p
-	d.byPrefix[p] = l.Canon()
+	d.links[i].prefix, d.links[i].hasPrefix = p, true
+	d.byPrefix[prefixKey(p)] = i
 }
 
 // PrefixOf returns the /64 assigned to l. Both halves of a split
 // cross-region link resolve to the one prefix assigned to its canonical
 // identity.
 func (d *Domain) PrefixOf(l *netem.Link) (ipv6.Addr, bool) {
-	p, ok := d.prefixes[l.Canon()]
-	return p, ok
+	i, ok := d.linkNum[l.Canon()]
+	if !ok {
+		return ipv6.Addr{}, false
+	}
+	return d.links[i].prefix, d.links[i].hasPrefix
 }
 
 // LinkFor returns the link whose prefix covers addr, or nil. This sits on
@@ -57,21 +89,37 @@ func (d *Domain) PrefixOf(l *netem.Link) (ipv6.Addr, bool) {
 // would make forwarding O(links) and dominate generated topologies with
 // hundreds of routers.
 func (d *Domain) LinkFor(addr ipv6.Addr) *netem.Link {
-	return d.byPrefix[addr.Prefix(64)]
+	if i, ok := d.byPrefix[prefixKey(addr)]; ok {
+		return d.links[i].link
+	}
+	return nil
 }
 
 // Recompute rebuilds all router tables from the current topology and
 // installs them on the router nodes. Hosts get dynamic tables (installed
-// once; they track movement automatically).
+// once; they track movement automatically). Tables from an earlier call
+// stay valid and keep answering from the topology they were computed on.
 func (d *Domain) Recompute() {
+	routers := make([]*netem.Node, 0, len(d.Net.Nodes))
+	ifcs := 0
 	for _, n := range d.Net.Nodes {
 		if n.IsRouter {
-			t := d.computeRouter(n)
-			d.tables[n] = t
-			n.Routes = t
+			routers = append(routers, n)
+			ifcs += len(n.Ifaces)
 		} else if n.Routes == nil {
 			n.Routes = &HostTable{Domain: d, Node: n}
 		}
+	}
+	g := d.buildGraph(routers, ifcs)
+	tables := make([]RouterTable, len(routers))
+	seen := make([]int32, len(routers))
+	queue := make([]hop, 0, len(routers))
+	for i, r := range routers {
+		t := &tables[i]
+		*t = RouterTable{node: r, domain: d, entries: make([]entry, len(d.links))}
+		queue = g.spf(int32(i), t.entries, seen, queue[:0])
+		d.tables[r] = t
+		r.Routes = t
 	}
 }
 
@@ -92,7 +140,113 @@ func (d *Domain) AttachHost(n *netem.Node) {
 	}
 }
 
-// entry is a router's next hop toward one link prefix.
+// graph is the router/link bipartite graph in compressed sparse row form,
+// built once per Recompute. Router i's up interfaces, in Ifaces order, are
+// ifcs[ifcAt[i]:ifcAt[i+1]]. Link j's router interfaces, up or down, are
+// nbrs[nbrAt[j]:nbrAt[j+1]]: for a split link, the canonical half's Ifaces
+// followed by the far half's, since the neighbor sits on the far half.
+type graph struct {
+	ifcAt []int32
+	ifcs  []routerIfc
+	nbrAt []int32
+	nbrs  []linkIfc
+}
+
+type routerIfc struct {
+	ifc  *netem.Interface
+	link int32
+}
+
+type linkIfc struct {
+	ifc    *netem.Interface
+	router int32
+}
+
+// buildGraph numbers any new links the routers attach to and builds their
+// adjacency; ifcs is the routers' interface count, which bounds both lists.
+func (d *Domain) buildGraph(routers []*netem.Node, ifcs int) *graph {
+	g := &graph{
+		ifcAt: make([]int32, 1, len(routers)+1),
+		ifcs:  make([]routerIfc, 0, ifcs),
+		nbrs:  make([]linkIfc, 0, ifcs),
+	}
+	index := make(map[*netem.Node]int32, len(routers))
+	for i, r := range routers {
+		index[r] = int32(i)
+		for _, ifc := range r.Ifaces {
+			if ifc.Up() {
+				g.ifcs = append(g.ifcs, routerIfc{ifc: ifc, link: d.number(ifc.Link)})
+			}
+		}
+		g.ifcAt = append(g.ifcAt, int32(len(g.ifcs)))
+	}
+	g.nbrAt = make([]int32, 1, len(d.links)+1)
+	for _, li := range d.links {
+		for _, half := range [2]*netem.Link{li.link, li.link.Peer()} {
+			if half == nil {
+				continue
+			}
+			for _, ifc := range half.Ifaces {
+				if ifc.Node.IsRouter {
+					g.nbrs = append(g.nbrs, linkIfc{ifc: ifc, router: index[ifc.Node]})
+				}
+			}
+		}
+		g.nbrAt = append(g.nbrAt, int32(len(g.nbrs)))
+	}
+	return g
+}
+
+// hop is a router on the BFS frontier with the branch that reached it: the
+// root's interface the branch leaves by and the first-hop neighbor on it.
+type hop struct {
+	router int32
+	dist   int32
+	first  *netem.Interface
+	via    ipv6.Addr
+}
+
+// spf fills entries with root's next hop toward every link it reaches. A
+// link's entry is written when the BFS first crosses it, by the first of
+// the expanding router's up interfaces in Ifaces order, and every router
+// on the link then joins the frontier in the link's interface order, so
+// equal-cost ties resolve the same way on every call. Hosts are not
+// transit. seen marks visited routers with root+1. The queue's storage is
+// shared by all roots of one Recompute and returned for the next.
+func (g *graph) spf(root int32, entries []entry, seen []int32, queue []hop) []hop {
+	mark := root + 1
+	seen[root] = mark
+	queue = append(queue, hop{router: root})
+	for q := 0; q < len(queue); q++ {
+		cur := queue[q]
+		for _, ri := range g.ifcs[g.ifcAt[cur.router]:g.ifcAt[cur.router+1]] {
+			j := ri.link
+			if entries[j].out != nil {
+				continue
+			}
+			next := hop{dist: cur.dist + 1, first: cur.first, via: cur.via}
+			if q == 0 {
+				next.first = ri.ifc // the root's own link: deliver on-link
+			}
+			entries[j] = entry{out: next.first, via: next.via, hops: int(next.dist)}
+			for _, nb := range g.nbrs[g.nbrAt[j]:g.nbrAt[j+1]] {
+				if seen[nb.router] == mark {
+					continue
+				}
+				seen[nb.router] = mark
+				if q == 0 {
+					next.via = nb.ifc.LinkLocal() // a first-hop neighbor
+				}
+				next.router = nb.router
+				queue = append(queue, next)
+			}
+		}
+	}
+	return queue
+}
+
+// entry is a router's next hop toward one link prefix; out is nil for a
+// link the router cannot reach.
 type entry struct {
 	out  *netem.Interface
 	via  ipv6.Addr // zero for directly-attached (deliver to dst itself)
@@ -103,90 +257,23 @@ type entry struct {
 type RouterTable struct {
 	node    *netem.Node
 	domain  *Domain
-	entries map[*netem.Link]entry
+	entries []entry // by link number
 }
 
-// computeRouter runs BFS from router r over the bipartite graph of routers
-// and links. Every traversed link costs 1. Host nodes are not transit.
-func (d *Domain) computeRouter(r *netem.Node) *RouterTable {
-	t := &RouterTable{node: r, domain: d, entries: map[*netem.Link]entry{}}
-
-	// Directly attached links.
-	type frontier struct {
-		router *netem.Node
-		first  *netem.Interface // r's interface starting this branch
-		via    ipv6.Addr        // first-hop neighbor address ("" = direct)
-		dist   int
+// lookup returns the entry for the link whose prefix covers a. A link
+// numbered after the table was computed lies past its end: unreachable.
+func (t *RouterTable) lookup(a ipv6.Addr) (entry, bool) {
+	i, ok := t.domain.byPrefix[prefixKey(a)]
+	if !ok || int(i) >= len(t.entries) {
+		return entry{}, false
 	}
-	visitedLink := map[*netem.Link]bool{}
-	visitedRouter := map[*netem.Node]bool{r: true}
-	var queue []frontier
-
-	// linkIfaces spans a link's whole broadcast domain: for split
-	// cross-region links the neighbor router sits on the far half.
-	linkIfaces := func(l *netem.Link) [][]*netem.Interface {
-		if p := l.Peer(); p != nil {
-			return [][]*netem.Interface{l.Ifaces, p.Ifaces}
-		}
-		return [][]*netem.Interface{l.Ifaces}
-	}
-
-	for _, ifc := range r.Ifaces {
-		if !ifc.Up() {
-			continue
-		}
-		l := ifc.Link.Canon()
-		if !visitedLink[l] {
-			visitedLink[l] = true
-			t.entries[l] = entry{out: ifc, hops: 1}
-		}
-		// Neighbor routers on the attached link seed the frontier.
-		for _, side := range linkIfaces(l) {
-			for _, nifc := range side {
-				nb := nifc.Node
-				if nb == r || !nb.IsRouter || visitedRouter[nb] {
-					continue
-				}
-				visitedRouter[nb] = true
-				queue = append(queue, frontier{router: nb, first: ifc, via: nifc.LinkLocal(), dist: 1})
-			}
-		}
-	}
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, ifc := range cur.router.Ifaces {
-			if !ifc.Up() {
-				continue
-			}
-			l := ifc.Link.Canon()
-			if !visitedLink[l] {
-				visitedLink[l] = true
-				t.entries[l] = entry{out: cur.first, via: cur.via, hops: cur.dist + 1}
-			}
-			for _, side := range linkIfaces(l) {
-				for _, nifc := range side {
-					nb := nifc.Node
-					if !nb.IsRouter || visitedRouter[nb] {
-						continue
-					}
-					visitedRouter[nb] = true
-					queue = append(queue, frontier{router: nb, first: cur.first, via: cur.via, dist: cur.dist + 1})
-				}
-			}
-		}
-	}
-	return t
+	e := t.entries[i]
+	return e, e.out != nil
 }
 
 // NextHop implements netem.RouteTable.
 func (t *RouterTable) NextHop(dst ipv6.Addr) (*netem.Interface, ipv6.Addr, bool) {
-	l := t.domain.LinkFor(dst)
-	if l == nil {
-		return nil, ipv6.Addr{}, false
-	}
-	e, ok := t.entries[l]
+	e, ok := t.lookup(dst)
 	if !ok {
 		return nil, ipv6.Addr{}, false
 	}
@@ -200,30 +287,16 @@ func (t *RouterTable) NextHop(dst ipv6.Addr) (*netem.Interface, ipv6.Addr, bool)
 // HopsTo returns the router's distance (in links) to the link covering dst,
 // used by PIM assert metrics. ok is false if unreachable.
 func (t *RouterTable) HopsTo(dst ipv6.Addr) (int, bool) {
-	l := t.domain.LinkFor(dst)
-	if l == nil {
-		return 0, false
-	}
-	e, ok := t.entries[l]
-	if !ok {
-		return 0, false
-	}
-	return e.hops, true
+	e, ok := t.lookup(dst)
+	return e.hops, ok
 }
 
 // RPFInterface returns the interface this router uses to reach src — PIM's
 // reverse-path-forwarding check — together with the upstream neighbor
 // address (zero if src is directly attached).
 func (t *RouterTable) RPFInterface(src ipv6.Addr) (*netem.Interface, ipv6.Addr, bool) {
-	l := t.domain.LinkFor(src)
-	if l == nil {
-		return nil, ipv6.Addr{}, false
-	}
-	e, ok := t.entries[l]
-	if !ok {
-		return nil, ipv6.Addr{}, false
-	}
-	return e.out, e.via, true
+	e, ok := t.lookup(src)
+	return e.out, e.via, ok
 }
 
 // HostTable routes for a (possibly mobile) host: destinations covered by
@@ -270,5 +343,11 @@ func (h *HostTable) NextHop(dst ipv6.Addr) (*netem.Interface, ipv6.Addr, bool) {
 }
 
 func (t *RouterTable) String() string {
-	return fmt.Sprintf("table(%s, %d prefixes)", t.node.Name, len(t.entries))
+	n := 0
+	for _, e := range t.entries {
+		if e.out != nil {
+			n++
+		}
+	}
+	return fmt.Sprintf("table(%s, %d prefixes)", t.node.Name, n)
 }

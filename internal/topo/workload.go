@@ -1,9 +1,10 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -144,13 +145,13 @@ func GenWorkload(g *Graph, spec WorkloadSpec) (*Workload, error) {
 			}
 		}
 	}
-	// Stable sort by time keeps each MN's moves in draw order when two
-	// land on the same instant (and the timeline reproducible).
-	sort.SliceStable(w.Moves, func(a, b int) bool {
-		if w.Moves[a].At != w.Moves[b].At {
-			return w.Moves[a].At < w.Moves[b].At
+	// (At, MN) is a total order: one MN's moves have strictly increasing
+	// At, so the sorted schedule does not depend on the sort algorithm.
+	slices.SortStableFunc(w.Moves, func(a, b Move) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return w.Moves[a].MN < w.Moves[b].MN
+		return cmp.Compare(a.MN, b.MN)
 	})
 	return w, nil
 }

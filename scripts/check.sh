@@ -13,7 +13,7 @@ go test -race ./...
 # Allocation-regression gate. The alloc-budget tests carry //go:build !race
 # (the race runtime's instrumented allocation counts are meaningless), so the
 # race pass above skips them; run them in a plain pass here.
-go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6
+go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 ./internal/routing
 
 # Decoder fuzz smoke: a short search from the seed packets (plain, every
 # extension header, fragment, one and two tunnel layers). Decoding must
