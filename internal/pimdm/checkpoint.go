@@ -9,23 +9,26 @@ import (
 )
 
 // Checkpoint implements engine.MulticastEngine: the deterministic
-// snapshot of all PIM-DM protocol state. Timer expiries are not
-// included — they live in the scheduler's pending-event queue, captured
-// by the timeline checkpoint.
-func (e *Engine) Checkpoint() engine.EngineCheckpoint {
+// snapshot of all protocol state, including the Generation ID where the
+// engine has one (neighbours hold hard state keyed to it, so a rebuild
+// that drew a different GenID is a divergent rebuild). Timer expiries are
+// not included — they live in the scheduler's pending-event queue,
+// captured by the timeline checkpoint.
+func (c *Core[E, D]) Checkpoint() engine.EngineCheckpoint {
 	cp := engine.EngineCheckpoint{
-		Engine:  e.Name(),
-		Node:    e.Node.Name,
-		Entries: e.Entries(),
-		Stats:   e.Stats,
+		Engine:  c.Name(),
+		Node:    c.Node.Name,
+		GenID:   c.params.GenID,
+		Entries: c.Entries(),
+		Stats:   c.Stats,
 	}
-	for ifc, nbrs := range e.neighbors {
+	for ifc, nbrs := range c.neighbors {
 		for addr := range nbrs {
 			cp.Neighbors = append(cp.Neighbors, ifaceName(ifc)+"/"+addr.String())
 		}
 	}
 	sort.Strings(cp.Neighbors)
-	for group, m := range e.localMembers {
+	for group, m := range c.localMembers {
 		for ifc, n := range m {
 			name := "-"
 			if ifc != nil {
@@ -43,8 +46,8 @@ func (e *Engine) Checkpoint() engine.EngineCheckpoint {
 // (rebuilt by deterministic replay to the checkpoint's virtual time);
 // Restore verifies it does and returns a descriptive diff error
 // otherwise.
-func (e *Engine) Restore(cp engine.EngineCheckpoint) error {
-	return engine.VerifyCheckpoint(cp, e.Checkpoint())
+func (c *Core[E, D]) Restore(cp engine.EngineCheckpoint) error {
+	return engine.VerifyCheckpoint(cp, c.Checkpoint())
 }
 
 func ifaceName(ifc *netem.Interface) string {

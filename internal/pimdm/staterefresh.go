@@ -92,35 +92,33 @@ func parseStateRefresh(b []byte) (*StateRefresh, error) {
 }
 
 // startStateRefresh arms per-entry origination on the first-hop router.
-func (ent *sgEntry) startStateRefresh() {
-	e := ent.e
-	if e.Config.StateRefreshInterval <= 0 || !ent.upstreamNbr.IsUnspecified() {
+func (e *Engine) startStateRefresh(ent *sgEntry) {
+	if e.Config.StateRefreshInterval <= 0 || !ent.UpstreamNbr.IsUnspecified() {
 		return // disabled, or we are not the first-hop router
 	}
-	if ent.refreshTicker != nil {
+	if ent.State.refreshTicker != nil {
 		return
 	}
-	ent.refreshTicker = sim.NewTicker(e.Node.Sched(), e.Config.StateRefreshInterval, 0, func() {
-		ent.originateStateRefresh()
+	ent.State.refreshTicker = sim.NewTicker(e.Node.Sched(), e.Config.StateRefreshInterval, 0, func() {
+		e.originateStateRefresh(ent)
 	})
 }
 
-func (ent *sgEntry) originateStateRefresh() {
-	e := ent.e
-	if _, ok := e.entries[ent.key]; !ok {
+func (e *Engine) originateStateRefresh(ent *sgEntry) {
+	if _, ok := e.entries[ent.SG]; !ok {
 		return // entry deleted; ticker about to be stopped
 	}
-	pref, metric := ent.assertMetric()
+	pref, metric := e.assertMetric(ent)
 	sr := &StateRefresh{
-		Group:            ent.key.group,
-		Source:           ent.key.src,
-		Originator:       ent.upstream.GlobalAddr(),
+		Group:            ent.Group,
+		Source:           ent.Source,
+		Originator:       ent.Upstream.GlobalAddr(),
 		MetricPreference: pref,
 		Metric:           metric,
 		TTL:              32,
 		Interval:         e.Config.StateRefreshInterval,
 	}
-	ent.propagateStateRefresh(sr)
+	e.propagateStateRefresh(ent, sr)
 }
 
 // propagateStateRefresh sends the message on every downstream PIM
@@ -128,20 +126,19 @@ func (ent *sgEntry) originateStateRefresh() {
 // Iterates the node's interface slice, not the downstream map: emission
 // order decides the per-link transmission sequence and must not vary with
 // map layout (trace reproducibility, as on the data-replication path).
-func (ent *sgEntry) propagateStateRefresh(sr *StateRefresh) {
-	e := ent.e
+func (e *Engine) propagateStateRefresh(ent *sgEntry, sr *StateRefresh) {
 	for _, ifc := range e.Node.Ifaces {
-		ds := ent.downstream[ifc]
+		ds := ent.Down[ifc]
 		if ds == nil || !ifc.Up() || !e.HasNeighbors(ifc) {
 			continue
 		}
 		out := *sr
-		out.PruneIndicator = ds.pruned || ds.assertLoser
-		if ds.pruned && ds.pruneTimer != nil && ds.pruneTimer.Running() {
+		out.PruneIndicator = ds.State.pruned || ds.assertLoser
+		if ds.State.pruned && ds.State.pruneTimer != nil && ds.State.pruneTimer.Running() {
 			// Refresh the prune so it does not expire into a re-flood.
-			ds.pruneTimer.Reset(e.Config.PruneHoldtime)
+			ds.State.pruneTimer.Reset(e.Config.PruneHoldtime)
 		}
-		e.sendPIM(ifc, ipv6.AllPIMRouters, &out)
+		e.SendPIM(ifc, ipv6.AllPIMRouters, &out)
 		e.Stats.StateRefreshSent++
 	}
 }
@@ -158,31 +155,31 @@ func (e *Engine) onStateRefresh(ifc *netem.Interface, sr *StateRefresh) {
 	// non-RPF interface must not create and retain an (S,G) entry — that
 	// would inflate EntryCount (the paper's "system load" metric) with
 	// state for trees this router is not on.
-	ent, ok := e.entry(sr.Source, sr.Group)
+	ent, ok := e.Lookup(sr.Source, sr.Group)
 	if !ok {
 		upIfc, _, routeOK := e.Routing.RPFInterface(sr.Source)
 		if !routeOK || upIfc != ifc {
 			return
 		}
-		ent = e.getOrCreate(sr.Source, sr.Group)
+		ent = e.GetOrCreate(sr.Source, sr.Group)
 		if ent == nil {
 			return
 		}
 	}
-	if ifc != ent.upstream {
+	if ifc != ent.Upstream {
 		return
 	}
-	ent.expiry.Reset(e.Config.DataTimeout)
+	ent.keepAlive()
 	// P bit set means our upstream is NOT forwarding to us. If we still
 	// have downstream demand, the tree is wedged (e.g. our override Join
 	// was lost): re-join. This is the self-healing loop that makes prune
 	// state safe to keep alive indefinitely (RFC 3973 §4.5.1).
-	if sr.PruneIndicator && ent.hasDownstreamDemand() && !ent.prunedUpstream {
-		ent.sendOverrideJoin()
+	if sr.PruneIndicator && ent.HasDemand() && !ent.State.prunedUpstream {
+		e.sendOverrideJoin(ent)
 	}
 	fwd := *sr
 	fwd.TTL--
 	if fwd.TTL > 0 {
-		ent.propagateStateRefresh(&fwd)
+		e.propagateStateRefresh(ent, &fwd)
 	}
 }
