@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mip6mcast/internal/engine"
 	"mip6mcast/internal/icmpv6"
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/mld"
@@ -299,6 +300,12 @@ func TestSGStateExpiresAfterDataTimeout(t *testing.T) {
 }
 
 func TestAssertElectsSingleForwarder(t *testing.T) {
+	for _, eng := range denseEngines {
+		t.Run(eng.name, func(t *testing.T) { testAssertElectsSingleForwarder(t, eng.make) })
+	}
+}
+
+func testAssertElectsSingleForwarder(t *testing.T, newEngine func(*netem.Node, engine.UnicastRouting) engine.MulticastEngine) {
 	// Parallel-router topology: S on L0; R1 and R2 both bridge L0 to L1
 	// where a member lives. Both create (S,G) state and forward; asserts
 	// must elect exactly one forwarder.
@@ -309,7 +316,7 @@ func TestAssertElectsSingleForwarder(t *testing.T) {
 	dom := routing.NewDomain(net)
 	dom.AssignPrefix(l0, ipv6.MustParseAddr("2001:db8:10::"))
 	dom.AssignPrefix(l1, ipv6.MustParseAddr("2001:db8:11::"))
-	var engines []*pimdm.Engine
+	var engines []engine.MulticastEngine
 	for i := 0; i < 2; i++ {
 		r := net.NewNode(fmt.Sprintf("R%d", i+1), true)
 		i0 := r.AddInterface(l0)
@@ -319,10 +326,9 @@ func TestAssertElectsSingleForwarder(t *testing.T) {
 	}
 	dom.Recompute()
 	for _, nd := range net.Nodes {
-		eng := pimdm.New(nd, pimdm.DefaultConfig(), dom.TableOf(nd))
-		engines = append(engines, eng)
+		e := newEngine(nd, dom.TableOf(nd))
+		engines = append(engines, e)
 		mr := mld.NewRouter(nd, mld.FastConfig(30*time.Second))
-		e := eng
 		mr.OnListenerChange = func(ev mld.ListenerEvent) {
 			e.HandleListenerChange(ev.Iface, ev.Group, ev.Present)
 		}
@@ -355,7 +361,7 @@ func TestAssertElectsSingleForwarder(t *testing.T) {
 
 	s.RunUntil(sim.Time(60 * time.Second))
 
-	if engines[0].Stats.AssertsSent == 0 && engines[1].Stats.AssertsSent == 0 {
+	if engines[0].MulticastStats().AssertsSent == 0 && engines[1].MulticastStats().AssertsSent == 0 {
 		t.Fatal("no asserts were ever sent by parallel forwarders")
 	}
 	// After convergence the member receives exactly one copy per datagram:
