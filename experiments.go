@@ -3,9 +3,9 @@ package mip6mcast
 import (
 	"time"
 
+	"mip6mcast/internal/engine"
 	"mip6mcast/internal/exp"
 	"mip6mcast/internal/metrics"
-	"mip6mcast/internal/pimdm"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
 )
@@ -30,7 +30,7 @@ type F1Result struct {
 	FloodFramesL5 int
 	FramesL6      int
 	// TreeAtD is router D's converged (S,G) view.
-	TreeAtD []pimdm.SGInfo
+	TreeAtD []engine.SGInfo
 	// Delivered counts datagrams per receiver; Sent is the CBR total.
 	Delivered map[string]int
 	Sent      uint64
@@ -243,10 +243,10 @@ func measureF4Run(opt Options, approach Approach) F4Result {
 	})
 	r.F.Run(30 * time.Second)
 
-	before := r.F.PIMStats()
+	before := r.F.MulticastStats()
 	moveAt := r.MoveHost("S", "L6")
 	r.F.Run(120 * time.Second)
-	after := r.F.PIMStats()
+	after := r.F.MulticastStats()
 
 	res := F4Result{
 		NewTreesBuilt:       after.FloodsStarted - before.FloodsStarted,

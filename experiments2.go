@@ -238,7 +238,7 @@ func measureS431(opt Options, moves int, dwell time.Duration) S431Result {
 		}
 	})
 	r.F.Run(30 * time.Second)
-	base := r.F.PIMStats()
+	base := r.F.MulticastStats()
 
 	// Cycle the sender across links that carry the tree (the paper: moving
 	// to Link 2, 3 or 4 makes forwarding routers believe there is a loop).
@@ -247,7 +247,7 @@ func measureS431(opt Options, moves int, dwell time.Duration) S431Result {
 		r.MoveHost("S", cycle[i%len(cycle)])
 		r.F.Run(dwell)
 	}
-	after := r.F.PIMStats()
+	after := r.F.MulticastStats()
 
 	return S431Result{
 		Moves:        moves,

@@ -141,7 +141,7 @@ func TestDeterminismAcrossIdenticalRuns(t *testing.T) {
 		r.F.Run(30 * time.Second)
 		r.MoveHost("R3", "L6")
 		r.F.Run(60 * time.Second)
-		return r.F.Acct.TotalAll(), r.Probes["R3"].Count(), r.F.PIMStats().DataForwarded
+		return r.F.Acct.TotalAll(), r.Probes["R3"].Count(), r.F.MulticastStats().DataForwarded
 	}
 	a1, b1, c1 := run()
 	a2, b2, c2 := run()
@@ -154,7 +154,7 @@ func TestDeterminismAcrossIdenticalRuns(t *testing.T) {
 	r.F.Run(30 * time.Second)
 	r.MoveHost("R3", "L6")
 	r.F.Run(60 * time.Second)
-	if r.F.Acct.TotalAll() == a1 && r.Probes["R3"].Count() == b1 && r.F.PIMStats().DataForwarded == c1 {
+	if r.F.Acct.TotalAll() == a1 && r.Probes["R3"].Count() == b1 && r.F.MulticastStats().DataForwarded == c1 {
 		t.Log("different seed produced identical aggregate (possible but suspicious)")
 	}
 }

@@ -95,8 +95,8 @@ type approachEntry struct {
 	aliases  []string
 }
 
-// approachRegistry holds the comparable approaches in paper numbering
-// (1–4), followed by registration order for later additions.
+// approachRegistry holds the comparable approaches: the paper's Table 1
+// in its numbering (1–4), then the proxy hierarchy.
 var approachRegistry = []approachEntry{
 	{LocalMembership, "local-membership", []string{"local"}},
 	{BidirectionalTunnel, "bidir-tunnel", []string{"tunnel"}},
@@ -105,21 +105,8 @@ var approachRegistry = []approachEntry{
 	{ProxyHierarchy, "proxy-hierarchy", []string{"proxy"}},
 }
 
-// RegisterApproach adds an approach to the registry under a canonical
-// name plus optional lookup aliases. The built-in five register
-// implicitly; this exists so future approaches (e.g. Helmy's
-// multicast-based mobility) slot into every comparison experiment
-// without touching them.
-func RegisterApproach(name string, a Approach, aliases ...string) {
-	if _, ok := ApproachByName(name); ok {
-		panic("core: approach " + name + " already registered")
-	}
-	approachRegistry = append(approachRegistry, approachEntry{a, name, aliases})
-}
-
-// Approaches returns every registered approach in paper numbering
-// (1–4, then registration order). Experiments iterate this the way
-// scenario engines iterate RegisterEngine entries.
+// Approaches returns every approach in registry order: the paper's four,
+// then the proxy hierarchy. Experiments iterate this.
 func Approaches() []Approach {
 	out := make([]Approach, len(approachRegistry))
 	for i, e := range approachRegistry {
@@ -151,15 +138,6 @@ func ApproachByName(name string) (Approach, bool) {
 		}
 	}
 	return Approach{}, false
-}
-
-// FourApproaches returns the paper's Table 1 in its numbering.
-//
-// Deprecated: use Approaches, which also includes approaches added
-// beyond the paper's four (the proxy hierarchy, and any registered via
-// RegisterApproach).
-func FourApproaches() []Approach {
-	return []Approach{LocalMembership, BidirectionalTunnel, UniTunnelMNToHA, UniTunnelHAToMN}
 }
 
 // String names the approach as the paper does.

@@ -11,24 +11,20 @@ import (
 	"mip6mcast/internal/pimdm"
 )
 
-// EngineBuilder constructs one router's multicast engine from the build
-// options. Builders derive any engine-specific configuration from
-// Options (hpimdm maps the shared PIM timer set onto its own config), so
-// a single Options value drives every engine the same scenario compares.
-type EngineBuilder func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine
-
-var engineBuilders = map[string]EngineBuilder{}
-
-// RegisterEngine adds a multicast engine to the registry under name.
-// Registration happens at init time; duplicate names panic.
-func RegisterEngine(name string, b EngineBuilder) {
-	if _, dup := engineBuilders[name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate engine %q", name))
-	}
-	engineBuilders[name] = b
+// engineBuilders constructs one router's multicast engine per engine
+// name. Each derives its engine-specific configuration from Options
+// (hpimdm maps the shared PIM timer set onto its own config), so a single
+// Options value drives every engine the same scenario compares.
+var engineBuilders = map[string]func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine{
+	"pimdm": func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine {
+		return pimdm.New(node, opt.PIM, rt)
+	},
+	"hpimdm": func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine {
+		return hpimdm.New(node, hpimdm.FromPIM(opt.PIM), rt)
+	},
 }
 
-// EngineNames lists the registered engines, sorted.
+// EngineNames lists the multicast engines, sorted.
 func EngineNames() []string {
 	names := make([]string, 0, len(engineBuilders))
 	for n := range engineBuilders {
@@ -79,13 +75,4 @@ func (p proxyStubRouting) RPFInterface(src ipv6.Addr) (*netem.Interface, ipv6.Ad
 		}
 	}
 	return ifc, nbr, ok
-}
-
-func init() {
-	RegisterEngine("pimdm", func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine {
-		return pimdm.New(node, opt.PIM, rt)
-	})
-	RegisterEngine("hpimdm", func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine {
-		return hpimdm.New(node, hpimdm.FromPIM(opt.PIM), rt)
-	})
 }

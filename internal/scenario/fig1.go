@@ -30,7 +30,7 @@ var Group = ipv6.MustParseAddr("ff0e::101")
 type Options struct {
 	Seed int64
 	// Engine selects the dense-mode multicast engine by registry name
-	// ("pimdm", "hpimdm"); empty selects pimdm. See RegisterEngine.
+	// ("pimdm", "hpimdm"); empty selects pimdm. See EngineNames.
 	Engine string
 	// PIM is the shared dense-mode timer set. Every engine derives its
 	// configuration from it (hpimdm via hpimdm.FromPIM) so one Options
@@ -674,8 +674,3 @@ func (f *Network) MulticastStats() engine.Stats {
 	}
 	return t
 }
-
-// PIMStats aggregates the control-message counters of all routers.
-//
-// Deprecated: use MulticastStats, which serves every registered engine.
-func (f *Network) PIMStats() pimdm.Stats { return f.MulticastStats() }

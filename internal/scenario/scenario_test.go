@@ -213,7 +213,7 @@ func TestTotalSGAndStatsAggregation(t *testing.T) {
 	if f.TotalSGEntries() == 0 {
 		t.Error("no (S,G) state after traffic")
 	}
-	st := f.PIMStats()
+	st := f.MulticastStats()
 	if st.HellosSent == 0 || st.DataArrived == 0 {
 		t.Errorf("aggregated stats empty: %+v", st)
 	}

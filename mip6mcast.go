@@ -70,12 +70,6 @@ const (
 	VariantTunneledMLD = core.VariantTunneledMLD
 )
 
-// FourApproaches returns the paper's Table 1 in order.
-//
-// Deprecated: use Approaches, which includes every registered approach
-// (the paper's four plus the proxy hierarchy).
-func FourApproaches() []Approach { return core.FourApproaches() }
-
 // Approaches returns every registered approach in registration order: the
 // paper's Table 1 followed by extensions such as the proxy hierarchy.
 func Approaches() []Approach { return core.Approaches() }

@@ -160,7 +160,7 @@ func paramEngine() exp.Param {
 // paramApproach is the receive-approach selector shared by the sweeps
 // that can run any registered approach. The description lists the
 // registry's canonical names, so `mip6sim -list` always shows what a
-// build actually accepts (RegisterApproach additions included).
+// build actually accepts.
 func paramApproach(def string) exp.Param {
 	return exp.Param{
 		Name: "approach", Desc: "approach: " + strings.Join(ApproachNames(), ", ") + " (or alias local/tunnel/proxy)",
@@ -382,9 +382,8 @@ func runExpF4(ctx exp.Context, p exp.Params) exp.Result {
 }
 
 func runExpT1(ctx exp.Context, p exp.Params) exp.Result {
-	// Every registered approach rides the identical movement scenario:
-	// the paper's four plus any added via core.RegisterApproach (the
-	// proxy hierarchy being the first).
+	// Every approach rides the identical movement scenario: the paper's
+	// four plus the proxy hierarchy.
 	approaches := Approaches()
 	rows := make([]T1Row, len(approaches))
 	exp.ForEach(ctx, len(approaches), func(opt scenario.Options, i int) {
