@@ -46,7 +46,11 @@ check: build vet race
 # BenchmarkRecompute64 (SPF over a 64-router chain), BenchmarkNextHop (one
 # cached lookup) and BenchmarkRPFLookup (RPF checks across every table of
 # a 500-router Barabási–Albert network); TestRecomputeAllocBudget gates
-# SPF allocation.
+# SPF allocation. BenchmarkEngineForward/{hpimdm,pimdm} prices one
+# engine's data path: a single ForwardMulticast on router D of a converged
+# Figure 1 network, replicating onto two links (the (S,G) lookup, expiry
+# re-arm, outgoing-interface decision and both link sends; delivery of the
+# copies is not timed).
 # scripts/compare_bench.sh diffs the two most recent BENCH_PR*.json and
 # fails on macro regressions.
 # The macro cells get a time-based -benchtime so the multi-second runs
@@ -58,6 +62,6 @@ bench:
 		-bench 'BenchmarkFigure1Macro|BenchmarkScaleTopology|BenchmarkShardedTimeline|BenchmarkEngineComparison|BenchmarkTelemetryOverhead' \
 		./bench > BENCH_PR10.json
 	$(GO) test -json -run '^$$' -benchmem \
-		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkTimerReset|BenchmarkSchedulerChurn|BenchmarkRecompute64|BenchmarkNextHop|BenchmarkRPFLookup|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
+		-bench 'BenchmarkLinkDelivery|BenchmarkUnicastForward|BenchmarkTunnelRoundTrip|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkTimerReset|BenchmarkSchedulerChurn|BenchmarkRecompute64|BenchmarkNextHop|BenchmarkRPFLookup|BenchmarkEngineForward|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
 		./internal/netem ./internal/ipv6 ./internal/sim ./internal/routing ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR10.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_PR10.json | sed 's/"Output":"//;s/\\n$$//' || true
