@@ -1,7 +1,7 @@
 // Package engine defines the pluggable multicast-routing engine API. A
 // MulticastEngine is the dense-mode protocol instance on one router:
-// the scenario layer builds one per router (selected by name through the
-// scenario engine registry), the netem node hands it the data plane via
+// the scenario layer builds one per router (selected by name from the
+// scenario layer's engine table), the netem node hands it the data plane via
 // netem.MulticastForwarder, MLD feeds it membership changes, and the
 // checker and observability layers consume its structured state dump.
 //
@@ -111,8 +111,8 @@ func (s Stats) ControlMessages() uint64 {
 }
 
 // MulticastEngine is one dense-mode routing protocol instance on one
-// router node. Constructors (registered with the scenario engine
-// registry) must install the engine as the node's multicast forwarder
+// router node. Constructors (listed in the scenario layer's engine
+// table) must install the engine as the node's multicast forwarder
 // and protocol handler; from then on the rest of the system speaks only
 // this interface.
 //
