@@ -150,7 +150,7 @@ func TestEngineTraceDigests(t *testing.T) {
 		return
 	}
 
-	want := readEngineDigests(t)
+	want := readDigestTable(t, engineDigestsPath, "UPDATE_ENGINE_DIGESTS")
 	if len(want) != len(cases) {
 		t.Errorf("%s has %d digests, the test computes %d", engineDigestsPath, len(want), len(cases))
 	}
@@ -175,11 +175,13 @@ func TestEngineTraceDigests(t *testing.T) {
 	}
 }
 
-func readEngineDigests(t *testing.T) map[string]string {
+// readDigestTable reads a "<case> <sha256>" table; updateVar names the
+// environment variable that regenerates it.
+func readDigestTable(t *testing.T, path, updateVar string) map[string]string {
 	t.Helper()
-	f, err := os.Open(engineDigestsPath)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("missing digest table (run with UPDATE_ENGINE_DIGESTS=1 to create): %v", err)
+		t.Fatalf("missing digest table (run with %s=1 to create): %v", updateVar, err)
 	}
 	defer f.Close()
 	out := map[string]string{}
@@ -187,7 +189,7 @@ func readEngineDigests(t *testing.T) map[string]string {
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) != 2 {
-			t.Fatalf("%s: malformed line %q", engineDigestsPath, sc.Text())
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
 		out[fields[0]] = fields[1]
 	}
