@@ -6,6 +6,7 @@ package mip6mcast
 // is secondary; the reported metrics are the point.
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func BenchmarkF1InitialTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := DefaultOptions()
 		opt.Seed = int64(i + 1)
-		res = RunF1(opt)
+		res = runExp(b, "f1", ExpContext{Opt: opt}, nil).Artifact.([2]F1Result)[0]
 	}
 	b.ReportMetric(float64(res.FloodFramesL5), "floodframesL5")
 	b.ReportMetric(float64(res.DataBytesPerLink["L4"]), "bytesL4")
@@ -27,16 +28,14 @@ func BenchmarkF1InitialTree(b *testing.B) {
 }
 
 func BenchmarkF2MobileReceiverLocal(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		unsolicited bool
-	}{{"unsolicited", true}, {"waitforquery", false}} {
-		b.Run(mode.name, func(b *testing.B) {
+	// The f2 artifact's rows 0 and 1 are the two report policies.
+	for row, name := range []string{"unsolicited", "waitforquery"} {
+		b.Run(name, func(b *testing.B) {
 			var res F2Result
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
 				opt.Seed = int64(i + 1)
-				res = RunF2(opt, mode.unsolicited)
+				res = runExp(b, "f2", ExpContext{Opt: opt}, nil).Artifact.([3]F2Result)[row]
 			}
 			b.ReportMetric(res.JoinDelay.Seconds()*1000, "join-ms")
 			b.ReportMetric(res.LeaveDelay.Seconds(), "leave-s")
@@ -46,16 +45,14 @@ func BenchmarkF2MobileReceiverLocal(b *testing.B) {
 }
 
 func BenchmarkF3MobileReceiverTunnel(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		variant HAVariant
-	}{{"grouplist-bu", VariantGroupListBU}, {"tunneled-mld", VariantTunneledMLD}} {
-		b.Run(v.name, func(b *testing.B) {
+	// The f3 artifact's rows 0 and 1 are the two tunnel variants.
+	for row, name := range []string{"grouplist-bu", "tunneled-mld"} {
+		b.Run(name, func(b *testing.B) {
 			var res F3Result
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
 				opt.Seed = int64(i + 1)
-				res = RunF3(opt, v.variant)
+				res = runExp(b, "f3", ExpContext{Opt: opt}, nil).Artifact.([3]F3Result)[row]
 			}
 			b.ReportMetric(res.JoinDelay.Seconds()*1000, "join-ms")
 			b.ReportMetric(res.MeanHops, "hops")
@@ -65,16 +62,14 @@ func BenchmarkF3MobileReceiverTunnel(b *testing.B) {
 }
 
 func BenchmarkF4MobileSenderTunnel(b *testing.B) {
-	for _, m := range []struct {
-		name   string
-		tunnel bool
-	}{{"reverse-tunnel", true}, {"local-send", false}} {
-		b.Run(m.name, func(b *testing.B) {
+	// The f4 artifact's rows 0 and 1 are the two send modes.
+	for row, name := range []string{"reverse-tunnel", "local-send"} {
+		b.Run(name, func(b *testing.B) {
 			var res F4Result
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
 				opt.Seed = int64(i + 1)
-				res = RunF4(opt, m.tunnel)
+				res = runExp(b, "f4", ExpContext{Opt: opt}, nil).Artifact.([3]F4Result)[row]
 			}
 			b.ReportMetric(float64(res.NewTreesBuilt), "newtrees")
 			b.ReportMetric(float64(res.PeakSGEntries), "peakSG")
@@ -128,7 +123,7 @@ func BenchmarkApproachComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := FastMLDOptions(30)
 		opt.Seed = int64(i + 1)
-		rows = RunT1(opt)
+		rows = runExp(b, "t1", ExpContext{Opt: opt}, nil).Artifact.([]T1Row)
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.JoinDelayR3.Seconds()*1000, r.Approach.String()+"-join-ms")
@@ -136,27 +131,15 @@ func BenchmarkApproachComparison(b *testing.B) {
 }
 
 func BenchmarkS44TimerSweep(b *testing.B) {
-	var points []S44Point
+	qs := []int{10, 30, 125}
+	var res ExpResult
 	for i := 0; i < b.N; i++ {
-		points = RunS44([]int{10, 30, 125}, false, 2)
+		res = runExp(b, "s44", ExpContext{Opt: DefaultOptions(), Replicates: 2},
+			ExpParams{"tquery": qs, "unsolicited": false})
 	}
-	for _, p := range points {
-		b.ReportMetric(p.JoinDelay.Seconds(), "join-s-tq"+itoa(int(p.QueryInterval.Seconds())))
+	for i, pt := range res.Stats {
+		b.ReportMetric(pt.Mean("join(s)"), "join-s-tq"+strconv.Itoa(qs[i]))
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 func BenchmarkS431SenderFloodCost(b *testing.B) {
@@ -164,7 +147,8 @@ func BenchmarkS431SenderFloodCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := DefaultOptions()
 		opt.Seed = int64(i + 1)
-		res = RunS431(opt, 4, 45*time.Second)
+		res = sweepPoints[S431Result](b, runExp(b, "s431", ExpContext{Opt: opt},
+			ExpParams{"moves": []int{4}, "dwell": 45}))[0]
 	}
 	b.ReportMetric(float64(res.RefloodBytes), "reflood-B")
 	b.ReportMetric(float64(res.Asserts), "asserts")
@@ -176,7 +160,8 @@ func BenchmarkS432TunnelConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := FastMLDOptions(30)
 		opt.Seed = int64(i + 1)
-		points = RunS432(opt, []int{1, 4})
+		points = sweepPoints[S432Point](b, runExp(b, "s432", ExpContext{Opt: opt},
+			ExpParams{"n": []int{1, 4}}))
 	}
 	b.ReportMetric(points[1].TunnelBytesPerDgram/points[1].LocalBytesPerDgram, "tunnel/local-x-at-N4")
 }
@@ -189,7 +174,8 @@ func BenchmarkSMGMultiGroup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := FastMLDOptions(30)
 		opt.Seed = int64(i + 1)
-		points = RunSMG(opt, []int{4, 40})
+		points = sweepPoints[SMGPoint](b, runExp(b, "smg", ExpContext{Opt: opt},
+			ExpParams{"groups": []int{4, 40}, "tquery": 0, "approach": "uni-tunnel-ha-to-mn"}))
 	}
 	b.ReportMetric(float64(points[0].MaxBUBytes), "bu-B-at-4")
 	b.ReportMetric(float64(points[1].MaxBUBytes), "bu-B-at-40")
@@ -204,7 +190,8 @@ func BenchmarkSMTUTunnelBoundary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := FastMLDOptions(30)
 		opt.Seed = int64(i + 1)
-		pts = RunSMTU(opt, []int{1412, 1413}, 0)
+		pts = sweepPoints[SMTUPoint](b, runExp(b, "smtu", ExpContext{Opt: opt},
+			ExpParams{"payloads": []int{1412, 1413}, "losses": []float64{0}, "tquery": 0}))
 	}
 	b.ReportMetric(pts[0].TunnelFramesPerDgram, "frames-at-1500B")
 	b.ReportMetric(pts[1].TunnelFramesPerDgram, "frames-at-1501B")

@@ -9,7 +9,7 @@ package main
 
 import (
 	"fmt"
-	"time"
+	"log"
 
 	"mip6mcast"
 )
@@ -18,8 +18,13 @@ func main() {
 	fmt.Println("Mobile sender: S moves to Link 6 mid-stream (paper Figure 4 / §4.3.1)")
 	fmt.Println()
 
-	tun := mip6mcast.RunF4(mip6mcast.DefaultOptions(), true)
-	loc := mip6mcast.RunF4(mip6mcast.DefaultOptions(), false)
+	// The f4 experiment's rows 0 and 1 are the two send modes.
+	f4, err := mip6mcast.RunExperiment("f4", mip6mcast.ExpContext{Opt: mip6mcast.DefaultOptions()}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	all := f4.Artifact.([3]mip6mcast.F4Result)
+	tun, loc := all[0], all[1]
 
 	fmt.Printf("%-34s %18s %18s\n", "", "reverse tunnel", "local sending")
 	row := func(label, a, b string) { fmt.Printf("%-34s %18s %18s\n", label, a, b) }
@@ -37,8 +42,16 @@ func main() {
 	// assert processes during the window before it configures its new
 	// care-of address (it keeps sending with a stale source address).
 	fmt.Println("Sender hopping across on-tree links (local sending, paper §4.3.1):")
-	for _, moves := range []int{1, 2, 4} {
-		res := mip6mcast.RunS431(mip6mcast.DefaultOptions(), moves, 45*time.Second)
+	s431, err := mip6mcast.RunExperiment("s431", mip6mcast.ExpContext{Opt: mip6mcast.DefaultOptions()},
+		mip6mcast.ExpParams{"moves": []int{1, 2, 4}, "dwell": 45})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pt := range s431.Stats {
+		res, ok := pt.Raw[0].(mip6mcast.S431Result)
+		if !ok {
+			log.Fatalf("%s: %s", pt.Label, pt.Errs[0])
+		}
 		fmt.Printf("  %d moves: %5.1f kB re-flooded onto pruned links, %d asserts, "+
 			"%d stale+live trees at peak\n",
 			res.Moves, float64(res.RefloodBytes)/1000, res.Asserts, res.PeakSG)

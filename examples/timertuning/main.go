@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"log"
+	"slices"
 
 	"mip6mcast"
 )
@@ -21,23 +23,33 @@ func main() {
 	// FastMLDOptions clamps accordingly for the 5 s point.
 	intervals := []int{5, 10, 20, 30, 60, 125}
 
+	sweep := func(unsolicited bool) mip6mcast.ExpResult {
+		res, err := mip6mcast.RunExperiment("s44",
+			mip6mcast.ExpContext{Opt: mip6mcast.DefaultOptions(), Replicates: 3},
+			mip6mcast.ExpParams{"tquery": intervals, "unsolicited": unsolicited})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	fmt.Println("-- mobile receiver waits for the periodic Query (no unsolicited reports) --")
-	points := mip6mcast.RunS44(intervals, false, 3)
-	fmt.Print(mip6mcast.S44Table(points))
+	first := sweep(false)
+	fmt.Print(first.Render())
 	fmt.Println()
 
 	fmt.Println("-- with the paper's unsolicited Reports after movement --")
-	points = mip6mcast.RunS44(intervals, true, 3)
-	fmt.Print(mip6mcast.S44Table(points))
+	fmt.Print(sweep(true).Render())
 	fmt.Println()
 
-	// The paper's punchline, computed from the two extremes of the first
-	// sweep: bytes wasted by the leave delay at T_Query=125 s versus the
+	// The paper's punchline, computed from the first sweep's replicate
+	// means: bytes wasted by the leave delay at T_Query=125 s versus the
 	// extra query/report traffic at T_Query=10 s.
-	slow := mip6mcast.RunS44([]int{125}, false, 3)[0]
-	fast := mip6mcast.RunS44([]int{10}, false, 3)[0]
-	saved := float64(slow.WastedBytes-fast.WastedBytes) / 1000
-	extraPerHour := (fast.MLDBytesPerHour - slow.MLDBytesPerHour) / 1000
+	mean := func(tquery int, col string) float64 {
+		return first.Stats[slices.Index(intervals, tquery)].Mean(col)
+	}
+	saved := (mean(125, "waste(B)") - mean(10, "waste(B)")) / 1000
+	extraPerHour := (mean(10, "mld(B/h)") - mean(125, "mld(B/h)")) / 1000
 	fmt.Printf("one receiver movement wastes %.1f kB less at T_Query=10s;\n", saved)
 	fmt.Printf("the price is %.1f kB/h of extra MLD signaling on the whole network.\n", extraPerHour)
 }

@@ -10,31 +10,39 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mip6mcast"
 )
 
 func main() {
 	opt := mip6mcast.FastMLDOptions(30)
+	smtu := func(payloads []int, loss float64) mip6mcast.ExpResult {
+		res, err := mip6mcast.RunExperiment("smtu", mip6mcast.ExpContext{Opt: opt},
+			mip6mcast.ExpParams{"payloads": payloads, "losses": []float64{loss}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
 
 	fmt.Println("Sweeping datagram payload across the tunnel-MTU boundary (links: 1500 B).")
 	fmt.Println("R3 receives via its home agent's tunnel on Link 6; R1 receives locally.")
 	fmt.Println()
 
-	points := mip6mcast.RunSMTU(opt, []int{1200, 1412, 1413, 1432}, 0)
-	fmt.Print(mip6mcast.SMTUTable(points, 0))
+	fmt.Print(smtu([]int{1200, 1412, 1413, 1432}, 0).Render())
 	fmt.Println()
 	fmt.Println("One byte across the boundary (outer 1500 -> 1501) doubles the tunnel's")
 	fmt.Println("frame count: the home agent fragments, the mobile node reassembles.")
 	fmt.Println()
 
-	lossy := mip6mcast.RunSMTU(opt, []int{1412, 1413}, 0.05)
-	fmt.Print(mip6mcast.SMTUTable(lossy, 0.05))
+	lossy := smtu([]int{1412, 1413}, 0.05)
+	fmt.Print(lossy.Render())
 	fmt.Println()
-	below, above := lossy[0], lossy[1]
+	below, above := lossy.Stats[0], lossy.Stats[1]
 	fmt.Printf("With 5%% per-link loss, the same one-byte step costs the tunnel receiver\n")
 	fmt.Printf("%.1f%% of its datagrams (%.3f -> %.3f delivery) — fragmentation means every\n",
-		100*(below.DeliveryTunnel-above.DeliveryTunnel), below.DeliveryTunnel, above.DeliveryTunnel)
+		100*(below.Mean("deliv-tunnel")-above.Mean("deliv-tunnel")), below.Mean("deliv-tunnel"), above.Mean("deliv-tunnel"))
 	fmt.Printf("fragment must survive. The local receiver is unaffected by the boundary\n")
-	fmt.Printf("(%.3f vs %.3f).\n", below.DeliveryLocal, above.DeliveryLocal)
+	fmt.Printf("(%.3f vs %.3f).\n", below.Mean("deliv-local"), above.Mean("deliv-local"))
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"mip6mcast/internal/engine"
-	"mip6mcast/internal/exp"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
@@ -36,16 +35,8 @@ type F1Result struct {
 	Sent      uint64
 }
 
-// RunF1 reproduces Figure 1: all hosts at home, S streaming to the group;
-// PIM-DM floods, prunes Links 5/6, and settles on the L1–L4 tree.
-//
-// Compatibility shim over the "f1" registry entry (see internal/exp),
-// which also measures the proxy-hierarchy build; this returns the flat
-// (paper) one.
-func RunF1(opt Options) F1Result {
-	return mustRunExp("f1", exp.Context{Opt: opt}, nil).Artifact.([2]F1Result)[0]
-}
-
+// measureF1 reproduces Figure 1: all hosts at home, S streaming to the
+// group; PIM-DM floods, prunes Links 5/6, and settles on the L1–L4 tree.
 func measureF1(opt Options, approach Approach) F1Result {
 	r := NewRun(opt, approach, 100*time.Millisecond, 64)
 	l5 := r.WatchLink("L5")
@@ -88,22 +79,9 @@ type F2Result struct {
 	DeliveredAfterMove int
 }
 
-// RunF2 reproduces Figure 2: Receiver 3 moves from Link 4 to the pruned
-// Link 6 under the local-membership approach. unsolicitedReports selects
-// the paper's recommended optimization; with it off the receiver waits for
-// the next MLD Query.
-//
-// Compatibility shim over the "f2" registry entry, which measures both
-// report policies plus the proxy hierarchy; this picks the requested
-// report policy.
-func RunF2(opt Options, unsolicitedReports bool) F2Result {
-	all := mustRunExp("f2", exp.Context{Opt: opt}, nil).Artifact.([3]F2Result)
-	if unsolicitedReports {
-		return all[0]
-	}
-	return all[1]
-}
-
+// measureF2 reproduces Figure 2: Receiver 3 moves from Link 4 to the
+// pruned Link 6. unsolicitedReports selects the paper's recommended
+// optimization; with it off the receiver waits for the next MLD Query.
 func measureF2(opt Options, unsolicitedReports bool, approach Approach) F2Result {
 	opt.HostMLD.ResendOnMove = unsolicitedReports
 	r := NewRun(opt, approach, 100*time.Millisecond, 64)
@@ -148,28 +126,11 @@ type F3Result struct {
 	HATunneled uint64
 }
 
-// RunF3 reproduces Figure 3: Receiver 3 moves from Link 4 to Link 1 and
-// receives through its home agent (Router D) over the tunnel. The variant
-// selects the paper's §4.3.2 signaling mechanism.
-//
-// Compatibility shim over the "f3" registry entry, which measures both
-// variants (plus a proxy-hierarchy contrast row); this picks the
-// requested tunnel variant.
-func RunF3(opt Options, variant HAVariant) F3Result {
-	both := mustRunExp("f3", exp.Context{Opt: opt}, nil).Artifact.(map[HAVariant]F3Result)
-	return both[variant]
-}
-
-func measureF3(opt Options, variant HAVariant) F3Result {
-	approach := UniTunnelHAToMN
-	approach.Variant = variant
-	return measureF3Run(opt, approach)
-}
-
-// measureF3Run drives the Figure 3 timeline (R3 moves L4→L1) under any
-// receive approach; the proxy-hierarchy contrast row reuses it with
-// tunnel-free metrics naturally reading zero.
-func measureF3Run(opt Options, approach Approach) F3Result {
+// measureF3 reproduces Figure 3: Receiver 3 moves from Link 4 to Link 1
+// and, under a home-tunnel approach, receives through its home agent
+// (Router D); the approach's variant selects the paper's §4.3.2 signaling
+// mechanism. Under the proxy hierarchy the tunnel metrics read zero.
+func measureF3(opt Options, approach Approach) F3Result {
 	r := NewRun(opt, approach, 100*time.Millisecond, 64)
 	r.F.Run(30 * time.Second)
 
@@ -207,33 +168,12 @@ type F4Result struct {
 	DeliveredAfterMove map[string]int
 }
 
-// RunF4 reproduces Figure 4 (sendTunnel=true: Sender S moves to Link 6 and
-// reverse-tunnels to Router A) and the §4.2.2-A contrast (sendTunnel=false:
-// S sends locally and PIM-DM builds a new tree).
-//
-// Compatibility shim over the "f4" registry entry, which measures both
-// send modes plus the proxy hierarchy; this picks the requested send
-// mode.
-func RunF4(opt Options, sendTunnel bool) F4Result {
-	all := mustRunExp("f4", exp.Context{Opt: opt}, nil).Artifact.([3]F4Result)
-	if sendTunnel {
-		return all[0]
-	}
-	return all[1]
-}
-
-func measureF4(opt Options, sendTunnel bool) F4Result {
-	approach := LocalMembership
-	if sendTunnel {
-		approach = UniTunnelMNToHA
-	}
-	return measureF4Run(opt, approach)
-}
-
-// measureF4Run drives the Figure 4 timeline (S moves to L6) under any
-// approach; the proxy-hierarchy row sends locally from below proxy E,
-// which up-forwards to the anchor instead of re-flooding from scratch.
-func measureF4Run(opt Options, approach Approach) F4Result {
+// measureF4 reproduces Figure 4: Sender S moves to Link 6. Under
+// UniTunnelMNToHA it reverse-tunnels to Router A; under local membership
+// (the §4.2.2-A contrast) it sends locally and PIM-DM builds a new tree;
+// under the proxy hierarchy it sends from below proxy E, which
+// up-forwards to the anchor instead of re-flooding from scratch.
+func measureF4(opt Options, approach Approach) F4Result {
 	r := NewRun(opt, approach, 100*time.Millisecond, 64)
 	peak := 0
 	sim.NewTicker(r.F.Sched, time.Second, 0, func() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mip6mcast/internal/exp"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
@@ -36,17 +35,9 @@ type T1Row struct {
 	LossR3 int
 }
 
-// RunT1 runs the paper's movement scenario under each of the four
-// approaches: Receiver 3 moves Link4→Link6 at t=60 s, Sender S moves
-// Link1→Link6 at t=180 s, horizon 420 s. Identical workload and seed per
-// approach.
-//
-// Compatibility shim over the "t1" registry entry (which runs the four
-// approaches' timelines in parallel).
-func RunT1(opt Options) []T1Row {
-	return mustRunExp("t1", exp.Context{Opt: opt}, nil).Artifact.([]T1Row)
-}
-
+// runT1One runs the paper's movement scenario under one approach:
+// Receiver 3 moves Link4→Link6 at t=60 s, Sender S moves Link1→Link6 at
+// t=180 s, horizon 420 s.
 func runT1One(opt Options, approach Approach) T1Row {
 	r := NewRun(opt, approach, 100*time.Millisecond, 64)
 	peak := 0
@@ -81,77 +72,6 @@ func runT1One(opt Options, approach Approach) T1Row {
 	return row
 }
 
-// T1Table renders RunT1 results in the paper's style.
-func T1Table(rows []T1Row) string {
-	return metrics.Table("T1: four approaches, Fig.1 movement scenario", t1Columns(), t1Rows(rows))
-}
-
-func t1Columns() []string {
-	return []string{"join(s)", "sndgap(s)", "data(kB)", "tun(kB)", "ctrl(kB)", "haload", "peakSG", "hopsR3", "optR3", "lossR3"}
-}
-
-func t1Rows(rows []T1Row) []metrics.Row {
-	out := make([]metrics.Row, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, metrics.Row{
-			Label: r.Approach.String(),
-			Values: map[string]float64{
-				"join(s)":   r.JoinDelayR3.Seconds(),
-				"sndgap(s)": r.SenderGap.Seconds(),
-				"data(kB)":  float64(r.DataBytes) / 1000,
-				"tun(kB)":   float64(r.TunnelBytes) / 1000,
-				"ctrl(kB)":  float64(r.ControlBytes) / 1000,
-				"haload":    float64(r.HALoad),
-				"peakSG":    float64(r.PeakSG),
-				"hopsR3":    r.MeanHopsR3,
-				"optR3":     float64(r.OptimalHopsR3),
-				"lossR3":    float64(r.LossR3),
-			},
-		})
-	}
-	return out
-}
-
-// S44Point is one sample of the §4.4 timer-optimization tradeoff.
-type S44Point struct {
-	QueryInterval time.Duration
-	Unsolicited   bool
-	// JoinDelay (mean over replicates) of the mobile receiver after moving
-	// to a memberless link.
-	JoinDelay time.Duration
-	// LeaveDelay until the old link stopped carrying data.
-	LeaveDelay time.Duration
-	// WastedBytes on the old link after the move.
-	WastedBytes uint64
-	// MLDBytesPerHour of Query/Report/Done traffic across the network.
-	MLDBytesPerHour float64
-}
-
-// RunS44 sweeps the MLD Query Interval (paper §4.4): small T_Query buys
-// short join/leave delays at a small signaling cost. Replicates (derived
-// seeds) run in parallel and are reduced to means.
-//
-// Compatibility shim over the "s44" registry entry; the returned points
-// carry the replicate means (full stddev/CI statistics are available via
-// the registry Result).
-func RunS44(queryIntervalsSec []int, unsolicited bool, replicates int) []S44Point {
-	res := mustRunExp("s44",
-		exp.Context{Opt: DefaultOptions(), Replicates: replicates},
-		exp.Params{"tquery": queryIntervalsSec, "unsolicited": unsolicited})
-	points := make([]S44Point, len(res.Stats))
-	for i, pt := range res.Stats {
-		points[i] = S44Point{
-			QueryInterval:   secs(queryIntervalsSec[i]),
-			Unsolicited:     unsolicited,
-			JoinDelay:       time.Duration(pt.Mean("join(s)") * float64(time.Second)),
-			LeaveDelay:      time.Duration(pt.Mean("leave(s)") * float64(time.Second)),
-			WastedBytes:     uint64(pt.Mean("waste(B)") + 0.5),
-			MLDBytesPerHour: pt.Mean("mld(B/h)"),
-		}
-	}
-	return points
-}
-
 // measureS44One runs one §4.4 timeline: opt's MLD timers are already set
 // for the swept point; the receiver moves to a memberless link at t=40 s.
 func measureS44One(opt Options) (join, leave time.Duration, waste uint64, mldPerHour float64) {
@@ -174,25 +94,6 @@ func measureS44One(opt Options) (join, leave time.Duration, waste uint64, mldPer
 	return join, leave, waste, mldPerHour
 }
 
-// S44Table renders the sweep.
-func S44Table(points []S44Point) string {
-	cols := []string{"join(s)", "leave(s)", "waste(kB)", "mld(kB/h)"}
-	rows := make([]metrics.Row, 0, len(points))
-	for _, p := range points {
-		label := fmt.Sprintf("T_Query=%3ds unsol=%v", int(p.QueryInterval.Seconds()), p.Unsolicited)
-		rows = append(rows, metrics.Row{
-			Label: label,
-			Values: map[string]float64{
-				"join(s)":   p.JoinDelay.Seconds(),
-				"leave(s)":  p.LeaveDelay.Seconds(),
-				"waste(kB)": float64(p.WastedBytes) / 1000,
-				"mld(kB/h)": p.MLDBytesPerHour / 1000,
-			},
-		})
-	}
-	return metrics.Table("S44: MLD timer optimization (paper §4.4)", cols, rows)
-}
-
 // S431Result measures the cost of a locally-sending mobile sender.
 type S431Result struct {
 	Moves int
@@ -207,19 +108,10 @@ type S431Result struct {
 	NewTrees uint64
 }
 
-// RunS431 moves the sender repeatedly across on-tree links while it keeps
-// sending locally (approach A), reproducing §4.3.1's overhead analysis:
-// every move builds a new source-rooted tree, floods, and the stale-source
-// window triggers assert processes.
-//
-// Compatibility shim over the "s431" registry entry at a single sweep
-// point.
-func RunS431(opt Options, moves int, dwell time.Duration) S431Result {
-	res := mustRunExp("s431", exp.Context{Opt: opt},
-		exp.Params{"moves": []int{moves}, "dwell": int(dwell / time.Second)})
-	return res.Stats[0].Raw[0].(S431Result)
-}
-
+// measureS431 moves the sender repeatedly across on-tree links while it
+// keeps sending locally (approach A), reproducing §4.3.1's overhead
+// analysis: every move builds a new source-rooted tree, floods, and the
+// stale-source window triggers assert processes.
 func measureS431(opt Options, moves int, dwell time.Duration) S431Result {
 	// Movement detection takes as long as router advertisements are apart;
 	// the paper's assert analysis assumes a non-negligible window in which
@@ -270,18 +162,8 @@ type S432Point struct {
 	TunnelBytesPerDgram float64
 }
 
-// RunS432 reproduces the §4.3.2 tunnel-convergence observation for each N.
-//
-// Compatibility shim over the "s432" registry entry.
-func RunS432(opt Options, ns []int) []S432Point {
-	res := mustRunExp("s432", exp.Context{Opt: opt}, exp.Params{"n": ns})
-	out := make([]S432Point, len(res.Stats))
-	for i, pt := range res.Stats {
-		out[i] = pt.Raw[0].(S432Point)
-	}
-	return out
-}
-
+// measureS432Point reproduces the §4.3.2 tunnel-convergence observation
+// for n co-located receivers.
 func measureS432Point(opt Options, n int) S432Point {
 	return S432Point{
 		N:                   n,

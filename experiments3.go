@@ -1,11 +1,9 @@
 package mip6mcast
 
 import (
-	"fmt"
 	"time"
 
 	"mip6mcast/internal/core"
-	"mip6mcast/internal/exp"
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/netem"
@@ -43,22 +41,10 @@ func MultiGroupAddr(i int) ipv6.Addr {
 	return g
 }
 
-// RunSMG measures multi-group scaling for each group count. The mobile
-// receiver R3 subscribes to all groups via the Group List mechanism and
-// moves to Link 6; a sender on Link 1 cycles one datagram per interval
-// across the groups.
-//
-// Compatibility shim over the "smg" registry entry.
-func RunSMG(opt Options, counts []int) []SMGPoint {
-	res := mustRunExp("smg", exp.Context{Opt: opt},
-		exp.Params{"groups": counts, "tquery": 0, "approach": "uni-tunnel-ha-to-mn"})
-	out := make([]SMGPoint, len(res.Stats))
-	for i, pt := range res.Stats {
-		out[i] = pt.Raw[0].(SMGPoint)
-	}
-	return out
-}
-
+// runSMGOne measures multi-group scaling at one group count. The mobile
+// receiver R3 subscribes to all groups (under a home-tunnel approach,
+// through the Group List mechanism) and moves to Link 6; a sender on
+// Link 1 cycles one datagram per interval across the groups.
 func runSMGOne(opt Options, nGroups int, approach Approach) SMGPoint {
 	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	opt = defaultProxyDepth(opt, approach)
@@ -157,25 +143,4 @@ func countGroupListSubOptions(opt ipv6.Option) int {
 		subs = subs[2+l:]
 	}
 	return n
-}
-
-// SMGTable renders the multi-group sweep.
-func SMGTable(points []SMGPoint) string {
-	cols := []string{"bu(B)", "subopts", "ha(dgm/s)", "join-p50(s)", "join-max(s)", "delivered"}
-	rows := make([]metrics.Row, 0, len(points))
-	for i := range points {
-		p := &points[i]
-		rows = append(rows, metrics.Row{
-			Label: fmt.Sprintf("groups=%d", p.Groups),
-			Values: map[string]float64{
-				"bu(B)":       float64(p.MaxBUBytes),
-				"subopts":     float64(p.SubOptions),
-				"ha(dgm/s)":   p.HATunneledPerSec,
-				"join-p50(s)": p.JoinDelays.Quantile(0.5),
-				"join-max(s)": p.JoinDelays.Max(),
-				"delivered":   float64(p.Delivered),
-			},
-		})
-	}
-	return metrics.Table("SMG: multi-group scaling of the Group List mechanism", cols, rows)
 }

@@ -5,12 +5,12 @@ import (
 	"time"
 
 	"mip6mcast/internal/core"
-	"mip6mcast/internal/exp"
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
+	"mip6mcast/internal/topo"
 )
 
 // SLD — scaling with line depth (extension): the paper's Figure 1 network
@@ -34,54 +34,43 @@ type SLDPoint struct {
 	TunnelBytesPerDgram float64
 }
 
-// RunSLD measures both receive modes at each depth. The sender and the
-// receiver's home are on link 0; the receiver roams to the far end.
-//
-// Compatibility shim over the "sld" registry entry.
-func RunSLD(opt Options, depths []int) []SLDPoint {
-	res := mustRunExp("sld", exp.Context{Opt: opt},
-		exp.Params{"depths": depths, "tquery": 0})
-	out := make([]SLDPoint, len(res.Stats))
-	for i, pt := range res.Stats {
-		out[i] = pt.Raw[0].(SLDPoint)
-	}
-	return out
-}
-
+// runSLDOne measures one receive mode at one depth on topo.Line(depth).
+// The sender and the receiver's home are on link 0; the receiver roams to
+// the far end.
 func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	approach := LocalMembership
 	if tunnel {
 		approach = UniTunnelHAToMN
 	}
 	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
-	topo := scenario.NewLine(depth, opt)
+	f := scenario.Build(topo.Line(depth), opt)
 
 	// HA services on every designated home agent.
-	for _, r := range topo.Routers {
-		router := r
-		for _, ha := range r.HomeAgents() {
+	for _, name := range f.RouterOrder() {
+		router := f.Routers[name]
+		for _, ha := range router.HomeAgents() {
 			core.NewHAService(ha, router.Engine, nil, opt.MLD)
 		}
 	}
 
 	// Sender and the mobile receiver's home on link 0.
-	src := topo.AddHost("src", 0)
-	m := topo.AddHost("m", 0)
+	src := f.AddHost("src", "K0", 0x9001)
+	m := f.AddHost("m", "K0", 0x9002)
 	svc := core.NewService(m.MN, m.MLD, approach, opt.MLD)
 	svc.Join(scenario.Group)
 
 	probe := metrics.NewFlowProbe("m")
-	scenario.AttachProbe(m.Node, topo.Sched, 1, probe, m.OuterHops)
+	scenario.AttachProbe(m.Node, f.Sched, 1, probe, m.OuterHops)
 
 	tunnelBytes := uint64(0)
-	for _, l := range topo.Links {
-		l.AddTap(func(ev netem.TxEvent) {
+	for _, name := range f.LinkOrder() {
+		f.Links[name].AddTap(func(ev netem.TxEvent) {
 			split := metrics.Split(ev.Pkt, len(ev.Frame))
 			tunnelBytes += uint64(split[metrics.ClassTunnel])
 		})
 	}
 
-	scenario.NewCBR(topo.Sched, 1, 100*time.Millisecond, 64, func(p []byte) {
+	scenario.NewCBR(f.Sched, 1, 100*time.Millisecond, 64, func(p []byte) {
 		a := src.MN.HomeAddress
 		u := &ipv6.UDP{SrcPort: scenario.WorkloadPort, DstPort: scenario.WorkloadPort, Payload: p}
 		pkt := &ipv6.Packet{
@@ -92,15 +81,15 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 		_ = src.Node.OutputOn(src.Iface, pkt)
 	})
 
-	topo.Run(20 * time.Second)
-	moveAt := topo.Sched.Now()
-	topo.Move(m, depth)
+	f.Run(20 * time.Second)
+	moveAt := f.Sched.Now()
+	f.Move("m", fmt.Sprintf("K%d", depth))
 	// Snapshot the tunnel-byte counter once the post-move state settles,
 	// so the per-datagram figure covers only steady-state deliveries.
 	var tunnelAtSettle uint64
 	settled := moveAt + sim.Time(20*time.Second)
-	topo.Sched.At(settled, func() { tunnelAtSettle = tunnelBytes })
-	topo.Run(60 * time.Second)
+	f.Sched.At(settled, func() { tunnelAtSettle = tunnelBytes })
+	f.Run(60 * time.Second)
 
 	p := SLDPoint{Depth: depth, Tunnel: tunnel, OptimalHops: depth}
 	if d, ok := probe.FirstAfter(moveAt); ok {
@@ -111,26 +100,4 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 		p.TunnelBytesPerDgram = float64(tunnelBytes-tunnelAtSettle) / float64(n)
 	}
 	return p
-}
-
-// SLDTable renders the depth sweep.
-func SLDTable(points []SLDPoint) string {
-	cols := []string{"join(ms)", "hops", "optimal", "tun(B/dgram)"}
-	rows := make([]metrics.Row, 0, len(points))
-	for _, p := range points {
-		mode := "local "
-		if p.Tunnel {
-			mode = "tunnel"
-		}
-		rows = append(rows, metrics.Row{
-			Label: fmt.Sprintf("depth=%-2d %s", p.Depth, mode),
-			Values: map[string]float64{
-				"join(ms)":     float64(p.JoinDelay.Milliseconds()),
-				"hops":         p.MeanHops,
-				"optimal":      float64(p.OptimalHops),
-				"tun(B/dgram)": p.TunnelBytesPerDgram,
-			},
-		})
-	}
-	return metrics.Table("SLD: receive modes vs roaming depth (line topology)", cols, rows)
 }

@@ -1,11 +1,8 @@
 package mip6mcast
 
 import (
-	"fmt"
 	"time"
 
-	"mip6mcast/internal/exp"
-	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/sim"
 )
@@ -33,21 +30,9 @@ type SMTUPoint struct {
 	DeliveryLocal, DeliveryTunnel float64
 }
 
-// RunSMTU sweeps the datagram payload size across the tunnel-MTU boundary.
+// runSMTUOne measures one payload size across the tunnel-MTU boundary.
 // R3 receives through its home agent on Link 6; R1 receives locally (the
-// control). lossRate is applied to every link.
-//
-// Compatibility shim over the "smtu" registry entry at a single loss rate.
-func RunSMTU(opt Options, payloads []int, lossRate float64) []SMTUPoint {
-	res := mustRunExp("smtu", exp.Context{Opt: opt},
-		exp.Params{"payloads": payloads, "losses": []float64{lossRate}, "tquery": 0})
-	out := make([]SMTUPoint, len(res.Stats))
-	for i, pt := range res.Stats {
-		out[i] = pt.Raw[0].(SMTUPoint)
-	}
-	return out
-}
-
+// control). lossRate is applied to every link once R3 has settled.
 func runSMTUOne(opt Options, payload int, lossRate float64) SMTUPoint {
 	r := NewRun(opt, UniTunnelHAToMN, 100*time.Millisecond, payload)
 	f := r.F
@@ -88,29 +73,4 @@ func runSMTUOne(opt Options, payload int, lossRate float64) SMTUPoint {
 		point.DeliveryLocal = float64(r.Probes["R1"].CountBetween(countStart, sim.Time(1<<62))) / float64(sent)
 	}
 	return point
-}
-
-// SMTUTable renders the sweep.
-func SMTUTable(points []SMTUPoint, lossRate float64) string {
-	cols := []string{"inner(B)", "outer(B)", "frag", "frames/dgram", "deliv-local", "deliv-tunnel"}
-	rows := make([]metrics.Row, 0, len(points))
-	for _, p := range points {
-		frag := 0.0
-		if p.Fragmented {
-			frag = 1
-		}
-		rows = append(rows, metrics.Row{
-			Label: fmt.Sprintf("payload=%d", p.PayloadBytes),
-			Values: map[string]float64{
-				"inner(B)":     float64(p.InnerFrame),
-				"outer(B)":     float64(p.OuterFrame),
-				"frag":         frag,
-				"frames/dgram": p.TunnelFramesPerDgram,
-				"deliv-local":  p.DeliveryLocal,
-				"deliv-tunnel": p.DeliveryTunnel,
-			},
-		})
-	}
-	title := fmt.Sprintf("SMTU: tunnel MTU boundary (MTU=1500, loss=%.0f%%)", lossRate*100)
-	return metrics.Table(title, cols, rows)
 }

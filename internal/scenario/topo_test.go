@@ -1,15 +1,29 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/netem"
+	"mip6mcast/internal/topo"
 )
 
-func streamFrom(t *Topo, h *Host, interval time.Duration) *CBR {
-	return NewCBR(t.Sched, 1, interval, 64, func(p []byte) {
+// starGraph is a hub router on n+1 links: K0 (the core link, where the
+// source sits) and leaves K1..Kn. The hub is home agent for every link.
+func starGraph(n int) *topo.Graph {
+	g := &topo.Graph{Name: fmt.Sprintf("star%d", n), Routers: []topo.Router{{Name: "HUB"}}}
+	for i := 0; i <= n; i++ {
+		g.Links = append(g.Links, topo.Link{Name: fmt.Sprintf("K%d", i), LAN: true})
+		g.HomeAgent = append(g.HomeAgent, 0)
+		g.Routers[0].Links = append(g.Routers[0].Links, i)
+	}
+	return g
+}
+
+func streamFrom(f *Network, h *Host, interval time.Duration) *CBR {
+	return NewCBR(f.Sched, 1, interval, 64, func(p []byte) {
 		src := h.MN.CareOf()
 		if src.IsUnspecified() {
 			src = h.MN.HomeAddress
@@ -26,12 +40,12 @@ func streamFrom(t *Topo, h *Host, interval time.Duration) *CBR {
 
 func TestLineTopologyEndToEnd(t *testing.T) {
 	opt := DefaultOptions()
-	topo := NewLine(6, opt) // 6 routers, 7 links
-	if len(topo.Routers) != 6 || len(topo.Links) != 7 {
-		t.Fatalf("routers=%d links=%d", len(topo.Routers), len(topo.Links))
+	f := Build(topo.Line(6), opt) // 6 routers, 7 links
+	if len(f.Routers) != 6 || len(f.Links) != 7 {
+		t.Fatalf("routers=%d links=%d", len(f.Routers), len(f.Links))
 	}
-	src := topo.AddHost("src", 0)
-	dst := topo.AddHost("dst", 6)
+	src := f.AddHost("src", "K0", 0x9001)
+	dst := f.AddHost("dst", "K6", 0x9002)
 	dst.MLD.Join(dst.Iface, Group)
 
 	got := 0
@@ -40,8 +54,8 @@ func TestLineTopologyEndToEnd(t *testing.T) {
 		got++
 		hops = int(ipv6.DefaultHopLimit - rx.Pkt.Hdr.HopLimit)
 	})
-	streamFrom(topo, src, 100*time.Millisecond)
-	topo.Run(30 * time.Second)
+	streamFrom(f, src, 100*time.Millisecond)
+	f.Run(30 * time.Second)
 	if got < 250 {
 		t.Fatalf("delivered %d across 6-router chain", got)
 	}
@@ -52,26 +66,26 @@ func TestLineTopologyEndToEnd(t *testing.T) {
 
 func TestLinePruningAtDepth(t *testing.T) {
 	opt := DefaultOptions()
-	topo := NewLine(4, opt)
-	src := topo.AddHost("src", 0)
-	mid := topo.AddHost("mid", 2)
+	f := Build(topo.Line(4), opt)
+	src := f.AddHost("src", "K0", 0x9001)
+	mid := f.AddHost("mid", "K2", 0x9002)
 	mid.MLD.Join(mid.Iface, Group)
-	streamFrom(topo, src, 100*time.Millisecond)
+	streamFrom(f, src, 100*time.Millisecond)
 
 	// Tail links beyond the member must be pruned after the flood.
 	tail := 0
-	topo.Links[4].AddTap(func(ev netem.TxEvent) {
+	f.Links["K4"].AddTap(func(ev netem.TxEvent) {
 		if ev.Pkt.Proto == ipv6.ProtoUDP && ev.Pkt.Hdr.Dst == Group {
 			tail++
 		}
 	})
-	topo.Run(60 * time.Second)
+	f.Run(60 * time.Second)
 	if tail > 50 {
 		t.Fatalf("tail link carried %d data frames; prune failed at depth", tail)
 	}
 	got := 0
 	mid.Node.BindUDP(WorkloadPort, func(netem.RxPacket, *ipv6.UDP) { got++ })
-	topo.Run(10 * time.Second)
+	f.Run(10 * time.Second)
 	if got < 80 {
 		t.Fatalf("mid host got %d", got)
 	}
@@ -79,38 +93,38 @@ func TestLinePruningAtDepth(t *testing.T) {
 
 func TestLineMobileRegistersAcrossChain(t *testing.T) {
 	opt := DefaultOptions()
-	topo := NewLine(5, opt)
-	m := topo.AddHost("m", 0)
-	topo.Run(5 * time.Second)
-	topo.Move(m, 5) // five routers away from home
-	topo.Run(20 * time.Second)
+	f := Build(topo.Line(5), opt)
+	m := f.AddHost("m", "K0", 0x9001)
+	f.Run(5 * time.Second)
+	f.Move("m", "K5") // five routers away from home
+	f.Run(20 * time.Second)
 	if !m.MN.Registered() {
 		t.Fatal("registration across the chain failed")
 	}
-	if _, ok := topo.HAs[topo.Links[0]].BindingFor(m.MN.HomeAddress); !ok {
+	if _, ok := f.HomeAgentOf("m").BindingFor(m.MN.HomeAddress); !ok {
 		t.Fatal("no binding at the home agent")
 	}
 }
 
 func TestStarTopologyFloodBreadth(t *testing.T) {
 	opt := DefaultOptions()
-	topo := NewStar(8, opt) // hub + core link + 8 leaves
-	src := topo.AddHost("src", 0)
+	f := Build(starGraph(8), opt) // hub + core link + 8 leaves
+	src := f.AddHost("src", "K0", 0x9001)
 	// One member on leaf 1; leaves 2..8 memberless.
-	m := topo.AddHost("m", 1)
+	m := f.AddHost("m", "K1", 0x9002)
 	m.MLD.Join(m.Iface, Group)
 
 	leafFrames := make([]int, 9)
 	for i := 1; i <= 8; i++ {
 		i := i
-		topo.Links[i].AddTap(func(ev netem.TxEvent) {
+		f.Links[fmt.Sprintf("K%d", i)].AddTap(func(ev netem.TxEvent) {
 			if ev.Pkt.Proto == ipv6.ProtoUDP && ev.Pkt.Hdr.Dst == Group {
 				leafFrames[i]++
 			}
 		})
 	}
-	streamFrom(topo, src, 100*time.Millisecond)
-	topo.Run(60 * time.Second)
+	streamFrom(f, src, 100*time.Millisecond)
+	f.Run(60 * time.Second)
 
 	if leafFrames[1] < 500 {
 		t.Fatalf("member leaf got %d frames", leafFrames[1])
@@ -124,19 +138,19 @@ func TestStarTopologyFloodBreadth(t *testing.T) {
 
 func TestStarHomeAgentOnHub(t *testing.T) {
 	opt := DefaultOptions()
-	topo := NewStar(3, opt)
-	m := topo.AddHost("m", 1)
-	topo.Run(5 * time.Second)
-	topo.Move(m, 2)
-	topo.Run(15 * time.Second)
+	f := Build(starGraph(3), opt)
+	m := f.AddHost("m", "K1", 0x9001)
+	f.Run(5 * time.Second)
+	f.Move("m", "K2")
+	f.Run(15 * time.Second)
 	if !m.MN.Registered() {
 		t.Fatal("registration via hub failed")
 	}
-	b, ok := topo.HAs[topo.Links[1]].BindingFor(m.MN.HomeAddress)
+	b, ok := f.HomeAgentOf("m").BindingFor(m.MN.HomeAddress)
 	if !ok {
 		t.Fatal("hub has no binding")
 	}
-	p, _ := topo.Dom.PrefixOf(topo.Links[2])
+	p, _ := f.Dom.PrefixOf(f.Links["K2"])
 	if !b.CareOf.MatchesPrefix(p, 64) {
 		t.Fatalf("care-of %s not from leaf 2", b.CareOf)
 	}
@@ -148,15 +162,15 @@ func TestStarHomeAgentOnHub(t *testing.T) {
 func TestTunnelStretchGrowsWithDepth(t *testing.T) {
 	measure := func(depth int) int {
 		opt := DefaultOptions()
-		topo := NewLine(depth, opt)
-		m := topo.AddHost("m", 0) // home at one end
-		topo.Run(5 * time.Second)
-		topo.Move(m, depth) // foreign link at the other end
-		topo.Run(20 * time.Second)
+		f := Build(topo.Line(depth), opt)
+		m := f.AddHost("m", "K0", 0x9001) // home at one end
+		f.Run(5 * time.Second)
+		f.Move("m", fmt.Sprintf("K%d", depth)) // foreign link at the other end
+		f.Run(20 * time.Second)
 
 		// The HA tunnels a unicast packet to the MN; outer hop count is
 		// the detour length.
-		src := topo.AddHost("peer", 0)
+		src := f.AddHost("peer", "K0", 0x9002)
 		got := make(chan int, 1)
 		var outerHops int
 		m.MN.OnDecap = func(outer, inner *ipv6.Packet) {
@@ -175,7 +189,7 @@ func TestTunnelStretchGrowsWithDepth(t *testing.T) {
 			Payload: u.Marshal(src.MN.HomeAddress, m.MN.HomeAddress),
 		}
 		_ = src.Node.Output(pkt)
-		topo.Run(5 * time.Second)
+		f.Run(5 * time.Second)
 		select {
 		case h := <-got:
 			return h

@@ -59,6 +59,27 @@ func TestGeneratedFamiliesAreValid(t *testing.T) {
 			}
 		}
 	}
+	// Line is not a FromSpec family (its n routers share n+1 LANs and no
+	// core links), but it must pass the same structural checks.
+	for _, n := range []int{1, 2, 5, 16, 33, 64} {
+		g := Line(n)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("line/%d: %v", n, err)
+		}
+		if len(g.Routers) != n || len(g.LANs()) != n+1 || g.CoreEdges() != 0 {
+			t.Fatalf("line/%d: %d routers, %d LANs, %d core links", n, len(g.Routers), len(g.LANs()), g.CoreEdges())
+		}
+		for ri, r := range g.Routers {
+			if !reflect.DeepEqual(r.Links, []int{ri, ri + 1}) {
+				t.Fatalf("line/%d: router %s attaches %v", n, r.Name, r.Links)
+			}
+		}
+		for li, ha := range g.HomeAgent {
+			if want := max(li-1, 0); ha != want {
+				t.Fatalf("line/%d: %s home agent %d, want %d", n, g.Links[li].Name, ha, want)
+			}
+		}
+	}
 }
 
 func TestTreeAndGridShape(t *testing.T) {

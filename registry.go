@@ -11,8 +11,10 @@ import (
 )
 
 // This file registers every paper artifact as an internal/exp experiment.
-// The registration order is the canonical "run all" order; the legacy
-// Run* functions are thin wrappers over these entries.
+// The registration order is the canonical "run all" order. RunExperiment
+// is the only way to run one: tables come from Result.Render, replicate
+// statistics from Result.Stats, and typed results from Result.Artifact
+// (non-sweep experiments) or Stats[i].Raw (sweep points).
 
 func init() {
 	exp.Register(&exp.Experiment{
@@ -216,17 +218,6 @@ func applyTQuery(opt Options, p exp.Params) Options {
 	return opt
 }
 
-// mustRunExp backs the legacy Run* wrappers: registry entries are
-// compiled in and wrapper-supplied params match their schemas, so any
-// error here is a programming bug.
-func mustRunExp(name string, ctx exp.Context, p exp.Params) exp.Result {
-	res, err := exp.Run(name, ctx, p)
-	if err != nil {
-		panic("mip6mcast: " + err.Error())
-	}
-	return res
-}
-
 func runExpF1(ctx exp.Context, p exp.Params) exp.Result {
 	// Column 0 is the paper's flat build; column 1 rebuilds the same tree
 	// with the edge routers peeled into MLD-proxy domains (approach #5) —
@@ -305,26 +296,22 @@ func runExpF2(ctx exp.Context, p exp.Params) exp.Result {
 }
 
 func runExpF3(ctx exp.Context, p exp.Params) exp.Result {
-	variants := []HAVariant{VariantGroupListBU, VariantTunneledMLD}
-	// The third row contrasts both tunnel variants with the proxy
-	// hierarchy: R3's move lands below proxy A (domain B), so it rejoins
-	// locally through the proxy tree — no tunnel, near-optimal hops.
+	// Rows 0/1 are the paper's §4.3.2 signaling variants. The third row
+	// contrasts both with the proxy hierarchy: R3's move lands below proxy
+	// A (domain B), so it rejoins locally through the proxy tree — no
+	// tunnel, near-optimal hops.
+	groupList, tunneledMLD := UniTunnelHAToMN, UniTunnelHAToMN
+	groupList.Variant = VariantGroupListBU
+	tunneledMLD.Variant = VariantTunneledMLD
+	approaches := []Approach{groupList, tunneledMLD, ProxyHierarchy}
 	labels := []string{"group-list-BU", "tunneled-MLD", "proxy-hierarchy"}
-	results := make([]F3Result, len(variants)+1)
-	exp.ForEach(ctx, len(results), func(opt scenario.Options, i int) {
-		if i < len(variants) {
-			results[i] = measureF3(opt, variants[i])
-		} else {
-			results[i] = measureF3Run(opt, ProxyHierarchy)
-		}
+	var out [3]F3Result
+	exp.ForEach(ctx, len(out), func(opt scenario.Options, i int) {
+		out[i] = measureF3(opt, approaches[i])
 	})
 	cols := []string{"join(s)", "hops", "optimal", "tun-ovh(B)", "ha-tunneled"}
-	rows := make([]metrics.Row, 0, len(results))
-	artifact := make(map[HAVariant]F3Result, len(variants))
-	for i, res := range results {
-		if i < len(variants) {
-			artifact[variants[i]] = res
-		}
+	rows := make([]metrics.Row, 0, len(out))
+	for i, res := range out {
 		rows = append(rows, metrics.Row{
 			Label: labels[i],
 			Values: map[string]float64{
@@ -340,7 +327,7 @@ func runExpF3(ctx exp.Context, p exp.Params) exp.Result {
 		Title:    "F3: mobile receiver via home-agent tunnel (paper Figure 3)",
 		Columns:  cols,
 		Rows:     rows,
-		Artifact: artifact,
+		Artifact: out,
 	}
 }
 
@@ -348,14 +335,10 @@ func runExpF4(ctx exp.Context, p exp.Params) exp.Result {
 	// Rows 0/1 are the paper's send-mode contrast; row 2 moves the sender
 	// under the proxy hierarchy, where L6 sits below proxy E and the new
 	// source is up-forwarded into anchor D's existing domain.
+	approaches := []Approach{UniTunnelMNToHA, LocalMembership, ProxyHierarchy}
 	var out [3]F4Result
-	exp.ForEach(ctx, 3, func(opt scenario.Options, i int) {
-		switch i {
-		case 2:
-			out[i] = measureF4Run(opt, ProxyHierarchy)
-		default:
-			out[i] = measureF4(opt, i == 0)
-		}
+	exp.ForEach(ctx, len(out), func(opt scenario.Options, i int) {
+		out[i] = measureF4(opt, approaches[i])
 	})
 	labels := []string{"reverse-tunnel", "local-send", "proxy-hierarchy"}
 	cols := []string{"gap(s)", "newtrees", "peakSG", "asserts", "tun(B)", "recv-R1", "recv-R2", "recv-R3"}
@@ -385,15 +368,33 @@ func runExpT1(ctx exp.Context, p exp.Params) exp.Result {
 	// Every approach rides the identical movement scenario: the paper's
 	// four plus the proxy hierarchy.
 	approaches := Approaches()
-	rows := make([]T1Row, len(approaches))
+	out := make([]T1Row, len(approaches))
 	exp.ForEach(ctx, len(approaches), func(opt scenario.Options, i int) {
-		rows[i] = runT1One(opt, approaches[i])
+		out[i] = runT1One(opt, approaches[i])
 	})
+	rows := make([]metrics.Row, 0, len(out))
+	for _, r := range out {
+		rows = append(rows, metrics.Row{
+			Label: r.Approach.String(),
+			Values: map[string]float64{
+				"join(s)":   r.JoinDelayR3.Seconds(),
+				"sndgap(s)": r.SenderGap.Seconds(),
+				"data(kB)":  float64(r.DataBytes) / 1000,
+				"tun(kB)":   float64(r.TunnelBytes) / 1000,
+				"ctrl(kB)":  float64(r.ControlBytes) / 1000,
+				"haload":    float64(r.HALoad),
+				"peakSG":    float64(r.PeakSG),
+				"hopsR3":    r.MeanHopsR3,
+				"optR3":     float64(r.OptimalHopsR3),
+				"lossR3":    float64(r.LossR3),
+			},
+		})
+	}
 	return exp.Result{
 		Title:    "T1: registered approaches, Fig.1 movement scenario",
-		Columns:  t1Columns(),
-		Rows:     t1Rows(rows),
-		Artifact: rows,
+		Columns:  []string{"join(s)", "sndgap(s)", "data(kB)", "tun(kB)", "ctrl(kB)", "haload", "peakSG", "hopsR3", "optR3", "lossR3"},
+		Rows:     rows,
+		Artifact: out,
 	}
 }
 
