@@ -261,38 +261,38 @@ func finishChaos(r *Run, cell chaosCell, tracedir string) ChaosOutcome {
 		out.Corrupted += l.CorruptedDeliveries
 	}
 	if tracedir != "" {
-		out.TracePath = writeChaosTrace(tracedir, out.Engine, r.Approach.String(), cell.name, opt.Seed, rec)
+		stem := cell.name
+		if a := r.Approach.String(); a != "local-membership" {
+			stem = a + "-" + stem
+		}
+		out.TracePath = writeTimelineTrace(tracedir, "chaos", out.Engine, stem, cell.name, opt.Seed, rec)
 	}
 	return out
 }
 
-// writeChaosTrace exports one timeline's JSONL trace. The file name embeds
-// the cell and seed, so reruns with different worker counts produce the
-// same file set with identical bytes — the determinism artifact the CI
-// smoke diffs. Non-default engines and approaches get tags in the name so
-// a comparison run never collides with the default file set. Returns
-// "" on I/O failure (the experiment result still carries the violations;
-// tracing is best-effort).
-func writeChaosTrace(dir, eng, approach, cell string, seed int64, rec *obs.Recorder) string {
+// writeTimelineTrace exports one sweep timeline's JSONL trace as
+// dir/<experiment>-[<engine>-]<stem>-seed<seed>.jsonl: a replay metadata
+// line, then the event stream. The name embeds the cell and seed, so
+// reruns at any worker count produce the same file set with identical
+// bytes — the determinism artifact the CI smoke diffs — and the engine
+// tag (omitted for the default pimdm) keeps a comparison run from
+// colliding with the default file set. Returns "" on I/O failure:
+// tracing is best-effort, and the experiment result still carries the
+// timeline's verdict.
+func writeTimelineTrace(dir, experiment, eng, stem, cell string, seed int64, rec *obs.Recorder) string {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return ""
 	}
-	tag := ""
 	if eng != "pimdm" {
-		tag = eng + "-"
+		stem = eng + "-" + stem
 	}
-	if approach != "local-membership" {
-		tag += approach + "-"
-	}
-	name := fmt.Sprintf("chaos-%s%s-seed%d.jsonl", tag, cell, seed)
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, fmt.Sprintf("%s-%s-seed%d.jsonl", experiment, stem, seed))
 	w, err := os.Create(path)
 	if err != nil {
 		return ""
 	}
-	// First line is replay metadata; the event stream follows.
-	fmt.Fprintf(w, "{\"meta\":{\"experiment\":\"chaos\",\"engine\":%q,\"cell\":%q,\"seed\":%d}}\n",
-		eng, cell, seed)
+	fmt.Fprintf(w, "{\"meta\":{\"experiment\":%q,\"engine\":%q,\"cell\":%q,\"seed\":%d}}\n",
+		experiment, eng, cell, seed)
 	if err := rec.WriteJSONL(w); err != nil {
 		w.Close()
 		return ""

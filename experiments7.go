@@ -2,8 +2,6 @@ package mip6mcast
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -390,42 +388,10 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 		}
 	}
 	if cfg.tracedir != "" && rec != nil {
-		out.TracePath = writeScaleTrace(cfg.tracedir, out.Engine, cell, opt.Seed, rec)
+		name := fmt.Sprintf("%s-r%d-mn%d", cell.family, cell.routers, cell.mns)
+		out.TracePath = writeTimelineTrace(cfg.tracedir, "scale", out.Engine, name, name, opt.Seed, rec)
 	}
 	return out
-}
-
-// writeScaleTrace exports one timeline's JSONL trace. The name embeds the
-// cell and seed, so reruns at any worker count produce the same file set
-// with identical bytes — the determinism artifact the CI smoke diffs.
-// Non-default engines get an engine tag so comparison runs never collide
-// with the default file set.
-func writeScaleTrace(dir, eng string, cell scaleCell, seed int64, rec *obs.Recorder) string {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ""
-	}
-	name := fmt.Sprintf("scale-%s-r%d-mn%d-seed%d.jsonl",
-		cell.family, cell.routers, cell.mns, seed)
-	if eng != "pimdm" {
-		name = fmt.Sprintf("scale-%s-%s-r%d-mn%d-seed%d.jsonl",
-			eng, cell.family, cell.routers, cell.mns, seed)
-	}
-	path := filepath.Join(dir, name)
-	w, err := os.Create(path)
-	if err != nil {
-		return ""
-	}
-	// First line is replay metadata; the event stream follows.
-	fmt.Fprintf(w, "{\"meta\":{\"experiment\":\"scale\",\"engine\":%q,\"cell\":%q,\"seed\":%d}}\n",
-		eng, fmt.Sprintf("%s-r%d-mn%d", cell.family, cell.routers, cell.mns), seed)
-	if err := rec.WriteJSONL(w); err != nil {
-		w.Close()
-		return ""
-	}
-	if err := w.Close(); err != nil {
-		return ""
-	}
-	return path
 }
 
 // ParseFamilies splits a '+'-separated topology family list ("tree+grid")
