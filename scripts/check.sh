@@ -15,6 +15,14 @@ go test -race ./...
 # race pass above skips them; run them in a plain pass here.
 go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 ./internal/routing
 
+# Examples smoke: each example reads its numbers from an experiment's
+# Result (type assertions on Result.Artifact, Stats, Render), which
+# `go build` cannot check. Run every example once; a non-zero exit fails.
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
+echo "examples smoke: every example ran to completion"
+
 # Decoder fuzz smoke: a short search from the seed packets (plain, every
 # extension header, fragment, one and two tunnel layers). Decoding must
 # never panic, must re-encode to a fixed point, and must keep nothing of
