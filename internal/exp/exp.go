@@ -139,7 +139,7 @@ func (c Context) replicates() int {
 // Result is what an experiment run produces: a rendered-table view
 // (Title/Columns/Rows), the per-point replicate statistics when the
 // experiment swept, and an optional typed artifact for programmatic
-// consumers (the legacy Run* wrappers).
+// consumers (tests, benchmarks and the examples).
 type Result struct {
 	Title   string
 	Columns []string

@@ -15,8 +15,9 @@
 //		mip6mcast.ExpContext{Opt: opt, Replicates: 5}, nil)
 //	fmt.Print(res.Render())
 //
-// The legacy Run* functions remain as typed compatibility shims over the
-// registry entries.
+// RunExperiment is the only way to run a paper artifact. Typed results
+// come from Result.Artifact (the non-sweep experiments f1–f4 and t1) or
+// from each sweep point's Stats[i].Raw (one value per replicate).
 package mip6mcast
 
 import (
@@ -113,7 +114,8 @@ type Row = metrics.Row
 
 // The experiment registry surface (see internal/exp). Entries are
 // registered by this package's init and cover every paper artifact:
-// f1 f2 f3 f4 t1 s44 s431 s432 smg sld smtu.
+// f1 f2 f3 f4 t1 s44 s431 s432 smg sld smtu, plus the chaos and scale
+// sweeps.
 type (
 	// Experiment is a registered, runnable paper artifact.
 	Experiment = exp.Experiment
