@@ -56,7 +56,7 @@ func main() {
 
 	received := 0
 	var lastAt sim.Time
-	r3.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u *ipv6.UDP) {
+	r3.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 		received++
 		lastAt = f.Sched.Now()
 	})

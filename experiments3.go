@@ -98,7 +98,7 @@ func runSMGOne(opt Options, nGroups int, approach Approach) SMGPoint {
 	delivered := 0
 	var moveAt sim.Time
 	moved := false
-	r3.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u *ipv6.UDP) {
+	r3.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 		if !moved {
 			return
 		}

@@ -192,7 +192,7 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 		idx := i
 		hsched := h.Node.Sched()
 		region := hsched.Region()
-		h.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u *ipv6.UDP) {
+		h.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 			if _, ok := scenario.ParseBeacon(u.Payload); !ok {
 				return
 			}

@@ -94,7 +94,7 @@ func newRig(seed int64, approach core.Approach) *rig {
 
 func (r *rig) countReceiver(name string) *int {
 	n := new(int)
-	r.f.Hosts[name].Node.BindUDP(scenario.WorkloadPort, func(netem.RxPacket, *ipv6.UDP) { (*n)++ })
+	r.f.Hosts[name].Node.BindUDP(scenario.WorkloadPort, func(netem.RxPacket, ipv6.UDP) { (*n)++ })
 	return n
 }
 
@@ -352,7 +352,7 @@ func TestHAServiceWithPlainMLDHost(t *testing.T) {
 	_ = cbr
 
 	got := 0
-	h.Node.BindUDP(scenario.WorkloadPort, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	h.Node.BindUDP(scenario.WorkloadPort, func(netem.RxPacket, ipv6.UDP) { got++ })
 
 	f.Settle()
 	svc.Join(scenario.Group)

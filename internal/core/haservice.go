@@ -167,20 +167,16 @@ func (svc *HAService) onDetunneled(b *mipv6.Binding, inner *ipv6.Packet) bool {
 	if inner.Proto != ipv6.ProtoICMPv6 {
 		return false
 	}
-	msg, err := icmpv6.Parse(inner.Hdr.Src, inner.Hdr.Dst, inner.Payload)
+	m, err := icmpv6.Parse(inner.Hdr.Src, inner.Hdr.Dst, inner.Payload)
 	if err != nil {
 		return false
 	}
-	m, ok := msg.(*icmpv6.MLD)
-	if !ok {
-		return false
-	}
-	switch m.Kind {
+	switch m.Type {
 	case icmpv6.TypeMLDReport:
-		svc.tunneledReport(b.Home, m.MulticastAddress)
+		svc.tunneledReport(b.Home, m.MLD.MulticastAddress)
 		return true
 	case icmpv6.TypeMLDDone:
-		svc.tunneledDone(b.Home, m.MulticastAddress)
+		svc.tunneledDone(b.Home, m.MLD.MulticastAddress)
 		return true
 	}
 	return false

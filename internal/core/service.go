@@ -51,7 +51,7 @@ func NewService(mn *mipv6.MobileNode, mldHost *mld.Host, approach Approach, time
 		delay:    map[ipv6.Addr]*sim.Timer{},
 	}
 	mn.OnMove = svc.onMove
-	mn.Node.HandleProto(ipv6.ProtoICMPv6, svc.handleICMP)
+	mn.Node.HandleICMP(icmpv6.TypeMLDQuery, svc.handleQuery)
 	return svc
 }
 
@@ -242,20 +242,13 @@ func (svc *Service) sendTunneledDone(group ipv6.Addr) {
 	}
 }
 
-// handleICMP answers MLD Queries that arrive through the tunnel
+// handleQuery answers MLD Queries that arrive through the tunnel
 // (VariantTunneledMLD membership refresh).
-func (svc *Service) handleICMP(rx netem.RxPacket) {
+func (svc *Service) handleQuery(rx netem.RxPacket, m icmpv6.Msg) {
 	if !rx.ViaTunnel || svc.Approach.Variant != VariantTunneledMLD || svc.MN.AtHome() {
 		return
 	}
-	msg, err := icmpv6.Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
-	if err != nil {
-		return
-	}
-	q, ok := msg.(*icmpv6.MLD)
-	if !ok || q.Kind != icmpv6.TypeMLDQuery {
-		return
-	}
+	q := m.MLD
 	s := svc.MN.Node.Sched()
 	for g := range svc.groups {
 		if !q.IsGeneralQuery() && q.MulticastAddress != g {

@@ -7,6 +7,15 @@
 //
 // All messages are real wire codecs carrying a valid RFC 2460 upper-layer
 // checksum computed under the IPv6 pseudo-header.
+//
+// Parse decodes into a value (Msg) and allocates nothing. It is canonical:
+// every message it accepts re-marshals to exactly the bytes it came from
+// (FuzzICMPv6 checks this). So it rejects what Marshal never writes — a
+// reserved field that is not zero, a Packet Too Big echoing more than
+// 128 invoking bytes, a checksum of 0xffff (the other encoding of zero) —
+// and keeps verbatim the NDP options it does not interpret, which RFC 2461
+// §4.6 tells receivers to skip. Every ICMPv6 speaker in the simulator is
+// this package, so the strictness rejects nothing the simulator sends.
 package icmpv6
 
 import (
@@ -34,43 +43,70 @@ const HeaderLen = 4
 type Message interface {
 	// Type returns the ICMPv6 type code.
 	Type() uint8
-	// body renders everything after the 4-byte ICMPv6 header.
-	body() []byte
+	// appendBody appends everything after the 4-byte ICMPv6 header.
+	appendBody(b []byte) []byte
 }
 
 // Marshal encodes msg with a valid checksum computed under the pseudo-header
 // (src, dst).
 func Marshal(src, dst ipv6.Addr, msg Message) []byte {
-	b := make([]byte, HeaderLen)
+	b := make([]byte, HeaderLen, HeaderLen+32)
 	b[0] = msg.Type()
-	b = append(b, msg.body()...)
+	b = msg.appendBody(b)
 	ck := ipv6.Checksum(src, dst, ipv6.ProtoICMPv6, b)
 	binary.BigEndian.PutUint16(b[2:4], ck)
 	return b
 }
 
+// Msg is one parsed ICMPv6 message. It is a value, so parsing allocates
+// nothing: Type says which field holds the message, and its byte fields
+// (PTB.Invoking, RS.Options, an unknown RA option's Raw) alias the parsed
+// bytes, which must stay unchanged while the Msg is in use (link payloads
+// are immutable, DESIGN.md §5.1).
+type Msg struct {
+	Type uint8
+	MLD  MLD           // TypeMLDQuery, TypeMLDReport, TypeMLDDone
+	RS   RouterSolicit // TypeRouterSolicit
+	RA   RouterAdvert  // TypeRouterAdvert
+	PTB  PacketTooBig  // TypePacketTooBig
+}
+
 // Parse decodes and checksum-verifies an ICMPv6 message received under the
 // pseudo-header (src, dst). Unknown types return an error.
-func Parse(src, dst ipv6.Addr, b []byte) (Message, error) {
+func Parse(src, dst ipv6.Addr, b []byte) (Msg, error) {
+	var m Msg
 	if len(b) < HeaderLen {
-		return nil, fmt.Errorf("icmpv6: truncated: %d bytes", len(b))
+		return m, fmt.Errorf("icmpv6: truncated: %d bytes", len(b))
 	}
 	if !ipv6.VerifyChecksum(src, dst, ipv6.ProtoICMPv6, b) {
-		return nil, fmt.Errorf("icmpv6: checksum mismatch")
+		return m, fmt.Errorf("icmpv6: checksum mismatch")
 	}
+	if binary.BigEndian.Uint16(b[2:4]) == 0xffff {
+		// Verifies, but Marshal writes zero for a zero checksum.
+		return m, fmt.Errorf("icmpv6: non-canonical checksum 0xffff")
+	}
+	if b[1] != 0 {
+		return m, fmt.Errorf("icmpv6: type %d with code %d", b[0], b[1])
+	}
+	m.Type = b[0]
 	body := b[HeaderLen:]
-	switch b[0] {
+	var err error
+	switch m.Type {
 	case TypeMLDQuery, TypeMLDReport, TypeMLDDone:
-		return parseMLD(b[0], body)
+		err = m.MLD.parse(m.Type, body)
 	case TypeRouterSolicit:
-		return parseRouterSolicit(body)
+		err = m.RS.parse(body)
 	case TypeRouterAdvert:
-		return parseRouterAdvert(body)
+		err = m.RA.parse(body)
 	case TypePacketTooBig:
-		return parsePacketTooBig(body)
+		err = m.PTB.parse(body)
 	default:
-		return nil, fmt.Errorf("icmpv6: unsupported type %d", b[0])
+		err = fmt.Errorf("icmpv6: unsupported type %d", m.Type)
 	}
+	if err != nil {
+		return Msg{}, err
+	}
+	return m, nil
 }
 
 // PacketTooBig is the ICMPv6 error (RFC 2463 §3.2) a router sends when it
@@ -87,14 +123,13 @@ type PacketTooBig struct {
 }
 
 // Type implements Message.
-func (*PacketTooBig) Type() uint8 { return TypePacketTooBig }
+func (PacketTooBig) Type() uint8 { return TypePacketTooBig }
 
 // maxInvoking bounds the echoed portion so the error itself stays small.
 const maxInvoking = 128
 
-func (p *PacketTooBig) body() []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, p.MTU)
+func (p PacketTooBig) appendBody(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, p.MTU)
 	inv := p.Invoking
 	if len(inv) > maxInvoking {
 		inv = inv[:maxInvoking]
@@ -102,14 +137,16 @@ func (p *PacketTooBig) body() []byte {
 	return append(b, inv...)
 }
 
-func parsePacketTooBig(body []byte) (*PacketTooBig, error) {
+func (p *PacketTooBig) parse(body []byte) error {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("icmpv6: packet-too-big truncated")
+		return fmt.Errorf("icmpv6: packet-too-big truncated")
 	}
-	return &PacketTooBig{
-		MTU:      binary.BigEndian.Uint32(body[0:4]),
-		Invoking: append([]byte(nil), body[4:]...),
-	}, nil
+	if len(body)-4 > maxInvoking {
+		return fmt.Errorf("icmpv6: packet-too-big echoes %d bytes, more than %d", len(body)-4, maxInvoking)
+	}
+	p.MTU = binary.BigEndian.Uint32(body[0:4])
+	p.Invoking = body[4:]
+	return nil
 }
 
 // MLD is a Multicast Listener Discovery message (RFC 2710 §3). The Kind
@@ -129,10 +166,9 @@ type MLD struct {
 }
 
 // Type implements Message.
-func (m *MLD) Type() uint8 { return m.Kind }
+func (m MLD) Type() uint8 { return m.Kind }
 
-func (m *MLD) body() []byte {
-	b := make([]byte, 20)
+func (m MLD) appendBody(b []byte) []byte {
 	ms := m.MaxResponseDelay.Milliseconds()
 	if ms < 0 {
 		ms = 0
@@ -140,50 +176,64 @@ func (m *MLD) body() []byte {
 	if ms > 0xffff {
 		ms = 0xffff
 	}
-	binary.BigEndian.PutUint16(b[0:2], uint16(ms))
-	copy(b[4:20], m.MulticastAddress[:])
-	return b
+	b = binary.BigEndian.AppendUint16(b, uint16(ms))
+	b = append(b, 0, 0)
+	return append(b, m.MulticastAddress[:]...)
 }
 
 // IsGeneralQuery reports whether m is a General Query (a Query for the
 // unspecified address, soliciting reports for all groups).
-func (m *MLD) IsGeneralQuery() bool {
+func (m MLD) IsGeneralQuery() bool {
 	return m.Kind == TypeMLDQuery && m.MulticastAddress.IsUnspecified()
 }
 
-func parseMLD(kind uint8, body []byte) (*MLD, error) {
+func (m *MLD) parse(kind uint8, body []byte) error {
 	if len(body) != 20 {
-		return nil, fmt.Errorf("icmpv6: MLD body is %d bytes, want 20", len(body))
+		return fmt.Errorf("icmpv6: MLD body is %d bytes, want 20", len(body))
 	}
-	m := &MLD{
-		Kind:             kind,
-		MaxResponseDelay: time.Duration(binary.BigEndian.Uint16(body[0:2])) * time.Millisecond,
+	if body[2]|body[3] != 0 {
+		return fmt.Errorf("icmpv6: MLD reserved field set")
 	}
+	m.Kind = kind
+	m.MaxResponseDelay = time.Duration(binary.BigEndian.Uint16(body[0:2])) * time.Millisecond
 	copy(m.MulticastAddress[:], body[4:20])
 	if kind != TypeMLDQuery && m.MulticastAddress.IsUnspecified() {
-		return nil, fmt.Errorf("icmpv6: MLD %d for unspecified address", kind)
+		return fmt.Errorf("icmpv6: MLD %d for unspecified address", kind)
 	}
 	if !m.MulticastAddress.IsUnspecified() && !m.MulticastAddress.IsMulticast() {
-		return nil, fmt.Errorf("icmpv6: MLD address %s is not multicast", m.MulticastAddress)
+		return fmt.Errorf("icmpv6: MLD address %s is not multicast", m.MulticastAddress)
 	}
-	return m, nil
+	return nil
 }
 
 // RouterSolicit is an NDP Router Solicitation (RFC 2461 §4.1). Hosts send it
 // on attaching to a link to trigger an immediate Router Advertisement — this
 // is how a mobile node learns its new prefix quickly after movement.
-type RouterSolicit struct{}
+type RouterSolicit struct {
+	// Options are the solicitation's NDP options, verbatim; the simulator
+	// interprets none of them.
+	Options []byte
+}
 
 // Type implements Message.
-func (*RouterSolicit) Type() uint8 { return TypeRouterSolicit }
+func (RouterSolicit) Type() uint8 { return TypeRouterSolicit }
 
-func (*RouterSolicit) body() []byte { return make([]byte, 4) } // reserved
+func (r RouterSolicit) appendBody(b []byte) []byte {
+	b = append(b, 0, 0, 0, 0) // reserved
+	return append(b, r.Options...)
+}
 
-func parseRouterSolicit(body []byte) (*RouterSolicit, error) {
+func (r *RouterSolicit) parse(body []byte) error {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("icmpv6: router solicitation truncated")
+		return fmt.Errorf("icmpv6: router solicitation truncated")
 	}
-	return &RouterSolicit{}, nil
+	if binary.BigEndian.Uint32(body[0:4]) != 0 {
+		return fmt.Errorf("icmpv6: router solicitation reserved field set")
+	}
+	if len(body) > 4 {
+		r.Options = body[4:]
+	}
+	return nil
 }
 
 // PrefixInfo is the NDP Prefix Information option (RFC 2461 §4.6.2) carried
@@ -198,55 +248,95 @@ type PrefixInfo struct {
 	Prefix            ipv6.Addr
 }
 
+// RAOption is one NDP option of a Router Advertisement. A Prefix
+// Information option is decoded into Prefix and has a nil Raw. Any other
+// option is one the simulator does not interpret (RFC 2461 §4.6: receivers
+// skip it); Raw keeps it whole, type and length octets included, so a
+// parsed advertisement re-marshals to its own bytes.
+type RAOption struct {
+	Prefix PrefixInfo
+	Raw    []byte
+}
+
+// MaxRAOptions is how many NDP options a RouterAdvert holds. They are
+// stored inline, so parsing one allocates nothing; Parse rejects an
+// advertisement that carries more rather than drop any.
+const MaxRAOptions = 4
+
 // RouterAdvert is an NDP Router Advertisement (RFC 2461 §4.2).
 type RouterAdvert struct {
 	CurHopLimit    uint8
 	Managed, Other bool // M and O flags
 	RouterLifetime time.Duration
-	Prefixes       []PrefixInfo
+	// ReachableTime and RetransTimer are zero when unspecified; the
+	// simulator's routers leave both so.
+	ReachableTime, RetransTimer time.Duration
+
+	opts  [MaxRAOptions]RAOption
+	nopts int
 }
 
 // Type implements Message.
-func (*RouterAdvert) Type() uint8 { return TypeRouterAdvert }
+func (RouterAdvert) Type() uint8 { return TypeRouterAdvert }
+
+// Options returns the advertisement's NDP options in wire order. The slice
+// shares r's inline storage.
+func (r *RouterAdvert) Options() []RAOption { return r.opts[:r.nopts] }
+
+// AddPrefix appends a Prefix Information option. It reports false, adding
+// nothing, when r already holds MaxRAOptions options.
+func (r *RouterAdvert) AddPrefix(p PrefixInfo) bool {
+	if r.nopts == MaxRAOptions {
+		return false
+	}
+	r.opts[r.nopts] = RAOption{Prefix: p}
+	r.nopts++
+	return true
+}
 
 const optPrefixInfo = 3
 
-func (r *RouterAdvert) body() []byte {
-	b := make([]byte, 12)
-	b[0] = r.CurHopLimit
+func (r RouterAdvert) appendBody(b []byte) []byte {
+	var flags byte
 	if r.Managed {
-		b[1] |= 0x80
+		flags |= 0x80
 	}
 	if r.Other {
-		b[1] |= 0x40
+		flags |= 0x40
 	}
 	secs := r.RouterLifetime / time.Second
 	if secs > 0xffff {
 		secs = 0xffff
 	}
-	binary.BigEndian.PutUint16(b[2:4], uint16(secs))
-	// Reachable Time and Retrans Timer left zero (unspecified).
-	for _, p := range r.Prefixes {
-		opt := make([]byte, 32)
-		opt[0] = optPrefixInfo
-		opt[1] = 4 // length in 8-octet units
-		opt[2] = p.PrefixLen
+	b = append(b, r.CurHopLimit, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(secs))
+	b = binary.BigEndian.AppendUint32(b, clampUnits(r.ReachableTime, time.Millisecond))
+	b = binary.BigEndian.AppendUint32(b, clampUnits(r.RetransTimer, time.Millisecond))
+	for _, o := range r.Options() {
+		if o.Raw != nil {
+			b = append(b, o.Raw...)
+			continue
+		}
+		p := o.Prefix
+		flags = 0
 		if p.OnLink {
-			opt[3] |= 0x80
+			flags |= 0x80
 		}
 		if p.Autonomous {
-			opt[3] |= 0x40
+			flags |= 0x40
 		}
-		binary.BigEndian.PutUint32(opt[4:8], lifetimeSecs(p.ValidLifetime))
-		binary.BigEndian.PutUint32(opt[8:12], lifetimeSecs(p.PreferredLifetime))
-		copy(opt[16:32], p.Prefix[:])
-		b = append(b, opt...)
+		b = append(b, optPrefixInfo, 4, p.PrefixLen, flags) // length in 8-octet units
+		b = binary.BigEndian.AppendUint32(b, clampUnits(p.ValidLifetime, time.Second))
+		b = binary.BigEndian.AppendUint32(b, clampUnits(p.PreferredLifetime, time.Second))
+		b = append(b, 0, 0, 0, 0) // reserved
+		b = append(b, p.Prefix[:]...)
 	}
 	return b
 }
 
-func lifetimeSecs(d time.Duration) uint32 {
-	s := d / time.Second
+// clampUnits expresses d in whole units, clamped to a 32-bit field.
+func clampUnits(d, unit time.Duration) uint32 {
+	s := d / unit
 	if s < 0 {
 		return 0
 	}
@@ -256,44 +346,61 @@ func lifetimeSecs(d time.Duration) uint32 {
 	return uint32(s)
 }
 
-func parseRouterAdvert(body []byte) (*RouterAdvert, error) {
+func (r *RouterAdvert) parse(body []byte) error {
 	if len(body) < 12 {
-		return nil, fmt.Errorf("icmpv6: router advertisement truncated")
+		return fmt.Errorf("icmpv6: router advertisement truncated")
 	}
-	r := &RouterAdvert{
-		CurHopLimit:    body[0],
-		Managed:        body[1]&0x80 != 0,
-		Other:          body[1]&0x40 != 0,
-		RouterLifetime: time.Duration(binary.BigEndian.Uint16(body[2:4])) * time.Second,
+	if body[1]&0x3f != 0 {
+		return fmt.Errorf("icmpv6: router advertisement reserved flags set")
 	}
+	r.CurHopLimit = body[0]
+	r.Managed = body[1]&0x80 != 0
+	r.Other = body[1]&0x40 != 0
+	r.RouterLifetime = time.Duration(binary.BigEndian.Uint16(body[2:4])) * time.Second
+	r.ReachableTime = time.Duration(binary.BigEndian.Uint32(body[4:8])) * time.Millisecond
+	r.RetransTimer = time.Duration(binary.BigEndian.Uint32(body[8:12])) * time.Millisecond
 	opts := body[12:]
 	for len(opts) > 0 {
 		if len(opts) < 2 || opts[1] == 0 {
-			return nil, fmt.Errorf("icmpv6: malformed NDP option")
+			return fmt.Errorf("icmpv6: malformed NDP option")
 		}
 		l := int(opts[1]) * 8
 		if len(opts) < l {
-			return nil, fmt.Errorf("icmpv6: NDP option overruns message")
+			return fmt.Errorf("icmpv6: NDP option overruns message")
 		}
+		if r.nopts == MaxRAOptions {
+			return fmt.Errorf("icmpv6: router advertisement carries more than %d options", MaxRAOptions)
+		}
+		o := &r.opts[r.nopts]
 		if opts[0] == optPrefixInfo {
-			if l != 32 {
-				return nil, fmt.Errorf("icmpv6: prefix info option is %d bytes, want 32", l)
+			if err := o.Prefix.parse(opts[:l]); err != nil {
+				return err
 			}
-			p := PrefixInfo{
-				PrefixLen:         opts[2],
-				OnLink:            opts[3]&0x80 != 0,
-				Autonomous:        opts[3]&0x40 != 0,
-				ValidLifetime:     time.Duration(binary.BigEndian.Uint32(opts[4:8])) * time.Second,
-				PreferredLifetime: time.Duration(binary.BigEndian.Uint32(opts[8:12])) * time.Second,
-			}
-			copy(p.Prefix[:], opts[16:32])
-			if p.PrefixLen > 128 {
-				return nil, fmt.Errorf("icmpv6: prefix length %d", p.PrefixLen)
-			}
-			r.Prefixes = append(r.Prefixes, p)
+		} else {
+			o.Raw = opts[:l]
 		}
-		// Unknown options are skipped per RFC 2461 §4.6.
+		r.nopts++
 		opts = opts[l:]
 	}
-	return r, nil
+	return nil
+}
+
+// parse decodes a whole Prefix Information option.
+func (p *PrefixInfo) parse(opt []byte) error {
+	if len(opt) != 32 {
+		return fmt.Errorf("icmpv6: prefix info option is %d bytes, want 32", len(opt))
+	}
+	if opt[3]&0x3f != 0 || binary.BigEndian.Uint32(opt[12:16]) != 0 {
+		return fmt.Errorf("icmpv6: prefix info reserved field set")
+	}
+	if opt[2] > 128 {
+		return fmt.Errorf("icmpv6: prefix length %d", opt[2])
+	}
+	p.PrefixLen = opt[2]
+	p.OnLink = opt[3]&0x80 != 0
+	p.Autonomous = opt[3]&0x40 != 0
+	p.ValidLifetime = time.Duration(binary.BigEndian.Uint32(opt[4:8])) * time.Second
+	p.PreferredLifetime = time.Duration(binary.BigEndian.Uint32(opt[8:12])) * time.Second
+	copy(p.Prefix[:], opt[16:32])
+	return nil
 }

@@ -35,14 +35,29 @@ func TestTunnelEncapAllocBudget(t *testing.T) {
 
 // TestDecodeSharedAllocBudget pins the link decode at one Packet per layer:
 // a frame decoded against the packet it was encoded from copies no payload,
-// plain or tunneled.
+// plain or tunneled. When the inner packet was itself decoded, as it is
+// when a home agent tunnels the packet it received, the decode shares it
+// whole and only the outer Packet is new.
 func TestDecodeSharedAllocBudget(t *testing.T) {
 	inner := &Packet{
 		Hdr:     Header{Src: MustParseAddr("2001:db8::1"), Dst: MustParseAddr("ff0e::7"), HopLimit: 64},
 		Proto:   ProtoUDP,
 		Payload: make([]byte, 256),
 	}
-	outer, err := Encapsulate(MustParseAddr("2001:db8:1::1"), MustParseAddr("2001:db8:2::1"), 64, inner)
+	ha, dst := MustParseAddr("2001:db8:1::1"), MustParseAddr("2001:db8:2::1")
+	outer, err := Encapsulate(ha, dst, 64, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	innerFrame, err := inner.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	received, err := DecodeShared(innerFrame, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	haOuter, err := Encapsulate(ha, dst, 64, received)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +65,7 @@ func TestDecodeSharedAllocBudget(t *testing.T) {
 		name   string
 		pkt    *Packet
 		budget float64
-	}{{"plain", inner, 1}, {"tunneled", outer, 2}} {
+	}{{"plain", inner, 1}, {"tunneled", outer, 2}, {"tunneled-decoded-inner", haOuter, 1}} {
 		frame, err := c.pkt.Encode()
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package ipv6
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 // Packet is a parsed IPv6 datagram: the fixed header, the extension headers
@@ -153,11 +154,14 @@ func Decode(b []byte) (*Packet, error) { return DecodeShared(b, nil) }
 // DecodeShared decodes b, the encoding of sent, exactly as Decode does, but
 // where a payload in b is byte-equal to the corresponding payload of sent
 // (its own, or one of its inner packets') the decoded packet shares sent's
-// slice instead of copying the bytes. A link decodes each frame this way
-// against the packet it encoded the frame from, so a datagram's payload is
-// allocated once at its origin and shared by every hop and tunnel after
-// that. sent may be nil, and a sent that does not match b only costs the
-// sharing: the result is always what b says.
+// slice instead of copying the bytes, and where a decoded inner packet
+// equals sent's inner packet field for field it is sent's inner packet
+// itself. A link decodes each frame this way against the packet it encoded
+// the frame from, so a datagram's payload is allocated once at its origin
+// and shared by every hop and tunnel after that, and a packet a home agent
+// tunnels as it received it (already decoded) is the inner packet at every
+// hop of the tunnel. sent may be nil, and a sent that does not match b only
+// costs the sharing: the result is always what b says.
 func DecodeShared(b []byte, sent *Packet) (*Packet, error) {
 	p := &Packet{}
 	if err := p.decode(b, sent); err != nil {
@@ -225,9 +229,14 @@ func (p *Packet) setBody(body []byte, sent *Packet) {
 		if sent != nil {
 			hint = sent.Inner
 		}
-		inner := &Packet{}
+		var inner Packet
 		if inner.decode(body, hint) == nil {
-			p.Inner = inner
+			if hint != nil && inner.equal(hint) {
+				p.Inner = hint
+			} else {
+				p.Inner = new(Packet)
+				*p.Inner = inner
+			}
 			return
 		}
 	}
@@ -239,6 +248,43 @@ func (p *Packet) setBody(body []byte, sent *Packet) {
 	}
 	p.Payload = make([]byte, len(body))
 	copy(p.Payload, body)
+}
+
+// equal reports whether p and q are the same packet field for field,
+// sharing aside: option data, addresses and payloads compare by value, and
+// only the presence of an extension header or a payload (nil or not) is
+// compared for nil-ness.
+func (p *Packet) equal(q *Packet) bool {
+	if p.Hdr != q.Hdr || p.Proto != q.Proto ||
+		!optionsEqual(p.HopByHop, q.HopByHop) || !optionsEqual(p.DestOpts, q.DestOpts) ||
+		(p.Payload == nil) != (q.Payload == nil) || !bytes.Equal(p.Payload, q.Payload) {
+		return false
+	}
+	if (p.Routing == nil) != (q.Routing == nil) || (p.Fragment == nil) != (q.Fragment == nil) {
+		return false
+	}
+	if p.Routing != nil && (p.Routing.SegmentsLeft != q.Routing.SegmentsLeft || !slices.Equal(p.Routing.Addresses, q.Routing.Addresses)) {
+		return false
+	}
+	if p.Fragment != nil && *p.Fragment != *q.Fragment {
+		return false
+	}
+	if p.Inner == nil || q.Inner == nil {
+		return p.Inner == q.Inner
+	}
+	return p.Inner == q.Inner || p.Inner.equal(q.Inner)
+}
+
+func optionsEqual(a, b []Option) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Type != b[i].Type || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
 }
 
 // ownOptions moves the option data, which parsing left pointing into the

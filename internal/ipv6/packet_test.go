@@ -289,6 +289,77 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 	}
 }
 
+// TestDecodeSharedSharesEqualInner checks the tunnel half of DecodeShared:
+// an inner packet that decodes equal to the sent one field for field is the
+// sent one, at every hop; any difference gets a fresh, faithful decode.
+func TestDecodeSharedSharesEqualInner(t *testing.T) {
+	src, dst := MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::beef")
+	sent := samplePacket()
+	sent.DestOpts = []Option{(&HomeAddressOption{HomeAddress: src}).Marshal()}
+	frame, err := sent.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	received, err := DecodeShared(frame, sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A home agent tunnels the packet as it received it.
+	outer, err := Encapsulate(src, dst, DefaultHopLimit, received)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hop := 0; hop < 3; hop++ {
+		if frame, err = outer.Encode(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeShared(frame, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Inner != received {
+			t.Fatalf("hop %d: decoded inner is a copy, want the tunneled packet itself", hop)
+		}
+		fwd := got.Forward()
+		outer = &fwd
+	}
+	// A hand-built inner leaves the header's computed fields zero, so it is
+	// not what the frame decodes to: the inner is decoded afresh.
+	outer, err = Encapsulate(src, dst, DefaultHopLimit, sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = outer.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeShared(frame, outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Inner == sent || !reflect.DeepEqual(got.Inner, received) {
+		t.Errorf("hand-built inner: got %+v, want a fresh decode equal to %+v", got.Inner, received)
+	}
+	// A hint that differs in any field is never returned.
+	for name, change := range map[string]func(p *Packet){
+		"hop limit":   func(p *Packet) { p.Hdr.HopLimit-- },
+		"option data": func(p *Packet) { p.DestOpts = []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}} },
+		"no options":  func(p *Packet) { p.DestOpts = nil },
+		"payload":     func(p *Packet) { p.Payload = []byte("different") },
+	} {
+		hint := *received
+		change(&hint)
+		wrapped := *outer
+		wrapped.Inner = &hint
+		got, err := DecodeShared(frame, &wrapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Inner == &hint || !reflect.DeepEqual(got.Inner, received) {
+			t.Errorf("%s: mismatched inner hint leaked into the result: %+v", name, got.Inner)
+		}
+	}
+}
+
 func TestForwardSharesBytes(t *testing.T) {
 	p := samplePacket()
 	p.DestOpts = []Option{{Type: 7, Data: []byte{1, 2}}}

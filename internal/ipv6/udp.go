@@ -32,27 +32,26 @@ func (u *UDP) Marshal(src, dst Addr) []byte {
 	return b
 }
 
-// ParseUDP decodes and checksum-verifies a UDP datagram. The datagram's
-// Payload shares b: every receiver of a multicast datagram reads the same
-// immutable bytes.
-func ParseUDP(src, dst Addr, b []byte) (*UDP, error) {
+// ParseUDP decodes and checksum-verifies a UDP datagram. It returns a
+// value, so parsing allocates nothing; the datagram's Payload shares b:
+// every receiver of a multicast datagram reads the same immutable bytes.
+func ParseUDP(src, dst Addr, b []byte) (UDP, error) {
 	if len(b) < UDPHeaderLen {
-		return nil, fmt.Errorf("ipv6: udp truncated: %d bytes", len(b))
+		return UDP{}, fmt.Errorf("ipv6: udp truncated: %d bytes", len(b))
 	}
 	l := int(binary.BigEndian.Uint16(b[4:6]))
 	if l != len(b) {
-		return nil, fmt.Errorf("ipv6: udp length %d, frame %d", l, len(b))
+		return UDP{}, fmt.Errorf("ipv6: udp length %d, frame %d", l, len(b))
 	}
 	if binary.BigEndian.Uint16(b[6:8]) == 0 {
-		return nil, fmt.Errorf("ipv6: udp zero checksum forbidden over IPv6")
+		return UDP{}, fmt.Errorf("ipv6: udp zero checksum forbidden over IPv6")
 	}
 	if !VerifyChecksum(src, dst, ProtoUDP, b) {
-		return nil, fmt.Errorf("ipv6: udp checksum mismatch")
+		return UDP{}, fmt.Errorf("ipv6: udp checksum mismatch")
 	}
-	u := &UDP{
+	return UDP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Payload: b[8:],
-	}
-	return u, nil
+	}, nil
 }

@@ -129,7 +129,7 @@ func TestBalancedClusterReachabilityThroughFailover(t *testing.T) {
 	got := make([]int, 2)
 	for k := range lb.nodes {
 		k := k
-		lb.nodes[k].BindUDP(7, func(netem.RxPacket, *ipv6.UDP) { got[k]++ })
+		lb.nodes[k].BindUDP(7, func(netem.RxPacket, ipv6.UDP) { got[k]++ })
 	}
 	lb.s.RunUntil(sim.Time(10 * time.Second))
 	lb.moveAllAway()

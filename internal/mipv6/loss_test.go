@@ -37,7 +37,7 @@ func TestTunnelLossRatio(t *testing.T) {
 	f := newFixture(33)
 	cn, cnAddr, _ := f.correspondent(7)
 	got := 0
-	f.mnod.BindUDP(7, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	f.mnod.BindUDP(7, func(netem.RxPacket, ipv6.UDP) { got++ })
 
 	f.s.RunUntil(sim.Time(5 * time.Second))
 	f.net.Move(f.mnod.Ifaces[0], f.l["L2"])

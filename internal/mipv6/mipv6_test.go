@@ -82,7 +82,7 @@ func (f *fixture) correspondent(p uint16) (*netem.Node, ipv6.Addr, *int) {
 	ifc.AddAddr(addr)
 	f.dom.Recompute()
 	n := new(int)
-	cn.BindUDP(p, func(netem.RxPacket, *ipv6.UDP) { (*n)++ })
+	cn.BindUDP(p, func(netem.RxPacket, ipv6.UDP) { (*n)++ })
 	return cn, addr, n
 }
 
@@ -151,7 +151,7 @@ func TestHomeAgentInterceptAndTunnel(t *testing.T) {
 	f := newFixture(3)
 	cn, cnAddr, _ := f.correspondent(7)
 	got := 0
-	f.mnod.BindUDP(7, func(rx netem.RxPacket, u *ipv6.UDP) {
+	f.mnod.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) {
 		got++
 		if rx.Pkt.Hdr.Dst != f.mn.HomeAddress {
 			t.Errorf("inner packet to %s, want home address", rx.Pkt.Hdr.Dst)
@@ -285,7 +285,7 @@ func TestRoutingHeaderDelivery(t *testing.T) {
 	cn, cnAddr, _ := f.correspondent(7)
 	got := 0
 	var gotDst ipv6.Addr
-	f.mnod.BindUDP(7, func(rx netem.RxPacket, u *ipv6.UDP) {
+	f.mnod.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) {
 		got++
 		gotDst = rx.Pkt.Hdr.Dst
 		if rx.Pkt.Routing == nil || rx.Pkt.Routing.SegmentsLeft != 0 {
@@ -332,7 +332,7 @@ func TestRoutingHeaderDelivery(t *testing.T) {
 	f.mn.SetGroupList([]ipv6.Addr{group})
 	f.s.RunUntil(sim.Time(30 * time.Second))
 	mGot := 0
-	f.mnod.BindUDP(9, func(rx netem.RxPacket, u *ipv6.UDP) {
+	f.mnod.BindUDP(9, func(rx netem.RxPacket, u ipv6.UDP) {
 		if rx.ViaTunnel {
 			mGot++
 		}
@@ -358,7 +358,7 @@ func TestTunnelPathMTUDiscovery(t *testing.T) {
 	f.l["L2"].MTU = 1280 // narrow foreign link; everything else unlimited
 	cn, cnAddr, _ := f.correspondent(7)
 	got := 0
-	f.mnod.BindUDP(7, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	f.mnod.BindUDP(7, func(netem.RxPacket, ipv6.UDP) { got++ })
 
 	f.s.RunUntil(sim.Time(5 * time.Second))
 	f.net.Move(f.mnod.Ifaces[0], f.l["L2"])
@@ -466,7 +466,7 @@ func TestMulticastTunneledToSubscribedMN(t *testing.T) {
 	f := newFixture(10)
 	group := ipv6.MustParseAddr("ff0e::101")
 	got := 0
-	f.mnod.BindUDP(9, func(rx netem.RxPacket, u *ipv6.UDP) { got++ })
+	f.mnod.BindUDP(9, func(rx netem.RxPacket, u ipv6.UDP) { got++ })
 
 	f.s.RunUntil(sim.Time(5 * time.Second))
 	f.mn.SetGroupList([]ipv6.Addr{group})
@@ -499,7 +499,7 @@ func TestReverseTunneledMulticastReoriginatedOnHomeLink(t *testing.T) {
 	lifc.AddAddr(ipv6.MustParseAddr("2001:db8:1::7"))
 	lifc.JoinGroup(group)
 	got := 0
-	lst.BindUDP(9, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	lst.BindUDP(9, func(netem.RxPacket, ipv6.UDP) { got++ })
 
 	f.s.RunUntil(sim.Time(5 * time.Second))
 	f.net.Move(f.mnod.Ifaces[0], f.l["L2"])
@@ -525,7 +525,7 @@ func TestTunnelFragmentationAcrossMTU(t *testing.T) {
 	}
 	cn, cnAddr, _ := f.correspondent(7)
 	var got []byte
-	f.mnod.BindUDP(7, func(rx netem.RxPacket, u *ipv6.UDP) { got = u.Payload })
+	f.mnod.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) { got = u.Payload })
 
 	f.s.RunUntil(sim.Time(5 * time.Second))
 	f.net.Move(f.mnod.Ifaces[0], f.l["L2"])

@@ -281,7 +281,7 @@ func (m *ClusterMember) replicate(ev BindingEvent) {
 	m.sendSync(b)
 }
 
-func (m *ClusterMember) handleSync(rx netem.RxPacket, u *ipv6.UDP) {
+func (m *ClusterMember) handleSync(rx netem.RxPacket, u ipv6.UDP) {
 	p := u.Payload
 	if len(p) < 21 || [4]byte(p[0:4]) != syncMagic {
 		return

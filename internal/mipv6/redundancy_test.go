@@ -81,7 +81,7 @@ func TestClusterFailoverKeepsMobileNodeReachable(t *testing.T) {
 	cf := newCluster(43)
 	cn, cnAddr, _ := cf.correspondent(7)
 	got := 0
-	cf.mnod.BindUDP(7, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	cf.mnod.BindUDP(7, func(netem.RxPacket, ipv6.UDP) { got++ })
 
 	cf.s.RunUntil(sim.Time(10 * time.Second))
 	cf.net.Move(cf.mnod.Ifaces[0], cf.l["L2"])

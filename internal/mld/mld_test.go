@@ -94,7 +94,7 @@ func TestRobustnessUnsolicitedReports(t *testing.T) {
 			return
 		}
 		if m, err := icmpv6.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload); err == nil {
-			if mm, ok := m.(*icmpv6.MLD); ok && mm.Kind == icmpv6.TypeMLDReport {
+			if m.Type == icmpv6.TypeMLDReport {
 				reports++
 			}
 		}
@@ -337,10 +337,10 @@ func TestMLDPacketShape(t *testing.T) {
 		if err != nil {
 			return
 		}
-		mm, ok := m.(*icmpv6.MLD)
-		if !ok {
+		if m.Type != icmpv6.TypeMLDQuery && m.Type != icmpv6.TypeMLDReport && m.Type != icmpv6.TypeMLDDone {
 			return
 		}
+		mm := m.MLD
 		if ev.Pkt.Hdr.HopLimit != 1 {
 			t.Errorf("MLD with hop limit %d", ev.Pkt.Hdr.HopLimit)
 		}

@@ -31,7 +31,7 @@ func TestAddressSpecificQueryScopesResponses(t *testing.T) {
 			return
 		}
 		if m, err := icmpv6.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload); err == nil {
-			if mm, ok := m.(*icmpv6.MLD); ok && mm.Kind == icmpv6.TypeMLDQuery && !mm.IsGeneralQuery() {
+			if mm := m.MLD; m.Type == icmpv6.TypeMLDQuery && !mm.IsGeneralQuery() {
 				specifics++
 				if mm.MulticastAddress != group {
 					t.Errorf("specific query for %s, want %s", mm.MulticastAddress, group)
@@ -111,7 +111,7 @@ func TestQueryResponseTimerOnlyShortened(t *testing.T) {
 			return
 		}
 		if m, err := icmpv6.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload); err == nil {
-			if mm, ok := m.(*icmpv6.MLD); ok && mm.Kind == icmpv6.TypeMLDReport {
+			if m.Type == icmpv6.TypeMLDReport {
 				respondedAt = f.s.Now()
 			}
 		}

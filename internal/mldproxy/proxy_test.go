@@ -271,7 +271,7 @@ func TestCloseAbandonsStateSilently(t *testing.T) {
 			return
 		}
 		if m, err := icmpv6.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload); err == nil {
-			if mm, ok := m.(*icmpv6.MLD); ok && mm.Kind == icmpv6.TypeMLDDone {
+			if m.Type == icmpv6.TypeMLDDone {
 				dones++
 			}
 		}

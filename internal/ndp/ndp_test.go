@@ -183,16 +183,14 @@ func TestHostIgnoresNonAutonomousPrefix(t *testing.T) {
 // sendRA hand-crafts a Router Advertisement with the A flag controlled.
 func sendRA(r *netem.Node, ifc *netem.Interface, autonomous bool) {
 	src := ifc.LinkLocal()
-	ra := &icmpv6.RouterAdvert{
-		RouterLifetime: time.Minute,
-		Prefixes: []icmpv6.PrefixInfo{{
-			PrefixLen:     64,
-			OnLink:        true,
-			Autonomous:    autonomous,
-			ValidLifetime: time.Hour,
-			Prefix:        ipv6.MustParseAddr("2001:db8:9::"),
-		}},
-	}
+	ra := &icmpv6.RouterAdvert{RouterLifetime: time.Minute}
+	ra.AddPrefix(icmpv6.PrefixInfo{
+		PrefixLen:     64,
+		OnLink:        true,
+		Autonomous:    autonomous,
+		ValidLifetime: time.Hour,
+		Prefix:        ipv6.MustParseAddr("2001:db8:9::"),
+	})
 	pkt := &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: src, Dst: ipv6.AllNodes, HopLimit: 255},
 		Proto:   ipv6.ProtoICMPv6,

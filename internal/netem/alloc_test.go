@@ -15,11 +15,12 @@ import (
 )
 
 // fanoutAllocBudget bounds one multicast transmission delivered to 16
-// receivers, steady state: UDP marshal + one shared decode (which copies
-// no payload) + one delivery closure and one UDP view per receiver.
-// Measured 33; a per-receiver payload copy adds 16 and breaks the budget,
-// a per-receiver decode far more.
-const fanoutAllocBudget = 40
+// receivers, steady state: the link's one shared decode, which copies no
+// payload. Delivery events are typed and pooled and the UDP view is a
+// value, so nothing is allocated per receiver. Measured 1; a delivery
+// closure or a heap UDP view per receiver adds 16, a per-receiver decode
+// far more.
+const fanoutAllocBudget = 1
 
 func TestFanoutDeliveryAllocBudget(t *testing.T) {
 	s := sim.NewScheduler(1)
@@ -36,7 +37,7 @@ func TestFanoutDeliveryAllocBudget(t *testing.T) {
 		m := net.NewNode("m", false)
 		im := m.AddInterface(link)
 		im.JoinGroup(g)
-		m.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+		m.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	}
 	u := &ipv6.UDP{SrcPort: 9, DstPort: 9, Payload: make([]byte, 256)}
 	pkt := &ipv6.Packet{
@@ -65,17 +66,18 @@ func TestFanoutDeliveryAllocBudget(t *testing.T) {
 }
 
 // forwardAllocBudget bounds one unicast datagram sent by a host and
-// forwarded by one router, steady state: per link one decoded Packet and
-// one delivery closure, plus the destination's UDP view. The router's
-// forwarding copy lives on its stack and no payload is copied; measured 5.
-// A payload copy on either link, or a heap-allocated forwarding copy,
-// breaks it (the data plane that cloned and copied cost 10).
-const forwardAllocBudget = 5
+// forwarded by one router, steady state: one decoded Packet per link. The
+// router's forwarding copy lives on its stack, no payload is copied, and
+// delivery events and the destination's UDP view allocate nothing;
+// measured 2. A payload copy on either link, a heap-allocated forwarding
+// copy or a delivery closure breaks it (the data plane that cloned and
+// copied cost 10, the one with closures 5).
+const forwardAllocBudget = 2
 
 func TestForwardAllocBudget(t *testing.T) {
 	run, ia, ir1, b, aA, bA := forwardingNet()
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	pkt := udpTo(aA, bA, 9, string(make([]byte, 256)))
 	for i := 0; i < 8; i++ {
 		_ = ia.SendVia(pkt, ir1.LinkLocal())

@@ -86,7 +86,7 @@ func TestRoutingHeaderForwardedWhenNotOurs(t *testing.T) {
 
 	got := 0
 	var hops uint8
-	c.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) {
+	c.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 		got++
 		hops = rx.Pkt.Hdr.HopLimit
 		if rx.Pkt.Hdr.Dst != cA || rx.Pkt.Routing.SegmentsLeft != 0 {

@@ -23,7 +23,7 @@ func BenchmarkLinkDelivery(b *testing.B) {
 	ia.AddAddr(aA)
 	ic.AddAddr(cA)
 	got := 0
-	c.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	c.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	u := &ipv6.UDP{SrcPort: 9, DstPort: 9, Payload: make([]byte, 512)}
 	pkt := &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: aA, Dst: cA, HopLimit: 64},
@@ -49,7 +49,7 @@ func BenchmarkLinkDelivery(b *testing.B) {
 func BenchmarkUnicastForward(b *testing.B) {
 	run, ia, ir1, c, aA, cA := forwardingNet()
 	got := 0
-	c.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	c.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	pkt := udpTo(aA, cA, 9, string(make([]byte, 512)))
 	b.SetBytes(int64(pkt.WireLen()))
 	b.ReportAllocs()
@@ -81,7 +81,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 		m := net.NewNode("m", false)
 		im := m.AddInterface(link)
 		im.JoinGroup(g)
-		m.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+		m.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	}
 	u := &ipv6.UDP{SrcPort: 9, DstPort: 9, Payload: make([]byte, 256)}
 	pkt := &ipv6.Packet{
@@ -117,7 +117,7 @@ func BenchmarkFragmentationPath(b *testing.B) {
 	ia.AddAddr(aA)
 	ic.AddAddr(cA)
 	got := 0
-	c.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	c.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	u := &ipv6.UDP{SrcPort: 9, DstPort: 9, Payload: make([]byte, 4000)}
 	pkt := &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: aA, Dst: cA, HopLimit: 64},
@@ -161,7 +161,7 @@ func BenchmarkImpairmentFanout(b *testing.B) {
 			m := net.NewNode("m", false)
 			im := m.AddInterface(link)
 			im.JoinGroup(g)
-			m.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+			m.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 		}
 		u := &ipv6.UDP{SrcPort: 9, DstPort: 9, Payload: make([]byte, 256)}
 		pkt := &ipv6.Packet{

@@ -85,7 +85,7 @@ func (imp *Impairment) reorderDelay(l *Link) time.Duration {
 // impairedDeliver schedules one (possibly jittered, reordered, corrupted
 // and/or duplicated) delivery. The caller has already charged Delivered for
 // the primary copy; duplicates are charged here. Loss was already decided.
-func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, frame []byte, decErr error, unicast bool) {
+func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, frame []byte, raw *rawFrame, unicast bool) {
 	s := l.scheduler()
 	imp := l.Impair
 
@@ -107,13 +107,13 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 			// reliably fails (the "malformed" drop path).
 			data[0] ^= 0xf0
 		}
-		l.deliverRaw(ifc, home, at, data, unicast)
-	} else if decErr == nil {
+		l.deliverRaw(ifc, home, at, &rawFrame{data: data}, unicast)
+	} else if raw == nil {
 		l.deliverPkt(ifc, home, at, pkt, unicast)
 	} else {
 		// Sender handed us an undecodable frame: transmit already keeps
 		// the buffer alive (recyclable=false), so sharing it is safe.
-		l.deliverRaw(ifc, home, at, frame, unicast)
+		l.deliverRaw(ifc, home, at, raw, unicast)
 	}
 
 	if imp.DupProb > 0 && s.RandFor("netem-impair").Float64() < imp.DupProb {
@@ -121,10 +121,10 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 		l.DupDeliveries++
 		l.Delivered++
 		l.DeliveredBytes += frameLen
-		if decErr == nil {
+		if raw == nil {
 			l.deliverPkt(ifc, home, at, pkt, unicast)
 		} else {
-			l.deliverRaw(ifc, home, at, frame, unicast)
+			l.deliverRaw(ifc, home, at, raw, unicast)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func newImpairRig(seed int64) *impairRig {
 		m := net.NewNode(fmt.Sprintf("m%d", i), false)
 		im := m.AddInterface(r.link)
 		im.JoinGroup(r.g)
-		m.BindUDP(9, func(_ RxPacket, u *ipv6.UDP) {
+		m.BindUDP(9, func(_ RxPacket, u ipv6.UDP) {
 			r.got++
 			var seq int
 			if _, err := fmt.Sscanf(string(u.Payload), "seq=%d", &seq); err == nil {

@@ -23,7 +23,7 @@ func TestLossRateDropsApproximately(t *testing.T) {
 	ib.AddAddr(bA)
 
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	const n = 2000
 	for i := 0; i < n; i++ {
 		a.OutputOn(ia, udpTo(aA, bA, 9, "x"))
@@ -58,7 +58,7 @@ func TestLossIsPerReceiver(t *testing.T) {
 		m := net.NewNode([]string{"m1", "m2"}[i], false)
 		im := m.AddInterface(link)
 		im.JoinGroup(g)
-		m.BindUDP(9, func(RxPacket, *ipv6.UDP) { counts[i]++ })
+		m.BindUDP(9, func(RxPacket, ipv6.UDP) { counts[i]++ })
 	}
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -94,7 +94,7 @@ func TestZeroLossDeliversAll(t *testing.T) {
 	ia.AddAddr(aA)
 	ib.AddAddr(bA)
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	for i := 0; i < 500; i++ {
 		a.OutputOn(ia, udpTo(aA, bA, 9, "x"))
 	}

@@ -37,7 +37,7 @@ func TestSourceFragmentationEndToEnd(t *testing.T) {
 	ib.AddAddr(bA)
 
 	var got []byte
-	b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) { got = u.Payload })
+	b.BindUDP(9, func(rx RxPacket, u ipv6.UDP) { got = u.Payload })
 
 	pkt := bigUDP(aA, bA, 9, 4000)
 	want := make([]byte, 4000)
@@ -79,7 +79,7 @@ func TestRouterForwardsFragments(t *testing.T) {
 	r.Routes = staticRoutes{out: ir2, via: bA}
 
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	// Source fragments; the router forwards each fragment unchanged.
 	pkt := bigUDP(aA, bA, 9, 3000)
 	ia.SendVia(pkt, ir1.LinkLocal())
@@ -115,7 +115,7 @@ func TestRouterDropsTooBigItCannotFragment(t *testing.T) {
 	r.Routes = staticRoutes{out: ir2, via: bA}
 
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	ia.SendVia(bigUDP(aA, bA, 9, 4000), ir1.LinkLocal())
 	s.Run()
 	if got != 0 {
@@ -144,7 +144,7 @@ func TestFragmentLossLeavesNoDelivery(t *testing.T) {
 	ib.AddAddr(bA)
 
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	const n = 500
 	for i := 0; i < n; i++ {
 		a.OutputOn(ia, bigUDP(aA, bA, 9, 2500)) // 2 fragments each

@@ -1,8 +1,10 @@
 // Package netem emulates the network the protocols run on: multi-access
 // links (broadcast domains) with bandwidth and propagation delay, node
 // interfaces with multicast filtering, and nodes with a protocol dispatch
-// stack. Frames on links are encoded IPv6 datagrams; every receiver
-// re-parses them, so the ipv6 codecs are on the data path.
+// stack. Frames on links are encoded IPv6 datagrams, so the ipv6 codecs are
+// on the data path: a link encodes each transmission once and decodes it
+// once, and every receiver and tap shares the decoded packet (DESIGN.md
+// §5.1).
 //
 // Layer 2 is modeled minimally: a frame is addressed either to a specific
 // interface (unicast) or to a group (multicast filtering at the receiver).
@@ -346,6 +348,10 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 	}
 
 	unicast := l2dst != nil
+	var raw *rawFrame
+	if decErr != nil {
+		raw = &rawFrame{data: frame}
+	}
 	// Delivery events carry the "link" handler tag: wall time spent
 	// receiving and dispatching frames is attributed to the wire, while
 	// timers armed by protocol handlers retag themselves (see sim.PushTag).
@@ -369,15 +375,14 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 			}
 			l.Delivered++
 			l.DeliveredBytes += frameLen
-			ifc := ifc
 			if imp != nil {
-				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, frame, decErr, unicast)
+				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, frame, raw, unicast)
 				continue
 			}
-			if decErr == nil {
+			if raw == nil {
 				l.deliverPkt(ifc, home, arrive, pkt, unicast)
 			} else {
-				l.deliverRaw(ifc, home, arrive, frame, unicast)
+				l.deliverRaw(ifc, home, arrive, raw, unicast)
 			}
 		}
 	}
@@ -394,21 +399,35 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 // half of a split link, the event travels as a cross-region message and the
 // packet crosses regions as immutable shared data.
 func (l *Link) deliverPkt(ifc *Interface, home *Link, at sim.Time, pkt *ipv6.Packet, unicast bool) {
-	l.scheduler().Post(ifc.Node.Sched(), at, func() {
-		if ifc.up && ifc.Link == home {
-			ifc.Node.receivePacket(ifc, pkt, unicast)
-		}
-	})
+	l.scheduler().Deliver(ifc.Node.Sched(), at, sim.Delivery{To: frameReceiver{}, A: ifc, B: home, C: pkt, Flag: unicast})
 }
 
-// deliverRaw arms delivery of raw bytes (decode happens at the receiver,
-// where failure is counted as a "malformed" drop).
-func (l *Link) deliverRaw(ifc *Interface, home *Link, at sim.Time, data []byte, unicast bool) {
-	l.scheduler().Post(ifc.Node.Sched(), at, func() {
-		if ifc.up && ifc.Link == home {
-			ifc.Node.receive(ifc, data, unicast)
-		}
-	})
+// rawFrame carries bytes that did not decode at transmit to a receiver,
+// which decodes them again and counts the failure as a "malformed" drop.
+type rawFrame struct{ data []byte }
+
+// deliverRaw arms delivery of a raw frame.
+func (l *Link) deliverRaw(ifc *Interface, home *Link, at sim.Time, raw *rawFrame, unicast bool) {
+	l.scheduler().Deliver(ifc.Node.Sched(), at, sim.Delivery{To: frameReceiver{}, A: ifc, B: home, C: raw, Flag: unicast})
+}
+
+// frameReceiver runs the delivery events deliverPkt and deliverRaw arm: A
+// is the receiving *Interface, B its home *Link, C the *ipv6.Packet (or
+// *rawFrame), Flag whether the frame was link-layer unicast. A receiver that
+// went down or moved off the link while the frame was in flight misses it.
+type frameReceiver struct{}
+
+func (frameReceiver) Receive(d sim.Delivery) {
+	ifc := d.A.(*Interface)
+	if !ifc.up || ifc.Link != d.B.(*Link) {
+		return
+	}
+	switch c := d.C.(type) {
+	case *ipv6.Packet:
+		ifc.Node.receivePacket(ifc, c, d.Flag)
+	case *rawFrame:
+		ifc.Node.receive(ifc, c.data, d.Flag)
+	}
 }
 
 // Attach connects iface to this link (used by Node.AddInterface and by

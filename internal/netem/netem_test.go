@@ -36,7 +36,7 @@ func TestOnLinkUnicastDelivery(t *testing.T) {
 
 	var got string
 	var at sim.Time
-	b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) {
+	b.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 		got = string(u.Payload)
 		at = s.Now()
 	})
@@ -64,9 +64,9 @@ func TestUnicastNotDeliveredToBystander(t *testing.T) {
 	ia.AddAddr(ipv6.MustParseAddr("2001:db8:1::a"))
 
 	cGot := false
-	c.BindUDP(9, func(RxPacket, *ipv6.UDP) { cGot = true })
+	c.BindUDP(9, func(RxPacket, ipv6.UDP) { cGot = true })
 	bGot := false
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { bGot = true })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { bGot = true })
 
 	a.OutputOn(ia, udpTo(ipv6.MustParseAddr("2001:db8:1::a"), ipv6.MustParseAddr("2001:db8:1::b"), 9, "x"))
 	s.Run()
@@ -92,8 +92,8 @@ func TestMulticastFilterDelivery(t *testing.T) {
 	i1.JoinGroup(g)
 
 	got1, got2 := 0, 0
-	m1.BindUDP(9, func(RxPacket, *ipv6.UDP) { got1++ })
-	m2.BindUDP(9, func(RxPacket, *ipv6.UDP) { got2++ })
+	m1.BindUDP(9, func(RxPacket, ipv6.UDP) { got1++ })
+	m2.BindUDP(9, func(RxPacket, ipv6.UDP) { got2++ })
 
 	sAddr := ipv6.MustParseAddr("2001:db8:1::1")
 	isrc.AddAddr(sAddr)
@@ -139,7 +139,7 @@ func TestRouterAllMulticast(t *testing.T) {
 	ih.AddAddr(hAddr)
 
 	seen := 0
-	r.BindUDP(9, func(RxPacket, *ipv6.UDP) { seen++ })
+	r.BindUDP(9, func(RxPacket, ipv6.UDP) { seen++ })
 	g := ipv6.MustParseAddr("ff0e::42")
 	h.OutputOn(ih, udpTo(hAddr, g, 9, "x"))
 	s.Run()
@@ -214,7 +214,7 @@ func TestUnicastForwarding(t *testing.T) {
 	run, ia, ir1, b, aA, bA := forwardingNet()
 	var gotHL uint8
 	var got []byte
-	b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) { gotHL, got = rx.Pkt.Hdr.HopLimit, u.Payload })
+	b.BindUDP(9, func(rx RxPacket, u ipv6.UDP) { gotHL, got = rx.Pkt.Hdr.HopLimit, u.Payload })
 
 	pkt := udpTo(aA, bA, 9, "fwd")
 	// Host a sends via router (L2 to router's l1 interface).
@@ -278,7 +278,7 @@ func TestForwardingDropsAtHopLimit(t *testing.T) {
 	r.Routes = staticRoutes{out: ir2, via: bA}
 
 	got := false
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got = true })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got = true })
 	pkt := udpTo(ipv6.MustParseAddr("2001:db8:1::a"), bA, 9, "x")
 	pkt.Hdr.HopLimit = 1
 	ia.SendVia(pkt, ir1.LinkLocal())
@@ -305,7 +305,7 @@ func TestLinkLocalNotForwarded(t *testing.T) {
 	r.Routes = staticRoutes{out: ir2, via: ib.LinkLocal()}
 
 	got := false
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got = true })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got = true })
 	src := ipv6.MustParseAddr("2001:db8:1::a")
 	pkt := udpTo(src, ib.LinkLocal(), 9, "x")
 	ia.SendVia(pkt, ir1.LinkLocal())
@@ -346,7 +346,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	ib.AddAddr(bA)
 
 	var arrivals []sim.Time
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { arrivals = append(arrivals, s.Now()) })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { arrivals = append(arrivals, s.Now()) })
 
 	// Two back-to-back frames of exactly 100 bytes (40 hdr + 8 udp + 52 pay).
 	pay := make([]byte, 52)
@@ -419,7 +419,7 @@ func TestMoveDetachesAndNotifies(t *testing.T) {
 	}
 	// Frames sent on l1 to the moved node are now lost.
 	got := false
-	m.BindUDP(9, func(RxPacket, *ipv6.UDP) { got = true })
+	m.BindUDP(9, func(RxPacket, ipv6.UDP) { got = true })
 	src.OutputOn(isrc, udpTo(sA, mA, 9, "gone"))
 	s.Run()
 	if got {
@@ -448,7 +448,7 @@ func TestDeliveryAfterMoveIsSuppressed(t *testing.T) {
 	im.AddAddr(mA)
 
 	got := false
-	m.BindUDP(9, func(RxPacket, *ipv6.UDP) { got = true })
+	m.BindUDP(9, func(RxPacket, ipv6.UDP) { got = true })
 	src.OutputOn(isrc, udpTo(sA, mA, 9, "in flight"))
 	s.Schedule(10*time.Millisecond, func() { net.Move(im, l2) })
 	s.Run()
@@ -470,7 +470,7 @@ func TestOutputFallbackDirect(t *testing.T) {
 	ib.AddAddr(bA)
 
 	got := false
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got = true })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got = true })
 	// No route table: Output should resolve on-link directly.
 	if err := a.Output(udpTo(aA, bA, 9, "direct")); err != nil {
 		t.Fatal(err)

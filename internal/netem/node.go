@@ -30,16 +30,24 @@ type RxPacket struct {
 }
 
 // ProtoHandler processes a locally-delivered packet of one upper-layer
-// protocol (ICMPv6, PIM, IPv6-in-IPv6...).
+// protocol (PIM, IPv6-in-IPv6...). ICMPv6 and UDP have their own
+// dispatch: see ICMPHandler and UDPHandler.
 type ProtoHandler func(rx RxPacket)
+
+// ICMPHandler processes one locally-delivered ICMPv6 message of the type it
+// was registered for. The node parsed and checksum-verified the message
+// once for all of that type's handlers; m's byte fields alias rx.Pkt's
+// shared payload and must not be changed.
+type ICMPHandler func(rx RxPacket, m icmpv6.Msg)
 
 // OptionHandler processes one destination option of a locally-delivered
 // packet, before upper-layer dispatch. It reports whether it recognized the
 // option. Mobile IPv6 modules register handlers for the binding options.
 type OptionHandler func(rx RxPacket, opt ipv6.Option) bool
 
-// UDPHandler receives datagrams for a bound UDP port.
-type UDPHandler func(rx RxPacket, u *ipv6.UDP)
+// UDPHandler receives datagrams for a bound UDP port. u.Payload shares
+// rx.Pkt's payload and must not be changed.
+type UDPHandler func(rx RxPacket, u ipv6.UDP)
 
 // MulticastForwarder is the multicast routing engine's hook: every routable
 // (greater-than-link-scope) multicast packet arriving at a router is offered
@@ -74,6 +82,7 @@ type Node struct {
 	Drops map[string]int
 
 	protoHandlers   map[uint8][]ProtoHandler
+	icmpHandlers    []icmpBinding // registration order
 	optionHandlers  []OptionHandler
 	udpSocks        map[uint16][]UDPHandler
 	attachListeners []func(*Interface)
@@ -128,7 +137,7 @@ func (n *Node) sendPacketTooBig(pkt *ipv6.Packet, frame []byte, mtu int) {
 	if src.IsUnspecified() {
 		return
 	}
-	ptb := &icmpv6.PacketTooBig{MTU: uint32(mtu), Invoking: frame}
+	ptb := icmpv6.PacketTooBig{MTU: uint32(mtu), Invoking: frame}
 	out := &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: src, Dst: pkt.Hdr.Src, HopLimit: ipv6.DefaultHopLimit},
 		Proto:   ipv6.ProtoICMPv6,
@@ -138,26 +147,19 @@ func (n *Node) sendPacketTooBig(pkt *ipv6.Packet, frame []byte, mtu int) {
 	_ = n.Output(out)
 }
 
-// handlePacketTooBig updates the path-MTU cache from a received error. It
-// reports whether the packet was a Packet Too Big message.
-func (n *Node) handlePacketTooBig(rx RxPacket) bool {
+// handlePacketTooBig updates the path-MTU cache from a received Packet Too
+// Big error.
+func (n *Node) handlePacketTooBig(rx RxPacket) {
 	p := rx.Pkt
-	if p.Proto != ipv6.ProtoICMPv6 || len(p.Payload) == 0 || p.Payload[0] != icmpv6.TypePacketTooBig {
-		return false
-	}
 	msg, err := icmpv6.Parse(p.Hdr.Src, p.Hdr.Dst, p.Payload)
-	if err != nil {
-		return true
-	}
-	ptb, ok := msg.(*icmpv6.PacketTooBig)
-	if !ok || len(ptb.Invoking) < ipv6.HeaderLen {
-		return true
+	if err != nil || len(msg.PTB.Invoking) < ipv6.HeaderLen {
+		return
 	}
 	// The original destination sits at bytes 24..40 of the invoking
 	// packet's header.
 	var dst ipv6.Addr
-	copy(dst[:], ptb.Invoking[24:40])
-	mtu := int(ptb.MTU)
+	copy(dst[:], msg.PTB.Invoking[24:40])
+	mtu := int(msg.PTB.MTU)
 	if mtu < ipv6.MinMTU {
 		mtu = ipv6.MinMTU
 	}
@@ -167,7 +169,6 @@ func (n *Node) handlePacketTooBig(rx RxPacket) bool {
 	if cur, exists := n.pathMTU[dst]; !exists || mtu < cur {
 		n.pathMTU[dst] = mtu
 	}
-	return true
 }
 
 // PathMTU returns the learned path MTU toward dst (0 if none learned).
@@ -208,9 +209,29 @@ func (n *Node) AddInterface(link *Link) *Interface {
 }
 
 // HandleProto registers a handler for locally-delivered packets of the given
-// upper-layer protocol. Multiple handlers may register; all run.
+// upper-layer protocol. Multiple handlers may register; all run. ICMPv6
+// and UDP are dispatched by HandleICMP and BindUDP instead.
 func (n *Node) HandleProto(proto uint8, h ProtoHandler) {
+	if proto == ipv6.ProtoICMPv6 || proto == ipv6.ProtoUDP {
+		panic(fmt.Sprintf("netem: %s: HandleProto(%d): use HandleICMP or BindUDP", n.Name, proto))
+	}
 	n.protoHandlers[proto] = append(n.protoHandlers[proto], h)
+}
+
+// icmpBinding is one HandleICMP registration.
+type icmpBinding struct {
+	typ uint8
+	h   ICMPHandler
+}
+
+// HandleICMP registers h for locally-delivered ICMPv6 messages of type typ.
+// The node parses and checksums each message once, then runs only its
+// type's handlers, in registration order; a message that does not parse
+// reaches none, and a type no handler is registered for is never parsed.
+// Packet Too Big is the node's own: it updates the path-MTU cache and is
+// offered to no handler.
+func (n *Node) HandleICMP(typ uint8, h ICMPHandler) {
+	n.icmpHandlers = append(n.icmpHandlers, icmpBinding{typ: typ, h: h})
 }
 
 // HandleOptions registers a destination-option processor.
@@ -405,10 +426,9 @@ func (n *Node) deliverLocal(rx RxPacket) {
 			fn(rx)
 		}
 	}
-	if n.handlePacketTooBig(rx) {
-		return
-	}
 	switch rx.Pkt.Proto {
+	case ipv6.ProtoICMPv6:
+		n.deliverICMP(rx)
 	case ipv6.ProtoUDP:
 		u, err := ipv6.ParseUDP(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
 		if err != nil {
@@ -432,6 +452,43 @@ func (n *Node) deliverLocal(rx RxPacket) {
 			h(rx)
 		}
 	}
+}
+
+// deliverICMP demultiplexes a locally-delivered ICMPv6 packet by type (see
+// HandleICMP). A node with no ICMPv6 handler at all drops it as
+// "proto-unbound"; a type the node has handlers for others of is ignored.
+func (n *Node) deliverICMP(rx RxPacket) {
+	p := rx.Pkt.Payload
+	if len(p) > 0 && p[0] == icmpv6.TypePacketTooBig {
+		n.handlePacketTooBig(rx)
+		return
+	}
+	if len(n.icmpHandlers) == 0 {
+		n.drop("proto-unbound")
+		return
+	}
+	if len(p) == 0 || !n.handlesICMP(p[0]) {
+		return
+	}
+	m, err := icmpv6.Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, p)
+	if err != nil {
+		return
+	}
+	for _, b := range n.icmpHandlers {
+		if b.typ == m.Type {
+			b.h(rx, m)
+		}
+	}
+}
+
+// handlesICMP reports whether a handler is registered for ICMPv6 type typ.
+func (n *Node) handlesICMP(typ uint8) bool {
+	for _, b := range n.icmpHandlers {
+		if b.typ == typ {
+			return true
+		}
+	}
+	return false
 }
 
 func (n *Node) forwardUnicast(rx RxPacket) {
@@ -507,6 +564,7 @@ func (n *Node) Crash() {
 	}
 	n.Forwarder = nil
 	n.protoHandlers = map[uint8][]ProtoHandler{}
+	n.icmpHandlers = nil
 	n.optionHandlers = nil
 	n.udpSocks = map[uint16][]UDPHandler{}
 	n.attachListeners = nil

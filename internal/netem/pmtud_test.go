@@ -64,7 +64,7 @@ func TestPathMTUDiscovery(t *testing.T) {
 	bA := ipv6.MustParseAddr("2001:db8:2::b")
 
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 
 	// First big datagram: the wide link passes it whole, the router drops
 	// it at the narrow link and reports Packet Too Big.

@@ -40,13 +40,13 @@ func TestSplitLinkDelivery(t *testing.T) {
 	bAddr := ipv6.MustParseAddr("2001:db8:1::b")
 
 	var bGot []string
-	b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) {
+	b.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 		bGot = append(bGot, fmt.Sprintf("%v:%s", b.Sched().Now(), u.Payload))
 		// Reply crosses back over the same split link.
 		_ = b.OutputOn(b.Ifaces[0], udpTo(bAddr, aAddr, 9, "re-"+string(u.Payload)))
 	})
 	var aGot []string
-	a.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) {
+	a.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 		aGot = append(aGot, fmt.Sprintf("%v:%s", a.Sched().Now(), u.Payload))
 	})
 
@@ -81,10 +81,10 @@ func TestSplitLinkDeterministicAcrossWorkers(t *testing.T) {
 		bAddr := ipv6.MustParseAddr("2001:db8:1::b")
 
 		var logA, logB []string
-		a.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) {
+		a.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 			logA = append(logA, fmt.Sprintf("a@%v:%s", a.Sched().Now(), u.Payload))
 		})
-		b.BindUDP(9, func(rx RxPacket, u *ipv6.UDP) {
+		b.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 			logB = append(logB, fmt.Sprintf("b@%v:%s", b.Sched().Now(), u.Payload))
 		})
 		for i := 0; i < 50; i++ {
@@ -119,7 +119,7 @@ func TestSplitLinkDownAndMoveGuard(t *testing.T) {
 	aAddr := ipv6.MustParseAddr("2001:db8:1::a")
 	bAddr := ipv6.MustParseAddr("2001:db8:1::b")
 	got := 0
-	b.BindUDP(9, func(RxPacket, *ipv6.UDP) { got++ })
+	b.BindUDP(9, func(RxPacket, ipv6.UDP) { got++ })
 	x.SetUp(false)
 	a.Sched().Schedule(0, func() {
 		_ = a.OutputOn(a.Ifaces[0], udpTo(aAddr, bAddr, 9, "x"))

@@ -90,7 +90,7 @@ func (f *fig1) addReceiver(name, link string) (*netem.Node, *mld.Host, *func() i
 	h.Join(ifc, group)
 	count := 0
 	var times []sim.Time
-	n.BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) {
+	n.BindUDP(9000, func(netem.RxPacket, ipv6.UDP) {
 		count++
 		times = append(times, f.s.Now())
 	})
@@ -217,7 +217,7 @@ func TestGraftReconnectsPrunedLink(t *testing.T) {
 	n := f.net.NewNode("late", false)
 	ifc := n.AddInterface(f.links["L6"])
 	h := mld.NewHost(n, mld.DefaultHostConfig())
-	n.BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) {
+	n.BindUDP(9000, func(netem.RxPacket, ipv6.UDP) {
 		if firstData == 0 {
 			firstData = f.s.Now()
 		}
@@ -340,7 +340,7 @@ func testAssertElectsSingleForwarder(t *testing.T, newEngine func(*netem.Node, e
 	mh := mld.NewHost(m, mld.DefaultHostConfig())
 	mh.Join(mifc, group)
 	received := 0
-	m.BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) { received++ })
+	m.BindUDP(9000, func(netem.RxPacket, ipv6.UDP) { received++ })
 
 	// Source on L0.
 	src := net.NewNode("src", false)
@@ -434,7 +434,7 @@ func TestJoinOverrideBetweenSiblings(t *testing.T) {
 		h := mld.NewHost(m, mld.DefaultHostConfig())
 		h.Join(ifc, group)
 		n := new(int)
-		m.BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) { (*n)++ })
+		m.BindUDP(9000, func(netem.RxPacket, ipv6.UDP) { (*n)++ })
 		return h, ifc, n
 	}
 	h2, i2, got2 := addMember("m2", links[2], 2)
@@ -521,7 +521,7 @@ func TestAssertStabilityOverExpiryCycles(t *testing.T) {
 	mifc.AddAddr(ipv6.MustParseAddr("2001:db8:11::99"))
 	mld.NewHost(m, mld.DefaultHostConfig()).Join(mifc, group)
 	received := 0
-	m.BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) { received++ })
+	m.BindUDP(9000, func(netem.RxPacket, ipv6.UDP) { received++ })
 
 	src := net.NewNode("src", false)
 	sifc := src.AddInterface(l0)
@@ -709,7 +709,7 @@ func TestNodeLocalMembership(t *testing.T) {
 	f := newFig1(13, pimdm.DefaultConfig(), mld.FastConfig(30*time.Second))
 	f.addSender("s0", "L1", 100*time.Millisecond)
 	received := 0
-	f.routers["D"].BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) { received++ })
+	f.routers["D"].BindUDP(9000, func(netem.RxPacket, ipv6.UDP) { received++ })
 	f.engines["D"].AddLocalMember(group)
 	f.s.RunUntil(sim.Time(30 * time.Second))
 	if received < 250 {
@@ -735,7 +735,7 @@ func TestCoexistenceWithMLDQuerier(t *testing.T) {
 			return
 		}
 		if m, err := icmpv6.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload); err == nil {
-			if mm, ok := m.(*icmpv6.MLD); ok && mm.Kind == icmpv6.TypeMLDQuery {
+			if m.Type == icmpv6.TypeMLDQuery {
 				queries++
 			}
 		}

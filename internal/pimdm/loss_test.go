@@ -28,7 +28,7 @@ func TestGraftRetransmissionUnderLoss(t *testing.T) {
 	n := f.net.NewNode("late", false)
 	ifc := n.AddInterface(f.links["L6"])
 	h := mld.NewHost(n, mld.DefaultHostConfig())
-	n.BindUDP(9000, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	n.BindUDP(9000, func(netem.RxPacket, ipv6.UDP) { got++ })
 	f.s.Schedule(0, func() { h.Join(ifc, group) })
 	f.s.RunUntil(sim.Time(3 * time.Minute))
 

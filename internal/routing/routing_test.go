@@ -91,7 +91,7 @@ func TestEndToEndForwardingAcrossFigure1(t *testing.T) {
 	d.Recompute()
 
 	var gotHL uint8
-	h6.BindUDP(7, func(rx netem.RxPacket, u *ipv6.UDP) { gotHL = rx.Pkt.Hdr.HopLimit })
+	h6.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) { gotHL = rx.Pkt.Hdr.HopLimit })
 
 	u := &ipv6.UDP{SrcPort: 1, DstPort: 7, Payload: []byte("far")}
 	pkt := &ipv6.Packet{
@@ -123,7 +123,7 @@ func TestHostTableFollowsMovement(t *testing.T) {
 	d.Recompute()
 
 	count := 0
-	peer.BindUDP(7, func(netem.RxPacket, *ipv6.UDP) { count++ })
+	peer.BindUDP(7, func(netem.RxPacket, ipv6.UDP) { count++ })
 	send := func(src ipv6.Addr) {
 		u := &ipv6.UDP{SrcPort: 1, DstPort: 7, Payload: []byte("x")}
 		m.Output(&ipv6.Packet{

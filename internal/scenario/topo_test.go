@@ -50,7 +50,7 @@ func TestLineTopologyEndToEnd(t *testing.T) {
 
 	got := 0
 	var hops int
-	dst.Node.BindUDP(WorkloadPort, func(rx netem.RxPacket, u *ipv6.UDP) {
+	dst.Node.BindUDP(WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 		got++
 		hops = int(ipv6.DefaultHopLimit - rx.Pkt.Hdr.HopLimit)
 	})
@@ -84,7 +84,7 @@ func TestLinePruningAtDepth(t *testing.T) {
 		t.Fatalf("tail link carried %d data frames; prune failed at depth", tail)
 	}
 	got := 0
-	mid.Node.BindUDP(WorkloadPort, func(netem.RxPacket, *ipv6.UDP) { got++ })
+	mid.Node.BindUDP(WorkloadPort, func(netem.RxPacket, ipv6.UDP) { got++ })
 	f.Run(10 * time.Second)
 	if got < 80 {
 		t.Fatalf("mid host got %d", got)
@@ -176,7 +176,7 @@ func TestTunnelStretchGrowsWithDepth(t *testing.T) {
 		m.MN.OnDecap = func(outer, inner *ipv6.Packet) {
 			outerHops = int(ipv6.DefaultHopLimit - outer.Hdr.HopLimit)
 		}
-		m.Node.BindUDP(7, func(rx netem.RxPacket, u *ipv6.UDP) {
+		m.Node.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) {
 			select {
 			case got <- outerHops:
 			default:

@@ -99,7 +99,7 @@ func (c *CBR) BitRate() float64 {
 // current tunnel leg (0 for direct delivery); pass nil when the host never
 // receives tunneled traffic.
 func AttachProbe(node *netem.Node, s *sim.Scheduler, flow uint16, probe *metrics.FlowProbe, outerHops func() int) {
-	node.BindUDP(WorkloadPort, func(rx netem.RxPacket, u *ipv6.UDP) {
+	node.BindUDP(WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 		b, ok := ParseBeacon(u.Payload)
 		if !ok || b.Flow != flow {
 			return

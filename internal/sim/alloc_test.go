@@ -105,3 +105,31 @@ func TestTickerAllocFree(t *testing.T) {
 		t.Errorf("Ticker tick/SetPeriod allocates %v objects/op with a warm pool; want 0", allocs)
 	}
 }
+
+// nopReceiver runs typed deliveries and does nothing.
+type nopReceiver struct{}
+
+func (nopReceiver) Receive(Delivery) {}
+
+// TestDeliverAllocFree pins the typed delivery event: with pointer
+// operands, Deliver + Step allocates nothing, within a region and through
+// a cross-region outbox and the barrier's merge.
+func TestDeliverAllocFree(t *testing.T) {
+	a, b := NewScheduler(1), NewScheduler(2)
+	k := NewKernel([]*Scheduler{a, b}, time.Millisecond, 1)
+	op := new(int)
+	round := func() {
+		d := Delivery{To: nopReceiver{}, A: a, B: b, C: op, Flag: true}
+		a.Deliver(a, a.Now().Add(time.Millisecond), d)
+		a.Deliver(b, b.Now().Add(time.Millisecond), d)
+		k.drainOutboxes()
+		a.Step()
+		b.Step()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Errorf("Deliver+dispatch allocates %v objects/op with a warm pool; want 0", allocs)
+	}
+}

@@ -219,3 +219,53 @@ func TestKernelTimerResetAcrossWorkers(t *testing.T) {
 		t.Fatalf("workers 1 and 4 diverge:\n--- w1\n%.2000s\n--- w4\n%.2000s", w1, w4)
 	}
 }
+
+// logReceiver records each delivery as "<region>@<time>:<label> tag=<tag>",
+// with the scheduler in operand A and the label in operand B.
+type logReceiver struct{ log *[]string }
+
+func (r logReceiver) Receive(d Delivery) {
+	s := d.A.(*Scheduler)
+	*r.log = append(*r.log, fmt.Sprintf("r%d@%v:%s tag=%s", s.Region(), s.Now(), d.B, s.curTag))
+}
+
+// TestDeliverOrdersLikePost: a typed delivery takes the place a closure
+// posted at the same point would take — same time, same order among the
+// events around it, same tag — within a region and across regions.
+func TestDeliverOrdersLikePost(t *testing.T) {
+	run := func(typed bool) []string {
+		a, b := NewScheduler(1), NewScheduler(2)
+		k := NewKernel([]*Scheduler{a, b}, 5*time.Millisecond, 2)
+		var logA, logB []string
+		post := func(src, dst *Scheduler, log *[]string, at Time, label string) {
+			if typed {
+				src.Deliver(dst, at, Delivery{To: logReceiver{log}, A: dst, B: label})
+				return
+			}
+			src.Post(dst, at, func() {
+				*log = append(*log, fmt.Sprintf("r%d@%v:%s tag=%s", dst.Region(), dst.Now(), label, dst.curTag))
+			})
+		}
+		a.Schedule(0, func() {
+			for i := 0; i < 6; i++ {
+				prev := a.PushTag(fmt.Sprintf("t%d", i%3))
+				at := a.Now().Add(10*time.Millisecond + time.Duration(i%2)*time.Millisecond)
+				post(a, b, &logB, at, fmt.Sprintf("x%d", i))
+				post(a, a, &logA, at, fmt.Sprintf("l%d", i))
+				// Closures around the deliveries at the same instants.
+				a.Post(b, at, func() { logB = append(logB, fmt.Sprintf("r1@%v:closure tag=%s", b.Now(), b.curTag)) })
+				a.At(at, func() { logA = append(logA, fmt.Sprintf("r0@%v:closure tag=%s", a.Now(), a.curTag)) })
+				a.PopTag(prev)
+			}
+		})
+		k.RunUntil(Time(50 * time.Millisecond))
+		return append(logA, logB...)
+	}
+	closures, typed := run(false), run(true)
+	if len(closures) != 4*6 {
+		t.Fatalf("closure run logged %d events, want 24", len(closures))
+	}
+	if strings.Join(closures, "\n") != strings.Join(typed, "\n") {
+		t.Fatalf("typed deliveries ran differently:\nclosures:\n%s\ntyped:\n%s", strings.Join(closures, "\n"), strings.Join(typed, "\n"))
+	}
+}

@@ -98,24 +98,23 @@ func classify(pkt *ipv6.Packet) (kind, detail string) {
 		if err != nil {
 			return "icmp6?", ""
 		}
-		switch m := msg.(type) {
-		case *icmpv6.MLD:
-			switch m.Kind {
-			case icmpv6.TypeMLDQuery:
-				if m.IsGeneralQuery() {
-					return "mld-query", fmt.Sprintf("general maxdelay=%s", m.MaxResponseDelay)
-				}
-				return "mld-query", fmt.Sprintf("group=%s", m.MulticastAddress)
-			case icmpv6.TypeMLDReport:
-				return "mld-report", fmt.Sprintf("group=%s", m.MulticastAddress)
-			default:
-				return "mld-done", fmt.Sprintf("group=%s", m.MulticastAddress)
+		switch m := msg.MLD; msg.Type {
+		case icmpv6.TypeMLDQuery:
+			if m.IsGeneralQuery() {
+				return "mld-query", fmt.Sprintf("general maxdelay=%s", m.MaxResponseDelay)
 			}
-		case *icmpv6.RouterSolicit:
+			return "mld-query", fmt.Sprintf("group=%s", m.MulticastAddress)
+		case icmpv6.TypeMLDReport:
+			return "mld-report", fmt.Sprintf("group=%s", m.MulticastAddress)
+		case icmpv6.TypeMLDDone:
+			return "mld-done", fmt.Sprintf("group=%s", m.MulticastAddress)
+		case icmpv6.TypeRouterSolicit:
 			return "ndp-rs", ""
-		case *icmpv6.RouterAdvert:
-			if len(m.Prefixes) > 0 {
-				return "ndp-ra", fmt.Sprintf("prefix=%s/64", m.Prefixes[0].Prefix)
+		case icmpv6.TypeRouterAdvert:
+			for _, o := range msg.RA.Options() {
+				if o.Raw == nil {
+					return "ndp-ra", fmt.Sprintf("prefix=%s/64", o.Prefix.Prefix)
+				}
 			}
 			return "ndp-ra", ""
 		}

@@ -13,7 +13,8 @@ go test -race ./...
 # Allocation-regression gate. The alloc-budget tests carry //go:build !race
 # (the race runtime's instrumented allocation counts are meaningless), so the
 # race pass above skips them; run them in a plain pass here.
-go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 ./internal/routing
+go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 ./internal/routing \
+    ./internal/ndp ./internal/mld
 
 # Examples smoke: each example reads its numbers from an experiment's
 # Result (type assertions on Result.Artifact, Stats, Render), which
@@ -28,6 +29,12 @@ echo "examples smoke: every example ran to completion"
 # never panic, must re-encode to a fixed point, and must keep nothing of
 # the frame it parsed.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ipv6
+
+# ICMPv6 fuzz smoke: from the seed messages (RS, RA with one prefix and
+# with more options than a RouterAdvert holds, MLD Query/Report/Done, PTB),
+# the value parser must never panic, and any message it accepts must
+# re-marshal to the bytes it came from.
+go test -run '^$' -fuzz '^FuzzICMPv6$' -fuzztime 10s ./internal/icmpv6
 
 # Chaos determinism smoke: the full fault-injection matrix at a fixed seed
 # must produce byte-identical per-timeline JSONL traces AND a byte-identical
