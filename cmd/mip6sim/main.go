@@ -44,7 +44,7 @@ func main() {
 		progress    = flag.Bool("progress", false, "report per-timeline scheduler stats to stderr as cells complete")
 		traceOut    = flag.String("trace-out", "", "record each experiment's first timeline to <dir>/<id>.jsonl and <dir>/<id>.trace.json")
 		topoSpec    = flag.String("topo", "", "procedural topology spec for the scale experiment: family=tree+grid,routers=4+16,mns=8 (keys optional)")
-		shards      = flag.Int("shards", 0, "partition each generated topology into up to N regions run in parallel on one timeline (0/1 = sequential; Figure 1 always collapses to one region)")
+		shards      = flag.Int("shards", 0, "partition each generated topology into up to N regions run in parallel on one timeline (0/1 = one region; Figure 1 always collapses to one region)")
 		shardWkrs   = flag.Int("shard-workers", 0, "goroutines driving shard regions within a window (0 = one per region); never affects the timeline, only wall-clock")
 		coreDelay   = flag.Duration("core-delay", 0, "one-way delay override for non-LAN core links, applied at every shard count (sharded runs use it as the conservative sync lookahead; 0 = link delay)")
 		dot         = flag.Bool("dot", false, "print the -topo topology (first family, first router count) as Graphviz DOT and exit")

@@ -180,8 +180,8 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 	pending := make([]sim.Time, len(w.MNs))
 	// Delay samples accumulate per region — each slice is appended only by
 	// its own region's handlers, so parallel windows share nothing — and
-	// feed the reservoir in (region, emission) order after the run. On the
-	// sequential path that is the exact streaming Add sequence.
+	// feed the reservoir in (region, emission) order after the run. With
+	// one region that is the exact streaming Add sequence.
 	joinSamples := make([][]float64, len(f.Scheds()))
 	for i, h := range mnHosts {
 		if !w.MNs[i].Member {

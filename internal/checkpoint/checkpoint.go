@@ -79,7 +79,7 @@ func (m Meta) CacheKey() string {
 // RegionState is one region scheduler's position: how many events it
 // has executed, the next event sequence number, the position of every
 // random stream, and the pending event queue as declarative
-// (time, seq, tag) specs. Sequential runs have exactly one region.
+// (time, seq, tag) specs. An uncut network has exactly one region.
 type RegionState struct {
 	Region     int                `json:"region"`
 	Processed  uint64             `json:"processed"`

@@ -34,7 +34,7 @@ type Network struct {
 	// and once Link.transmit has decoded the frame and scheduled delivery
 	// of the shared packet, the bytes are dead and the buffer returns
 	// here. One independent pool per region — each pool is only touched by
-	// its region's (single-threaded) scheduler, so no locking; unsharded
+	// its region's (single-threaded) scheduler, so no locking; one-region
 	// networks use pool 0.
 	frameBufs [][][]byte
 }

@@ -162,7 +162,7 @@ func (r *Recorder) Shard(s *sim.Scheduler) *Recorder {
 }
 
 // For returns the recorder that events stamped by s must go through: the
-// child bound to s if one exists, else the root. Sequential runs have no
+// child bound to s if one exists, else the root. One-region runs have no
 // children, so For is the identity there. Nil-safe.
 func (r *Recorder) For(s *sim.Scheduler) *Recorder {
 	if r == nil {

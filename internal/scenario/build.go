@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"time"
 
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/mipv6"
@@ -16,8 +17,10 @@ import (
 // links in graph order (link i gets prefix 2001:db8:i+1::/64), routers
 // in graph order with interfaces in each router's declared link order,
 // unicast SPF tables, then PIM-DM / MLD / NDP engines and home agents
-// per the graph's designations. Construction order is a pure function of
-// the graph and options, so equal (graph, options, seed) always produce
+// per the graph's designations. The network always runs on a sim.Kernel
+// (Network.Kern): one region per part when Options.Shards cuts the
+// graph, a single region otherwise. Construction order is a pure function
+// of the graph and options, so equal (graph, options, seed) always produce
 // the same event timeline — NewFigure1 is pinned byte-for-byte against
 // this build by the golden-trace test.
 //
@@ -44,66 +47,61 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 	}
 
 	// Mobility groups are validated against the graph at every shard
-	// count (not just the sharded path): a spec wrong on the sequential
-	// path would start panicking the moment the same experiment is run
-	// with -shards, which is exactly the late surprise this guards against.
+	// count (not just when the graph is cut): a spec wrong on one region
+	// would start panicking the moment the same experiment is run with
+	// -shards, which is exactly the late surprise this guards against.
 	if err := topo.ValidateMobilityGroups(g, opt.MobilityGroups); err != nil {
 		panic(fmt.Sprintf("scenario: %v", err))
 	}
 
-	// Sharded path: partition the router graph into regions, one scheduler
-	// each, under a conservative kernel. A graph that collapses to a single
-	// region (Figure 1: all links are LANs) falls back to the sequential
-	// path — no kernel, byte-identical to Shards=0.
+	// Every network runs on one kernel. A graph the partitioner cuts gets
+	// one region scheduler per part; anything else (Shards <= 1, or a graph
+	// that collapses to one region, like Figure 1 whose links are all
+	// LANs) is a one-region kernel seeded with the run seed.
+	scheds := []*sim.Scheduler{sim.NewScheduler(opt.Seed)}
+	var look time.Duration
 	var linkRegion []int
 	if opt.Shards > 1 {
-		part := topo.PartitionGraph(g, opt.Shards, opt.MobilityGroups)
-		if part.N > 1 {
-			f.Part = part
-			linkRegion = part.LinkRegion(g)
-			f.regionScheds = make([]*sim.Scheduler, part.N)
-			for i := range f.regionScheds {
-				// Region 0 keeps the raw run seed so a hypothetical
-				// one-region kernel would reproduce the sequential
-				// timeline; the rest get decorrelated derived seeds.
-				seed := opt.Seed
-				if i > 0 {
-					seed = sim.DeriveSeed(opt.Seed, fmt.Sprintf("region-%d", i))
-				}
-				f.regionScheds[i] = sim.NewScheduler(seed)
-			}
-			// Every cross-region link is a core link, so the core delay is
-			// the smallest cross-region latency — the kernel's lookahead.
-			look := opt.CoreLinkDelay
-			if look <= 0 {
-				look = opt.LinkDelay
-			}
-			if look <= 0 {
-				panic("scenario: sharded build needs a positive CoreLinkDelay (or LinkDelay) as kernel lookahead")
-			}
-			f.Kern = sim.NewKernel(f.regionScheds, look, opt.ShardWorkers)
-			f.Sched = f.regionScheds[0]
-			if opt.Obs != nil {
-				// First barrier fold: merge region recorder children into
-				// the root stream before any action or sampler appends
-				// barrier-time events (keeps the stream chronological).
-				f.Kern.OnBarrier(opt.Obs.MergeShards)
-			}
+		f.Part = topo.PartitionGraph(g, opt.Shards, opt.MobilityGroups)
+		if f.Part.N < 2 {
+			f.Part = nil
 		}
 	}
-	if f.Sched == nil {
-		f.Sched = sim.NewScheduler(opt.Seed)
+	if f.Part != nil {
+		linkRegion = f.Part.LinkRegion(g)
+		// Region 0 keeps the raw run seed; the rest get decorrelated
+		// derived seeds.
+		for i := 1; i < f.Part.N; i++ {
+			scheds = append(scheds, sim.NewScheduler(sim.DeriveSeed(opt.Seed, fmt.Sprintf("region-%d", i))))
+		}
+		// Every cross-region link is a core link, so the core delay is
+		// the smallest cross-region latency — the kernel's lookahead.
+		look = opt.CoreLinkDelay
+		if look <= 0 {
+			look = opt.LinkDelay
+		}
+		if look <= 0 {
+			panic("scenario: sharded build needs a positive CoreLinkDelay (or LinkDelay) as kernel lookahead")
+		}
 	}
+	f.Kern = sim.NewKernel(scheds, look, opt.ShardWorkers)
+	f.Sched = scheds[0]
 	f.Net = netem.New(f.Sched)
 	if f.Part != nil {
 		f.Net.SetRegions(f.Part.N)
+		if opt.Obs != nil {
+			// First barrier fold: merge region recorder children into
+			// the root stream before any action or sampler appends
+			// barrier-time events (keeps the stream chronological).
+			f.Kern.OnBarrier(opt.Obs.MergeShards)
+		}
 	}
 	f.Dom = routing.NewDomain(f.Net)
 
 	for i, spec := range g.Links {
 		delay := opt.LinkDelay
 		if opt.CoreLinkDelay > 0 && !spec.LAN {
-			// Applied at every shard count, so sequential and sharded
+			// Applied at every shard count, so one-region and sharded
 			// cells of one experiment model the same network.
 			delay = opt.CoreLinkDelay
 		}
@@ -111,15 +109,15 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 		l.MTU = opt.LinkMTU
 		if f.Part != nil {
 			if r := linkRegion[i]; r >= 0 {
-				l.SetSched(f.regionScheds[r])
+				l.SetSched(scheds[r])
 			} else {
 				// Region-spanning link: split into paired half-links, one
 				// per endpoint region (the partitioner guarantees exactly
 				// two routers and no LAN here).
 				ends := g.RoutersOn(i)
-				l.SetSched(f.regionScheds[f.Part.Region[ends[0]]])
+				l.SetSched(scheds[f.Part.Region[ends[0]]])
 				peer := f.Net.SplitLink(l)
-				peer.SetSched(f.regionScheds[f.Part.Region[ends[1]]])
+				peer.SetSched(scheds[f.Part.Region[ends[1]]])
 			}
 		}
 		f.Links[spec.Name] = l
@@ -133,7 +131,7 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 	for ri, rs := range g.Routers {
 		node := f.Net.NewNode(rs.Name, true)
 		if f.Part != nil {
-			node.SetSched(f.regionScheds[f.Part.Region[ri]])
+			node.SetSched(scheds[f.Part.Region[ri]])
 		}
 		r := &Router{Node: node, HAs: map[string]*mipv6.HomeAgent{}}
 		f.Routers[rs.Name] = r
@@ -179,11 +177,13 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 	}
 
 	f.Acct = metrics.NewAccountant(f.Net)
-	if opt.Instrument {
-		f.Sched.Instrument()
-	}
-	if opt.ProfileLabels {
-		f.Sched.LabelProfiles()
+	for _, s := range scheds {
+		if opt.Instrument {
+			s.Instrument()
+		}
+		if opt.ProfileLabels {
+			s.LabelProfiles()
+		}
 	}
 	if opt.Obs != nil {
 		f.AttachRecorder(opt.Obs)

@@ -55,16 +55,16 @@ type Options struct {
 	// regions (topo.PartitionGraph — LANs are never split) and drives them
 	// in parallel under a conservative sim.Kernel: one deterministic
 	// timeline, byte-identical for any worker count at a fixed shard
-	// count. 0 or 1 selects the classic single-scheduler sequential path,
-	// byte-identical to previous releases. Note that different shard
-	// counts are different (individually deterministic) timelines: each
-	// region draws from its own seeded streams.
+	// count. 0 or 1, or a graph the partitioner cannot cut, runs the
+	// network as a kernel of one region seeded with Seed. Note that
+	// different shard counts are different (individually deterministic)
+	// timelines: each region draws from its own seeded streams.
 	Shards int
 	// ShardWorkers bounds the goroutines driving regions inside a window
 	// (0: one per region). It never affects the timeline, only wall-clock.
 	ShardWorkers int
 	// CoreLinkDelay, when > 0, replaces LinkDelay on every non-LAN (core)
-	// link — at ALL shard counts, so sequential and sharded cells of one
+	// link — at ALL shard counts, so one-region and sharded cells of one
 	// experiment model the same network. Sharded runs need a positive core
 	// delay: the smallest cross-region latency is the kernel's
 	// conservative lookahead (CoreLinkDelay if set, else LinkDelay).
@@ -89,18 +89,19 @@ type Options struct {
 	// export. One recorder serves one timeline; replicated sweeps attach
 	// one per replicate.
 	Obs *obs.Recorder
-	// Instrument enables the scheduler's per-handler-tag wall-clock
-	// timing (see sim.Scheduler.Instrument). Queue high-water mark and
-	// dispatch counts are tracked regardless.
+	// Instrument enables per-handler-tag wall-clock timing on every
+	// region scheduler (see sim.Scheduler.Instrument). Queue high-water
+	// mark and dispatch counts are tracked regardless.
 	Instrument bool
 	// ProfileLabels enables runtime/pprof goroutine labels during event
-	// dispatch (see sim.Scheduler.LabelProfiles), so CPU profiles taken
+	// dispatch on every region scheduler (see
+	// sim.Scheduler.LabelProfiles), so CPU profiles taken
 	// through mip6sim's -http pprof endpoint attribute samples to the
 	// scheduler handler tags (pim, mld, mipv6, link, ...).
 	ProfileLabels bool
 	// Telemetry, when non-nil, is populated with the standard sampler set
 	// (scheduler, per-link, per-router engine, home-agent series — see
-	// attachTelemetry) and started on the network's scheduler. One
+	// attachTelemetry) and sampled at the network's kernel barriers. One
 	// registry serves one timeline; when one options value builds several
 	// networks, only the first network built gets the registry. If Obs is
 	// also set, scalar samples are mirrored into it as counter tracks.
@@ -198,7 +199,9 @@ func (h *Host) OuterHops() int { return h.lastOuterHops }
 // Network is an assembled simulation system — the paper's Figure 1 or
 // any generated topo.Graph (see Build).
 type Network struct {
-	Opt     Options
+	Opt Options
+	// Sched is region 0's scheduler: the only one unless Part cuts the
+	// network.
 	Sched   *sim.Scheduler
 	Net     *netem.Network
 	Dom     *routing.Domain
@@ -208,9 +211,10 @@ type Network struct {
 	Acct    *metrics.Accountant
 	// Topo is the graph this network was built from.
 	Topo *topo.Graph
-	// Kern drives the sharded run; nil on the sequential path (including
-	// Shards > 1 over a graph that collapses to one region, e.g. Figure 1,
-	// whose links are all LANs). Part is the region assignment it runs.
+	// Kern drives the run. It has one region unless Part, the region
+	// assignment, cuts the network; Part is nil for Shards <= 1 and for a
+	// graph that collapses to one region (Figure 1, whose links are all
+	// LANs).
 	Kern *sim.Kernel
 	Part *topo.Partition
 	// Proxy is the resolved MLD-proxy plan (nil or empty when
@@ -222,56 +226,31 @@ type Network struct {
 	anchorLocalHandovers uint64
 	homeRoutedHandovers  uint64
 
-	regionScheds []*sim.Scheduler  // region index -> scheduler; nil sequential
-	linkOrder    []string          // link names in construction order
-	routerOrder  []string          // router names in construction order
-	haFor        map[string]string // link name -> home-agent router name
+	linkOrder   []string          // link names in construction order
+	routerOrder []string          // router names in construction order
+	haFor       map[string]string // link name -> home-agent router name
 
 	obs *obs.Recorder // set by AttachRecorder; nil when not observing
 }
 
-// Scheds returns every region scheduler in region order — just the one
-// scheduler on the sequential path. Aggregating probes (telemetry, run
-// stats) must sum over all of them.
-func (f *Network) Scheds() []*sim.Scheduler {
-	if f.regionScheds != nil {
-		return f.regionScheds
-	}
-	return []*sim.Scheduler{f.Sched}
-}
+// Scheds returns every region scheduler in region order (one unless Part
+// cuts the network). Aggregating probes (telemetry, run stats) must sum
+// over all of them.
+func (f *Network) Scheds() []*sim.Scheduler { return f.Kern.Regions() }
 
 // At schedules a scripted driver action (a move, a crash, an impairment
-// toggle) at absolute virtual time t. Sequentially it is Sched.At; sharded
-// it forces a kernel barrier there, so fn runs single-threaded with every
-// region clock equal to t — the only safe point to mutate cross-region
-// state. Driver scripts must use this instead of f.Sched.At.
-func (f *Network) At(t sim.Time, fn func()) {
-	if f.Kern != nil {
-		f.Kern.At(t, fn)
-		return
-	}
-	f.Sched.At(t, fn)
-}
+// toggle) at absolute virtual time t. The kernel forces a barrier there,
+// so fn runs single-threaded with every region clock equal to t, after
+// every event before t and before every event at t — the only safe point
+// to mutate cross-region state. Driver scripts must use this instead of
+// f.Sched.At.
+func (f *Network) At(t sim.Time, fn func()) { f.Kern.At(t, fn) }
 
-// After schedules a driver action after a delay of virtual time (see At).
-func (f *Network) After(d time.Duration, fn func()) {
-	if f.Kern != nil {
-		f.Kern.Schedule(d, fn)
-		return
-	}
-	f.Sched.Schedule(d, fn)
-}
-
-// SamplePeriodic runs fn at every multiple of period. Sharded, the kernel
-// fires it at barriers where all region clocks equal the due time, so fn
-// may read the whole network as a consistent cut.
-func (f *Network) SamplePeriodic(period time.Duration, fn func()) {
-	if f.Kern != nil {
-		f.Kern.Every(period, fn)
-		return
-	}
-	sim.NewTicker(f.Sched, period, 0, fn)
-}
+// SamplePeriodic runs fn at every multiple of period. The kernel fires it
+// at barriers where all region clocks equal the due time, after every
+// event before it and before every event at it, so fn may read the whole
+// network as a consistent cut. It is not a scheduler event.
+func (f *Network) SamplePeriodic(period time.Duration, fn func()) { f.Kern.Every(period, fn) }
 
 // LinkOrder returns the link names in construction (graph) order. All
 // iteration that schedules events or emits trace records must use this
@@ -439,13 +418,13 @@ func (f *Network) AttachRecorder(rec *obs.Recorder) {
 	}
 	rec.Bind(f.Sched)
 	f.obs = rec
-	// Sharded runs split the recorder: one child per region (written only
+	// Cut networks split the recorder: one child per region (written only
 	// by that region's events during windows), merged into rec's stream at
 	// every kernel barrier — the merge fold is registered by Build, first
 	// among the barrier folds so root events at the barrier time append
 	// after all merged (earlier) child events.
-	if f.Kern != nil {
-		for _, s := range f.regionScheds {
+	if f.Part != nil {
+		for _, s := range f.Scheds() {
 			rec.Shard(s)
 		}
 	}
@@ -606,32 +585,16 @@ func (f *Network) HandoverCounts() (anchorLocal, homeRouted uint64) {
 }
 
 // Run advances the simulation by d.
-func (f *Network) Run(d time.Duration) {
-	if f.Kern != nil {
-		f.Kern.Run(d)
-		return
-	}
-	f.Sched.RunFor(d)
-}
+func (f *Network) Run(d time.Duration) { f.Kern.Run(d) }
 
-// Now returns the current virtual time: the kernel's barrier clock when
-// sharded (safe only between RunUntil calls), the scheduler clock
-// otherwise.
-func (f *Network) Now() sim.Time {
-	if f.Kern != nil {
-		return f.Kern.Now()
-	}
-	return f.Sched.Now()
-}
+// Now returns the kernel's barrier clock: the current virtual time between
+// Run/RunUntil calls and inside driver actions and periodic samplers. An
+// event handler reads its own scheduler's clock instead.
+func (f *Network) Now() sim.Time { return f.Kern.Now() }
 
-// RunUntil advances the simulation to absolute time t.
-func (f *Network) RunUntil(t sim.Time) {
-	if f.Kern != nil {
-		f.Kern.RunUntil(t)
-		return
-	}
-	f.Sched.RunUntil(t)
-}
+// RunUntil advances the simulation to absolute time t, running every
+// event at or before it.
+func (f *Network) RunUntil(t sim.Time) { f.Kern.RunUntil(t) }
 
 // Settle runs long enough for NDP/SLAAC, PIM hello exchange and initial MLD
 // queries to complete (10 s of virtual time).

@@ -7,7 +7,7 @@ import (
 )
 
 // attachTelemetry registers the standard sampler set on opt.Telemetry and
-// starts sampling on f's scheduler. Metric registration order — and with
+// samples it at f's kernel barriers. Metric registration order — and with
 // it the exported column order — is a pure function of the topology
 // (construction order of links and routers), so the series layout is
 // deterministic for a fixed graph.
@@ -25,11 +25,11 @@ func attachTelemetry(f *Network) {
 
 	// Scheduler health: queue depth (sampled + bucketed for a depth
 	// distribution), cumulative dispatch count, and the per-tick dispatch
-	// delta (events per sampling period). Sharded runs sample at kernel
-	// barriers (all region clocks equal — a consistent cut) and aggregate
-	// across region schedulers: sums for depth/dispatch, max for the
-	// high-water mark. With one scheduler this reduces to the classic
-	// single-timeline series.
+	// delta (events per sampling period). Samples run at kernel barriers
+	// (all region clocks equal — a consistent cut, holding every event
+	// before the sample time and none at it) and aggregate across region
+	// schedulers: sums for depth/dispatch, max for the high-water mark.
+	// The sampler is no scheduler event, so it never counts itself.
 	scheds := f.Scheds()
 	qhist := reg.Histogram("sim/queue_depth_dist", []float64{4, 16, 64, 256, 1024, 4096})
 	reg.Gauge("sim/queue_depth", func() float64 {
@@ -176,13 +176,7 @@ func attachTelemetry(f *Network) {
 	if f.obs != nil {
 		reg.Mirror(f.obs, "telemetry")
 	}
-	if f.Kern != nil {
-		// Barrier-driven sampling: the kernel forces a barrier at every
-		// period, where all region clocks agree — each Row is a consistent
-		// cross-region cut. The root scheduler stamps row times.
-		reg.StartManual(f.Sched, every)
-		f.Kern.Every(every, reg.Sample)
-		return
-	}
+	// The root scheduler stamps row times.
 	reg.Start(f.Sched, every)
+	f.SamplePeriodic(every, reg.Sample)
 }

@@ -133,3 +133,40 @@ func TestDeliverAllocFree(t *testing.T) {
 		t.Errorf("Deliver+dispatch allocates %v objects/op with a warm pool; want 0", allocs)
 	}
 }
+
+// TestKernelWindowAllocFree pins allocation-free kernel windows: with the
+// event pools and outboxes warm, advancing a kernel of one region or of
+// four on one worker allocates nothing, across windows, cross-region
+// merges at barriers and a periodic hook.
+func TestKernelWindowAllocFree(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		scheds := make([]*Scheduler, n)
+		for i := range scheds {
+			scheds[i] = NewScheduler(int64(i + 1))
+		}
+		k := NewKernel(scheds, time.Millisecond, 1)
+		for i, s := range scheds {
+			// Every 300 µs each region delivers to the next one, 2 ms on.
+			s, d := s, Delivery{To: nopReceiver{}, A: new(int)}
+			dst := scheds[(i+1)%n]
+			var tick func()
+			tick = func() {
+				s.Deliver(dst, s.Now().Add(2*time.Millisecond), d)
+				s.Schedule(300*time.Microsecond, tick)
+			}
+			s.Schedule(0, tick)
+		}
+		k.Every(10*time.Millisecond, func() {})
+		run := func() { k.Run(5 * time.Millisecond) }
+		for i := 0; i < 64; i++ {
+			run()
+		}
+		before := k.Windows()
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%d regions: Kernel.Run allocates %v objects/op with warm pools; want 0", n, allocs)
+		}
+		if k.Windows() == before {
+			t.Fatalf("%d regions: Kernel.Run ran no window", n)
+		}
+	}
+}

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// RunParallel executes n independent replicate bodies across at most workers
+// RunParallel executes n independent bodies across at most workers
 // goroutines and returns when all have finished. Each body receives its
-// replicate index and must build its own Scheduler (replicas share nothing).
-// workers <= 0 selects GOMAXPROCS. The zero-allocation sequential case
-// (workers == 1) runs inline.
+// index and must share nothing with the others. workers <= 0 selects
+// GOMAXPROCS. The zero-allocation sequential case (workers == 1, or
+// n == 1) runs inline.
 //
-// This is the only concurrency primitive in the kernel: a single virtual
-// timeline is always single-threaded; throughput comes from running many
-// timelines (parameter sweeps, seed replications) at once.
+// This is the only concurrency primitive in the package, used at two
+// levels: across independent timelines (parameter sweeps, seed
+// replications), each with its own Kernel, and inside one timeline, where
+// a Kernel runs its regions' windows through it. A one-region timeline is
+// always single-threaded.
 func RunParallel(n, workers int, body func(i int)) {
 	if n <= 0 {
 		return

@@ -25,6 +25,12 @@ import (
 // during a window (the race detector enforces this in CI), and the barrier
 // merge orders messages by (source region, append order) before stamping
 // destination sequence numbers.
+//
+// A network the partitioner does not cut runs as a kernel of one region.
+// No other region can post into it, so the lookahead never ends its
+// windows: it runs straight from one driver action or periodic hook to
+// the next, and the barriers between are the same single-threaded points
+// a multi-region run has.
 
 // xmsg is one cross-region message: a callback, or when fn is nil the
 // typed delivery d, to run at a virtual time in another region, carrying
@@ -37,12 +43,12 @@ type xmsg struct {
 }
 
 // Region returns the region index assigned by kernel wiring (0 when the
-// scheduler is not part of a sharded run).
+// scheduler is in no kernel or is a kernel's only region).
 func (s *Scheduler) Region() int { return s.region }
 
-// Post schedules fn at absolute time t on dst. Within one region (or in an
-// unsharded run) it is Scheduler.At; across regions it appends to the
-// sender's outbox, to be merged into dst's queue at the next window
+// Post schedules fn at absolute time t on dst. Within one region (or on a
+// scheduler in no kernel) it is Scheduler.At; across regions it appends to
+// the sender's outbox, to be merged into dst's queue at the next window
 // barrier. Cross-region posts must respect the kernel's lookahead: t has to
 // be at least the sender's current time plus the configured lookahead.
 func (s *Scheduler) Post(dst *Scheduler, t Time, fn func()) {
@@ -109,6 +115,7 @@ type driverAction struct {
 }
 
 // Kernel drives a set of region schedulers as one deterministic timeline.
+// Every network runs on one: an uncut network is a kernel of one region.
 type Kernel struct {
 	regions   []*Scheduler
 	lookahead time.Duration
@@ -121,24 +128,32 @@ type Kernel struct {
 
 	base    Time
 	windows uint64
+
+	// limit and closing parameterize the region pass in progress: events
+	// before limit, or at limit too when closing. body is runRegion bound
+	// once, so a window allocates nothing.
+	limit   Time
+	closing bool
+	body    func(i int)
 }
 
-// NewKernel wires regions into a sharded timeline. lookahead must be
-// positive and no larger than the smallest cross-region latency the caller
-// will use; workers bounds intra-window parallelism (<= 0 selects one per
-// region). Region i of the wiring is regions[i]; their outboxes are sized
-// here.
+// NewKernel wires regions into one timeline. With two or more regions,
+// lookahead must be positive and no larger than the smallest cross-region
+// latency the caller will use; a lone region ignores it. workers bounds
+// intra-window parallelism (<= 0 selects one per region). Region i of the
+// wiring is regions[i]; their outboxes are sized here.
 func NewKernel(regions []*Scheduler, lookahead time.Duration, workers int) *Kernel {
 	if len(regions) == 0 {
 		panic("sim: NewKernel with no regions")
 	}
-	if lookahead <= 0 {
+	if len(regions) > 1 && lookahead <= 0 {
 		panic(fmt.Sprintf("sim: NewKernel lookahead %v must be positive", lookahead))
 	}
 	if workers <= 0 || workers > len(regions) {
 		workers = len(regions)
 	}
 	k := &Kernel{regions: regions, lookahead: lookahead, workers: workers}
+	k.body = k.runRegion
 	for i, s := range regions {
 		s.region = i
 		s.outbox = make([][]xmsg, len(regions))
@@ -149,24 +164,12 @@ func NewKernel(regions []*Scheduler, lookahead time.Duration, workers int) *Kern
 // Regions returns the region schedulers in region order.
 func (k *Kernel) Regions() []*Scheduler { return k.regions }
 
-// Lookahead returns the conservative window slack.
-func (k *Kernel) Lookahead() time.Duration { return k.lookahead }
-
 // Now returns the kernel's barrier time. All region clocks equal it
 // whenever the kernel is not inside RunUntil.
 func (k *Kernel) Now() Time { return k.base }
 
 // Windows reports how many synchronization windows have executed.
 func (k *Kernel) Windows() uint64 { return k.windows }
-
-// Processed sums events executed across all regions.
-func (k *Kernel) Processed() uint64 {
-	var n uint64
-	for _, s := range k.regions {
-		n += s.Processed()
-	}
-	return n
-}
 
 // OnBarrier registers a fold to run single-threaded at every window
 // barrier, before hooks and driver actions. Cross-region link state
@@ -200,9 +203,6 @@ func (k *Kernel) At(t Time, fn func()) {
 		return k.actions[a].seq < k.actions[b].seq
 	})
 }
-
-// Schedule registers a driver action after a delay (see At).
-func (k *Kernel) Schedule(d time.Duration, fn func()) { k.At(k.base.Add(d), fn) }
 
 // nextForced returns the earliest forced-barrier time (hook due or driver
 // action) or ok=false when none is registered.
@@ -254,8 +254,8 @@ func (k *Kernel) drainOutboxes() {
 
 // barrier runs the single-threaded phase at base time t: merge messages,
 // fold shared state, then due driver actions and periodic hooks in that
-// order (scripted actions precede samplers at the same instant, matching
-// the sequential build-order seq of scripted events).
+// order. Both see every event before t and none at t; at one instant,
+// actions run in registration order, then hooks in registration order.
 func (k *Kernel) barrier(t Time) {
 	k.drainOutboxes()
 	for _, fn := range k.folds {
@@ -288,7 +288,9 @@ func (k *Kernel) RunUntil(deadline Time) {
 	for k.base < deadline {
 		// Window end: min next event + lookahead, capped by the deadline
 		// and the next forced barrier. Strictly above base because
-		// lookahead > 0 and barrier processing at base already ran.
+		// lookahead > 0 and barrier processing at base already ran. A lone
+		// region has no other region to post into it, so the lookahead
+		// never ends its window.
 		w := deadline
 		tmin := Time(0)
 		have := false
@@ -297,7 +299,7 @@ func (k *Kernel) RunUntil(deadline Time) {
 				tmin, have = t, true
 			}
 		}
-		if have && tmin.Add(k.lookahead) < w {
+		if have && len(k.regions) > 1 && tmin.Add(k.lookahead) < w {
 			w = tmin.Add(k.lookahead)
 		}
 		if ft, ok := k.nextForced(); ok && ft < w {
@@ -309,7 +311,7 @@ func (k *Kernel) RunUntil(deadline Time) {
 			k.barrier(k.base)
 			continue
 		}
-		k.runRegions(func(s *Scheduler) { s.runWindow(w) })
+		k.runRegions(w, false)
 		k.windows++
 		k.base = w
 		k.barrier(w)
@@ -317,16 +319,28 @@ func (k *Kernel) RunUntil(deadline Time) {
 	// Closing pass: events exactly at the deadline (tickers on round
 	// seconds, zero-delay chains they spawn) run region-parallel; anything
 	// cross-region they generate arrives strictly later and stays queued.
-	k.runRegions(func(s *Scheduler) { s.RunUntil(deadline) })
+	k.runRegions(deadline, true)
 	k.barrier(deadline)
 }
 
 // Run advances the timeline by d (see RunUntil).
 func (k *Kernel) Run(d time.Duration) { k.RunUntil(k.base.Add(d)) }
 
-// runRegions executes body for every region, in parallel up to the worker
-// budget. Regions with nothing to do before the window end still run (the
-// body advances their clock), but sharing nothing they finish instantly.
-func (k *Kernel) runRegions(body func(*Scheduler)) {
-	RunParallel(len(k.regions), k.workers, func(i int) { body(k.regions[i]) })
+// runRegions runs every region up to limit (through it when closing), in
+// parallel up to the worker budget. Regions with nothing to do before the
+// limit still run (the pass advances their clock), but sharing nothing
+// they finish instantly.
+func (k *Kernel) runRegions(limit Time, closing bool) {
+	k.limit, k.closing = limit, closing
+	RunParallel(len(k.regions), k.workers, k.body)
+}
+
+// runRegion is the per-region body of runRegions.
+func (k *Kernel) runRegion(i int) {
+	s := k.regions[i]
+	if k.closing {
+		s.RunUntil(k.limit)
+	} else {
+		s.runWindow(k.limit)
+	}
 }

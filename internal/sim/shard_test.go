@@ -87,43 +87,99 @@ func TestKernelMessageTiming(t *testing.T) {
 }
 
 // Periodic hooks run at exact multiples of their period with all clocks at
-// the due time, and driver actions run at their exact times ahead of hooks.
+// the due time, and driver actions run at their exact times ahead of hooks
+// due at the same instant. Both see every event before their time and none
+// at it, in a lone region as in two.
 func TestKernelBarrierHooks(t *testing.T) {
-	a := NewScheduler(1)
-	b := NewScheduler(2)
-	k := NewKernel([]*Scheduler{a, b}, time.Millisecond, 2)
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("regions=%d", n), func(t *testing.T) {
+			scheds := make([]*Scheduler, n)
+			for i := range scheds {
+				scheds[i] = NewScheduler(int64(i + 1))
+			}
+			k := NewKernel(scheds, time.Millisecond, 2)
+			a := scheds[0]
 
-	// Background load so windows stay short.
-	var tick func()
-	tick = func() { a.Schedule(300*time.Microsecond, tick) }
-	tick()
+			// Background load so windows stay short; it ticks exactly at 3 s.
+			var tick func()
+			tick = func() { a.Schedule(300*time.Microsecond, tick) }
+			tick()
 
-	var samples []Time
-	k.Every(time.Second, func() {
-		if a.Now() != b.Now() {
-			t.Fatalf("hook saw torn clocks: %v vs %v", a.Now(), b.Now())
-		}
-		samples = append(samples, a.Now())
-	})
-	var actionAt Time
-	k.At(Time(2500*time.Millisecond), func() { actionAt = a.Now() })
+			// One event 1 ns before and one exactly at every forced time,
+			// in every region. Each region's log is written only by its own
+			// events and read only at barriers.
+			forced := []Time{Time(time.Second), Time(2 * time.Second), Time(2500 * time.Millisecond), Time(3 * time.Second)}
+			ran := make([]map[Time]bool, n)
+			for i, s := range scheds {
+				i, s := i, s
+				ran[i] = map[Time]bool{}
+				for _, ft := range forced {
+					for _, at := range []Time{ft - 1, ft} {
+						s.At(at, func() { ran[i][s.Now()] = true })
+					}
+				}
+			}
+			check := func(what string) {
+				at := a.Now()
+				for i, s := range scheds {
+					if s.Now() != at {
+						t.Fatalf("%s saw torn clocks: %v vs region %d at %v", what, at, i, s.Now())
+					}
+					if next, ok := s.NextEventTime(); ok && next < at {
+						t.Fatalf("%s at %v ran before region %d's event at %v", what, at, i, next)
+					}
+					if !ran[i][at-1] || ran[i][at] {
+						t.Fatalf("%s at %v: region %d ran the event 1 ns before: %v, at the same instant: %v",
+							what, at, i, ran[i][at-1], ran[i][at])
+					}
+				}
+			}
 
-	k.RunUntil(Time(3 * time.Second))
-	if len(samples) != 3 {
-		t.Fatalf("got %d samples, want 3 (%v)", len(samples), samples)
-	}
-	for i, s := range samples {
-		if want := Time(time.Duration(i+1) * time.Second); s != want {
-			t.Fatalf("sample %d at %v, want %v", i, s, want)
-		}
-	}
-	if actionAt != Time(2500*time.Millisecond) {
-		t.Fatalf("driver action ran at %v", actionAt)
+			var samples []Time
+			k.Every(time.Second, func() {
+				check("hook")
+				samples = append(samples, a.Now())
+			})
+			var actions []Time
+			for _, at := range []Time{Time(2 * time.Second), Time(2500 * time.Millisecond)} {
+				k.At(at, func() {
+					check("action")
+					// Hooks due before the action have run; one due with
+					// it has not.
+					if want := int((a.Now() - 1) / Time(time.Second)); len(samples) != want {
+						t.Fatalf("action at %v found %d samples taken, want %d", a.Now(), len(samples), want)
+					}
+					actions = append(actions, a.Now())
+				})
+			}
+
+			k.RunUntil(Time(3 * time.Second))
+			if len(samples) != 3 {
+				t.Fatalf("got %d samples, want 3 (%v)", len(samples), samples)
+			}
+			for i, s := range samples {
+				if want := Time(time.Duration(i+1) * time.Second); s != want {
+					t.Fatalf("sample %d at %v, want %v", i, s, want)
+				}
+			}
+			if len(actions) != 2 || actions[0] != Time(2*time.Second) || actions[1] != Time(2500*time.Millisecond) {
+				t.Fatalf("driver actions ran at %v, want [2s 2.5s]", actions)
+			}
+			for i := range scheds {
+				for _, ft := range forced {
+					if !ran[i][ft] {
+						t.Fatalf("region %d never ran its event at %v", i, ft)
+					}
+				}
+			}
+		})
 	}
 }
 
 // Fold hooks run at every barrier; a shards=1 kernel degenerates to the
 // sequential scheduler (events, clock and inclusive-deadline semantics).
+// With no other region to post into it, a lone region's lookahead never
+// ends a window: a RunUntil with no action or hook due is one window.
 func TestKernelSingleRegionMatchesSequential(t *testing.T) {
 	run := func(mk func(s *Scheduler, until Time)) []Time {
 		s := NewScheduler(7)
@@ -138,8 +194,10 @@ func TestKernelSingleRegionMatchesSequential(t *testing.T) {
 		return log
 	}
 	seq := run(func(s *Scheduler, until Time) { s.RunUntil(until) })
+	var k *Kernel
 	par := run(func(s *Scheduler, until Time) {
-		NewKernel([]*Scheduler{s}, time.Millisecond, 1).RunUntil(until)
+		k = NewKernel([]*Scheduler{s}, time.Millisecond, 1)
+		k.RunUntil(until)
 	})
 	if len(seq) == 0 || len(seq) != len(par) {
 		t.Fatalf("event counts differ: %d vs %d", len(seq), len(par))
@@ -149,6 +207,18 @@ func TestKernelSingleRegionMatchesSequential(t *testing.T) {
 			t.Fatalf("timelines diverge at %d: %v vs %v", i, seq[i], par[i])
 		}
 	}
+	if w := k.Windows(); w != 1 {
+		t.Fatalf("lone region ran %d windows to a deadline with nothing forced, want 1", w)
+	}
+
+	// A lone region needs no lookahead; two regions do.
+	NewKernel([]*Scheduler{NewScheduler(1)}, 0, 1).RunUntil(Time(time.Second))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewKernel accepted two regions with no lookahead")
+		}
+	}()
+	NewKernel([]*Scheduler{NewScheduler(1), NewScheduler(2)}, 0, 1)
 }
 
 // timerRingFixture runs four regions that pass tokens to each other and,

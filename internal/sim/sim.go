@@ -174,7 +174,7 @@ type Scheduler struct {
 	stopped   bool
 	// region and outbox are set by kernel wiring (see shard.go): the
 	// scheduler's region index and its per-destination-region mailboxes
-	// for cross-region messages. outbox is nil in unsharded runs.
+	// for cross-region messages. outbox is nil outside a kernel.
 	region int
 	outbox [][]xmsg
 	// processed counts events executed; useful for kernel benchmarks and
@@ -257,8 +257,8 @@ func (s *Scheduler) Jitter(stream string, max time.Duration) time.Duration {
 // DeriveSeed derives an independent seed from a base seed and a name, with
 // the same decorrelation guarantees as RandFor's streams. Kernel wiring uses
 // it to give each shard region its own scheduler seed ("region-1",
-// "region-2", ...); region 0 keeps the raw run seed so a one-region sharded
-// timeline is identical to the sequential one.
+// "region-2", ...); region 0 keeps the raw run seed, so a one-region
+// kernel runs the same timeline as its scheduler driven alone.
 func DeriveSeed(seed int64, name string) int64 { return streamSeed(seed, name) }
 
 // streamSeed derives a stream's seed from the run seed and the stream name:

@@ -10,14 +10,14 @@
 //     (Counter, Gauge, Histogram) is nil-receiver-safe, and the nil path
 //     does no work and allocates nothing, so instrumentation can stay in
 //     hot paths unconditionally.
-//   - One Registry belongs to one virtual timeline (one sim.Scheduler); it
-//     is not safe for concurrent use. Replicated sweeps attach one Registry
-//     per timeline.
-//   - Deterministic. Samples fire on a jitter-free sim.Ticker, metric
-//     columns appear in registration order, and values derive only from
-//     virtual time and the timeline's own seeded randomness — so the
-//     exported series is byte-identical for a fixed seed at any worker
-//     count.
+//   - One Registry belongs to one virtual timeline; it is not safe for
+//     concurrent use. Replicated sweeps attach one Registry per timeline.
+//   - Deterministic. The timeline's driver calls Sample at a fixed
+//     virtual-time cadence (the scenario builder uses sim.Kernel barriers,
+//     where every region clock agrees), metric columns appear in
+//     registration order, and values derive only from virtual time and
+//     the timeline's own seeded randomness — so the exported series is
+//     byte-identical for a fixed seed at any worker count.
 //
 // Metrics come in three kinds. A Counter is push-based and monotonic
 // (Add/Inc). A Gauge carries a level: either pushed with Set or pulled by a
@@ -95,7 +95,6 @@ type Registry struct {
 
 	every   time.Duration
 	sched   *sim.Scheduler
-	ticker  *sim.Ticker
 	started bool
 
 	mirror     *obs.Recorder
@@ -195,34 +194,12 @@ func (r *Registry) Mirror(rec *obs.Recorder, node string) {
 	r.mirrorNode = node
 }
 
-// Start freezes the column set and begins sampling every period of virtual
-// time on s. The sampling tick runs under the "telemetry" scheduler tag and
-// uses no jitter, so it never draws from the timeline's random source.
-// Start may be called once per registry. Nil-safe.
+// Start freezes the column set, records s as the clock that stamps rows
+// and every as the sampling period the exports report. It schedules
+// nothing: the caller invokes Sample once per period (the scenario
+// builder registers it as a kernel periodic hook). Start may be called
+// once per registry. Nil-safe.
 func (r *Registry) Start(s *sim.Scheduler, every time.Duration) {
-	if r == nil {
-		return
-	}
-	if r.started {
-		panic("telemetry: Start called twice")
-	}
-	if every <= 0 {
-		panic("telemetry: Start with non-positive period")
-	}
-	r.freeze()
-	r.every = every
-	r.sched = s
-	prev := s.PushTag("telemetry")
-	r.ticker = sim.NewTicker(s, every, 0, r.Sample)
-	s.PopTag(prev)
-}
-
-// StartManual freezes the column set and records s as the stamping clock,
-// but installs no ticker: the caller drives sampling by invoking Sample
-// itself. Sharded runs use this — the kernel fires Sample at barriers, where
-// all region clocks agree and a cross-region snapshot is a consistent cut.
-// Nil-safe.
-func (r *Registry) StartManual(s *sim.Scheduler, every time.Duration) {
 	if r == nil {
 		return
 	}
@@ -241,14 +218,6 @@ func (r *Registry) StartManual(s *sim.Scheduler, every time.Duration) {
 // it to attach a shared registry to only the first network a cell builds).
 // Nil-safe.
 func (r *Registry) Started() bool { return r != nil && r.started }
-
-// Stop halts periodic sampling. Rows already collected are kept. Nil-safe.
-func (r *Registry) Stop() {
-	if r == nil || r.ticker == nil {
-		return
-	}
-	r.ticker.Stop()
-}
 
 // freeze computes the column set from the registered metrics.
 func (r *Registry) freeze() {
@@ -270,9 +239,9 @@ func (r *Registry) freeze() {
 }
 
 // Sample takes one snapshot now: samplers run, gauge probes pull, and one
-// Row is appended (and mirrored, if a recorder is attached). It is called
-// by the periodic tick but may also be invoked directly for a final
-// end-of-run snapshot. Nil-safe.
+// Row is appended (and mirrored, if a recorder is attached). The driver
+// calls it once per period, and may call it again for a final end-of-run
+// snapshot. Nil-safe.
 func (r *Registry) Sample() {
 	if r == nil {
 		return

@@ -10,13 +10,22 @@ import (
 	"mip6mcast/internal/sim"
 )
 
+// start starts r on s and drives Sample from a jitter-free ticker under
+// the "telemetry" tag, one sample per period, as a timeline's driver does.
+func start(r *Registry, s *sim.Scheduler, every time.Duration) {
+	r.Start(s, every)
+	prev := s.PushTag("telemetry")
+	sim.NewTicker(s, every, 0, r.Sample)
+	s.PopTag(prev)
+}
+
 func TestColumnsAndRows(t *testing.T) {
 	s := sim.NewScheduler(1)
 	r := NewRegistry()
 	c := r.Counter("pkts")
 	g := r.Gauge("depth", nil)
 	h := r.Histogram("lat", []float64{1, 10, 100})
-	r.Start(s, time.Second)
+	start(r, s, time.Second)
 
 	want := []string{"pkts", "depth", "lat_le_1", "lat_le_10", "lat_le_100", "lat_count", "lat_sum"}
 	got := r.Columns()
@@ -58,7 +67,7 @@ func TestGaugeProbePulledEachTick(t *testing.T) {
 	r := NewRegistry()
 	n := 0.0
 	r.Gauge("n", func() float64 { n++; return n })
-	r.Start(s, time.Second)
+	start(r, s, time.Second)
 	s.RunFor(3 * time.Second)
 	rows := r.Rows()
 	if len(rows) != 3 {
@@ -77,7 +86,7 @@ func TestOnSampleRunsBeforeProbes(t *testing.T) {
 	g := r.Gauge("fed", nil)
 	fed := 0.0
 	r.OnSample(func() { fed += 10; g.Set(fed) })
-	r.Start(s, time.Second)
+	start(r, s, time.Second)
 	s.RunFor(2 * time.Second)
 	rows := r.Rows()
 	if len(rows) != 2 || rows[0].V[0] != 10 || rows[1].V[0] != 20 {
@@ -90,7 +99,7 @@ func TestSamplingRunsUnderTelemetryTag(t *testing.T) {
 	s.Instrument()
 	r := NewRegistry()
 	r.Gauge("x", func() float64 { return 1 })
-	r.Start(s, time.Second)
+	start(r, s, time.Second)
 	s.RunFor(5 * time.Second)
 	var found *sim.TagStat
 	for _, ts := range s.RunStats().Tags {
@@ -116,7 +125,7 @@ func TestSamplingDrawsNoRandomness(t *testing.T) {
 		if withTelemetry {
 			r := NewRegistry()
 			r.Gauge("x", func() float64 { return 0 })
-			r.Start(s, time.Second)
+			start(r, s, time.Second)
 		}
 		s.RunFor(10 * time.Second)
 		return s.Rand().Int63()
@@ -133,7 +142,7 @@ func TestDeterministicExport(t *testing.T) {
 		c := r.Counter("events")
 		h := r.Histogram("d", []float64{2, 8})
 		r.Gauge("q", func() float64 { return float64(s.Pending()) })
-		r.Start(s, 500*time.Millisecond)
+		start(r, s, 500*time.Millisecond)
 		// Deterministic background load driven by the timeline's RNG.
 		var churn func()
 		churn = func() {
@@ -185,7 +194,7 @@ func TestMirrorEmitsScalarCounters(t *testing.T) {
 	c := r.Counter("ctrl_bytes")
 	r.Histogram("h", []float64{1})
 	r.Mirror(rec, "telemetry")
-	r.Start(s, time.Second)
+	start(r, s, time.Second)
 	c.Add(9)
 	s.RunFor(2 * time.Second)
 
@@ -218,7 +227,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	r.Mirror(nil, "")
 	r.Start(sim.NewScheduler(1), time.Second)
 	r.Sample()
-	r.Stop()
 	c.Add(1)
 	c.Inc()
 	g.Set(2)
@@ -264,19 +272,6 @@ func TestLiveHandlesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("live handle ops allocate %.1f/op, want 0", allocs)
-	}
-}
-
-func TestStopHaltsSampling(t *testing.T) {
-	s := sim.NewScheduler(1)
-	r := NewRegistry()
-	r.Gauge("x", func() float64 { return 0 })
-	r.Start(s, time.Second)
-	s.RunFor(2 * time.Second)
-	r.Stop()
-	s.RunFor(10 * time.Second)
-	if n := len(r.Rows()); n != 2 {
-		t.Errorf("rows after Stop = %d, want 2", n)
 	}
 }
 

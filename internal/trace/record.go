@@ -23,7 +23,7 @@ func RecordLinks(rec *obs.Recorder, net *netem.Network, filter func(Event) bool)
 	}
 	for _, l := range net.Links {
 		// Each link's tap records through the recorder of the link's own
-		// region (For is the identity on sequential runs). Both halves of a
+		// region (For is the identity on one-region runs). Both halves of a
 		// split cross-region link are in net.Links, each tapped into its
 		// own side's recorder.
 		lr := rec.For(l.Sched())

@@ -10,6 +10,13 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# Benchmark smoke: mip6bench is its own module (it builds against this
+# checkout through a replace directive), so the root ./... never enters it.
+# It compiles against the scenario surface (Network.Kern, Scheds, the
+# kernel's window count) and its smoke test runs each workload's cells, so
+# an API break shows up here instead of only in the benchmark pipeline.
+(cd mip6bench && go test -race .)
+
 # Allocation-regression gate. The alloc-budget tests carry //go:build !race
 # (the race runtime's instrumented allocation counts are meaningless), so the
 # race pass above skips them; run them in a plain pass here.

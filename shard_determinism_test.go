@@ -106,9 +106,9 @@ func TestShardOneMatchesSequential(t *testing.T) {
 
 // TestFigure1GoldenShards re-runs the pinned golden-trace scenario with
 // -shards set. Figure 1 is all multi-access LANs, so the partitioner must
-// collapse it to a single region at any shard count and the build must
-// fall back to the exact sequential path — the golden bytes are the
-// proof that turning sharding on cannot perturb a topology it cannot cut.
+// collapse it to a single region at any shard count and the build must be
+// a one-region kernel — the golden bytes are the proof that turning
+// sharding on cannot perturb a topology it cannot cut.
 func TestFigure1GoldenShards(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "fig1_golden.jsonl"))
 	if err != nil {
@@ -122,8 +122,8 @@ func TestFigure1GoldenShards(t *testing.T) {
 		rec := obs.NewRecorder(nil)
 		opt.Obs = rec
 		f := buildHandover(opt, BidirectionalTunnel, 15*time.Second)
-		if f.Kern != nil {
-			t.Fatalf("shards=%d: fig1 built a kernel despite having no cuttable link", shards)
+		if n := len(f.Kern.Regions()); n != 1 || f.Part != nil {
+			t.Fatalf("shards=%d: fig1 built %d regions despite having no cuttable link", shards, n)
 		}
 		f.Run(40 * time.Second)
 		var buf bytes.Buffer
