@@ -1,6 +1,7 @@
 package ipv6
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -85,9 +86,11 @@ func marshalOptions(b []byte, next uint8, opts []Option) ([]byte, error) {
 }
 
 // unmarshalOptions parses an options extension header from the front of b,
-// returning the contained options (padding stripped), the NextHeader value,
-// and the number of bytes consumed. Option data points into b.
-func unmarshalOptions(b []byte) (opts []Option, next uint8, n int, err error) {
+// returning the contained options (padding stripped; non-nil even when
+// there are none), the NextHeader value, and the number of bytes consumed.
+// When the options equal hint's, type for type and byte for byte, the result
+// is hint itself; otherwise it is a new slice whose data is copied out of b.
+func unmarshalOptions(b []byte, hint []Option) (opts []Option, next uint8, n int, err error) {
 	if len(b) < 8 {
 		return nil, 0, 0, fmt.Errorf("ipv6: options header truncated")
 	}
@@ -97,6 +100,7 @@ func unmarshalOptions(b []byte) (opts []Option, next uint8, n int, err error) {
 		return nil, 0, 0, fmt.Errorf("ipv6: options header len %d exceeds %d available", n, len(b))
 	}
 	body := b[2:n]
+	count, size, same := 0, 0, hint != nil
 	for i := 0; i < len(body); {
 		t := body[i]
 		if t == OptPad1 {
@@ -111,7 +115,28 @@ func unmarshalOptions(b []byte) (opts []Option, next uint8, n int, err error) {
 			return nil, 0, 0, fmt.Errorf("ipv6: option %#x overruns header", t)
 		}
 		if t != OptPadN {
-			opts = append(opts, Option{Type: t, Data: body[i+2 : i+2+l : i+2+l]})
+			same = same && count < len(hint) && hint[count].Type == t && bytes.Equal(hint[count].Data, body[i+2:i+2+l])
+			count++
+			size += l
+		}
+		i += 2 + l
+	}
+	if same && count == len(hint) {
+		return hint, next, n, nil
+	}
+	opts = make([]Option, 0, count)
+	data := make([]byte, 0, size)
+	for i := 0; i < len(body); {
+		t := body[i]
+		if t == OptPad1 {
+			i++
+			continue
+		}
+		l := int(body[i+1])
+		if t != OptPadN {
+			start := len(data)
+			data = append(data, body[i+2:i+2+l]...)
+			opts = append(opts, Option{Type: t, Data: data[start:len(data):len(data)]})
 		}
 		i += 2 + l
 	}
@@ -137,7 +162,9 @@ func (r *RoutingHeader) marshal(b []byte, next uint8) ([]byte, error) {
 	return b, nil
 }
 
-func unmarshalRouting(b []byte) (r *RoutingHeader, next uint8, n int, err error) {
+// unmarshalRouting parses a type 0 routing header from the front of b. When
+// it equals hint, the result is hint itself.
+func unmarshalRouting(b []byte, hint *RoutingHeader) (r *RoutingHeader, next uint8, n int, err error) {
 	if len(b) < 8 {
 		return nil, 0, 0, fmt.Errorf("ipv6: routing header truncated")
 	}
@@ -152,15 +179,26 @@ func unmarshalRouting(b []byte) (r *RoutingHeader, next uint8, n int, err error)
 	if int(b[1])%2 != 0 {
 		return nil, 0, 0, fmt.Errorf("ipv6: routing type 0 with odd hdr ext len")
 	}
-	r = &RoutingHeader{SegmentsLeft: b[3]}
-	count := int(b[1]) / 2
-	if r.SegmentsLeft > uint8(count) {
-		return nil, 0, 0, fmt.Errorf("ipv6: segments left %d > %d addresses", r.SegmentsLeft, count)
+	segs, count := b[3], int(b[1])/2
+	if segs > uint8(count) {
+		return nil, 0, 0, fmt.Errorf("ipv6: segments left %d > %d addresses", segs, count)
 	}
-	for i := 0; i < count; i++ {
-		var a Addr
-		copy(a[:], b[8+16*i:8+16*(i+1)])
-		r.Addresses = append(r.Addresses, a)
+	addrs := b[8:n]
+	if hint != nil && hint.SegmentsLeft == segs && len(hint.Addresses) == count {
+		same := true
+		for i, a := range hint.Addresses {
+			same = same && a == Addr(addrs[16*i:16*(i+1)])
+		}
+		if same {
+			return hint, next, n, nil
+		}
+	}
+	r = &RoutingHeader{SegmentsLeft: segs}
+	if count > 0 {
+		r.Addresses = make([]Addr, count)
+		for i := range r.Addresses {
+			r.Addresses[i] = Addr(addrs[16*i : 16*(i+1)])
+		}
 	}
 	return r, next, n, nil
 }
@@ -186,15 +224,22 @@ func (f *FragmentHeader) marshal(b []byte, next uint8) []byte {
 	return append(b, w[:]...)
 }
 
-func unmarshalFragment(b []byte) (f *FragmentHeader, next uint8, n int, err error) {
+// unmarshalFragment parses a fragment header from the front of b. When it
+// equals hint, the result is hint itself.
+func unmarshalFragment(b []byte, hint *FragmentHeader) (f *FragmentHeader, next uint8, n int, err error) {
 	if len(b) < 8 {
 		return nil, 0, 0, fmt.Errorf("ipv6: fragment header truncated")
 	}
 	off := binary.BigEndian.Uint16(b[2:4])
-	f = &FragmentHeader{
+	h := FragmentHeader{
 		Offset: off >> 3,
 		More:   off&1 != 0,
 		ID:     binary.BigEndian.Uint32(b[4:8]),
 	}
+	if hint != nil && *hint == h {
+		return hint, b[0], 8, nil
+	}
+	f = new(FragmentHeader)
+	*f = h
 	return f, b[0], 8, nil
 }

@@ -151,9 +151,7 @@ func (r *Reassembler) Offer(pkt *Packet, now time.Duration) *Packet {
 		r.Drops++
 		return nil // holes
 	}
-	whole := &Packet{Hdr: buf.hdr, Proto: buf.proto, Payload: out}
-	whole.Hdr.PayloadLen = 0 // recomputed on encode
-	return whole
+	return &Packet{Hdr: buf.hdr, Proto: buf.proto, Payload: out}
 }
 
 // Expire drops incomplete reassemblies older than the timeout.

@@ -11,10 +11,12 @@ import (
 // upper-layer payload. Encode/Decode are exact inverses for well-formed
 // packets; links in the simulator carry the encoded form.
 //
-// Packets on the data path are shared and immutable. A packet handed to a
-// link must not change afterwards: receivers decode it with DecodeShared,
-// which aliases its payload instead of copying it, and every receiver of
-// one transmission gets the same decoded *Packet. Code that changes a
+// Packets on the data path are shared and immutable. A link encodes the
+// packet handed to it, decodes the frame with DecodeShared against it, and
+// gives every receiver and tap of the transmission that decode, which is
+// the sent packet itself whenever the frame decodes equal to it (the
+// common case). So a packet handed to a link must never change afterwards,
+// whether by its sender, a receiver or a forwarder. Code that changes a
 // header field works on a copy of the Packet value (see Forward) and keeps
 // sharing the payload, the option data and the inner packet; code that
 // changes bytes Clones first.
@@ -48,19 +50,20 @@ func (p *Packet) bodyLen() int {
 	return len(p.Payload)
 }
 
-// Forward returns the packet as a router sends it on: a copy of the Packet
-// value with the hop limit decremented. Extension headers, payload and
-// inner packet are shared with p, not copied (shared packets are
-// immutable), so one forwarded copy serves every outgoing interface and, as
-// a value that Send does not retain, costs no allocation.
-func (p *Packet) Forward() Packet {
+// Forward returns the packet as a router sends it on: a new copy of the
+// Packet value with the hop limit decremented. Extension headers, payload
+// and inner packet are shared with p, not copied (shared packets are
+// immutable). Send keeps the packet it is given and hands it to the
+// receivers, so the copy must not change once sent: a forwarder makes one
+// per datagram and sends that one copy on every outgoing interface.
+func (p *Packet) Forward() *Packet {
 	q := *p
 	q.Hdr.HopLimit--
-	return q
+	return &q
 }
 
-// Encode serializes the packet. The fixed header's PayloadLen and NextHeader
-// fields are computed; the caller's values are ignored.
+// Encode serializes the packet, computing the fixed header's Payload Length
+// and Next Header.
 func (p *Packet) Encode() ([]byte, error) {
 	return p.EncodeAppend(make([]byte, 0, HeaderLen+p.bodyLen()+64))
 }
@@ -71,11 +74,8 @@ func (p *Packet) Encode() ([]byte, error) {
 func (p *Packet) EncodeAppend(b []byte) ([]byte, error) {
 	// Determine the chain of next-header values front to back.
 	first, chain := p.nextChain()
-	hdr := p.Hdr
-	hdr.NextHeader = first
-
 	start := len(b)
-	b = hdr.marshal(b)
+	b = p.Hdr.marshal(b, 0, first) // the Payload Length is patched in below
 	var err error
 	i := 0
 	if p.HopByHop != nil {
@@ -146,42 +146,54 @@ func (p *Packet) nextChain() (first uint8, chain [4]uint8) {
 }
 
 // Decode parses an encoded IPv6 datagram. Unknown extension headers are an
-// error; trailing bytes beyond PayloadLen are an error (links deliver exact
-// frames). The packet keeps no reference to b. The body of an IPv6-in-IPv6
-// packet is parsed too, into Inner.
+// error; trailing bytes beyond the Payload Length are an error (links
+// deliver exact frames). The packet keeps no reference to b. The body of an
+// IPv6-in-IPv6 packet is parsed too, into Inner.
 func Decode(b []byte) (*Packet, error) { return DecodeShared(b, nil) }
 
-// DecodeShared decodes b, the encoding of sent, exactly as Decode does, but
-// where a payload in b is byte-equal to the corresponding payload of sent
-// (its own, or one of its inner packets') the decoded packet shares sent's
-// slice instead of copying the bytes, and where a decoded inner packet
-// equals sent's inner packet field for field it is sent's inner packet
-// itself. A link decodes each frame this way against the packet it encoded
-// the frame from, so a datagram's payload is allocated once at its origin
-// and shared by every hop and tunnel after that, and a packet a home agent
-// tunnels as it received it (already decoded) is the inner packet at every
-// hop of the tunnel. sent may be nil, and a sent that does not match b only
-// costs the sharing: the result is always what b says.
+// noHint stands in for a nil sent: it shares nothing.
+var noHint Packet
+
+// DecodeShared decodes b, the encoding of sent, exactly as Decode does, and
+// returns sent itself when the decode equals it field for field (see
+// equal). A link decodes each frame this way against the packet it encoded
+// the frame from, so every receiver and tap of a transmission gets the
+// sender's own packet and the decode allocates nothing. Where the decode
+// differs (a nil payload decodes as an empty one, raw tunnel bytes as an
+// inner packet, padding options are dropped) the result is a new Packet
+// that still shares every part of sent that decodes equal: the payload, an
+// option list, the routing or fragment header, and the inner packet, which
+// is decoded against sent's by this same rule. sent may be nil, and a sent
+// that does not match b only costs the sharing: the result is always what b
+// says.
 func DecodeShared(b []byte, sent *Packet) (*Packet, error) {
-	p := &Packet{}
-	if err := p.decode(b, sent); err != nil {
+	hint := sent
+	if hint == nil {
+		hint = &noHint
+	}
+	var d Packet
+	if err := d.decode(b, hint); err != nil {
 		return nil, err
 	}
+	if sent != nil && d.equal(sent) {
+		return sent, nil
+	}
+	p := new(Packet)
+	*p = d
 	return p, nil
 }
 
-// decode fills p from b. b is borrowed: whatever p keeps is either copied
-// out of b or shared from sent.
-func (p *Packet) decode(b []byte, sent *Packet) error {
-	if err := p.Hdr.unmarshal(b); err != nil {
+// decode fills p from b. b is borrowed: each part of p is hint's when it
+// decodes equal to it, and otherwise copied out of b.
+func (p *Packet) decode(b []byte, hint *Packet) error {
+	plen, next, err := p.Hdr.unmarshal(b)
+	if err != nil {
 		return err
 	}
-	want := HeaderLen + int(p.Hdr.PayloadLen)
-	if len(b) != want {
+	if want := HeaderLen + int(plen); len(b) != want {
 		return fmt.Errorf("ipv6: frame is %d bytes, header says %d", len(b), want)
 	}
 	rest := b[HeaderLen:]
-	next := p.Hdr.NextHeader
 	var seen uint64 // bit h set: extension header h parsed (all four are < 64)
 	for {
 		switch next {
@@ -192,27 +204,19 @@ func (p *Packet) decode(b []byte, sent *Packet) error {
 			seen |= 1 << next
 		default:
 			p.Proto = next
-			p.ownOptions()
-			p.setBody(rest, sent)
+			p.setBody(rest, hint)
 			return nil
 		}
 		var n int
-		var err error
 		switch next {
 		case ProtoHopByHop:
-			p.HopByHop, next, n, err = unmarshalOptions(rest)
-			if p.HopByHop == nil {
-				p.HopByHop = []Option{} // present but empty
-			}
+			p.HopByHop, next, n, err = unmarshalOptions(rest, hint.HopByHop)
 		case ProtoDestOpts:
-			p.DestOpts, next, n, err = unmarshalOptions(rest)
-			if p.DestOpts == nil {
-				p.DestOpts = []Option{}
-			}
+			p.DestOpts, next, n, err = unmarshalOptions(rest, hint.DestOpts)
 		case ProtoRouting:
-			p.Routing, next, n, err = unmarshalRouting(rest)
+			p.Routing, next, n, err = unmarshalRouting(rest, hint.Routing)
 		case ProtoFragment:
-			p.Fragment, next, n, err = unmarshalFragment(rest)
+			p.Fragment, next, n, err = unmarshalFragment(rest, hint.Fragment)
 		}
 		if err != nil {
 			return err
@@ -222,28 +226,19 @@ func (p *Packet) decode(b []byte, sent *Packet) error {
 }
 
 // setBody stores the upper-layer body: a tunnel's inner packet when it
-// parses, else the payload bytes, shared from sent when they match it.
-func (p *Packet) setBody(body []byte, sent *Packet) {
+// parses (decoded against hint's inner packet), else the payload bytes,
+// hint's when they are equal.
+func (p *Packet) setBody(body []byte, hint *Packet) {
 	if p.Proto == ProtoIPv6 && p.Fragment == nil {
-		var hint *Packet
-		if sent != nil {
-			hint = sent.Inner
-		}
-		var inner Packet
-		if inner.decode(body, hint) == nil {
-			if hint != nil && inner.equal(hint) {
-				p.Inner = hint
-			} else {
-				p.Inner = new(Packet)
-				*p.Inner = inner
-			}
+		if inner, err := DecodeShared(body, hint.Inner); err == nil {
+			p.Inner = inner
 			return
 		}
 	}
-	// An empty body is copied too: Decode has always given it a non-nil
-	// empty Payload, which sharing a nil one would change.
-	if sent != nil && len(body) > 0 && bytes.Equal(sent.Payload, body) {
-		p.Payload = sent.Payload
+	// An empty body decodes as a non-nil empty Payload, so a nil hint
+	// payload is never shared for it.
+	if hint.Payload != nil && bytes.Equal(hint.Payload, body) {
+		p.Payload = hint.Payload
 		return
 	}
 	p.Payload = make([]byte, len(body))
@@ -285,28 +280,6 @@ func optionsEqual(a, b []Option) bool {
 		}
 	}
 	return true
-}
-
-// ownOptions moves the option data, which parsing left pointing into the
-// borrowed frame, into one buffer the packet owns.
-func (p *Packet) ownOptions() {
-	if len(p.HopByHop)+len(p.DestOpts) == 0 {
-		return
-	}
-	total := 0
-	for _, opts := range [2][]Option{p.HopByHop, p.DestOpts} {
-		for _, o := range opts {
-			total += len(o.Data)
-		}
-	}
-	buf := make([]byte, 0, total)
-	for _, opts := range [2][]Option{p.HopByHop, p.DestOpts} {
-		for i := range opts {
-			start := len(buf)
-			buf = append(buf, opts[i].Data...)
-			opts[i].Data = buf[start:len(buf):len(buf)]
-		}
-	}
 }
 
 // WireLen returns the encoded size of the packet in bytes without allocating

@@ -268,8 +268,8 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got.Payload[0] != &sent.Payload[0] {
-		t.Error("DecodeShared copied a payload byte-equal to the sent packet's")
+	if got != sent {
+		t.Error("DecodeShared decoded afresh a frame equal to the sent packet")
 	}
 	plain, err := Decode(frame)
 	if err != nil {
@@ -278,20 +278,29 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 	if &plain.Payload[0] == &sent.Payload[0] || !bytes.Equal(plain.Payload, sent.Payload) {
 		t.Error("Decode must copy the payload out of the frame")
 	}
+	// A hint whose header differs still lends its equal payload.
+	fwd := sent.Forward()
+	if got, err = DecodeShared(frame, fwd); err != nil {
+		t.Fatal(err)
+	}
+	if got == fwd || got.Hdr != sent.Hdr || &got.Payload[0] != &sent.Payload[0] {
+		t.Errorf("header-mismatched hint: got %v, want a new packet sharing the payload", got)
+	}
 	// A hint that does not match the frame only loses the sharing.
 	other := samplePacket()
 	other.Payload = []byte("different")
 	if got, err = DecodeShared(frame, other); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Payload, sent.Payload) {
+	if got == other || !bytes.Equal(got.Payload, sent.Payload) {
 		t.Errorf("mismatched hint leaked into the result: %q", got.Payload)
 	}
 }
 
 // TestDecodeSharedSharesEqualInner checks the tunnel half of DecodeShared:
 // an inner packet that decodes equal to the sent one field for field is the
-// sent one, at every hop; any difference gets a fresh, faithful decode.
+// sent one, at every hop, whether it was decoded or built by hand; any
+// difference gets a fresh, faithful decode.
 func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	src, dst := MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::beef")
 	sent := samplePacket()
@@ -300,7 +309,7 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	received, err := DecodeShared(frame, sent)
+	received, err := Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +326,13 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Inner != received {
-			t.Fatalf("hop %d: decoded inner is a copy, want the tunneled packet itself", hop)
+		if got != outer || got.Inner != received {
+			t.Fatalf("hop %d: decoded packet is a copy, want the tunneled packet itself", hop)
 		}
-		fwd := got.Forward()
-		outer = &fwd
+		outer = got.Forward()
 	}
-	// A hand-built inner leaves the header's computed fields zero, so it is
-	// not what the frame decodes to: the inner is decoded afresh.
+	// The header holds no computed field, so a hand-built inner equals its
+	// own decode and is shared too.
 	outer, err = Encapsulate(src, dst, DefaultHopLimit, sent)
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +344,8 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Inner == sent || !reflect.DeepEqual(got.Inner, received) {
-		t.Errorf("hand-built inner: got %+v, want a fresh decode equal to %+v", got.Inner, received)
+	if got != outer || got.Inner != sent {
+		t.Errorf("hand-built inner: got %+v, want the sent packet itself", got.Inner)
 	}
 	// A hint that differs in any field is never returned.
 	for name, change := range map[string]func(p *Packet){
@@ -354,7 +362,7 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Inner == &hint || !reflect.DeepEqual(got.Inner, received) {
+		if got == &wrapped || got.Inner == &hint || !reflect.DeepEqual(got.Inner, received) {
 			t.Errorf("%s: mismatched inner hint leaked into the result: %+v", name, got.Inner)
 		}
 	}
@@ -431,12 +439,7 @@ func TestQuickPacketRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return q.Hdr == p.Hdr || // PayloadLen differs pre/post encode; compare piecewise
-			func() bool {
-				return q.Hdr.Src == p.Hdr.Src && q.Hdr.Dst == p.Hdr.Dst &&
-					q.Hdr.TrafficClass == tc && q.Hdr.FlowLabel == fl&0xfffff &&
-					q.Hdr.HopLimit == hl && q.Proto == proto && bytes.Equal(q.Payload, payload)
-			}()
+		return q.Hdr == p.Hdr && q.Proto == proto && bytes.Equal(q.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -15,13 +15,13 @@ import (
 )
 
 // queryDispatchAllocBudget bounds one General Query and one Report for the
-// queried group, each delivered to 8 listening hosts: the node parses each
-// message once into a value and the hosts re-arm and stop timers, so only
-// the links' decodes allocate — a Packet, its Router Alert option slice
-// and that option's data per frame. Measured 6; a per-receiver parse or
-// delivery closure adds 8 per frame (parse-per-handler with closures
-// measured 40).
-const queryDispatchAllocBudget = 6
+// queried group, each delivered to 8 listening hosts: each link decode is
+// the sent packet, Router Alert option included, the node parses each
+// message once into a value and the hosts re-arm and stop timers, so
+// nothing is allocated. Measured 0; a decoded Packet per frame with its own
+// option slice and data measured 6, and a per-receiver parse or delivery
+// closure adds 8 per frame (parse-per-handler with closures measured 40).
+const queryDispatchAllocBudget = 0
 
 func TestQueryDispatchAllocBudget(t *testing.T) {
 	f := newFixture(1, DefaultConfig())

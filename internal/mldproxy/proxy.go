@@ -310,9 +310,12 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 	}
 	group := rx.Pkt.Hdr.Dst
 	st := p.groups[group]
-	out := rx.Pkt.Forward() // one shared copy for every interface
+	// One forwarded copy, made at the first outgoing interface, serves
+	// every interface.
+	var out *ipv6.Packet
 	if !fromUp {
-		if err := p.up.Send(&out); err == nil {
+		out = rx.Pkt.Forward()
+		if err := p.up.Send(out); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}
@@ -323,7 +326,10 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 		if st == nil || !st.ifaces[ifc] {
 			continue
 		}
-		if err := ifc.Send(&out); err == nil {
+		if out == nil {
+			out = rx.Pkt.Forward()
+		}
+		if err := ifc.Send(out); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}

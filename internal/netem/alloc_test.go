@@ -15,12 +15,12 @@ import (
 )
 
 // fanoutAllocBudget bounds one multicast transmission delivered to 16
-// receivers, steady state: the link's one shared decode, which copies no
-// payload. Delivery events are typed and pooled and the UDP view is a
-// value, so nothing is allocated per receiver. Measured 1; a delivery
-// closure or a heap UDP view per receiver adds 16, a per-receiver decode
-// far more.
-const fanoutAllocBudget = 1
+// receivers, steady state. The link's decode returns the sent packet
+// itself, delivery events are typed and pooled and the UDP view is a
+// value, so nothing is allocated. Measured 0; a decoded Packet per
+// transmission adds 1, a delivery closure or a heap UDP view per receiver
+// 16, a per-receiver decode far more.
+const fanoutAllocBudget = 0
 
 func TestFanoutDeliveryAllocBudget(t *testing.T) {
 	s := sim.NewScheduler(1)
@@ -66,13 +66,14 @@ func TestFanoutDeliveryAllocBudget(t *testing.T) {
 }
 
 // forwardAllocBudget bounds one unicast datagram sent by a host and
-// forwarded by one router, steady state: one decoded Packet per link. The
-// router's forwarding copy lives on its stack, no payload is copied, and
-// delivery events and the destination's UDP view allocate nothing;
-// measured 2. A payload copy on either link, a heap-allocated forwarding
-// copy or a delivery closure breaks it (the data plane that cloned and
-// copied cost 10, the one with closures 5).
-const forwardAllocBudget = 2
+// forwarded by one router, steady state: the router's forwarding copy,
+// which Send keeps. Each link's decode is the packet it was sent, no
+// payload is copied, and delivery events and the destination's UDP view
+// allocate nothing; measured 1. A decoded Packet per link, a payload copy
+// on either link or a delivery closure breaks it (the data plane that
+// cloned and copied cost 10, the one with closures 5, the one with a
+// decoded Packet per link 2).
+const forwardAllocBudget = 1
 
 func TestForwardAllocBudget(t *testing.T) {
 	run, ia, ir1, b, aA, bA := forwardingNet()
@@ -92,6 +93,6 @@ func TestForwardAllocBudget(t *testing.T) {
 	}
 	t.Logf("forwarded datagram: %v allocs (budget %d)", allocs, forwardAllocBudget)
 	if allocs > forwardAllocBudget {
-		t.Errorf("forwarded datagram allocates %v objects; budget %d (payload copy or heap forwarding copy?)", allocs, forwardAllocBudget)
+		t.Errorf("forwarded datagram allocates %v objects; budget %d (decoded Packet or payload copy per link?)", allocs, forwardAllocBudget)
 	}
 }

@@ -127,6 +127,9 @@ func (ifc *Interface) RemoveProxy(a ipv6.Addr) { delete(ifc.proxies, a) }
 // on-link ("perfect ND", honoring proxies). Sending to an unresolvable
 // unicast destination silently drops the frame, as a real link would after
 // ND failure.
+//
+// Send keeps pkt: the link hands it to every receiver and tap of the
+// transmission (see Link.transmit), so pkt must not change afterwards.
 func (ifc *Interface) Send(pkt *ipv6.Packet) error {
 	if !ifc.up || ifc.Link == nil {
 		return fmt.Errorf("netem: %s: send on downed interface", ifc)
@@ -161,7 +164,8 @@ func (ifc *Interface) SendVia(pkt *ipv6.Packet, nextHop ipv6.Addr) error {
 // fragmentation, honoring any learned path MTU toward the destination);
 // otherwise it is dropped and, for unicast, an ICMPv6 Packet Too Big goes
 // back to the source (routers never fragment — RFC 2463 §3.2 path-MTU
-// discovery).
+// discovery). pkt, or each fragment made from it, is what the receivers
+// get, so it is kept, never copied.
 func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 	net := ifc.Node.Net
 	region := ifc.Node.Sched().Region()
@@ -192,10 +196,7 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, l2dst *Interface) error {
 		return nil
 	}
 	net.putFrameBuf(region, frame)
-	// Fragment on a copy: pkt itself never escapes Send, so a forwarded
-	// packet can live on its forwarder's stack.
-	whole := *pkt
-	frags, err := ipv6.Fragment(&whole, mtu, ifc.Node.nextFragID())
+	frags, err := ipv6.Fragment(pkt, mtu, ifc.Node.nextFragID())
 	if err != nil {
 		ifc.Node.drop("too-big")
 		return nil

@@ -12,9 +12,10 @@ import (
 // RxPacket is a received datagram handed to protocol modules.
 type RxPacket struct {
 	Iface *Interface
-	// Pkt is the decoded datagram. It is shared: every receiver of the
-	// same link transmission (and every tap) sees the same *ipv6.Packet,
-	// parsed once at transmit, and its payload may be the very bytes the
+	// Pkt is the datagram. It is shared: every receiver of the same link
+	// transmission (and every tap) sees the same *ipv6.Packet, which is
+	// the very packet the sender handed to Interface.Send whenever the
+	// frame decodes equal to it, and its payload may be the bytes the
 	// datagram's origin allocated. Handlers must treat it as immutable:
 	// to change a header field, copy the Packet value (the forwarding
 	// paths use ipv6.Packet.Forward); to change bytes, Clone. Retaining it
@@ -510,8 +511,7 @@ func (n *Node) forwardUnicast(rx RxPacket) {
 		n.drop("no-route")
 		return
 	}
-	fwd := pkt.Forward()
-	if err := out.SendVia(&fwd, via); err != nil {
+	if err := out.SendVia(pkt.Forward(), via); err != nil {
 		n.drop("tx-error")
 	}
 }

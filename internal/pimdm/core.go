@@ -725,14 +725,19 @@ func (c *Core[E, D]) ForwardMulticast(rx netem.RxPacket) {
 	if rx.Pkt.Hdr.HopLimit > 1 {
 		// Iterate the node's interface slice, not the downstream map:
 		// replication order decides the per-link transmission sequence and
-		// must not vary with map layout (trace reproducibility).
-		out := rx.Pkt.Forward() // one shared copy for every interface
+		// must not vary with map layout (trace reproducibility). One
+		// forwarded copy, made at the first outgoing interface, serves
+		// every interface.
+		var out *ipv6.Packet
 		for _, ifc := range c.Node.Ifaces {
 			ds := ent.Down[ifc]
 			if ds == nil || !c.shouldForward(ds) {
 				continue
 			}
-			if err := ifc.Send(&out); err == nil {
+			if out == nil {
+				out = rx.Pkt.Forward()
+			}
+			if err := ifc.Send(out); err == nil {
 				c.Stats.DataForwarded++
 			}
 		}
