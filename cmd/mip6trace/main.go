@@ -29,6 +29,7 @@ import (
 	"mip6mcast/internal/core"
 	"mip6mcast/internal/obs"
 	"mip6mcast/internal/scenario"
+	"mip6mcast/internal/sim"
 	"mip6mcast/internal/trace"
 )
 
@@ -167,15 +168,16 @@ func main() {
 			rec.Instant("net", "scenario", "move", s)
 		}
 	}
+	// Moves are driver actions: each runs at a kernel barrier, after every
+	// event before its instant and before every event at it.
 	if *moveReceiver > 0 {
-		f.Sched.At(0, func() {})
-		f.Sched.Schedule(*moveReceiver, func() {
+		f.At(sim.Time(*moveReceiver), func() {
 			banner("R3 moves to L6")
 			f.Move("R3", "L6")
 		})
 	}
 	if *moveSender > 0 {
-		f.Sched.Schedule(*moveSender, func() {
+		f.At(sim.Time(*moveSender), func() {
 			banner("S moves to L6")
 			f.Move("S", "L6")
 		})

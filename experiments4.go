@@ -88,7 +88,7 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	// so the per-datagram figure covers only steady-state deliveries.
 	var tunnelAtSettle uint64
 	settled := moveAt + sim.Time(20*time.Second)
-	f.Sched.At(settled, func() { tunnelAtSettle = tunnelBytes })
+	f.At(settled, func() { tunnelAtSettle = tunnelBytes })
 	f.Run(60 * time.Second)
 
 	p := SLDPoint{Depth: depth, Tunnel: tunnel, OptimalHops: depth}
