@@ -33,9 +33,17 @@ echo "examples smoke: every example ran to completion"
 
 # Decoder fuzz smoke: a short search from the seed packets (plain, every
 # extension header, fragment, one and two tunnel layers). Decoding must
-# never panic, must re-encode to a fixed point, and must keep nothing of
-# the frame it parsed.
+# never panic, must re-encode to a fixed point, must return the very packet
+# a frame came from when decoded against it (and never a differing one),
+# and must keep nothing of the frame it parsed.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ipv6
+
+# Mobile IPv6 option fuzz smoke: from the seed options (Binding Update with
+# Unique ID, Alternate Care-of Address and the paper's Figure 5 Multicast
+# Group List sub-option, a cleared and a split group list, Binding Ack,
+# Binding Request, Home Address), parsing must never panic and parse ->
+# marshal -> parse must be a fixed point.
+go test -run '^$' -fuzz '^FuzzMobility$' -fuzztime 10s ./internal/ipv6
 
 # ICMPv6 fuzz smoke: from the seed messages (RS, RA with one prefix and
 # with more options than a RouterAdvert holds, MLD Query/Report/Done, PTB),
