@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -14,7 +17,8 @@ import (
 // resultCache maps canonical spec keys (checkpoint.Meta.CacheKey form) to
 // finished results. Entries live in memory and, when a directory is
 // configured, as one JSON file per key so a restarted daemon serves them
-// again. Only clean results (no failed cells) are ever stored.
+// again, once their checksum verifies. Only clean results (no failed
+// cells) are ever stored.
 type resultCache struct {
 	mu  sync.Mutex
 	dir string
@@ -23,10 +27,18 @@ type resultCache struct {
 
 // cacheFile is the on-disk entry: the full key guards against the
 // (astronomically unlikely, but checkable) hash collision and makes the
-// files self-describing.
+// files self-describing, and Sum, the SHA-256 of the compact JSON
+// encoding of Result, catches an entry altered on disk that still parses.
 type cacheFile struct {
-	Key    string         `json:"key"`
-	Result exp.JSONResult `json:"result"`
+	Key    string          `json:"key"`
+	Sum    string          `json:"sum"`
+	Result json.RawMessage `json:"result"`
+}
+
+// resultSum returns the hex SHA-256 of a compact JSON result encoding.
+func resultSum(compact []byte) string {
+	sum := sha256.Sum256(compact)
+	return hex.EncodeToString(sum[:])
 }
 
 func newResultCache(dir string) (*resultCache, error) {
@@ -57,12 +69,23 @@ func (c *resultCache) get(key string) (*exp.JSONResult, bool) {
 	if err != nil {
 		return nil, false
 	}
+	// An entry that does not parse, carries another key or fails its
+	// checksum is a miss: the run is recomputed and its put replaces the
+	// file.
 	var cf cacheFile
 	if err := json.Unmarshal(data, &cf); err != nil || cf.Key != key {
 		return nil, false
 	}
-	c.mem[key] = &cf.Result
-	return &cf.Result, true
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, cf.Result); err != nil || resultSum(compact.Bytes()) != cf.Sum {
+		return nil, false
+	}
+	jr := new(exp.JSONResult)
+	if err := json.Unmarshal(compact.Bytes(), jr); err != nil {
+		return nil, false
+	}
+	c.mem[key] = jr
+	return jr, true
 }
 
 func (c *resultCache) put(key string, jr *exp.JSONResult) {
@@ -72,7 +95,11 @@ func (c *resultCache) put(key string, jr *exp.JSONResult) {
 	if c.dir == "" {
 		return
 	}
-	data, err := json.MarshalIndent(cacheFile{Key: key, Result: *jr}, "", " ")
+	result, err := json.Marshal(jr)
+	if err != nil {
+		return
+	}
+	data, err := json.MarshalIndent(cacheFile{Key: key, Sum: resultSum(result), Result: result}, "", " ")
 	if err != nil {
 		return
 	}

@@ -6,6 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +250,73 @@ func TestRunResultCacheAndProgress(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/runs", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("different seed was cache-hit: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestAlteredCacheEntryRecomputed changes one digit of a cached result on
+// disk. The entry still parses and carries the right key, but its checksum
+// no longer matches, so a restarted daemon recomputes the run instead of
+// serving the altered number, and the recomputed result replaces the
+// entry.
+func TestAlteredCacheEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, dir)
+	spec := map[string]any{
+		"experiment": "s44",
+		"params":     map[string]any{"tquery": []int{5}},
+		"seed":       11,
+		"replicates": 1,
+	}
+	submit := func(base string, want int) run {
+		t.Helper()
+		resp, body := postJSON(t, base+"/runs", spec)
+		if resp.StatusCode != want {
+			t.Fatalf("submit: status %d, want %d: %s", resp.StatusCode, want, body)
+		}
+		var r run
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatalf("decoding submit response: %v", err)
+		}
+		return r
+	}
+	first := waitRun(t, ts.URL, submit(ts.URL, http.StatusAccepted).ID)
+	if first.Status != "done" || first.Result == nil {
+		t.Fatalf("first run: status=%s err=%s", first.Status, first.Err)
+	}
+
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("cache files %v (err %v), want one", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(`"mean": `))
+	if at < 0 {
+		t.Fatalf("no mean in the cached result:\n%s", data)
+	}
+	at += len(`"mean": `)
+	if data[at] < '0' || data[at] > '9' {
+		t.Fatalf("mean does not start with a digit: %q", data[at:at+8])
+	}
+	data[at] = '0' + (data[at]-'0'+1)%10
+	var cf cacheFile
+	if err := json.Unmarshal(data, &cf); err != nil {
+		t.Fatalf("the altered entry no longer parses, so it tests nothing: %v", err)
+	}
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, dir)
+	rerun := waitRun(t, ts2.URL, submit(ts2.URL, http.StatusAccepted).ID)
+	if rerun.Status != "done" || rerun.Cached || !reflect.DeepEqual(rerun.Result, first.Result) {
+		t.Fatalf("recomputed run: status=%s cached=%v, result %+v, want %+v", rerun.Status, rerun.Cached, rerun.Result, first.Result)
+	}
+	_, ts3 := newTestServer(t, dir)
+	if again := submit(ts3.URL, http.StatusOK); !again.Cached || !reflect.DeepEqual(again.Result, first.Result) {
+		t.Fatalf("rewritten entry not served: %+v", again)
 	}
 }
 
