@@ -102,7 +102,7 @@ func engineDigestCases() []digestCase {
 			}})
 		}
 		cases = append(cases, digestCase{"shard-ba-r40-shards4/" + eng, func(t *testing.T) []byte {
-			b, _ := shardSmokeTrace(t, eng, 4, 1)
+			b, _ := shardSmokeTrace(t, eng, 4, 1, nil)
 			return b
 		}})
 		cases = append(cases, digestCase{"checkpoint-fig1-20s/" + eng, func(t *testing.T) []byte {
