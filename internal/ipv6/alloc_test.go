@@ -81,7 +81,7 @@ func TestDecodeSharedAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(1000, func() {
-			if _, err := DecodeShared(frame, c.pkt); err != nil {
+			if _, _, err := DecodeShared(frame, c.pkt); err != nil {
 				t.Fatal(err)
 			}
 		})

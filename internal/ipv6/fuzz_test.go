@@ -10,9 +10,13 @@ import (
 // decoding never panics; a decoded packet re-encodes; the re-encoding is a
 // fixed point (decode, encode again, same bytes), whether it is decoded
 // alone or against the packet it came from; decoding against that packet
-// returns that very packet and keeps nothing of the frame; and a hint that
-// differs from it in any field is never returned. `go test` runs the
-// seeds; run `go test -fuzz FuzzDecode ./internal/ipv6` to search.
+// returns that very packet and keeps nothing of the frame; so does
+// decoding a frame the packet was encoded into some hops on (its hop
+// limit lowered), with that hop count, which gives back the frame's hop
+// limit; a hint whose hop limit is below the frame's is never returned,
+// and neither is one that differs from the packet in any other field,
+// whatever the frame's hop limit. `go test` runs the seeds; run
+// `go test -fuzz FuzzDecode ./internal/ipv6` to search.
 func FuzzDecode(f *testing.F) {
 	// Every extension header kind but the fragment header, with option data.
 	rich := samplePacket()
@@ -57,9 +61,12 @@ func FuzzDecode(f *testing.F) {
 		}
 		for _, hint := range []*Packet{nil, p} {
 			frame := append([]byte(nil), enc...)
-			q, err := DecodeShared(frame, hint)
+			q, hops, err := DecodeShared(frame, hint)
 			if err != nil {
 				t.Fatalf("re-encoding does not decode: %v", err)
+			}
+			if hops != 0 {
+				t.Fatalf("a frame with its packet's own hop limit decoded %d hops on", hops)
 			}
 			for i := range frame {
 				frame[i] ^= 0xff
@@ -75,18 +82,44 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("decoding against the packet the frame came from gave a copy: %v", q)
 			}
 		}
-		for i, change := range hintChanges {
-			v := *p
-			change(&v)
-			q, err := DecodeShared(enc, &v)
+		// The frame of p some hops on decodes to p with that hop count.
+		frames := [][]byte{enc}
+		for _, hops := range []uint8{1, p.Hdr.HopLimit} {
+			if hops == 0 || hops > p.Hdr.HopLimit {
+				continue
+			}
+			frame, err := p.EncodeAppendHops(nil, hops)
 			if err != nil {
-				t.Fatalf("change %d: %v", i, err)
+				t.Fatalf("%d hops on: %v", hops, err)
 			}
-			if q == &v {
-				t.Fatalf("change %d: a hint that differs from the frame was returned: %v", i, q)
+			q, got, err := DecodeShared(frame, p)
+			if err != nil || q != p || got != hops || p.Hdr.HopLimit-got != frame[7] {
+				t.Fatalf("%d hops on: decoded %v with %d hops (err %v), want the packet itself with %d", hops, q, got, err, hops)
 			}
-			if again, err := q.Encode(); err != nil || !bytes.Equal(again, enc) {
-				t.Fatalf("change %d: decoding against a differing hint gave %x (err %v), want %x", i, again, err, enc)
+			frames = append(frames, frame)
+		}
+		// A hint below the frame's hop limit is not its packet hops back.
+		if p.Hdr.HopLimit > 0 {
+			v := *p
+			v.Hdr.HopLimit--
+			if q, _, err := DecodeShared(enc, &v); err != nil || q == &v {
+				t.Fatalf("a hint with a hop limit below the frame's was returned (err %v)", err)
+			}
+		}
+		for _, frame := range frames {
+			for i, change := range hintChanges {
+				v := *p
+				change(&v)
+				q, hops, err := DecodeShared(frame, &v)
+				if err != nil {
+					t.Fatalf("change %d: %v", i, err)
+				}
+				if q == &v {
+					t.Fatalf("change %d: a hint that differs from the frame was returned: %v", i, q)
+				}
+				if again, err := q.EncodeAppendHops(nil, hops); err != nil || !bytes.Equal(again, frame) {
+					t.Fatalf("change %d: decoding against a differing hint gave %x (err %v), want %x", i, again, err, frame)
+				}
 			}
 		}
 		if TunnelDepth(p) > 0 && Innermost(p) == p {
@@ -95,12 +128,11 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// hintChanges each change one field of a packet, so that it no longer
-// equals what its encoding decodes to.
+// hintChanges each change one field of a packet other than its hop limit,
+// so that it no longer equals what its encoding decodes to at any hop.
 var hintChanges = []func(p *Packet){
 	func(p *Packet) { p.Hdr.TrafficClass ^= 1 },
 	func(p *Packet) { p.Hdr.FlowLabel ^= 1 },
-	func(p *Packet) { p.Hdr.HopLimit++ },
 	func(p *Packet) { p.Hdr.Src[15] ^= 1 },
 	func(p *Packet) { p.Hdr.Dst[0] ^= 1 },
 	func(p *Packet) { p.Proto ^= 1 },
@@ -130,7 +162,9 @@ var hintChanges = []func(p *Packet){
 			p.Inner = samplePacket()
 			return
 		}
-		p.Inner = p.Inner.Forward()
+		in := *p.Inner // a tunnel never changes the inner hop limit
+		in.Hdr.HopLimit--
+		p.Inner = &in
 	},
 }
 

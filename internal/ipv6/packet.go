@@ -14,12 +14,15 @@ import (
 // Packets on the data path are shared and immutable. A link encodes the
 // packet handed to it, decodes the frame with DecodeShared against it, and
 // gives every receiver and tap of the transmission that decode, which is
-// the sent packet itself whenever the frame decodes equal to it (the
-// common case). So a packet handed to a link must never change afterwards,
-// whether by its sender, a receiver or a forwarder. Code that changes a
-// header field works on a copy of the Packet value (see Forward) and keeps
-// sharing the payload, the option data and the inner packet; code that
-// changes bytes Clones first.
+// the sent packet itself whenever the frame decodes equal to it apart from
+// a lowered hop limit (the common case). A router forwards the packet it
+// received, not a copy: the hop limit is the one header field forwarding
+// changes, so the count of routers passed travels beside the packet (see
+// EncodeAppendHops) and Hdr.HopLimit stays what the packet's sender set.
+// So a packet handed to a link must never change afterwards, whether by
+// its sender, a receiver or a forwarder. Code that changes a header field
+// works on a copy of the Packet value and keeps sharing the payload, the
+// option data and the inner packet; code that changes bytes Clones first.
 type Packet struct {
 	Hdr      Header
 	HopByHop []Option        // Hop-by-Hop Options header, nil if absent
@@ -50,18 +53,6 @@ func (p *Packet) bodyLen() int {
 	return len(p.Payload)
 }
 
-// Forward returns the packet as a router sends it on: a new copy of the
-// Packet value with the hop limit decremented. Extension headers, payload
-// and inner packet are shared with p, not copied (shared packets are
-// immutable). Send keeps the packet it is given and hands it to the
-// receivers, so the copy must not change once sent: a forwarder makes one
-// per datagram and sends that one copy on every outgoing interface.
-func (p *Packet) Forward() *Packet {
-	q := *p
-	q.Hdr.HopLimit--
-	return &q
-}
-
 // Encode serializes the packet, computing the fixed header's Payload Length
 // and Next Header.
 func (p *Packet) Encode() ([]byte, error) {
@@ -71,11 +62,26 @@ func (p *Packet) Encode() ([]byte, error) {
 // EncodeAppend serializes the packet, appending to b (which may carry
 // earlier data; the encoding starts at len(b)). Hot paths pass a recycled
 // buffer here to avoid the per-frame allocation of Encode.
-func (p *Packet) EncodeAppend(b []byte) ([]byte, error) {
+func (p *Packet) EncodeAppend(b []byte) ([]byte, error) { return p.encode(b, p.Hdr.HopLimit) }
+
+// EncodeAppendHops is EncodeAppend for the packet as it leaves the hops-th
+// router on its path: the frame carries a hop limit hops below
+// Hdr.HopLimit, and is otherwise p's encoding. A link encodes every
+// transmission this way, so a router sends on the packet it received
+// instead of a copy with a lowered hop limit. hops must not exceed
+// Hdr.HopLimit.
+func (p *Packet) EncodeAppendHops(b []byte, hops uint8) ([]byte, error) {
+	return p.encode(b, p.Hdr.HopLimit-hops)
+}
+
+// encode appends the encoding of p with the given hop limit.
+func (p *Packet) encode(b []byte, hopLimit uint8) ([]byte, error) {
 	// Determine the chain of next-header values front to back.
 	first, chain := p.nextChain()
 	start := len(b)
-	b = p.Hdr.marshal(b, 0, first) // the Payload Length is patched in below
+	hdr := p.Hdr
+	hdr.HopLimit = hopLimit
+	b = hdr.marshal(b, 0, first) // the Payload Length is patched in below
 	var err error
 	i := 0
 	if p.HopByHop != nil {
@@ -149,38 +155,59 @@ func (p *Packet) nextChain() (first uint8, chain [4]uint8) {
 // error; trailing bytes beyond the Payload Length are an error (links
 // deliver exact frames). The packet keeps no reference to b. The body of an
 // IPv6-in-IPv6 packet is parsed too, into Inner.
-func Decode(b []byte) (*Packet, error) { return DecodeShared(b, nil) }
+func Decode(b []byte) (*Packet, error) {
+	p, _, err := DecodeShared(b, nil)
+	return p, err
+}
 
 // noHint stands in for a nil sent: it shares nothing.
 var noHint Packet
 
-// DecodeShared decodes b, the encoding of sent, exactly as Decode does, and
+// DecodeShared decodes b, the encoding of sent, exactly as Decode does. It
 // returns sent itself when the decode equals it field for field (see
-// equal). A link decodes each frame this way against the packet it encoded
-// the frame from, so every receiver and tap of a transmission gets the
-// sender's own packet and the decode allocates nothing. Where the decode
-// differs (a nil payload decodes as an empty one, raw tunnel bytes as an
-// inner packet, padding options are dropped) the result is a new Packet
-// that still shares every part of sent that decodes equal: the payload, an
-// option list, the routing or fragment header, and the inner packet, which
-// is decoded against sent's by this same rule. sent may be nil, and a sent
-// that does not match b only costs the sharing: the result is always what b
+// equal) apart from the hop limit, which may be lower in b than in sent:
+// hops is then sent.Hdr.HopLimit minus b's hop limit, the count
+// EncodeAppendHops encoded b with, and the packet b says is sent with its
+// hop limit lowered by hops. A link decodes each frame this way against
+// the packet it encoded the frame from, so every receiver and tap of a
+// transmission gets the sender's own packet, a forwarded one included, and
+// the decode allocates nothing. Where the decode differs (a nil payload
+// decodes as an empty one, raw tunnel bytes as an inner packet, padding
+// options are dropped) the result is a new Packet, with hops 0, that still
+// shares every part of sent that decodes equal: the payload, an option
+// list, the routing or fragment header, and the inner packet, which is
+// decoded against sent's by this same rule except that its hop limit must
+// match too (a tunnel does not touch it). sent may be nil, and a sent that
+// does not match b only costs the sharing: the result is always what b
 // says.
-func DecodeShared(b []byte, sent *Packet) (*Packet, error) {
+func DecodeShared(b []byte, sent *Packet) (p *Packet, hops uint8, err error) {
+	return decodeShared(b, sent, true)
+}
+
+// decodeShared is DecodeShared; lowered reports whether b's hop limit may
+// be below sent's.
+func decodeShared(b []byte, sent *Packet, lowered bool) (*Packet, uint8, error) {
 	hint := sent
 	if hint == nil {
 		hint = &noHint
 	}
 	var d Packet
 	if err := d.decode(b, hint); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if sent != nil && d.equal(sent) {
-		return sent, nil
+	if sent != nil {
+		hl := d.Hdr.HopLimit
+		if lowered && hl <= sent.Hdr.HopLimit {
+			d.Hdr.HopLimit = sent.Hdr.HopLimit
+		}
+		if d.equal(sent) {
+			return sent, sent.Hdr.HopLimit - hl, nil
+		}
+		d.Hdr.HopLimit = hl
 	}
 	p := new(Packet)
 	*p = d
-	return p, nil
+	return p, 0, nil
 }
 
 // decode fills p from b. b is borrowed: each part of p is hint's when it
@@ -230,7 +257,7 @@ func (p *Packet) decode(b []byte, hint *Packet) error {
 // hint's when they are equal.
 func (p *Packet) setBody(body []byte, hint *Packet) {
 	if p.Proto == ProtoIPv6 && p.Fragment == nil {
-		if inner, err := DecodeShared(body, hint.Inner); err == nil {
+		if inner, _, err := decodeShared(body, hint.Inner, false); err == nil {
 			p.Inner = inner
 			return
 		}

@@ -264,12 +264,12 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeShared(frame, sent)
+	got, hops, err := DecodeShared(frame, sent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != sent {
-		t.Error("DecodeShared decoded afresh a frame equal to the sent packet")
+	if got != sent || hops != 0 {
+		t.Errorf("DecodeShared decoded afresh a frame equal to the sent packet (hops %d)", hops)
 	}
 	plain, err := Decode(frame)
 	if err != nil {
@@ -278,18 +278,35 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 	if &plain.Payload[0] == &sent.Payload[0] || !bytes.Equal(plain.Payload, sent.Payload) {
 		t.Error("Decode must copy the payload out of the frame")
 	}
-	// A hint whose header differs still lends its equal payload.
-	fwd := sent.Forward()
-	if got, err = DecodeShared(frame, fwd); err != nil {
+	// A hint whose hop limit is above the frame's is the frame's packet
+	// some routers back: it is returned with that hop count.
+	up := *sent
+	up.Hdr.HopLimit += 3
+	if got, hops, err = DecodeShared(frame, &up); err != nil {
 		t.Fatal(err)
 	}
-	if got == fwd || got.Hdr != sent.Hdr || &got.Payload[0] != &sent.Payload[0] {
-		t.Errorf("header-mismatched hint: got %v, want a new packet sharing the payload", got)
+	if got != &up || hops != 3 {
+		t.Errorf("hint 3 hops back: got %v with %d hops, want the hint with 3", got, hops)
+	}
+	// A hint whose header differs otherwise, a hop limit below the
+	// frame's included, still lends its equal payload.
+	for name, change := range map[string]func(h *Header){
+		"hop limit below": func(h *Header) { h.HopLimit-- },
+		"flow label":      func(h *Header) { h.FlowLabel ^= 1 },
+	} {
+		hint := *sent
+		change(&hint.Hdr)
+		if got, hops, err = DecodeShared(frame, &hint); err != nil {
+			t.Fatal(err)
+		}
+		if got == &hint || hops != 0 || got.Hdr != sent.Hdr || &got.Payload[0] != &sent.Payload[0] {
+			t.Errorf("%s: got %v with %d hops, want a new packet sharing the payload", name, got, hops)
+		}
 	}
 	// A hint that does not match the frame only loses the sharing.
 	other := samplePacket()
 	other.Payload = []byte("different")
-	if got, err = DecodeShared(frame, other); err != nil {
+	if got, _, err = DecodeShared(frame, other); err != nil {
 		t.Fatal(err)
 	}
 	if got == other || !bytes.Equal(got.Payload, sent.Payload) {
@@ -313,23 +330,23 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A home agent tunnels the packet as it received it.
+	// A home agent tunnels the packet as it received it, and each router
+	// on the way sends the same outer packet on, one hop further.
 	outer, err := Encapsulate(src, dst, DefaultHopLimit, received)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for hop := 0; hop < 3; hop++ {
-		if frame, err = outer.Encode(); err != nil {
+	for hop := uint8(0); hop < 3; hop++ {
+		if frame, err = outer.EncodeAppendHops(nil, hop); err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeShared(frame, outer)
+		got, hops, err := DecodeShared(frame, outer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != outer || got.Inner != received {
-			t.Fatalf("hop %d: decoded packet is a copy, want the tunneled packet itself", hop)
+		if got != outer || got.Inner != received || hops != hop {
+			t.Fatalf("hop %d: decoded packet is a copy (or %d hops), want the tunneled packet itself", hop, hops)
 		}
-		outer = got.Forward()
 	}
 	// The header holds no computed field, so a hand-built inner equals its
 	// own decode and is shared too.
@@ -340,43 +357,34 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	if frame, err = outer.Encode(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeShared(frame, outer)
+	got, _, err := DecodeShared(frame, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != outer || got.Inner != sent {
 		t.Errorf("hand-built inner: got %+v, want the sent packet itself", got.Inner)
 	}
-	// A hint that differs in any field is never returned.
+	// An inner hint that differs in any field is never returned: a tunnel
+	// does not touch the inner hop limit, so a hint with a higher one is
+	// not the inner packet some hops back.
 	for name, change := range map[string]func(p *Packet){
-		"hop limit":   func(p *Packet) { p.Hdr.HopLimit-- },
-		"option data": func(p *Packet) { p.DestOpts = []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}} },
-		"no options":  func(p *Packet) { p.DestOpts = nil },
-		"payload":     func(p *Packet) { p.Payload = []byte("different") },
+		"hop limit below": func(p *Packet) { p.Hdr.HopLimit-- },
+		"hop limit above": func(p *Packet) { p.Hdr.HopLimit++ },
+		"option data":     func(p *Packet) { p.DestOpts = []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}} },
+		"no options":      func(p *Packet) { p.DestOpts = nil },
+		"payload":         func(p *Packet) { p.Payload = []byte("different") },
 	} {
 		hint := *received
 		change(&hint)
 		wrapped := *outer
 		wrapped.Inner = &hint
-		got, err := DecodeShared(frame, &wrapped)
+		got, _, err := DecodeShared(frame, &wrapped)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got == &wrapped || got.Inner == &hint || !reflect.DeepEqual(got.Inner, received) {
 			t.Errorf("%s: mismatched inner hint leaked into the result: %+v", name, got.Inner)
 		}
-	}
-}
-
-func TestForwardSharesBytes(t *testing.T) {
-	p := samplePacket()
-	p.DestOpts = []Option{{Type: 7, Data: []byte{1, 2}}}
-	q := p.Forward()
-	if q.Hdr.HopLimit != 63 || p.Hdr.HopLimit != 64 {
-		t.Fatalf("hop limits: forwarded %d, original %d", q.Hdr.HopLimit, p.Hdr.HopLimit)
-	}
-	if &q.Payload[0] != &p.Payload[0] || &q.DestOpts[0] != &p.DestOpts[0] {
-		t.Error("Forward copied bytes it should share")
 	}
 }
 

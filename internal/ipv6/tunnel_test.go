@@ -33,7 +33,7 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	}
 	// The link decodes against the sent packet: the inner packet comes
 	// back parsed, its payload shared with the tunnel entry's.
-	back, err := DecodeShared(enc, outer)
+	back, _, err := DecodeShared(enc, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func BenchmarkTunnelRoundTrip(b *testing.B) {
 		if frame, err = outer.EncodeAppend(frame[:0]); err != nil {
 			b.Fatal(err)
 		}
-		got, err := DecodeShared(frame, outer)
+		got, _, err := DecodeShared(frame, outer)
 		if err != nil {
 			b.Fatal(err)
 		}

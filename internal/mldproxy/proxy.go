@@ -287,8 +287,9 @@ func (p *Proxy) sortedGroups() []ipv6.Addr {
 // members; traffic from a downstream interface is forwarded upstream
 // unconditionally (RFC 4605 §4.3 — the tree above may have members
 // anywhere) and onto the other member downstream interfaces. The
-// replication loop walks Node.Ifaces, never a map, so copy order is
-// deterministic.
+// replication loop walks Node.Ifaces, never a map, so send order is
+// deterministic. Each interface sends the received packet itself
+// (Interface.Forward).
 func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 	if p.closed {
 		return
@@ -305,17 +306,13 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 		p.Stats.RPFFailures++
 		return
 	}
-	if rx.Pkt.Hdr.HopLimit <= 1 {
+	if rx.HopLimit() <= 1 {
 		return
 	}
 	group := rx.Pkt.Hdr.Dst
 	st := p.groups[group]
-	// One forwarded copy, made at the first outgoing interface, serves
-	// every interface.
-	var out *ipv6.Packet
 	if !fromUp {
-		out = rx.Pkt.Forward()
-		if err := p.up.Send(out); err == nil {
+		if err := p.up.Forward(rx); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}
@@ -326,10 +323,7 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 		if st == nil || !st.ifaces[ifc] {
 			continue
 		}
-		if out == nil {
-			out = rx.Pkt.Forward()
-		}
-		if err := ifc.Send(out); err == nil {
+		if err := ifc.Forward(rx); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}

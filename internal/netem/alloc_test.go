@@ -7,6 +7,7 @@
 package netem
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -66,14 +67,15 @@ func TestFanoutDeliveryAllocBudget(t *testing.T) {
 }
 
 // forwardAllocBudget bounds one unicast datagram sent by a host and
-// forwarded by one router, steady state: the router's forwarding copy,
-// which Send keeps. Each link's decode is the packet it was sent, no
-// payload is copied, and delivery events and the destination's UDP view
-// allocate nothing; measured 1. A decoded Packet per link, a payload copy
-// on either link or a delivery closure breaks it (the data plane that
-// cloned and copied cost 10, the one with closures 5, the one with a
-// decoded Packet per link 2).
-const forwardAllocBudget = 1
+// forwarded by one router, steady state. The router sends on the packet it
+// received, its hop count beside it, each link's decode is the packet it
+// was sent, no payload is copied, and delivery events and the
+// destination's UDP view allocate nothing; measured 0. A forwarding copy,
+// a decoded Packet per link, a payload copy on either link or a delivery
+// closure breaks it (the data plane that cloned and copied cost 10, the
+// one with closures 5, the one with a decoded Packet per link 2, the one
+// with a heap forwarding copy per hop 1).
+const forwardAllocBudget = 0
 
 func TestForwardAllocBudget(t *testing.T) {
 	run, ia, ir1, b, aA, bA := forwardingNet()
@@ -94,5 +96,64 @@ func TestForwardAllocBudget(t *testing.T) {
 	t.Logf("forwarded datagram: %v allocs (budget %d)", allocs, forwardAllocBudget)
 	if allocs > forwardAllocBudget {
 		t.Errorf("forwarded datagram allocates %v objects; budget %d (decoded Packet or payload copy per link?)", allocs, forwardAllocBudget)
+	}
+}
+
+// chainAllocBudget bounds one unicast datagram a host sends across three
+// routers to another host, steady state: every router sends on the packet
+// it received, so a hop costs nothing; measured 0. A forwarding copy per
+// hop adds 3.
+const chainAllocBudget = 0
+
+func TestRouterChainAllocBudget(t *testing.T) {
+	s, net := testNet()
+	const routers = 3
+	links := make([]*Link, routers+1)
+	for i := range links {
+		links[i] = net.NewLink(fmt.Sprintf("l%d", i), 0, 0)
+	}
+	addr := func(link, host int) ipv6.Addr {
+		return ipv6.MustParseAddr(fmt.Sprintf("2001:db8:%d::%d", link+1, host))
+	}
+	a, b := net.NewNode("a", false), net.NewNode("b", false)
+	ia := a.AddInterface(links[0])
+	ia.AddAddr(addr(0, 0xa))
+	b.AddInterface(links[routers]).AddAddr(addr(routers, 0xb))
+	dst := addr(routers, 0xb)
+	for i := 0; i < routers; i++ {
+		r := net.NewNode(fmt.Sprintf("r%d", i), true)
+		r.AddInterface(links[i]).AddAddr(addr(i, 1))
+		out := r.AddInterface(links[i+1])
+		out.AddAddr(addr(i+1, 2))
+		via := dst
+		if i < routers-1 {
+			via = addr(i+1, 1) // the next router's address on that link
+		}
+		r.Routes = staticRoutes{out: out, via: via}
+	}
+	pkt := udpTo(addr(0, 0xa), dst, 9, string(make([]byte, 256)))
+	got := 0
+	b.BindUDP(9, func(rx RxPacket, _ ipv6.UDP) {
+		if rx.Pkt != pkt || rx.Hops != routers || rx.HopLimit() != 64-routers {
+			t.Fatalf("got %p with %d hops, hop limit %d; want the origin's %p, %d hops, hop limit %d",
+				rx.Pkt, rx.Hops, rx.HopLimit(), pkt, routers, 64-routers)
+		}
+		got++
+	})
+	first := addr(0, 1)
+	send := func() {
+		_ = ia.SendVia(pkt, first)
+		s.Run()
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	allocs := testing.AllocsPerRun(200, send)
+	if got != 8+201 {
+		t.Fatalf("delivered %d datagrams, want %d", got, 8+201)
+	}
+	t.Logf("datagram across %d routers: %v allocs (budget %d)", routers, allocs, chainAllocBudget)
+	if allocs > chainAllocBudget {
+		t.Errorf("datagram across %d routers allocates %v objects; budget %d (a copy per hop?)", routers, allocs, chainAllocBudget)
 	}
 }

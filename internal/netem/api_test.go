@@ -88,7 +88,7 @@ func TestRoutingHeaderForwardedWhenNotOurs(t *testing.T) {
 	var hops uint8
 	c.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 		got++
-		hops = rx.Pkt.Hdr.HopLimit
+		hops = rx.HopLimit()
 		if rx.Pkt.Hdr.Dst != cA || rx.Pkt.Routing.SegmentsLeft != 0 {
 			t.Errorf("final hop state wrong: dst=%s segl=%d", rx.Pkt.Hdr.Dst, rx.Pkt.Routing.SegmentsLeft)
 		}

@@ -85,7 +85,7 @@ func (imp *Impairment) reorderDelay(l *Link) time.Duration {
 // impairedDeliver schedules one (possibly jittered, reordered, corrupted
 // and/or duplicated) delivery. The caller has already charged Delivered for
 // the primary copy; duplicates are charged here. Loss was already decided.
-func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, frame []byte, raw *rawFrame, unicast bool) {
+func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, hops uint8, frame []byte, raw *rawFrame, unicast bool) {
 	s := l.scheduler()
 	imp := l.Impair
 
@@ -109,7 +109,7 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 		}
 		l.deliverRaw(ifc, home, at, &rawFrame{data: data}, unicast)
 	} else if raw == nil {
-		l.deliverPkt(ifc, home, at, pkt, unicast)
+		l.deliverPkt(ifc, home, at, pkt, hops, unicast)
 	} else {
 		// Sender handed us an undecodable frame: transmit already keeps
 		// the buffer alive (recyclable=false), so sharing it is safe.
@@ -122,7 +122,7 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 		l.Delivered++
 		l.DeliveredBytes += frameLen
 		if raw == nil {
-			l.deliverPkt(ifc, home, at, pkt, unicast)
+			l.deliverPkt(ifc, home, at, pkt, hops, unicast)
 		} else {
 			l.deliverRaw(ifc, home, at, raw, unicast)
 		}

@@ -5,7 +5,10 @@
 // on the data path: a link encodes each transmission once and decodes it
 // once, and every receiver and tap shares the decoded packet, which is the
 // sent packet itself whenever the frame decodes equal to it (DESIGN.md
-// §5.1).
+// §5.1). A router forwards the packet it received, not a copy: the hop
+// limit, the only header field forwarding changes, travels beside the
+// packet as a hop count (RxPacket.Hops), and the link encodes the frame
+// with the hop limit it implies.
 //
 // Layer 2 is modeled minimally: a frame is addressed either to a specific
 // interface (unicast) or to a group (multicast filtering at the receiver).
@@ -98,14 +101,19 @@ func (n *Network) NewNode(name string, router bool) *Node {
 // Frame aliases a recycled encode buffer: it is valid only for the duration
 // of the tap call — taps must copy anything they keep. Pkt is the decoded
 // frame shared with every receiver (the sent packet itself whenever the
-// frame decodes equal to it) and must not be mutated.
+// frame decodes equal to it apart from the hop limit) and must not be
+// mutated; Hops is the receivers' RxPacket.Hops.
 type TxEvent struct {
 	Time  sim.Time
 	Link  *Link
 	From  *Interface
 	Frame []byte       // encoded bytes as sent (valid only during the tap)
-	Pkt   *ipv6.Packet // decoded once for all taps and receivers; encodes to Frame
+	Pkt   *ipv6.Packet // decoded once for all taps and receivers
+	Hops  uint8        // Pkt.EncodeAppendHops(nil, Hops) is Frame
 }
+
+// HopLimit returns the hop limit the frame carries.
+func (ev TxEvent) HopLimit() uint8 { return ev.Pkt.Hdr.HopLimit - ev.Hops }
 
 // Tap observes every transmission on a link (used by metrics and tracing).
 type Tap func(ev TxEvent)
@@ -299,17 +307,18 @@ func (l *Link) Resolve(addr ipv6.Addr) *Interface {
 // interface for unicast.
 //
 // The frame is decoded exactly once, here, against sent
-// (ipv6.DecodeShared): when it decodes equal to sent, as it does unless
-// sent was built in a non-canonical form, taps and every receiver get sent
-// itself and the decode allocates nothing; otherwise they share one new
-// decoded *ipv6.Packet that still borrows sent's equal parts. Either way a
-// datagram forwarded hop by hop, or carried through a tunnel, keeps the one
-// payload its origin allocated, and an N-receiver multicast delivery costs
-// one parse instead of N. Receivers that change a header field copy the
-// Packet value (ipv6.Packet.Forward) and keep sharing the bytes. The return
-// value reports whether the caller may recycle the frame buffer: true
-// unless the frame failed to decode, in which case delivery falls back to
-// carrying (and re-parsing) the raw bytes.
+// (ipv6.DecodeShared): when it decodes equal to sent apart from a lowered
+// hop limit, as it does unless sent was built in a non-canonical form,
+// taps and every receiver get sent itself with the hop count the frame
+// was encoded with, and the decode allocates nothing; otherwise they share
+// one new decoded *ipv6.Packet that still borrows sent's equal parts, with
+// hop count 0. Either way a datagram forwarded hop by hop is the one
+// packet its origin allocated at every hop, a datagram carried through a
+// tunnel keeps its payload, and an N-receiver multicast delivery costs one
+// parse instead of N. The return value reports whether the caller may
+// recycle the frame buffer: true unless the frame failed to decode, in
+// which case delivery falls back to carrying (and re-parsing) the raw
+// bytes.
 func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst *Interface) (recyclable bool) {
 	s := l.scheduler()
 	now := s.Now()
@@ -323,9 +332,9 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 	l.TxBytes += uint64(len(frame))
 	frameLen := uint64(len(frame))
 
-	pkt, decErr := ipv6.DecodeShared(frame, sent)
+	pkt, hops, decErr := ipv6.DecodeShared(frame, sent)
 	if decErr == nil && len(l.Taps) > 0 {
-		ev := TxEvent{Time: now, Link: l, From: from, Frame: frame, Pkt: pkt}
+		ev := TxEvent{Time: now, Link: l, From: from, Frame: frame, Pkt: pkt, Hops: hops}
 		for _, t := range l.Taps {
 			t(ev)
 		}
@@ -380,11 +389,11 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 			l.Delivered++
 			l.DeliveredBytes += frameLen
 			if imp != nil {
-				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, frame, raw, unicast)
+				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, hops, frame, raw, unicast)
 				continue
 			}
 			if raw == nil {
-				l.deliverPkt(ifc, home, arrive, pkt, unicast)
+				l.deliverPkt(ifc, home, arrive, pkt, hops, unicast)
 			} else {
 				l.deliverRaw(ifc, home, arrive, raw, unicast)
 			}
@@ -398,12 +407,13 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 	return decErr == nil
 }
 
-// deliverPkt arms delivery of the shared packet at time at. home is the
-// (half-)link the receiver is attached to; for a receiver on the far half
-// of a split link, the event travels as a cross-region message and the
-// packet, often the sender's own, crosses regions as immutable shared data.
-func (l *Link) deliverPkt(ifc *Interface, home *Link, at sim.Time, pkt *ipv6.Packet, unicast bool) {
-	l.scheduler().Deliver(ifc.Node.Sched(), at, sim.Delivery{To: frameReceiver{}, A: ifc, B: home, C: pkt, Flag: unicast})
+// deliverPkt arms delivery of the shared packet, hops routers from its
+// sender, at time at. home is the (half-)link the receiver is attached to;
+// for a receiver on the far half of a split link, the event travels as a
+// cross-region message and the packet, often the sender's own, crosses
+// regions as immutable shared data.
+func (l *Link) deliverPkt(ifc *Interface, home *Link, at sim.Time, pkt *ipv6.Packet, hops uint8, unicast bool) {
+	l.scheduler().Deliver(ifc.Node.Sched(), at, sim.Delivery{To: frameReceiver{}, A: ifc, B: home, C: pkt, Flag: unicast, N: hops})
 }
 
 // rawFrame carries bytes that did not decode at transmit to a receiver,
@@ -417,8 +427,9 @@ func (l *Link) deliverRaw(ifc *Interface, home *Link, at sim.Time, raw *rawFrame
 
 // frameReceiver runs the delivery events deliverPkt and deliverRaw arm: A
 // is the receiving *Interface, B its home *Link, C the *ipv6.Packet (or
-// *rawFrame), Flag whether the frame was link-layer unicast. A receiver that
-// went down or moved off the link while the frame was in flight misses it.
+// *rawFrame), Flag whether the frame was link-layer unicast, N the
+// packet's hop count. A receiver that went down or moved off the link
+// while the frame was in flight misses it.
 type frameReceiver struct{}
 
 func (frameReceiver) Receive(d sim.Delivery) {
@@ -428,7 +439,7 @@ func (frameReceiver) Receive(d sim.Delivery) {
 	}
 	switch c := d.C.(type) {
 	case *ipv6.Packet:
-		ifc.Node.receivePacket(ifc, c, d.Flag)
+		ifc.Node.receivePacket(ifc, c, d.N, d.Flag)
 	case *rawFrame:
 		ifc.Node.receive(ifc, c.data, d.Flag)
 	}

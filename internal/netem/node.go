@@ -14,13 +14,19 @@ type RxPacket struct {
 	Iface *Interface
 	// Pkt is the datagram. It is shared: every receiver of the same link
 	// transmission (and every tap) sees the same *ipv6.Packet, which is
-	// the very packet the sender handed to Interface.Send whenever the
-	// frame decodes equal to it, and its payload may be the bytes the
-	// datagram's origin allocated. Handlers must treat it as immutable:
-	// to change a header field, copy the Packet value (the forwarding
-	// paths use ipv6.Packet.Forward); to change bytes, Clone. Retaining it
-	// is safe.
+	// the very packet its sender handed to a link whenever the frame
+	// decodes equal to it, and its payload may be the bytes the datagram's
+	// origin allocated. Its Hdr.HopLimit is the one its sender set: the
+	// hop limit the frame carried is HopLimit(). Handlers must treat it as
+	// immutable: to change a header field, copy the Packet value; to
+	// change bytes, Clone. To forward it, Interface.Forward the RxPacket.
+	// To keep it, or to send it on whole inside another packet, take
+	// Packet().
 	Pkt *ipv6.Packet
+	// Hops counts the routers that have forwarded Pkt since its sender
+	// handed it to a link: each lowered the hop limit on the wire by one
+	// and sent Pkt itself on.
+	Hops uint8
 	// LocalDst reports whether the packet is addressed to this node (one of
 	// its unicast addresses or a multicast group an interface accepts).
 	LocalDst bool
@@ -28,6 +34,24 @@ type RxPacket struct {
 	// decapsulation. Link-scoped protocol machines (MLD, NDP) must ignore
 	// them; Mobile IPv6 multicast services key off them.
 	ViaTunnel bool
+}
+
+// HopLimit returns the hop limit the datagram arrived with: Pkt's, less
+// one for every router that forwarded it.
+func (rx RxPacket) HopLimit() uint8 { return rx.Pkt.Hdr.HopLimit - rx.Hops }
+
+// Packet returns the datagram as it arrived: Pkt when no router forwarded
+// it, else one copy of the Packet value carrying HopLimit(), which shares
+// Pkt's payload, options and inner packet. Code that keeps a received
+// packet, or sends it on whole (a home agent tunneling it), takes this;
+// code that only reads header fields other than the hop limit reads Pkt.
+func (rx RxPacket) Packet() *ipv6.Packet {
+	if rx.Hops == 0 {
+		return rx.Pkt
+	}
+	q := *rx.Pkt
+	q.Hdr.HopLimit = rx.HopLimit()
+	return &q
 }
 
 // ProtoHandler processes a locally-delivered packet of one upper-layer
@@ -317,14 +341,15 @@ func (n *Node) receive(ifc *Interface, frame []byte, l2unicast bool) {
 		n.drop("malformed")
 		return
 	}
-	n.receivePacket(ifc, pkt, l2unicast)
+	n.receivePacket(ifc, pkt, 0, l2unicast)
 }
 
-// receivePacket dispatches a decoded datagram that arrived on ifc. pkt may
-// be shared with sibling receivers of the same transmission and must not be
-// mutated. l2unicast reports whether the frame was link-layer addressed
-// specifically to this interface.
-func (n *Node) receivePacket(ifc *Interface, pkt *ipv6.Packet, l2unicast bool) {
+// receivePacket dispatches a decoded datagram that arrived on ifc, hops
+// routers after its sender handed it to a link (see RxPacket.Hops). pkt
+// may be shared with sibling receivers of the same transmission and must
+// not be mutated. l2unicast reports whether the frame was link-layer
+// addressed specifically to this interface.
+func (n *Node) receivePacket(ifc *Interface, pkt *ipv6.Packet, hops uint8, l2unicast bool) {
 	dst := pkt.Hdr.Dst
 
 	local := false
@@ -338,18 +363,19 @@ func (n *Node) receivePacket(ifc *Interface, pkt *ipv6.Packet, l2unicast bool) {
 		local = n.HasAddr(dst)
 	}
 
-	rx := RxPacket{Iface: ifc, Pkt: pkt, LocalDst: local}
+	rx := RxPacket{Iface: ifc, Pkt: pkt, Hops: hops, LocalDst: local}
 
 	if local {
 		if pkt.Fragment != nil {
 			// Only the destination reassembles (forwarding paths below
 			// carry fragments onward untouched). Each new reassembly
 			// buffer gets a one-shot expiry sweep (a perpetual ticker
-			// would keep the event queue alive forever).
+			// would keep the event queue alive forever). The reassembler
+			// keeps the fragment, so it gets the packet as it arrived.
 			s := n.Sched()
 			r := n.reassembler()
 			before := r.Pending()
-			whole := r.Offer(pkt, time.Duration(s.Now()))
+			whole := r.Offer(rx.Packet(), time.Duration(s.Now()))
 			if whole != nil {
 				n.deliverLocal(RxPacket{Iface: ifc, Pkt: whole, LocalDst: true})
 			} else if r.Pending() > before {
@@ -403,9 +429,10 @@ func (n *Node) deliverLocal(rx RxPacket) {
 	// IPv6 uses this as the lighter alternative to encapsulation for
 	// home-agent-to-mobile-node delivery.
 	if r := rx.Pkt.Routing; r != nil && r.SegmentsLeft > 0 {
-		// Only the routing header and the destination change: copy those,
-		// share the rest of the packet.
+		// Only the routing header, the destination and the hop limit
+		// change: copy those, share the rest of the packet.
 		adv := *rx.Pkt
+		adv.Hdr.HopLimit = rx.HopLimit()
 		rh := *r
 		rh.Addresses = append([]ipv6.Addr(nil), r.Addresses...)
 		adv.Routing = &rh
@@ -492,13 +519,15 @@ func (n *Node) handlesICMP(typ uint8) bool {
 	return false
 }
 
+// forwardUnicast sends a datagram on toward its destination: the packet
+// received itself, one hop further (see Interface.Forward).
 func (n *Node) forwardUnicast(rx RxPacket) {
 	pkt := rx.Pkt
 	if pkt.Hdr.Dst.IsLinkLocalUnicast() || pkt.Hdr.Src.IsLinkLocalUnicast() {
 		n.drop("link-local-scope")
 		return
 	}
-	if pkt.Hdr.HopLimit <= 1 {
+	if rx.HopLimit() <= 1 {
 		n.drop("hop-limit")
 		return
 	}
@@ -511,7 +540,7 @@ func (n *Node) forwardUnicast(rx RxPacket) {
 		n.drop("no-route")
 		return
 	}
-	if err := out.SendVia(pkt.Forward(), via); err != nil {
+	if err := out.sendVia(pkt, rx.Hops+1, via); err != nil {
 		n.drop("tx-error")
 	}
 }

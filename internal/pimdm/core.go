@@ -722,22 +722,16 @@ func (c *Core[E, D]) ForwardMulticast(rx netem.RxPacket) {
 
 	ent.keepAlive()
 
-	if rx.Pkt.Hdr.HopLimit > 1 {
+	if rx.HopLimit() > 1 {
 		// Iterate the node's interface slice, not the downstream map:
 		// replication order decides the per-link transmission sequence and
-		// must not vary with map layout (trace reproducibility). One
-		// forwarded copy, made at the first outgoing interface, serves
-		// every interface.
-		var out *ipv6.Packet
+		// must not vary with map layout (trace reproducibility).
 		for _, ifc := range c.Node.Ifaces {
 			ds := ent.Down[ifc]
 			if ds == nil || !c.shouldForward(ds) {
 				continue
 			}
-			if out == nil {
-				out = rx.Pkt.Forward()
-			}
-			if err := ifc.Send(out); err == nil {
+			if err := ifc.Forward(rx); err == nil {
 				c.Stats.DataForwarded++
 			}
 		}

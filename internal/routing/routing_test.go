@@ -91,7 +91,7 @@ func TestEndToEndForwardingAcrossFigure1(t *testing.T) {
 	d.Recompute()
 
 	var gotHL uint8
-	h6.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) { gotHL = rx.Pkt.Hdr.HopLimit })
+	h6.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) { gotHL = rx.HopLimit() })
 
 	u := &ipv6.UDP{SrcPort: 1, DstPort: 7, Payload: []byte("far")}
 	pkt := &ipv6.Packet{

@@ -480,8 +480,8 @@ func (f *Network) AddHost(name, homeLink string, iid uint64) *Host {
 	cfg.BindingLifetime = f.Opt.BindingLifetime
 	h := &Host{Name: name, Node: node, Iface: ifc, IID: iid, HomeLink: homeLink}
 	h.MN = mipv6.NewMobileNode(node, iid, cfg)
-	h.MN.OnDecap = func(outer, inner *ipv6.Packet) {
-		h.lastOuterHops = int(ipv6.DefaultHopLimit - outer.Hdr.HopLimit)
+	h.MN.OnDecap = func(outer netem.RxPacket, inner *ipv6.Packet) {
+		h.lastOuterHops = int(ipv6.DefaultHopLimit - outer.HopLimit())
 	}
 	h.MLD = mld.NewHost(node, f.Opt.HostMLD)
 	f.Hosts[name] = h

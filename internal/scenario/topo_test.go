@@ -52,7 +52,7 @@ func TestLineTopologyEndToEnd(t *testing.T) {
 	var hops int
 	dst.Node.BindUDP(WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 		got++
-		hops = int(ipv6.DefaultHopLimit - rx.Pkt.Hdr.HopLimit)
+		hops = int(ipv6.DefaultHopLimit - rx.HopLimit())
 	})
 	streamFrom(f, src, 100*time.Millisecond)
 	f.Run(30 * time.Second)
@@ -173,8 +173,8 @@ func TestTunnelStretchGrowsWithDepth(t *testing.T) {
 		src := f.AddHost("peer", "K0", 0x9002)
 		got := make(chan int, 1)
 		var outerHops int
-		m.MN.OnDecap = func(outer, inner *ipv6.Packet) {
-			outerHops = int(ipv6.DefaultHopLimit - outer.Hdr.HopLimit)
+		m.MN.OnDecap = func(outer netem.RxPacket, inner *ipv6.Packet) {
+			outerHops = int(ipv6.DefaultHopLimit - outer.HopLimit())
 		}
 		m.Node.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) {
 			select {

@@ -104,7 +104,7 @@ func AttachProbe(node *netem.Node, s *sim.Scheduler, flow uint16, probe *metrics
 		if !ok || b.Flow != flow {
 			return
 		}
-		hops := int(ipv6.DefaultHopLimit - rx.Pkt.Hdr.HopLimit)
+		hops := int(ipv6.DefaultHopLimit - rx.HopLimit())
 		if rx.ViaTunnel && outerHops != nil {
 			hops += outerHops()
 		}

@@ -59,11 +59,13 @@ type Receiver interface {
 // one allocation per event; operands that hold pointers need no allocation
 // either. netem delivers every frame this way, one Delivery per receiving
 // interface: A the interface, B its home link, C the packet, Flag whether
-// the frame was link-layer unicast.
+// the frame was link-layer unicast, N the packet's hop count. Flag and N
+// share the record's last word, so it stays 72 bytes.
 type Delivery struct {
 	To      Receiver
 	A, B, C any
 	Flag    bool
+	N       uint8
 }
 
 // event is a scheduled callback: fn, or when fn is nil the typed delivery
