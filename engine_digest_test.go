@@ -108,6 +108,12 @@ func engineDigestCases() []digestCase {
 		cases = append(cases, digestCase{"checkpoint-fig1-20s/" + eng, func(t *testing.T) []byte {
 			return fig1CheckpointArtifact(t, eng)
 		}})
+		cases = append(cases, digestCase{"fig1-4-groups/" + eng + "/tunneled-mld", func(t *testing.T) []byte {
+			return multiGroupTrace(t, 42, eng, tunneledMLD, 3)
+		}})
+		cases = append(cases, digestCase{"fig1-4-groups/" + eng + "/local-membership", func(t *testing.T) []byte {
+			return multiGroupTrace(t, 42, eng, LocalMembership, 3)
+		}})
 	}
 	return cases
 }
@@ -116,8 +122,9 @@ func engineDigestCases() []digestCase {
 // commits: the Figure 1 handover under local membership and the
 // bidirectional tunnel (the other approaches reproduce one of these two
 // traces in that scenario), PIM-DM with State Refresh on, every cell of
-// the chaos matrix at seed 7, the 4-shard ba-r40 smoke cell, and a Figure
-// 1 checkpoint artifact. The worker-count determinism tests compare runs
+// the chaos matrix at seed 7, the 4-shard ba-r40 smoke cell, a Figure 1
+// checkpoint artifact, and R3 in four groups moving away, leaving one and
+// returning home under tunneled MLD and under local membership. The worker-count determinism tests compare runs
 // inside one binary; this table catches a change that shifts an engine's
 // timeline the same way at every worker count.
 //
