@@ -38,9 +38,8 @@ func TestQueryDispatchAllocBudget(t *testing.T) {
 	}
 	f.s.RunFor(DefaultConfig().UnsolicitedReportInterval * 3) // unsolicited Reports done
 	src := qi.LinkLocal()
-	query := mldPacket(src, ipv6.AllNodes, icmpv6.Marshal(src, ipv6.AllNodes,
-		&icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: DefaultConfig().MaxResponseDelay}))
-	report := mldPacket(src, g, icmpv6.Marshal(src, g, &icmpv6.MLD{Kind: icmpv6.TypeMLDReport, MulticastAddress: g}))
+	query := Packet(src, ipv6.AllNodes, &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: DefaultConfig().MaxResponseDelay})
+	report := Packet(src, g, &icmpv6.MLD{Kind: icmpv6.TypeMLDReport, MulticastAddress: g})
 	reports := func() (n uint64) {
 		for _, h := range hs {
 			n += h.ReportsSent

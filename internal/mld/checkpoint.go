@@ -3,7 +3,6 @@ package mld
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Snapshot returns the router's deterministic membership-state digest
@@ -19,17 +18,8 @@ func (r *Router) Snapshot() []string {
 		if ifc.Link != nil {
 			name = ifc.Link.Name
 		}
-		groups := make([]string, 0, len(st.groups))
-		for group, rec := range st.groups {
-			g := group.String()
-			if rec.specificQueriesLeft > 0 {
-				g += fmt.Sprintf("(q=%d)", rec.specificQueriesLeft)
-			}
-			groups = append(groups, g)
-		}
-		sort.Strings(groups)
 		out = append(out, fmt.Sprintf("%s querier=%t startup=%d groups=%s",
-			name, st.querier, st.startupLeft, strings.Join(groups, ",")))
+			name, st.querier, st.startupLeft, st.listeners.snapshot()))
 	}
 	sort.Strings(out)
 	return out

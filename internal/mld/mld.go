@@ -17,7 +17,9 @@ package mld
 import (
 	"time"
 
+	"mip6mcast/internal/icmpv6"
 	"mip6mcast/internal/ipv6"
+	"mip6mcast/internal/sim"
 )
 
 // Config holds the protocol timers (RFC 2710 §7).
@@ -91,13 +93,30 @@ func (c Config) LastListenerQueryTime() time.Duration {
 	return time.Duration(c.Robustness) * c.LastListenerQueryInterval
 }
 
-// mldPacket builds the standard MLD packet shape: link-local source,
-// hop limit 1, Router Alert hop-by-hop option (RFC 2710 §3).
-func mldPacket(src, dst ipv6.Addr, payload []byte) *ipv6.Packet {
+// Packet builds an MLD message m from src to dst in the packet shape of
+// RFC 2710 §3: hop limit 1 and the Router Alert hop-by-hop option. On a
+// link src is the sender's link-local address; through a Mobile IPv6
+// tunnel it is the mobile node's home address or the home agent's address.
+func Packet(src, dst ipv6.Addr, m *icmpv6.MLD) *ipv6.Packet {
 	return &ipv6.Packet{
 		Hdr:      ipv6.Header{Src: src, Dst: dst, HopLimit: 1},
 		HopByHop: []ipv6.Option{ipv6.RouterAlertOption(ipv6.RouterAlertMLD)},
 		Proto:    ipv6.ProtoICMPv6,
-		Payload:  payload,
+		Payload:  icmpv6.Marshal(src, dst, m),
 	}
+}
+
+// ArmReport arms t, a listener's Report timer for one group, on a Query
+// whose Maximum Response Delay is maxDelay (RFC 2710 §4 ¶10): the delay is
+// drawn from the scheduler's "mld" stream in [0, maxDelay), and a pending
+// timer is only ever shortened.
+func ArmReport(s *sim.Scheduler, t *sim.Timer, maxDelay time.Duration) {
+	if maxDelay <= 0 {
+		maxDelay = time.Millisecond
+	}
+	d := s.Jitter("mld", maxDelay)
+	if t.Running() && t.Remaining() <= d {
+		return
+	}
+	t.Reset(d)
 }

@@ -303,29 +303,6 @@ func TestMoveWithoutResendWaitsForQuery(t *testing.T) {
 	}
 }
 
-func TestInjectAndWithdrawListener(t *testing.T) {
-	f := newFixture(10, DefaultConfig())
-	ifc := f.router.Ifaces[0]
-	f.mr.InjectListener(ifc, group)
-	if !f.mr.HasListeners(ifc, group) {
-		t.Fatal("injected listener absent")
-	}
-	if len(f.events) != 1 || !f.events[0].Present {
-		t.Fatalf("events = %+v", f.events)
-	}
-	gs := f.mr.Groups(ifc)
-	if len(gs) != 1 || gs[0] != group {
-		t.Fatalf("Groups = %v", gs)
-	}
-	f.mr.WithdrawListener(ifc, group)
-	if f.mr.HasListeners(ifc, group) {
-		t.Fatal("withdrawn listener still present")
-	}
-	if len(f.events) != 2 || f.events[1].Present {
-		t.Fatalf("events = %+v", f.events)
-	}
-}
-
 func TestMLDPacketShape(t *testing.T) {
 	f := newFixture(11, DefaultConfig())
 	var sawQuery, sawReport bool

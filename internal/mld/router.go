@@ -1,7 +1,6 @@
 package mld
 
 import (
-	"sort"
 	"time"
 
 	"mip6mcast/internal/icmpv6"
@@ -54,12 +53,7 @@ func (r *Router) Close() {
 	}
 	r.closed = true
 	for _, st := range r.state {
-		st.otherQuerier.Stop()
-		st.queryTicker.Stop()
-		for _, rec := range st.groups {
-			rec.expiry.Stop()
-			rec.retransmit.Stop()
-		}
+		st.stop()
 	}
 	r.state = map[*netem.Interface]*routerIfaceState{}
 }
@@ -74,14 +68,13 @@ type routerIfaceState struct {
 	queryTicker  *sim.Ticker
 	startupLeft  int
 
-	groups map[ipv6.Addr]*listenerRecord
+	listeners *Listeners
 }
 
-type listenerRecord struct {
-	expiry *sim.Timer
-	// Address-specific (last-listener) query retransmission state.
-	specificQueriesLeft int
-	retransmit          *sim.Timer
+func (st *routerIfaceState) stop() {
+	st.otherQuerier.Stop()
+	st.queryTicker.Stop()
+	st.listeners.Stop()
 }
 
 // NewRouter installs the MLD router role on node, active on every current
@@ -110,10 +103,10 @@ func (r *Router) startIface(ifc *netem.Interface) {
 		r: r, ifc: ifc,
 		querier:     true, // every router starts as querier (§5)
 		startupLeft: r.Config.Robustness,
-		groups:      map[ipv6.Addr]*listenerRecord{},
 	}
 	r.state[ifc] = st
 	s := r.Node.Sched()
+	st.listeners = NewListeners(s, r.Config, st.sendSpecificQuery, st.notify)
 	prev := s.PushTag("mld")
 	st.otherQuerier = sim.NewTimer(s, func() { st.becomeQuerier() })
 	st.queryTicker = sim.NewTicker(s, r.Config.StartupQueryInterval, 0, func() { st.periodicQuery() })
@@ -177,25 +170,25 @@ func (st *routerIfaceState) periodicQuery() {
 }
 
 func (st *routerIfaceState) sendGeneralQuery() {
-	r := st.r
-	q := &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: r.Config.MaxResponseDelay}
-	src := st.ifc.LinkLocal()
-	pkt := mldPacket(src, ipv6.AllNodes, icmpv6.Marshal(src, ipv6.AllNodes, q))
-	_ = r.Node.OutputOn(st.ifc, pkt)
-	r.QueriesSent++
+	st.sendQuery(ipv6.AllNodes, &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: st.r.Config.MaxResponseDelay})
 }
 
+// sendSpecificQuery sends one Address-Specific Query of a last-listener
+// round.
 func (st *routerIfaceState) sendSpecificQuery(group ipv6.Addr) {
-	r := st.r
-	q := &icmpv6.MLD{
-		Kind:             icmpv6.TypeMLDQuery,
-		MaxResponseDelay: r.Config.LastListenerQueryInterval,
-		MulticastAddress: group,
+	if st.r.Obs != nil {
+		st.r.Obs.Instant(st.r.Node.Name, st.obsGroupTrack(group), "specific-query", "")
 	}
-	src := st.ifc.LinkLocal()
-	pkt := mldPacket(src, group, icmpv6.Marshal(src, group, q))
-	_ = r.Node.OutputOn(st.ifc, pkt)
-	r.QueriesSent++
+	st.sendQuery(group, &icmpv6.MLD{
+		Kind:             icmpv6.TypeMLDQuery,
+		MaxResponseDelay: st.r.Config.LastListenerQueryInterval,
+		MulticastAddress: group,
+	})
+}
+
+func (st *routerIfaceState) sendQuery(dst ipv6.Addr, q *icmpv6.MLD) {
+	_ = st.r.Node.OutputOn(st.ifc, Packet(st.ifc.LinkLocal(), dst, q))
+	st.r.QueriesSent++
 }
 
 func (st *routerIfaceState) becomeQuerier() {
@@ -225,10 +218,12 @@ func (r *Router) handleMLD(rx netem.RxPacket, m icmpv6.Msg) {
 		st.onQueryHeard(rx.Pkt.Hdr.Src, m.MLD)
 	case icmpv6.TypeMLDReport:
 		r.ReportsHeard++
-		st.onReport(m.MLD.MulticastAddress)
+		st.listeners.Report(m.MLD.MulticastAddress)
 	case icmpv6.TypeMLDDone:
 		r.DonesHeard++
-		st.onDone(m.MLD.MulticastAddress)
+		if st.querier {
+			st.listeners.Done(m.MLD.MulticastAddress)
+		}
 	}
 }
 
@@ -245,69 +240,7 @@ func (st *routerIfaceState) onQueryHeard(src ipv6.Addr, m icmpv6.MLD) {
 	// Non-queriers hearing an address-specific query lower their own group
 	// timer to Last Listener Query Time (§5 bullet 2).
 	if !st.querier && !m.IsGeneralQuery() {
-		if rec, ok := st.groups[m.MulticastAddress]; ok {
-			llqt := st.r.Config.LastListenerQueryTime()
-			if rec.expiry.Remaining() > llqt {
-				rec.expiry.Reset(llqt)
-			}
-		}
-	}
-}
-
-func (st *routerIfaceState) onReport(group ipv6.Addr) {
-	rec, ok := st.groups[group]
-	if !ok {
-		rec = &listenerRecord{}
-		s := st.r.Node.Sched()
-		g := group
-		rec.expiry = sim.NewTimer(s, func() { st.expire(g) })
-		rec.retransmit = sim.NewTimer(s, func() { st.lastListenerRound(g) })
-		st.groups[group] = rec
-		st.notify(group, true)
-	}
-	// A report cancels any pending last-listener query round and refreshes
-	// the listener interval.
-	rec.specificQueriesLeft = 0
-	rec.retransmit.Stop()
-	rec.expiry.Reset(st.r.Config.ListenerInterval())
-}
-
-// onDone starts the last-listener query procedure (§5 bullet 4; queriers
-// only).
-func (st *routerIfaceState) onDone(group ipv6.Addr) {
-	if !st.querier {
-		return
-	}
-	rec, ok := st.groups[group]
-	if !ok {
-		return
-	}
-	rec.specificQueriesLeft = st.r.Config.Robustness
-	rec.expiry.Reset(st.r.Config.LastListenerQueryTime())
-	st.lastListenerRound(group)
-}
-
-func (st *routerIfaceState) lastListenerRound(group ipv6.Addr) {
-	rec, ok := st.groups[group]
-	if !ok || rec.specificQueriesLeft == 0 {
-		return
-	}
-	rec.specificQueriesLeft--
-	if st.r.Obs != nil {
-		st.r.Obs.Instant(st.r.Node.Name, st.obsGroupTrack(group), "specific-query", "")
-	}
-	st.sendSpecificQuery(group)
-	if rec.specificQueriesLeft > 0 {
-		rec.retransmit.Reset(st.r.Config.LastListenerQueryInterval)
-	}
-}
-
-func (st *routerIfaceState) expire(group ipv6.Addr) {
-	if rec, ok := st.groups[group]; ok {
-		rec.expiry.Stop()
-		rec.retransmit.Stop()
-		delete(st.groups, group)
-		st.notify(group, false)
+		st.listeners.SpecificQueryHeard(m.MulticastAddress)
 	}
 }
 
@@ -328,11 +261,7 @@ func (st *routerIfaceState) notify(group ipv6.Addr, present bool) {
 // listeners for group.
 func (r *Router) HasListeners(ifc *netem.Interface, group ipv6.Addr) bool {
 	st, ok := r.state[ifc]
-	if !ok {
-		return false
-	}
-	_, ok = st.groups[group]
-	return ok
+	return ok && st.listeners.Has(group)
 }
 
 // Groups returns the groups with listeners on ifc, sorted for determinism.
@@ -341,12 +270,7 @@ func (r *Router) Groups(ifc *netem.Interface) []ipv6.Addr {
 	if !ok {
 		return nil
 	}
-	out := make([]ipv6.Addr, 0, len(st.groups))
-	for g := range st.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return st.listeners.Groups()
 }
 
 // IsQuerier reports whether this router is the elected querier on ifc.
@@ -372,29 +296,6 @@ func (r *Router) Disable(ifc *netem.Interface) {
 		return
 	}
 	st.disabled = true
-	st.otherQuerier.Stop()
-	st.queryTicker.Stop()
-	for _, rec := range st.groups {
-		rec.expiry.Stop()
-		rec.retransmit.Stop()
-	}
+	st.stop()
 	delete(r.state, ifc)
-}
-
-// InjectListener force-adds (or refreshes) a listener record, exactly as if
-// a Report had been heard on ifc. Mobile IPv6 home agents acting as group
-// members on behalf of mobile nodes (the paper's §4.3.2) use this when the
-// home agent and the MLD router are the same box.
-func (r *Router) InjectListener(ifc *netem.Interface, group ipv6.Addr) {
-	if st, ok := r.state[ifc]; ok {
-		st.onReport(group)
-	}
-}
-
-// WithdrawListener force-expires a listener record, as if the Multicast
-// Listener Interval had elapsed.
-func (r *Router) WithdrawListener(ifc *netem.Interface, group ipv6.Addr) {
-	if st, ok := r.state[ifc]; ok {
-		st.expire(group)
-	}
 }

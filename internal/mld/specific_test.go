@@ -101,8 +101,7 @@ func TestQueryResponseTimerOnlyShortened(t *testing.T) {
 	send := func(maxDelay time.Duration) {
 		src := f.router.Ifaces[0].LinkLocal()
 		q := &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: maxDelay}
-		pkt := mldPacket(src, ipv6.AllNodes, icmpv6.Marshal(src, ipv6.AllNodes, q))
-		_ = f.router.OutputOn(f.router.Ifaces[0], pkt)
+		_ = f.router.OutputOn(f.router.Ifaces[0], Packet(src, ipv6.AllNodes, q))
 	}
 	before := h.ReportsSent
 	var respondedAt sim.Time
