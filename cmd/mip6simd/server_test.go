@@ -320,6 +320,67 @@ func TestAlteredCacheEntryRecomputed(t *testing.T) {
 	}
 }
 
+// TestDoneImpliesCached: a run is announced "done" only once its result is
+// in the cache, so a client that sees "done" and at once asks a daemon on
+// the same cache dir finds the entry. The test holds the cache's lock
+// while the run computes, so a store waits where it stands, and checks at
+// every poll that a "done" run has its cache file.
+func TestDoneImpliesCached(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, dir)
+	spec := map[string]any{
+		"experiment": "s44",
+		"params":     map[string]any{"tquery": []int{5}},
+		"seed":       13,
+		"replicates": 2,
+	}
+	resp, body := postJSON(t, ts.URL+"/runs", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var submitted run
+	if err := json.Unmarshal(body, &submitted); err != nil {
+		t.Fatalf("decoding submit response: %v", err)
+	}
+	s.cache.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			s.cache.mu.Unlock()
+		}
+	}()
+	cached := func() bool {
+		_, err := os.Stat(s.cache.path(submitted.CacheKey))
+		return err == nil
+	}
+	check := func() run {
+		t.Helper()
+		var r run
+		if code := getJSON(t, ts.URL+"/runs/"+submitted.ID, &r); code != http.StatusOK {
+			t.Fatalf("GET run: status %d", code)
+		}
+		if r.Status == "done" && !cached() {
+			t.Fatal(`run announced "done" before its result was in the cache`)
+		}
+		return r
+	}
+	// Poll until both cells have finished, then a while longer: the run is
+	// then between its last cell and its store.
+	deadline := time.Now().Add(60 * time.Second)
+	for check().Cells < 2 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	for i := 0; i < 50; i++ {
+		check()
+		time.Sleep(4 * time.Millisecond)
+	}
+	s.cache.mu.Unlock()
+	locked = false
+	if r := waitRun(t, ts.URL, submitted.ID); r.Status != "done" || !cached() {
+		t.Fatalf("finished run: status=%s cached file=%v err=%s", r.Status, cached(), r.Err)
+	}
+}
+
 // The acceptance criterion: a sweep with a deliberately failing cell
 // completes with that cell marked errored, the result is not cached, and
 // the daemon keeps serving.
