@@ -214,6 +214,9 @@ func (e *Experiment) ResolveParams(p Params) (Params, error) {
 	return out, nil
 }
 
+// coerce converts v to kind k. Besides Go values it takes the forms
+// encoding/json decodes into an any: an integral float64 is an Int, and a
+// []any of numbers is an IntList or a FloatList.
 func coerce(k Kind, v any) (any, error) {
 	switch k {
 	case Bool:
@@ -221,8 +224,13 @@ func coerce(k Kind, v any) (any, error) {
 			return b, nil
 		}
 	case Int:
-		if i, ok := v.(int); ok {
-			return i, nil
+		switch x := v.(type) {
+		case int:
+			return x, nil
+		case float64:
+			if x == float64(int(x)) {
+				return int(x), nil
+			}
 		}
 	case Float:
 		switch x := v.(type) {
@@ -232,8 +240,11 @@ func coerce(k Kind, v any) (any, error) {
 			return float64(x), nil
 		}
 	case IntList:
-		if l, ok := v.([]int); ok {
-			return l, nil
+		switch x := v.(type) {
+		case []int:
+			return x, nil
+		case []any:
+			return coerceEach[int](Int, x)
 		}
 	case FloatList:
 		switch x := v.(type) {
@@ -245,6 +256,8 @@ func coerce(k Kind, v any) (any, error) {
 				out[i] = float64(n)
 			}
 			return out, nil
+		case []any:
+			return coerceEach[float64](Float, x)
 		}
 	case String:
 		if s, ok := v.(string); ok {
@@ -252,6 +265,19 @@ func coerce(k Kind, v any) (any, error) {
 		}
 	}
 	return nil, fmt.Errorf("want %s, got %T", k, v)
+}
+
+// coerceEach converts every element of a decoded JSON list to kind k.
+func coerceEach[T any](k Kind, l []any) ([]T, error) {
+	out := make([]T, len(l))
+	for i, e := range l {
+		v, err := coerce(k, e)
+		if err != nil {
+			return nil, fmt.Errorf("element %d: %v", i, err)
+		}
+		out[i] = v.(T)
+	}
+	return out, nil
 }
 
 // The process-wide registry. Registration happens in package init
