@@ -58,6 +58,12 @@ go test -run '^$' -fuzz '^FuzzICMPv6$' -fuzztime 10s ./internal/icmpv6
 # parse -> marshal -> parse must be a fixed point.
 go test -run '^$' -fuzz '^FuzzPIM$' -fuzztime 10s ./internal/pimdm
 
+# Checkpoint artifact fuzz smoke: from the seed artifacts (a one-region
+# checkpoint of a one-router line, a minimal artifact with every section,
+# a wrong digest, a wrong format), Read must never panic and an artifact it
+# accepts must come back byte-identical after write -> read -> write.
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/checkpoint
+
 # Chaos determinism smoke: the full fault-injection matrix at a fixed seed
 # must produce byte-identical per-timeline JSONL traces AND a byte-identical
 # sampled telemetry series (-telemetry-out writes the master-seed cell's
