@@ -101,10 +101,13 @@ func NewReassembler() *Reassembler {
 // Pending reports the number of incomplete reassemblies.
 func (r *Reassembler) Pending() int { return len(r.bufs) }
 
-// Offer consumes a fragment; when it completes a packet, the reassembled
-// packet is returned. now is the caller's virtual time, used for expiry
-// bookkeeping. Non-fragment packets are returned unchanged.
-func (r *Reassembler) Offer(pkt *Packet, now time.Duration) *Packet {
+// Offer consumes a fragment that arrived hops routers after its sender
+// sent it (its hop limit on the wire is pkt.Hdr.HopLimit - hops); when it
+// completes a packet, the reassembled packet is returned, with the hop
+// limit its first-offered fragment arrived with. now is the caller's
+// virtual time, used for expiry bookkeeping. Non-fragment packets are
+// returned unchanged. The reassembler keeps pkt's payload, not pkt.
+func (r *Reassembler) Offer(pkt *Packet, hops uint8, now time.Duration) *Packet {
 	if pkt.Fragment == nil {
 		return pkt
 	}
@@ -118,6 +121,7 @@ func (r *Reassembler) Offer(pkt *Packet, now time.Duration) *Packet {
 			hdr:       pkt.Hdr,
 			deadline:  now + r.Timeout,
 		}
+		buf.hdr.HopLimit -= hops
 		r.bufs[key] = buf
 	}
 	if _, dup := buf.fragments[fh.Offset]; dup {

@@ -86,7 +86,7 @@ func reassembleAll(t *testing.T, frags []*Packet, r *Reassembler) *Packet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := r.Offer(back, 0); out != nil {
+		if out := r.Offer(back, 0, 0); out != nil {
 			if whole != nil {
 				t.Fatal("reassembled twice")
 			}
@@ -97,10 +97,12 @@ func reassembleAll(t *testing.T, frags []*Packet, r *Reassembler) *Packet {
 }
 
 // A tunnel packet from Encapsulate has no Payload bytes of its own (its
-// body is Inner); the tunnel entry must still fragment it.
+// body is Inner); the tunnel entry must still fragment it, and the
+// fragments carry the inner packet with the hop limit it entered the
+// tunnel with.
 func TestFragmentEncapsulatedPacket(t *testing.T) {
 	inner := bigPacket(3000)
-	outer, err := Encapsulate(MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::1"), 64, inner)
+	outer, err := EncapsulateHops(MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::1"), 64, inner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +117,15 @@ func TestFragmentEncapsulatedPacket(t *testing.T) {
 	if whole == nil {
 		t.Fatal("tunnel packet not reassembled")
 	}
-	got, err := Decapsulate(whole)
+	got, hops, err := Decapsulate(whole)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Payload, inner.Payload) || got.Hdr.Dst != inner.Hdr.Dst {
 		t.Error("inner packet mangled by tunnel fragmentation")
+	}
+	if hl := got.Hdr.HopLimit - hops; hl != inner.Hdr.HopLimit-2 {
+		t.Errorf("inner packet left the tunnel with hop limit %d, want %d", hl, inner.Hdr.HopLimit-2)
 	}
 }
 
@@ -159,13 +164,18 @@ func TestReassembleOutOfOrderAndDuplicates(t *testing.T) {
 		order = append(order, frags[i])
 	}
 	order = append(order[:2], append([]*Packet{order[0]}, order[2:]...)...) // dup
+	// The fragments crossed three routers: the whole packet carries the
+	// hop limit they arrived with.
 	for _, f := range order {
-		if out := r.Offer(f, 0); out != nil {
+		if out := r.Offer(f, 3, 0); out != nil {
 			whole = out
 		}
 	}
 	if whole == nil || !bytes.Equal(whole.Payload, p.Payload) {
 		t.Fatal("out-of-order reassembly failed")
+	}
+	if whole.Hdr.HopLimit != p.Hdr.HopLimit-3 {
+		t.Errorf("reassembled hop limit %d, want %d", whole.Hdr.HopLimit, p.Hdr.HopLimit-3)
 	}
 }
 
@@ -173,7 +183,7 @@ func TestReassemblerExpiry(t *testing.T) {
 	p := bigPacket(4000)
 	frags, _ := Fragment(p, 1280, 9)
 	r := NewReassembler()
-	r.Offer(frags[0], 0) // one fragment only
+	r.Offer(frags[0], 0, 0) // one fragment only
 	if r.Pending() != 1 {
 		t.Fatal("no pending buffer")
 	}
@@ -186,7 +196,7 @@ func TestReassemblerExpiry(t *testing.T) {
 		t.Fatalf("pending=%d drops=%d after timeout", r.Pending(), r.Drops)
 	}
 	// A late final fragment now starts a fresh (incomplete) buffer.
-	if out := r.Offer(frags[len(frags)-1], 62*time.Second); out != nil {
+	if out := r.Offer(frags[len(frags)-1], 0, 62*time.Second); out != nil {
 		t.Fatal("completed from a fresh buffer with holes")
 	}
 }
@@ -201,10 +211,10 @@ func TestReassemblerIndependentStreams(t *testing.T) {
 	// Interleave.
 	done := 0
 	for i := range fa {
-		if r.Offer(fa[i], 0) != nil {
+		if r.Offer(fa[i], 0, 0) != nil {
 			done++
 		}
-		if r.Offer(fb[i], 0) != nil {
+		if r.Offer(fb[i], 0, 0) != nil {
 			done++
 		}
 	}
@@ -230,7 +240,7 @@ func TestQuickFragmentRoundtrip(t *testing.T) {
 		r := NewReassembler()
 		var whole *Packet
 		for _, fr := range frags {
-			if out := r.Offer(fr, 0); out != nil {
+			if out := r.Offer(fr, 0, 0); out != nil {
 				whole = out
 			}
 		}

@@ -13,9 +13,12 @@ import (
 // returns that very packet and keeps nothing of the frame; so does
 // decoding a frame the packet was encoded into some hops on (its hop
 // limit lowered), with that hop count, which gives back the frame's hop
-// limit; a hint whose hop limit is below the frame's is never returned,
-// and neither is one that differs from the packet in any other field,
-// whatever the frame's hop limit. `go test` runs the seeds; run
+// limit; a tunnel packet whose inner packet entered the tunnel some hops
+// from its sender (InnerHops) encodes the inner hop limit that many below
+// and decodes to itself; a hint whose hop limit is below the frame's is
+// never returned, and neither is one that differs from the packet in any
+// other field, its inner hop count included, whatever the frame's hop
+// limit. `go test` runs the seeds; run
 // `go test -fuzz FuzzDecode ./internal/ipv6` to search.
 func FuzzDecode(f *testing.F) {
 	// Every extension header kind but the fragment header, with option data.
@@ -98,6 +101,30 @@ func FuzzDecode(f *testing.F) {
 			}
 			frames = append(frames, frame)
 		}
+		// A tunnel entry some hops from the inner packet's sender: the
+		// frame lowers the inner hop limit by the count and decodes to the
+		// tunnel packet itself.
+		if p.Inner != nil {
+			for _, k := range []uint8{1, p.Inner.Hdr.HopLimit} {
+				if k == 0 || k > p.Inner.Hdr.HopLimit {
+					continue
+				}
+				tun := *p
+				tun.InnerHops = k
+				frame, err := tun.Encode()
+				if err != nil {
+					t.Fatalf("inner %d hops on: %v", k, err)
+				}
+				q, hops, err := DecodeShared(frame, &tun)
+				if err != nil || q != &tun || q.Inner != p.Inner || hops != 0 {
+					t.Fatalf("inner %d hops on: decoded %v with %d hops (err %v), want the tunnel packet itself", k, q, hops, err)
+				}
+				alone, err := Decode(frame)
+				if err != nil || alone.InnerHops != 0 || alone.Inner == nil || alone.Inner.Hdr.HopLimit != p.Inner.Hdr.HopLimit-k {
+					t.Fatalf("inner %d hops on: decoded alone to %v (err %v), want inner hop limit %d", k, alone, err, p.Inner.Hdr.HopLimit-k)
+				}
+			}
+		}
 		// A hint below the frame's hop limit is not its packet hops back.
 		if p.Hdr.HopLimit > 0 {
 			v := *p
@@ -162,10 +189,13 @@ var hintChanges = []func(p *Packet){
 			p.Inner = samplePacket()
 			return
 		}
-		in := *p.Inner // a tunnel never changes the inner hop limit
+		// An inner hop limit below the frame's is not the inner packet
+		// some hops back.
+		in := *p.Inner
 		in.Hdr.HopLimit--
 		p.Inner = &in
 	},
+	func(p *Packet) { p.InnerHops ^= 1 },
 }
 
 // changeOptions returns opts with one more option, or an empty header's

@@ -19,20 +19,30 @@ import (
 // received, not a copy: the hop limit is the one header field forwarding
 // changes, so the count of routers passed travels beside the packet (see
 // EncodeAppendHops) and Hdr.HopLimit stays what the packet's sender set.
-// So a packet handed to a link must never change afterwards, whether by
-// its sender, a receiver or a forwarder. Code that changes a header field
-// works on a copy of the Packet value and keeps sharing the payload, the
-// option data and the inner packet; code that changes bytes Clones first.
+// A tunnel entry wraps the packet it received the same way, with the count
+// in InnerHops. So a packet handed to a link must never change afterwards,
+// whether by its sender, a receiver, a forwarder or a tunnel. Code that
+// changes a header field works on a copy of the Packet value and keeps
+// sharing the payload, the option data and the inner packet; code that
+// changes bytes Clones first.
 type Packet struct {
-	Hdr      Header
+	Hdr Header
+
+	// Proto identifies the upper-layer payload (ProtoUDP, ProtoICMPv6,
+	// ProtoPIM, ProtoIPv6 for tunnels, ProtoNoNext for none).
+	Proto uint8
+	// InnerHops counts the routers that forwarded Inner before it entered
+	// the tunnel: the inner packet's hop limit on the wire is
+	// Inner.Hdr.HopLimit - InnerHops (see EncapsulateHops). It is 0 when
+	// Inner is nil. Proto and InnerHops fill Hdr's tail padding, which
+	// keeps a Packet at 144 bytes on 64-bit platforms.
+	InnerHops uint8
+
 	HopByHop []Option        // Hop-by-Hop Options header, nil if absent
 	Routing  *RoutingHeader  // Routing header, nil if absent
 	Fragment *FragmentHeader // Fragment header, nil if absent
 	DestOpts []Option        // Destination Options header, nil if absent
 
-	// Proto identifies the upper-layer payload (ProtoUDP, ProtoICMPv6,
-	// ProtoPIM, ProtoIPv6 for tunnels, ProtoNoNext for none).
-	Proto   uint8
 	Payload []byte
 
 	// Inner is the tunneled packet of an IPv6-in-IPv6 packet (RFC 2473):
@@ -110,7 +120,7 @@ func (p *Packet) encode(b []byte, hopLimit uint8) ([]byte, error) {
 		i++
 	}
 	if p.Inner != nil {
-		if b, err = p.Inner.EncodeAppend(b); err != nil {
+		if b, err = p.Inner.EncodeAppendHops(b, p.InnerHops); err != nil {
 			return nil, err
 		}
 	} else {
@@ -171,22 +181,18 @@ var noHint Packet
 // hop limit lowered by hops. A link decodes each frame this way against
 // the packet it encoded the frame from, so every receiver and tap of a
 // transmission gets the sender's own packet, a forwarded one included, and
-// the decode allocates nothing. Where the decode differs (a nil payload
-// decodes as an empty one, raw tunnel bytes as an inner packet, padding
-// options are dropped) the result is a new Packet, with hops 0, that still
-// shares every part of sent that decodes equal: the payload, an option
-// list, the routing or fragment header, and the inner packet, which is
-// decoded against sent's by this same rule except that its hop limit must
-// match too (a tunnel does not touch it). sent may be nil, and a sent that
-// does not match b only costs the sharing: the result is always what b
-// says.
+// the decode allocates nothing. A tunnel's inner packet is decoded against
+// sent's by this same rule, and the count that gives is the decode's
+// InnerHops, so the frame of a tunnel entry that wrapped a packet some
+// hops from its sender (EncapsulateHops) decodes to the entry's own outer
+// and inner packets. Where the decode differs (a nil payload decodes as an
+// empty one, raw tunnel bytes as an inner packet, padding options are
+// dropped, the inner hop count is another) the result is a new Packet,
+// with hops 0, that still shares every part of sent that decodes equal:
+// the payload, an option list, the routing or fragment header, and the
+// inner packet. sent may be nil, and a sent that does not match b only
+// costs the sharing: the result is always what b says.
 func DecodeShared(b []byte, sent *Packet) (p *Packet, hops uint8, err error) {
-	return decodeShared(b, sent, true)
-}
-
-// decodeShared is DecodeShared; lowered reports whether b's hop limit may
-// be below sent's.
-func decodeShared(b []byte, sent *Packet, lowered bool) (*Packet, uint8, error) {
 	hint := sent
 	if hint == nil {
 		hint = &noHint
@@ -197,7 +203,7 @@ func decodeShared(b []byte, sent *Packet, lowered bool) (*Packet, uint8, error) 
 	}
 	if sent != nil {
 		hl := d.Hdr.HopLimit
-		if lowered && hl <= sent.Hdr.HopLimit {
+		if hl <= sent.Hdr.HopLimit {
 			d.Hdr.HopLimit = sent.Hdr.HopLimit
 		}
 		if d.equal(sent) {
@@ -205,7 +211,7 @@ func decodeShared(b []byte, sent *Packet, lowered bool) (*Packet, uint8, error) 
 		}
 		d.Hdr.HopLimit = hl
 	}
-	p := new(Packet)
+	p = new(Packet)
 	*p = d
 	return p, 0, nil
 }
@@ -252,13 +258,13 @@ func (p *Packet) decode(b []byte, hint *Packet) error {
 	}
 }
 
-// setBody stores the upper-layer body: a tunnel's inner packet when it
-// parses (decoded against hint's inner packet), else the payload bytes,
-// hint's when they are equal.
+// setBody stores the upper-layer body: a tunnel's inner packet and its
+// hop count when it parses (decoded against hint's inner packet), else the
+// payload bytes, hint's when they are equal.
 func (p *Packet) setBody(body []byte, hint *Packet) {
 	if p.Proto == ProtoIPv6 && p.Fragment == nil {
-		if inner, _, err := decodeShared(body, hint.Inner, false); err == nil {
-			p.Inner = inner
+		if inner, hops, err := DecodeShared(body, hint.Inner); err == nil {
+			p.Inner, p.InnerHops = inner, hops
 			return
 		}
 	}
@@ -277,7 +283,7 @@ func (p *Packet) setBody(body []byte, hint *Packet) {
 // only the presence of an extension header or a payload (nil or not) is
 // compared for nil-ness.
 func (p *Packet) equal(q *Packet) bool {
-	if p.Hdr != q.Hdr || p.Proto != q.Proto ||
+	if p.Hdr != q.Hdr || p.Proto != q.Proto || p.InnerHops != q.InnerHops ||
 		!optionsEqual(p.HopByHop, q.HopByHop) || !optionsEqual(p.DestOpts, q.DestOpts) ||
 		(p.Payload == nil) != (q.Payload == nil) || !bytes.Equal(p.Payload, q.Payload) {
 		return false

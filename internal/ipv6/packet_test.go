@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func samplePacket() *Packet {
@@ -247,14 +248,31 @@ func TestPacketClone(t *testing.T) {
 	}
 
 	inner := samplePacket()
-	outer, err := Encapsulate(Loopback, Loopback, 64, inner)
+	outer, err := EncapsulateHops(Loopback, Loopback, 64, inner, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := outer.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := outer.Clone()
+	if got, err := c.Encode(); err != nil || !bytes.Equal(got, want) || c.InnerHops != 3 {
+		t.Errorf("clone of a tunnel packet encodes to %x (count %d, err %v), want %x", got, c.InnerHops, err, want)
+	}
 	c.Inner.Payload[0] = 0xee
 	if c.Inner == inner || inner.Payload[0] == 0xee {
 		t.Error("Clone shares the inner packet")
+	}
+}
+
+// TestPacketSize gates the Packet struct at the 144-byte allocation size
+// class on 64-bit platforms: Proto and InnerHops sit in the fixed header's
+// padding. Every packet that is still allocated, the outer packet of each
+// tunnel leg among them, pays for a field added elsewhere.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 144 {
+		t.Errorf("ipv6.Packet is %d bytes; keep it within 144", n)
 	}
 }
 
@@ -316,8 +334,10 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 
 // TestDecodeSharedSharesEqualInner checks the tunnel half of DecodeShared:
 // an inner packet that decodes equal to the sent one field for field is the
-// sent one, at every hop, whether it was decoded or built by hand; any
-// difference gets a fresh, faithful decode.
+// sent one, at every hop, whether it was decoded or built by hand, and
+// whether the tunnel entry received it from its sender or some routers on
+// (the outer packet's inner hop count); any difference gets a fresh,
+// faithful decode.
 func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	src, dst := MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::beef")
 	sent := samplePacket()
@@ -348,6 +368,28 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 			t.Fatalf("hop %d: decoded packet is a copy (or %d hops), want the tunneled packet itself", hop, hops)
 		}
 	}
+	// A home agent two routers from the sender tunnels the packet it
+	// received: the frame carries the inner hop limit two below the
+	// sender's, and decodes to the tunnel entry's packets at every hop.
+	outer, err = EncapsulateHops(src, dst, DefaultHopLimit, sent, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hop := uint8(0); hop < 3; hop++ {
+		if frame, err = outer.EncodeAppendHops(nil, hop); err != nil {
+			t.Fatal(err)
+		}
+		if inner := frame[HeaderLen+7]; inner != sent.Hdr.HopLimit-2 {
+			t.Fatalf("hop %d: inner hop limit %d on the wire, want %d", hop, inner, sent.Hdr.HopLimit-2)
+		}
+		got, hops, err := DecodeShared(frame, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != outer || got.Inner != sent || hops != hop {
+			t.Fatalf("hop %d: decoded %+v with %d hops, want the tunneled packet itself", hop, got, hops)
+		}
+	}
 	// The header holds no computed field, so a hand-built inner equals its
 	// own decode and is shared too.
 	outer, err = Encapsulate(src, dst, DefaultHopLimit, sent)
@@ -364,26 +406,48 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	if got != outer || got.Inner != sent {
 		t.Errorf("hand-built inner: got %+v, want the sent packet itself", got.Inner)
 	}
-	// An inner hint that differs in any field is never returned: a tunnel
-	// does not touch the inner hop limit, so a hint with a higher one is
-	// not the inner packet some hops back.
-	for name, change := range map[string]func(p *Packet){
-		"hop limit below": func(p *Packet) { p.Hdr.HopLimit-- },
-		"hop limit above": func(p *Packet) { p.Hdr.HopLimit++ },
-		"option data":     func(p *Packet) { p.DestOpts = []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}} },
-		"no options":      func(p *Packet) { p.DestOpts = nil },
-		"payload":         func(p *Packet) { p.Payload = []byte("different") },
+	// The frame's inner packet left its sender with hop limit 64 and
+	// entered the tunnel there (count 0). An inner hint with a higher hop
+	// limit is that packet some routers back: it is returned as the inner
+	// packet, with the count, and the outer hint only when its count says
+	// so too. A hint that differs in any other field, or whose hop limit
+	// is below the frame's, is never returned. Whatever is returned, the
+	// result encodes to the frame.
+	for _, c := range []struct {
+		name      string
+		change    func(p *Packet)
+		innerHops uint8 // the outer hint's count
+		outer     bool  // the outer hint is returned
+		inner     bool  // the inner hint is returned, with count innerHops
+	}{
+		{"hop limit below", func(p *Packet) { p.Hdr.HopLimit-- }, 0, false, false},
+		{"hop limit above, count 0", func(p *Packet) { p.Hdr.HopLimit++ }, 0, false, true},
+		{"hop limit above, count 1", func(p *Packet) { p.Hdr.HopLimit++ }, 1, true, true},
+		{"count 1", func(p *Packet) {}, 1, false, true},
+		{"option data", func(p *Packet) { p.DestOpts = []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}} }, 0, false, false},
+		{"no options", func(p *Packet) { p.DestOpts = nil }, 0, false, false},
+		{"payload", func(p *Packet) { p.Payload = []byte("different") }, 0, false, false},
 	} {
 		hint := *received
-		change(&hint)
+		c.change(&hint)
 		wrapped := *outer
-		wrapped.Inner = &hint
-		got, _, err := DecodeShared(frame, &wrapped)
+		wrapped.Inner, wrapped.InnerHops = &hint, c.innerHops
+		got, hops, err := DecodeShared(frame, &wrapped)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == &wrapped || got.Inner == &hint || !reflect.DeepEqual(got.Inner, received) {
-			t.Errorf("%s: mismatched inner hint leaked into the result: %+v", name, got.Inner)
+		if (got == &wrapped) != c.outer {
+			t.Errorf("%s: outer hint returned: %v, want %v", c.name, got == &wrapped, c.outer)
+		}
+		wantHops := hint.Hdr.HopLimit - received.Hdr.HopLimit
+		switch {
+		case c.inner && (got.Inner != &hint || got.InnerHops != wantHops):
+			t.Errorf("%s: got inner %+v with count %d, want the hint with count %d", c.name, got.Inner, got.InnerHops, wantHops)
+		case !c.inner && (got.Inner == &hint || got.InnerHops != 0 || !reflect.DeepEqual(got.Inner, received)):
+			t.Errorf("%s: mismatched inner hint leaked into the result: %+v", c.name, got.Inner)
+		}
+		if again, err := got.EncodeAppendHops(nil, hops); err != nil || !bytes.Equal(again, frame) {
+			t.Errorf("%s: result encodes to %x (err %v), want the frame %x", c.name, again, err, frame)
 		}
 	}
 }

@@ -37,12 +37,12 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decapsulate(back)
+	got, hops, err := Decapsulate(back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != back.Inner || back.Payload != nil {
-		t.Error("decoded tunnel packet must hold its body as Inner, and Decapsulate return it")
+	if got != back.Inner || back.Payload != nil || hops != 0 {
+		t.Error("decoded tunnel packet must hold its body as Inner, and Decapsulate return it with count 0")
 	}
 	if &got.Payload[0] != &inner.Payload[0] {
 		t.Error("inner payload copied instead of shared with the tunnel entry's")
@@ -59,11 +59,11 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 }
 
 func TestDecapsulateRejectsNonTunnel(t *testing.T) {
-	if _, err := Decapsulate(samplePacket()); err == nil {
+	if _, _, err := Decapsulate(samplePacket()); err == nil {
 		t.Fatal("decapsulated a UDP packet")
 	}
 	bad := &Packet{Hdr: Header{HopLimit: 1}, Proto: ProtoIPv6, Payload: []byte{1, 2, 3}}
-	if _, err := Decapsulate(bad); err == nil {
+	if _, _, err := Decapsulate(bad); err == nil {
 		t.Fatal("decapsulated garbage inner bytes")
 	}
 	huge := samplePacket()
@@ -80,7 +80,7 @@ func TestNestedTunnelDepth(t *testing.T) {
 	}
 	a := MustParseAddr("2001:db8::1")
 	b := MustParseAddr("2001:db8::2")
-	one, err := Encapsulate(a, b, 64, p)
+	one, err := EncapsulateHops(a, b, 64, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,9 @@ func TestNestedTunnelDepth(t *testing.T) {
 	}
 	if Innermost(p) != p {
 		t.Error("Innermost of plain packet is not itself")
+	}
+	if s := two.String(); s == "" {
+		t.Error("empty String() for a tunnel packet")
 	}
 }
 
@@ -122,7 +125,7 @@ func BenchmarkTunnelRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Decapsulate(got); err != nil {
+		if _, _, err := Decapsulate(got); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,13 +18,15 @@ import (
 	"mip6mcast/internal/sim"
 )
 
-// haTunnelAllocBudget bounds one multicast datagram that crosses a router
-// to a home agent, which tunnels it to its one binding three routers away,
-// steady state. The home agent allocates the copy that carries the
-// datagram's hop limit (netem.RxPacket.Packet) and the outer packet
-// (ipv6.Encapsulate); no router on either leg copies anything; measured 2.
-// A forwarding copy per hop adds 4.
-const haTunnelAllocBudget = 2
+// haTunnelAllocBudget bounds one datagram that crosses a router to a home
+// agent, which tunnels it to its one binding three routers away, steady
+// state: a multicast datagram its fan-out takes, and a unicast one its
+// proxy intercept takes. The home agent allocates the outer packet
+// (ipv6.EncapsulateHops) and nothing else: the tunnel carries the packet
+// the home agent received, with its hop count, and no router on either leg
+// copies anything; measured 1. A copy that carries the hop limit adds 1, a
+// forwarding copy per hop 4.
+const haTunnelAllocBudget = 1
 
 // floodForwarder is a multicast engine that forwards every datagram onto
 // all of its node's other interfaces.
@@ -69,7 +71,7 @@ func TestHATunnelAllocBudget(t *testing.T) {
 		ifc.AddAddr(a)
 		return n, ifc, a
 	}
-	r0, _ := router("R0", 0)
+	r0, r0In := router("R0", 0)
 	r0.Forwarder = floodForwarder{r0}
 	haNode, homeIfc := router("HA", 1)
 	for i := 2; i < nlinks-1; i++ {
@@ -83,32 +85,46 @@ func TestHATunnelAllocBudget(t *testing.T) {
 	cfg.RequestRefresh = false
 	ha := mipv6.NewHomeAgent(haNode, homeIfc, homeIfc.GlobalAddr(), cfg)
 	g := ipv6.MustParseAddr("ff0e::7")
-	ha.ImportBinding(prefix(1).WithInterfaceID(0x99), careOf, 1, []ipv6.Addr{g}, time.Hour)
+	home := prefix(1).WithInterfaceID(0x99)
+	ha.ImportBinding(home, careOf, 1, []ipv6.Addr{g}, time.Hour)
 
-	pkt := udpPacket(srcA, g, 9, string(make([]byte, 256)))
+	var pkt *ipv6.Packet
 	got := 0
 	careNode.HandleProto(ipv6.ProtoIPv6, func(rx netem.RxPacket) {
-		// The tunnel crossed three routers; its inner packet arrives with
-		// the hop limit it had at the home agent, one router from S.
-		if rx.HopLimit() != ipv6.DefaultHopLimit-3 || rx.Pkt.Inner == nil ||
-			rx.Pkt.Inner.Hdr.HopLimit != pkt.Hdr.HopLimit-1 || &rx.Pkt.Inner.Payload[0] != &pkt.Payload[0] {
-			t.Fatalf("tunnel packet %v (hop limit %d) carries %v", rx.Pkt, rx.HopLimit(), rx.Pkt.Inner)
+		// The tunnel crossed three routers; it carries the source's own
+		// packet, which crossed one router before the home agent.
+		if rx.HopLimit() != ipv6.DefaultHopLimit-3 || rx.Pkt.Inner != pkt || rx.Pkt.InnerHops != 1 {
+			t.Fatalf("tunnel packet %v (hop limit %d) carries %v with count %d, want the source's packet with count 1",
+				rx.Pkt, rx.HopLimit(), rx.Pkt.Inner, rx.Pkt.InnerHops)
 		}
 		got++
 	})
-	send := func() {
-		_ = src.OutputOn(srcIfc, pkt)
-		s.RunFor(time.Millisecond)
-	}
-	for i := 0; i < 8; i++ {
-		send()
-	}
-	allocs := testing.AllocsPerRun(200, send)
-	if got != 8+201 {
-		t.Fatalf("delivered %d tunnel packets, want %d", got, 8+201)
-	}
-	t.Logf("tunneled datagram: %v allocs (budget %d)", allocs, haTunnelAllocBudget)
-	if allocs > haTunnelAllocBudget {
-		t.Errorf("tunneled datagram allocates %v objects; budget %d (a copy per hop?)", allocs, haTunnelAllocBudget)
+	for _, c := range []struct {
+		name string
+		dst  ipv6.Addr
+	}{{"multicast-fan-out", g}, {"unicast-intercept", home}} {
+		t.Run(c.name, func(t *testing.T) {
+			pkt = udpPacket(srcA, c.dst, 9, string(make([]byte, 256)))
+			got = 0
+			send := func() {
+				if c.dst.IsMulticast() {
+					_ = src.OutputOn(srcIfc, pkt)
+				} else {
+					_ = srcIfc.SendVia(pkt, r0In.LinkLocal()) // S's first hop is R0
+				}
+				s.RunFor(time.Millisecond)
+			}
+			for i := 0; i < 8; i++ {
+				send()
+			}
+			allocs := testing.AllocsPerRun(200, send)
+			if got != 8+201 {
+				t.Fatalf("delivered %d tunnel packets, want %d", got, 8+201)
+			}
+			t.Logf("tunneled datagram: %v allocs (budget %d)", allocs, haTunnelAllocBudget)
+			if allocs > haTunnelAllocBudget {
+				t.Errorf("tunneled datagram allocates %v objects; budget %d (a copy per hop?)", allocs, haTunnelAllocBudget)
+			}
+		})
 	}
 }

@@ -390,7 +390,7 @@ func (ha *HomeAgent) intercept(rx netem.RxPacket) bool {
 		ha.deliverViaRoutingHeader(b, rx)
 		return true
 	}
-	ha.tunnelTo(b, rx.Packet())
+	ha.tunnelTo(b, rx)
 	return true
 }
 
@@ -412,8 +412,10 @@ func canUseRoutingHeader(pkt *ipv6.Packet) bool {
 		pkt.HopByHop == nil && pkt.DestOpts == nil
 }
 
-func (ha *HomeAgent) tunnelTo(b *Binding, inner *ipv6.Packet) {
-	outer, err := ipv6.Encapsulate(ha.Address, b.CareOf, ipv6.DefaultHopLimit, inner)
+// tunnelTo tunnels the received datagram to b's care-of address: rx.Pkt
+// itself, its hop count carried in the outer packet.
+func (ha *HomeAgent) tunnelTo(b *Binding, rx netem.RxPacket) {
+	outer, err := ipv6.EncapsulateHops(ha.Address, b.CareOf, ipv6.DefaultHopLimit, rx.Pkt, rx.Hops)
 	if err != nil {
 		return
 	}
@@ -425,7 +427,8 @@ func (ha *HomeAgent) tunnelTo(b *Binding, inner *ipv6.Packet) {
 // packet is re-originated. Inner multicast datagrams are transmitted onto
 // the home link and offered to the local multicast forwarder (when this
 // node is also a multicast router), reproducing the paper's Figure 4 flow;
-// inner unicast is forwarded normally.
+// inner unicast is forwarded normally. A mobile node builds the packets it
+// reverse-tunnels, so their hop count is 0.
 func (ha *HomeAgent) handleReverseTunnel(rx netem.RxPacket) {
 	if !ha.Node.HasAddr(rx.Pkt.Hdr.Dst) || rx.Pkt.Hdr.Dst != ha.Address {
 		return
@@ -433,7 +436,7 @@ func (ha *HomeAgent) handleReverseTunnel(rx netem.RxPacket) {
 	// Only decapsulate tunnels from mobile nodes we know: outer source
 	// must be a bound care-of address, and the inner source its home
 	// address.
-	inner, err := ipv6.Decapsulate(rx.Pkt)
+	inner, hops, err := ipv6.Decapsulate(rx.Pkt)
 	if err != nil {
 		return
 	}
@@ -452,7 +455,7 @@ func (ha *HomeAgent) handleReverseTunnel(rx netem.RxPacket) {
 		// there (paper §4.2.2 B: "the home agent decapsulates the inner
 		// datagram and forwards it on the home link").
 		_ = ha.Node.OutputOn(ha.HomeIface, inner)
-		in := netem.RxPacket{Iface: ha.HomeIface, Pkt: inner}
+		in := netem.RxPacket{Iface: ha.HomeIface, Pkt: inner, Hops: hops}
 		if ha.Node.Forwarder != nil && !inner.Hdr.Dst.IsLinkScopedMulticast() {
 			ha.Node.Forwarder.ForwardMulticast(in)
 		}
@@ -471,24 +474,18 @@ func (ha *HomeAgent) multicastLocal(rx netem.RxPacket) {
 }
 
 // fanOutToBindings tunnels the datagram, as it arrived, to every binding
-// subscribed to its group except exceptHome's. A datagram that crossed a
-// router needs a copy carrying its hop limit (rx.Packet()); it is made at
-// the first binding that takes the datagram, so a home agent whose mobile
-// nodes do not listen pays nothing.
+// subscribed to its group except exceptHome's. Every tunnel carries rx.Pkt
+// itself: one outer packet per binding is all the fan-out allocates.
 func (ha *HomeAgent) fanOutToBindings(rx netem.RxPacket, exceptHome ipv6.Addr) {
 	group := rx.Pkt.Hdr.Dst
-	var inner *ipv6.Packet
 	for _, b := range ha.sortedBindings() { // sorted: deterministic fan-out order
 		if b.Home == exceptHome {
 			continue
 		}
 		for _, g := range b.Groups {
 			if g == group {
-				if inner == nil {
-					inner = rx.Packet()
-				}
 				ha.MulticastTunneled++
-				ha.tunnelTo(b, inner)
+				ha.tunnelTo(b, rx)
 				break
 			}
 		}

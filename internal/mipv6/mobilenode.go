@@ -330,19 +330,20 @@ func (mn *MobileNode) handleOption(rx netem.RxPacket, opt ipv6.Option) bool {
 
 // handleTunnel decapsulates packets the home agent tunneled to the care-of
 // address and delivers the inner packet locally (including multicast
-// datagrams for groups subscribed via the home agent).
+// datagrams for groups subscribed via the home agent), with the hop count
+// it entered the tunnel with.
 func (mn *MobileNode) handleTunnel(rx netem.RxPacket) {
 	if rx.Pkt.Hdr.Src != mn.Config.HomeAgent {
 		return
 	}
-	inner, err := ipv6.Decapsulate(rx.Pkt)
+	inner, hops, err := ipv6.Decapsulate(rx.Pkt)
 	if err != nil {
 		return
 	}
 	if mn.OnDecap != nil {
 		mn.OnDecap(rx, inner)
 	}
-	mn.Node.DeliverLocal(netem.RxPacket{Iface: rx.Iface, Pkt: inner, ViaTunnel: true})
+	mn.Node.DeliverLocal(netem.RxPacket{Iface: rx.Iface, Pkt: inner, Hops: hops, ViaTunnel: true})
 }
 
 // SendReverseTunneled encapsulates inner (typically a multicast datagram

@@ -8,7 +8,9 @@
 // §5.1). A router forwards the packet it received, not a copy: the hop
 // limit, the only header field forwarding changes, travels beside the
 // packet as a hop count (RxPacket.Hops), and the link encodes the frame
-// with the hop limit it implies.
+// with the hop limit it implies. A tunnel entry wraps the packet it
+// received the same way, with the count in the outer packet
+// (ipv6.Packet.InnerHops).
 //
 // Layer 2 is modeled minimally: a frame is addressed either to a specific
 // interface (unicast) or to a group (multicast filtering at the receiver).

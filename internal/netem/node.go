@@ -19,13 +19,14 @@ type RxPacket struct {
 	// origin allocated. Its Hdr.HopLimit is the one its sender set: the
 	// hop limit the frame carried is HopLimit(). Handlers must treat it as
 	// immutable: to change a header field, copy the Packet value; to
-	// change bytes, Clone. To forward it, Interface.Forward the RxPacket.
-	// To keep it, or to send it on whole inside another packet, take
-	// Packet().
+	// change bytes, Clone. To forward it, Interface.Forward the RxPacket;
+	// to tunnel it, ipv6.EncapsulateHops it with Hops. Whatever keeps it
+	// keeps Hops too.
 	Pkt *ipv6.Packet
 	// Hops counts the routers that have forwarded Pkt since its sender
 	// handed it to a link: each lowered the hop limit on the wire by one
-	// and sent Pkt itself on.
+	// and sent Pkt itself on. For a packet a tunnel delivered, it is the
+	// count Pkt carried into the tunnel (ipv6.Packet.InnerHops).
 	Hops uint8
 	// LocalDst reports whether the packet is addressed to this node (one of
 	// its unicast addresses or a multicast group an interface accepts).
@@ -39,20 +40,6 @@ type RxPacket struct {
 // HopLimit returns the hop limit the datagram arrived with: Pkt's, less
 // one for every router that forwarded it.
 func (rx RxPacket) HopLimit() uint8 { return rx.Pkt.Hdr.HopLimit - rx.Hops }
-
-// Packet returns the datagram as it arrived: Pkt when no router forwarded
-// it, else one copy of the Packet value carrying HopLimit(), which shares
-// Pkt's payload, options and inner packet. Code that keeps a received
-// packet, or sends it on whole (a home agent tunneling it), takes this;
-// code that only reads header fields other than the hop limit reads Pkt.
-func (rx RxPacket) Packet() *ipv6.Packet {
-	if rx.Hops == 0 {
-		return rx.Pkt
-	}
-	q := *rx.Pkt
-	q.Hdr.HopLimit = rx.HopLimit()
-	return &q
-}
 
 // ProtoHandler processes a locally-delivered packet of one upper-layer
 // protocol (PIM, IPv6-in-IPv6...). ICMPv6 and UDP have their own
@@ -370,12 +357,11 @@ func (n *Node) receivePacket(ifc *Interface, pkt *ipv6.Packet, hops uint8, l2uni
 			// Only the destination reassembles (forwarding paths below
 			// carry fragments onward untouched). Each new reassembly
 			// buffer gets a one-shot expiry sweep (a perpetual ticker
-			// would keep the event queue alive forever). The reassembler
-			// keeps the fragment, so it gets the packet as it arrived.
+			// would keep the event queue alive forever).
 			s := n.Sched()
 			r := n.reassembler()
 			before := r.Pending()
-			whole := r.Offer(rx.Packet(), time.Duration(s.Now()))
+			whole := r.Offer(pkt, hops, time.Duration(s.Now()))
 			if whole != nil {
 				n.deliverLocal(RxPacket{Iface: ifc, Pkt: whole, LocalDst: true})
 			} else if r.Pending() > before {
