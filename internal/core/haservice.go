@@ -204,17 +204,21 @@ func (svc *HAService) queryTunnels() {
 	}
 }
 
+// sendTunneledQuery tunnels a Query to the mobile node with home address
+// home: a General Query (group unspecified) to ff02::1, an
+// Address-Specific Query to the group it asks about, as mld.Router
+// addresses its own (RFC 2710 §5).
 func (svc *HAService) sendTunneledQuery(home, group ipv6.Addr) {
 	b, ok := svc.HA.BindingFor(home)
 	if !ok {
 		return
 	}
-	maxDelay := svc.Timers.MaxResponseDelay
+	dst, maxDelay := ipv6.AllNodes, svc.Timers.MaxResponseDelay
 	if !group.IsUnspecified() {
-		maxDelay = svc.Timers.LastListenerQueryInterval
+		dst, maxDelay = group, svc.Timers.LastListenerQueryInterval
 	}
 	q := &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: maxDelay, MulticastAddress: group}
-	inner := mld.Packet(svc.HA.Address, ipv6.AllNodes, q)
+	inner := mld.Packet(svc.HA.Address, dst, q)
 	outer, err := ipv6.Encapsulate(svc.HA.Address, b.CareOf, ipv6.DefaultHopLimit, inner)
 	if err != nil {
 		return

@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"mip6mcast/internal/core"
+	"mip6mcast/internal/icmpv6"
+	"mip6mcast/internal/ipv6"
+	"mip6mcast/internal/netem"
 	"mip6mcast/internal/scenario"
 )
 
@@ -29,6 +32,45 @@ func TestTunneledDoneQueriesRobustnessTimes(t *testing.T) {
 	want := uint64(r.f.Opt.MLD.Robustness)
 	if got := svc.TunneledQueriesSent - before; got != want {
 		t.Fatalf("tunneled Done triggered %d specific queries, want Robustness = %d", got, want)
+	}
+}
+
+// TestTunneledQueriesAddressed: the home agent addresses the queries it
+// tunnels as a link's querier does (RFC 2710 §5): a General Query to
+// ff02::1, an Address-Specific Query to the group it asks about.
+func TestTunneledQueriesAddressed(t *testing.T) {
+	approach := core.UniTunnelHAToMN
+	approach.Variant = core.VariantTunneledMLD
+	r := newRig(71, approach)
+	general, specific := 0, 0
+	r.f.Links["L6"].AddTap(func(ev netem.TxEvent) {
+		inner := ev.Pkt.Inner
+		if inner == nil || inner.Proto != ipv6.ProtoICMPv6 {
+			return
+		}
+		m, err := icmpv6.Parse(inner.Hdr.Src, inner.Hdr.Dst, inner.Payload)
+		if err != nil || m.Type != icmpv6.TypeMLDQuery {
+			return
+		}
+		want := ipv6.AllNodes
+		if m.MLD.IsGeneralQuery() {
+			general++
+		} else {
+			specific++
+			want = m.MLD.MulticastAddress
+		}
+		if inner.Hdr.Dst != want {
+			t.Errorf("%v: tunneled query for %v sent to %v, want %v", ev.Time, m.MLD.MulticastAddress, inner.Hdr.Dst, want)
+		}
+	})
+	r.f.Settle()
+	r.svc["R3"].Join(scenario.Group)
+	r.f.Move("R3", "L6")
+	r.f.Run(60 * time.Second)
+	r.f.Sched.Schedule(0, func() { r.svc["R3"].Leave(scenario.Group) })
+	r.f.Run(30 * time.Second)
+	if general == 0 || specific != r.f.Opt.MLD.Robustness {
+		t.Fatalf("saw %d general and %d specific tunneled queries, want some and Robustness = %d", general, specific, r.f.Opt.MLD.Robustness)
 	}
 }
 
