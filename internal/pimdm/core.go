@@ -1,7 +1,7 @@
 package pimdm
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"mip6mcast/internal/engine"
@@ -25,6 +25,14 @@ import (
 // SG names one (source, group) pair.
 type SG struct {
 	Source, Group ipv6.Addr
+}
+
+// compareSG orders (S,G) pairs by source, then group.
+func compareSG(a, b SG) int {
+	if c := a.Source.Compare(b.Source); c != 0 {
+		return c
+	}
+	return a.Group.Compare(b.Group)
 }
 
 // Params configures the Core for the engine that embeds it.
@@ -585,12 +593,7 @@ func (c *Core[E, D]) EntriesSorted() []*Entry[E, D] {
 	for _, ent := range c.entries {
 		out = append(out, ent)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source.Less(out[j].Source)
-		}
-		return out[i].Group.Less(out[j].Group)
-	})
+	slices.SortFunc(out, func(a, b *Entry[E, D]) int { return compareSG(a.SG, b.SG) })
 	return out
 }
 
@@ -620,15 +623,12 @@ func (c *Core[E, D]) Entries() []engine.SGInfo {
 				info.PrunedOn = append(info.PrunedOn, ifc.Link.Name)
 			}
 		}
-		sort.Strings(info.ForwardingOn)
-		sort.Strings(info.PrunedOn)
+		slices.Sort(info.ForwardingOn)
+		slices.Sort(info.PrunedOn)
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source.Less(out[j].Source)
-		}
-		return out[i].Group.Less(out[j].Group)
+	slices.SortFunc(out, func(a, b engine.SGInfo) int {
+		return compareSG(SG{a.Source, a.Group}, SG{b.Source, b.Group})
 	})
 	return out
 }
