@@ -261,22 +261,29 @@ type Delivery struct {
 type FlowProbe struct {
 	Name       string
 	Deliveries []Delivery
-	seen       map[uint64]int
+	// seen has bit seq set once seq arrived. A CBR source numbers its
+	// datagrams densely from 1, so the set grows with the flow, not with
+	// the receptions.
+	seen       []uint64
 	Duplicates uint64
 }
 
 // NewFlowProbe creates an empty probe.
 func NewFlowProbe(name string) *FlowProbe {
-	return &FlowProbe{Name: name, seen: map[uint64]int{}}
+	return &FlowProbe{Name: name}
 }
 
 // Record notes the arrival of sequence number seq at time at.
 func (p *FlowProbe) Record(seq uint64, at sim.Time, hops int) {
-	p.seen[seq]++
-	if p.seen[seq] > 1 {
+	w, bit := seq/64, uint64(1)<<(seq%64)
+	if w >= uint64(len(p.seen)) {
+		p.seen = append(p.seen, make([]uint64, w+1-uint64(len(p.seen)))...)
+	}
+	if p.seen[w]&bit != 0 {
 		p.Duplicates++
 		return
 	}
+	p.seen[w] |= bit
 	p.Deliveries = append(p.Deliveries, Delivery{Seq: seq, At: at, Hops: hops})
 }
 

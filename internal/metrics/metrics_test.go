@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +226,34 @@ func TestFlowProbe(t *testing.T) {
 	}
 	if h := p.MeanHops(at(50), at(60)); h != 0 {
 		t.Fatalf("MeanHops empty window = %v", h)
+	}
+}
+
+// TestFlowProbeDuplicates checks duplicate detection against a reference
+// set: datagrams arrive out of order, some more than once, one sequence
+// number far beyond the rest, and 0, 63, 64 at the word boundaries.
+func TestFlowProbeDuplicates(t *testing.T) {
+	p := NewFlowProbe("r")
+	arrivals := []uint64{5, 3, 4, 3, 1, 2, 5, 100_000, 6, 100_000, 63, 64, 0, 64, 2, 99_999}
+	seen := map[uint64]bool{}
+	var want []uint64
+	dups := uint64(0)
+	for i, seq := range arrivals {
+		p.Record(seq, sim.Time(i), 1)
+		if seen[seq] {
+			dups++
+			continue
+		}
+		seen[seq] = true
+		want = append(want, seq)
+	}
+	if p.Duplicates != dups || p.Count() != len(want) {
+		t.Fatalf("%d distinct, %d duplicates; want %d and %d", p.Count(), p.Duplicates, len(want), dups)
+	}
+	for i, d := range p.Deliveries {
+		if d.Seq != want[i] || d.At != sim.Time(slices.Index(arrivals, want[i])) {
+			t.Fatalf("delivery %d is %+v; want seq %d at its first arrival", i, d, want[i])
+		}
 	}
 }
 
