@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+
+# Formatting gate: every tracked Go file must be gofmt-clean.
+unformatted="$(git ls-files '*.go' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these tracked files are not formatted:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 go test -race ./...
 
 # Benchmark smoke: mip6bench is its own module (it builds against this
@@ -35,8 +44,10 @@ echo "examples smoke: every example ran to completion"
 # extension header, fragment, one and two tunnel layers). Decoding must
 # never panic, must re-encode to a fixed point, must return the very packet
 # a frame came from when decoded against it, also from a frame encoded some
-# router hops on, with that hop count (and never a hint that differs in any
-# other field), and must keep nothing of the frame it parsed.
+# router hops on, with that hop count, and from a tunnel frame whose inner
+# packet entered the tunnel some hops from its sender (never a hint that
+# differs in any other field, the inner hop count included), and must keep
+# nothing of the frame it parsed.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ipv6
 
 # Mobile IPv6 option fuzz smoke: from the seed options (Binding Update with
