@@ -8,35 +8,18 @@ import (
 	"testing"
 	"time"
 
-	"mip6mcast/internal/core"
 	"mip6mcast/internal/exp"
 	"mip6mcast/internal/obs"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/trace"
 )
 
-// buildHandover assembles the Figure 1 network with the paper's services
-// on every host, a CBR source on S, and R3's handover to Link 6 at moveAt.
+// buildHandover assembles the Figure 1 network through NewRun (the
+// paper's services on every host, a CBR source on S, probes on the
+// receivers, which send nothing and record nothing) and schedules R3's
+// handover to Link 6 at moveAt.
 func buildHandover(opt scenario.Options, approach Approach, moveAt time.Duration) *scenario.Network {
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
-	f := scenario.NewFigure1(opt)
-	for _, name := range scenario.RouterNames() {
-		r := f.Routers[name]
-		for _, ha := range r.HomeAgents() {
-			core.NewHAService(ha, r.Engine, nil, opt.MLD)
-		}
-	}
-	svcs := map[string]*core.Service{}
-	for _, name := range scenario.HostNames() {
-		h := f.Hosts[name]
-		svcs[name] = core.NewService(h.MN, h.MLD, approach, opt.MLD)
-	}
-	for _, r := range []string{"R1", "R2", "R3"} {
-		svcs[r].Join(scenario.Group)
-	}
-	scenario.NewCBR(f.Sched, 1, time.Second, 64, func(p []byte) {
-		svcs["S"].Send(scenario.Group, p)
-	})
+	f := NewRun(opt, approach, time.Second, 64).F
 	if moveAt > 0 {
 		f.Sched.Schedule(moveAt, func() { f.Move("R3", "L6") })
 	}

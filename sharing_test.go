@@ -160,7 +160,11 @@ func TestSentPacketsNeverChange(t *testing.T) {
 				opt.Seed = 42
 				opt.Engine = eng
 				opt.OnNetwork = log.attach
-				buildHandover(opt, a, 15*time.Second).Run(40 * time.Second)
+				f := buildHandover(opt, a, 15*time.Second)
+				if a.Receive == ReceiveProxy && f.Proxy.Empty() {
+					t.Fatal("proxy-hierarchy run built no proxy plan")
+				}
+				f.Run(40 * time.Second)
 				log.check(t)
 				digests.add(t, &log)
 			})
