@@ -26,12 +26,6 @@ func buildFigure1(opt scenario.Options, moveAt time.Duration) *scenario.Network 
 	approach := mip6mcast.BidirectionalTunnel
 	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	f := scenario.NewFigure1(opt)
-	for _, name := range scenario.RouterNames() {
-		r := f.Routers[name]
-		for _, ha := range r.HomeAgents() {
-			core.NewHAService(ha, r.Engine, nil, opt.MLD)
-		}
-	}
 	svcs := map[string]*core.Service{}
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]

@@ -115,51 +115,30 @@ func main() {
 
 	opt := mip6mcast.FastMLDOptions(*tquery)
 	opt.Seed = *seed
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	opt.Instrument = *schedStats
-	if approach.Receive == core.ReceiveProxy && opt.ProxyDepth == 0 {
-		// Proxy builds need a domain plan; depth 2 peels Figure 1 into
-		// its edge domains (the experiment harness applies the same
-		// default).
-		opt.ProxyDepth = 2
-	}
-	f := scenario.NewFigure1(opt)
 
 	kindFilter := func(e trace.Event) bool { return keep == nil || keep[e.Kind] }
 
 	// Text mode streams decoded transmissions as they happen; the timeline
 	// formats record state machines + link events and export at the end.
+	// Either attaches as soon as the network is built, before any host
+	// joins.
 	var rec *obs.Recorder
 	var w *trace.Writer
-	if *format == "text" {
-		w = &trace.Writer{W: out}
-		if keep != nil {
-			w.Filter = kindFilter
-		}
-		w.Attach(f.Net)
-	} else {
-		rec = obs.NewRecorder(f.Sched)
-		f.AttachRecorder(rec)
-		trace.RecordLinks(rec, f.Net, kindFilter)
-	}
-
-	for _, name := range scenario.RouterNames() {
-		r := f.Routers[name]
-		for _, ha := range r.HomeAgents() {
-			core.NewHAService(ha, r.Engine, nil, opt.MLD)
+	opt.OnNetwork = func(f *scenario.Network) {
+		if *format == "text" {
+			w = &trace.Writer{W: out}
+			if keep != nil {
+				w.Filter = kindFilter
+			}
+			w.Attach(f.Net)
+		} else {
+			rec = obs.NewRecorder(f.Sched)
+			f.AttachRecorder(rec)
+			trace.RecordLinks(rec, f.Net, kindFilter)
 		}
 	}
-	svcs := map[string]*core.Service{}
-	for _, name := range scenario.HostNames() {
-		h := f.Hosts[name]
-		svcs[name] = core.NewService(h.MN, h.MLD, approach, opt.MLD)
-	}
-	for _, r := range []string{"R1", "R2", "R3"} {
-		svcs[r].Join(scenario.Group)
-	}
-	scenario.NewCBR(f.Sched, 1, *interval, 64, func(p []byte) {
-		svcs["S"].Send(scenario.Group, p)
-	})
+	f := mip6mcast.NewRun(opt, approach, *interval, 64).F
 
 	banner := func(s string) {
 		if *format == "text" {

@@ -75,9 +75,9 @@ func TestEngineConformance(t *testing.T) {
 		{name: "crash-restart", run: func(t *testing.T, r *Run, rec *obs.Recorder) {
 			f := r.F
 			f.Run(15 * time.Second)
-			r.CrashRouter("D") // R3's only router: all its state is lost
+			f.CrashRouter("D") // R3's only router: all its state is lost
 			f.Run(8 * time.Second)
-			r.RestartRouter("D")
+			f.RestartRouter("D")
 			f.Run(60 * time.Second)
 			expectConverged(t, f, allMembers())
 		}},

@@ -46,17 +46,8 @@ func MultiGroupAddr(i int) ipv6.Addr {
 // through the Group List mechanism) and moves to Link 6; a sender on
 // Link 1 cycles one datagram per interval across the groups.
 func runSMGOne(opt Options, nGroups int, approach Approach) SMGPoint {
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
-	opt = defaultProxyDepth(opt, approach)
+	opt = approachOptions(opt, approach)
 	f := scenario.NewFigure1(opt)
-
-	// HA services everywhere (PIM-enabled HAs).
-	for _, name := range scenario.RouterNames() {
-		router := f.Routers[name]
-		for _, ha := range router.HomeAgents() {
-			core.NewHAService(ha, router.Engine, nil, opt.MLD)
-		}
-	}
 	groups := make([]ipv6.Addr, nGroups)
 	for i := range groups {
 		groups[i] = MultiGroupAddr(i)

@@ -42,16 +42,8 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	if tunnel {
 		approach = UniTunnelHAToMN
 	}
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
+	opt = approachOptions(opt, approach)
 	f := scenario.Build(topo.Line(depth), opt)
-
-	// HA services on every designated home agent.
-	for _, name := range f.RouterOrder() {
-		router := f.Routers[name]
-		for _, ha := range router.HomeAgents() {
-			core.NewHAService(ha, router.Engine, nil, opt.MLD)
-		}
-	}
 
 	// Sender and the mobile receiver's home on link 0.
 	src := f.AddHost("src", "K0", 0x9001)

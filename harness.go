@@ -5,7 +5,6 @@ import (
 
 	"mip6mcast/internal/core"
 	"mip6mcast/internal/metrics"
-	"mip6mcast/internal/mipv6"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
@@ -13,11 +12,13 @@ import (
 
 func secs(n int) time.Duration { return time.Duration(n) * time.Second }
 
-// defaultProxyDepth gives proxy-hierarchy builds a plan when the caller
-// did not configure one: depth 2 peels Figure 1 (and any tree-shaped
-// procedural topology) into its edge proxy domains via
-// topo.AutoProxyDomains. Non-proxy approaches pass through untouched.
-func defaultProxyDepth(opt scenario.Options, approach Approach) scenario.Options {
+// approachOptions applies an approach's build settings to opt: the host
+// MLD configuration core.RecommendedHostMLD gives it, and for
+// proxy-hierarchy builds without a configured plan the depth 2 that peels
+// Figure 1 (and any tree-shaped procedural topology) into its edge proxy
+// domains via topo.AutoProxyDomains.
+func approachOptions(opt scenario.Options, approach Approach) scenario.Options {
+	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	if approach.Receive == core.ReceiveProxy && opt.ProxyDepth == 0 {
 		opt.ProxyDepth = 2
 	}
@@ -31,10 +32,9 @@ type Run struct {
 	F        *scenario.Network
 	Approach Approach
 
-	Services   map[string]*core.Service
-	HAServices []*core.HAService
-	Probes     map[string]*metrics.FlowProbe
-	CBR        *scenario.CBR
+	Services map[string]*core.Service
+	Probes   map[string]*metrics.FlowProbe
+	CBR      *scenario.CBR
 
 	watchers map[string]*LinkWatch
 }
@@ -77,28 +77,18 @@ func (w *LinkWatch) FramesBetween(from, to sim.Time) int {
 	return n
 }
 
-// NewRun builds the network and attaches the full approach stack. The
+// NewRun builds the network (whose routers run their home agents'
+// services) and attaches the approach's service to every host. The
 // receivers R1, R2, R3 join the group; S drives a CBR flow through its
 // service (so its send mode follows the approach).
 func NewRun(opt scenario.Options, approach Approach, cbrInterval time.Duration, cbrSize int) *Run {
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
-	opt = defaultProxyDepth(opt, approach)
-	f := scenario.NewFigure1(opt)
+	f := scenario.NewFigure1(approachOptions(opt, approach))
 	r := &Run{
 		F:        f,
 		Approach: approach,
 		Services: map[string]*core.Service{},
 		Probes:   map[string]*metrics.FlowProbe{},
 		watchers: map[string]*LinkWatch{},
-	}
-
-	// Home-agent services on every HA (PIM-enabled: the routers are the
-	// multicast routers in Figure 1).
-	for _, name := range scenario.RouterNames() {
-		router := f.Routers[name]
-		for _, ha := range router.HomeAgents() {
-			r.HAServices = append(r.HAServices, core.NewHAService(ha, router.Engine, nil, opt.MLD))
-		}
 	}
 
 	// Host services.
@@ -134,42 +124,6 @@ func (r *Run) AddMobileReceiver(name, homeLink string, iid uint64) *core.Service
 	r.Probes[name] = probe
 	scenario.AttachProbe(h.Node, r.F.Sched, 1, probe, h.OuterHops)
 	return svc
-}
-
-// CrashRouter fails a router including the harness-level home-agent
-// services riding on it: each affected core.HAService is stopped (its
-// tunnel-query ticker and listener timers die with the router) and removed,
-// then the scenario-level crash tears down the protocol engines and node.
-func (r *Run) CrashRouter(name string) {
-	router, ok := r.F.Routers[name]
-	if !ok {
-		return
-	}
-	for _, ha := range router.HomeAgents() {
-		if svc := r.HAServiceFor(ha); svc != nil {
-			svc.Stop()
-			for i, s := range r.HAServices {
-				if s == svc {
-					r.HAServices = append(r.HAServices[:i], r.HAServices[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	r.F.CrashRouter(name)
-}
-
-// RestartRouter revives a crashed router and rebuilds its home-agent
-// services on the fresh engines (same wiring as NewRun).
-func (r *Run) RestartRouter(name string) {
-	router, ok := r.F.Routers[name]
-	if !ok {
-		return
-	}
-	r.F.RestartRouter(name)
-	for _, ha := range router.HomeAgents() {
-		r.HAServices = append(r.HAServices, core.NewHAService(ha, router.Engine, nil, r.F.Opt.MLD))
-	}
 }
 
 // WatchLink starts (or returns) a data-class watcher on a link.
@@ -225,21 +179,12 @@ func (r *Run) ControlBytes() uint64 {
 // criterion): intercepts, encapsulations and decapsulations.
 func (r *Run) HALoad() uint64 {
 	var t uint64
-	for _, svc := range r.HAServices {
-		ha := svc.HA
-		t += ha.PacketsIntercepted + ha.PacketsTunneled + ha.PacketsDetunneled
-	}
-	return t
-}
-
-// HAServiceFor returns the HA service bound to the given home agent.
-func (r *Run) HAServiceFor(ha *mipv6.HomeAgent) *core.HAService {
-	for _, svc := range r.HAServices {
-		if svc.HA == ha {
-			return svc
+	for _, name := range r.F.RouterOrder() {
+		for _, ha := range r.F.Routers[name].HomeAgents() {
+			t += ha.PacketsIntercepted + ha.PacketsTunneled + ha.PacketsDetunneled
 		}
 	}
-	return nil
+	return t
 }
 
 // OptimalRouterHops returns the unicast shortest-path router count between

@@ -14,8 +14,12 @@ func TestNewRunWiring(t *testing.T) {
 	if len(r.Services) != 4 {
 		t.Fatalf("services = %d", len(r.Services))
 	}
-	if len(r.HAServices) != 6 {
-		t.Fatalf("HA services = %d, want one per link", len(r.HAServices))
+	nHA := 0
+	for _, name := range r.F.RouterOrder() {
+		nHA += len(r.F.Routers[name].HAServices)
+	}
+	if nHA != 6 {
+		t.Fatalf("HA services = %d, want one per link", nHA)
 	}
 	if len(r.Probes) != 3 {
 		t.Fatalf("probes = %d", len(r.Probes))

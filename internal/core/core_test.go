@@ -64,13 +64,11 @@ func TestRecommendedHostMLD(t *testing.T) {
 	}
 }
 
-// rig is a Figure-1 network with services attached (a miniature of the
-// root-package harness, rebuilt here because core cannot be imported by
-// scenario).
+// rig is a Figure-1 network, whose routers run their home agents'
+// services, with the approach's service on every host.
 type rig struct {
-	f    *scenario.Network
-	svc  map[string]*core.Service
-	hsvc map[string]*core.HAService
+	f   *scenario.Network
+	svc map[string]*core.Service
 }
 
 func newRig(seed int64, approach core.Approach) *rig {
@@ -78,18 +76,25 @@ func newRig(seed int64, approach core.Approach) *rig {
 	opt.Seed = seed
 	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	f := scenario.NewFigure1(opt)
-	r := &rig{f: f, svc: map[string]*core.Service{}, hsvc: map[string]*core.HAService{}}
-	for _, name := range scenario.RouterNames() {
-		router := f.Routers[name]
-		for _, ln := range router.HALinks() {
-			r.hsvc[ln] = core.NewHAService(router.HAs[ln], router.Engine, nil, opt.MLD)
-		}
-	}
+	r := &rig{f: f, svc: map[string]*core.Service{}}
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]
 		r.svc[name] = core.NewService(h.MN, h.MLD, approach, opt.MLD)
 	}
 	return r
+}
+
+// haService returns the service of the home agent serving the named host.
+func (r *rig) haService(host string) *core.HAService {
+	ha := r.f.HomeAgentOf(host)
+	for _, router := range r.f.Routers {
+		for _, svc := range router.HAServices {
+			if svc.HA == ha {
+				return svc
+			}
+		}
+	}
+	return nil
 }
 
 func (r *rig) countReceiver(name string) *int {
@@ -179,8 +184,8 @@ func TestTunneledMLDMembershipExpiresWhenSilent(t *testing.T) {
 	if b, ok := ha.BindingFor(r.f.Hosts["R3"].MN.HomeAddress); ok && len(b.Groups) != 0 {
 		t.Fatalf("membership survived silence: %+v", b.Groups)
 	}
-	if len(r.hsvc["L4"].MemberGroups()) != 0 {
-		t.Fatalf("HA service still member of %v", r.hsvc["L4"].MemberGroups())
+	if len(r.haService("R3").MemberGroups()) != 0 {
+		t.Fatalf("HA service still member of %v", r.haService("R3").MemberGroups())
 	}
 }
 
@@ -200,7 +205,7 @@ func TestTunneledMLDRefreshKeepsMembership(t *testing.T) {
 	if !ok || len(b.Groups) != 1 {
 		t.Fatalf("membership lost despite refreshes: %+v", b)
 	}
-	if r.hsvc["L4"].TunneledQueriesSent == 0 {
+	if r.haService("R3").TunneledQueriesSent == 0 {
 		t.Error("HA never queried the tunnel")
 	}
 	if r.svc["R3"].TunneledReportsSent < 3 {

@@ -25,7 +25,7 @@ func TestTunneledDoneQueriesRobustnessTimes(t *testing.T) {
 	r.f.Move("R3", "L6")
 	r.f.Run(30 * time.Second)
 
-	svc := r.hsvc["L4"]
+	svc := r.haService("R3")
 	before := svc.TunneledQueriesSent
 	r.f.Sched.Schedule(0, func() { r.svc["R3"].Leave(scenario.Group) })
 	r.f.Run(30 * time.Second)
@@ -93,7 +93,7 @@ func TestTunneledLeaveSurvivesLostQueryRound(t *testing.T) {
 	r.f.Move("M2", "L6")
 	r.f.Run(30 * time.Second)
 
-	svc := r.hsvc["L4"]
+	svc := r.haService("R3")
 	hasGroup := func() bool {
 		for _, g := range svc.MemberGroups() {
 			if g == scenario.Group {

@@ -17,7 +17,8 @@ import (
 // links in graph order (link i gets prefix 2001:db8:i+1::/64), routers
 // in graph order with interfaces in each router's declared link order,
 // unicast SPF tables, then PIM-DM / MLD / NDP engines and home agents
-// per the graph's designations. The network always runs on a sim.Kernel
+// per the graph's designations, each home agent with its multicast
+// service (core.HAService). The network always runs on a sim.Kernel
 // (Network.Kern): one region per part when Options.Shards cuts the
 // graph, a single region otherwise. Construction order is a pure function
 // of the graph and options, so equal (graph, options, seed) always produce
@@ -194,6 +195,9 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 	// network gets the samplers.
 	if opt.Telemetry != nil && !opt.Telemetry.Started() {
 		attachTelemetry(f)
+	}
+	for _, name := range f.routerOrder {
+		f.startHAServices(f.Routers[name])
 	}
 	if opt.OnNetwork != nil {
 		opt.OnNetwork(f)

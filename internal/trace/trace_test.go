@@ -20,12 +20,6 @@ func runScenario(t *testing.T) *trace.Collector {
 	col := &trace.Collector{}
 	col.Attach(f.Net)
 
-	for _, name := range scenario.RouterNames() {
-		r := f.Routers[name]
-		for _, ha := range r.HAs {
-			core.NewHAService(ha, r.Engine, nil, opt.MLD)
-		}
-	}
 	svcs := map[string]*core.Service{}
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]

@@ -99,9 +99,9 @@ func TestProxyHierarchyConformance(t *testing.T) {
 				r, _ := proxyConformanceRun(eng)
 				f := r.F
 				f.Run(15 * time.Second)
-				r.CrashRouter("A") // R1's only router: the whole domain state dies
+				f.CrashRouter("A") // R1's only router: the whole domain state dies
 				f.Run(8 * time.Second)
-				r.RestartRouter("A")
+				f.RestartRouter("A")
 				f.Run(60 * time.Second)
 				if got := f.Routers["A"].Engine.Name(); got != "mldproxy" {
 					t.Fatalf("restart rebuilt engine %q", got)
@@ -113,9 +113,9 @@ func TestProxyHierarchyConformance(t *testing.T) {
 				r, _ := proxyConformanceRun(eng)
 				f := r.F
 				f.Run(15 * time.Second)
-				r.CrashRouter("B") // proxy A's anchor: the domain loses its PIM feed
+				f.CrashRouter("B") // proxy A's anchor: the domain loses its PIM feed
 				f.Run(8 * time.Second)
-				r.RestartRouter("B")
+				f.RestartRouter("B")
 				f.Run(60 * time.Second)
 				expectConverged(t, f, allMembers())
 			})
