@@ -23,6 +23,7 @@ func TestCrashedRouterNeverTransmits(t *testing.T) {
 	f.Run(30 * time.Second)
 
 	d := f.Routers["D"]
+	checkHAServices(t, "before the crash", d)
 	dAddrs := map[ipv6.Addr]bool{}
 	for _, ifc := range d.Node.Ifaces {
 		dAddrs[ifc.LinkLocal()] = true // hellos/queries use link-local src
@@ -45,6 +46,9 @@ func TestCrashedRouterNeverTransmits(t *testing.T) {
 	}
 
 	f.CrashRouter("D")
+	if len(d.HAServices) != 0 {
+		t.Fatalf("crashed router keeps %d home-agent services", len(d.HAServices))
+	}
 	fromD = 0
 	// Hours of virtual time: every periodic engine timer (hello 30 s, MLD
 	// query 125 s, RA, state refresh, listener expiries) would fire many
@@ -63,6 +67,7 @@ func TestCrashedRouterNeverTransmits(t *testing.T) {
 	// its listeners.
 	f.RestartRouter("D")
 	d = f.Routers["D"] // RestartRouter rebuilds the protocol engines
+	checkHAServices(t, "after the restart", d)
 	f.Run(5 * time.Minute)
 	if fromD == 0 {
 		t.Fatal("restarted router stayed silent")
@@ -83,6 +88,24 @@ func TestCrashedRouterNeverTransmits(t *testing.T) {
 		// No data flows in this test; just require the MLD->PIM wiring to
 		// have reported the listener to the fresh engine.
 		t.Log("note: no (S,G) entries without a sender; listener wiring checked via MLD")
+	}
+}
+
+// checkHAServices requires D to run one service per home agent (L4, L5),
+// each bound to that home agent and to D's current engine.
+func checkHAServices(t *testing.T, when string, d *Router) {
+	t.Helper()
+	has := d.HomeAgents()
+	if len(has) != 2 || len(d.HAServices) != len(has) {
+		t.Fatalf("%s: D runs %d home-agent services for %d home agents, want 2", when, len(d.HAServices), len(has))
+	}
+	for i, svc := range d.HAServices {
+		if svc.HA != has[i] {
+			t.Errorf("%s: service %d is bound to another home agent", when, i)
+		}
+		if svc.PIMMember != d.Engine {
+			t.Errorf("%s: service %d is bound to another engine", when, i)
+		}
 	}
 }
 
