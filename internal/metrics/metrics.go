@@ -61,27 +61,13 @@ func Classes() []Class {
 	return out
 }
 
-// Split classifies one transmitted frame into per-class byte counts. A
-// tunneled frame is split: each encapsulation layer's 40-byte outer header
-// counts as ClassTunnel, the innermost packet counts under its own class —
-// so "tunnel overhead" measures exactly the extra bytes tunneling costs.
-func Split(pkt *ipv6.Packet, wireLen int) map[Class]int {
-	var counts [numClasses]int
-	SplitInto(pkt, wireLen, &counts)
-	out := map[Class]int{}
-	for c, b := range counts {
-		if b != 0 {
-			out[Class(c)] = b
-		}
-	}
-	return out
-}
-
-// SplitInto is the allocation-free form of Split: it adds the frame's
-// per-class byte counts into counts. Per-frame taps on large generated
-// topologies (the Accountant watches every link) use it to keep the
-// accounting off the allocator.
-func SplitInto(pkt *ipv6.Packet, wireLen int, counts *[numClasses]int) {
+// Split classifies one transmitted frame into per-class byte counts,
+// indexed by Class. A tunneled frame is split: each encapsulation layer's
+// 40-byte outer header counts as ClassTunnel, the innermost packet counts
+// under its own class — so "tunnel overhead" measures exactly the extra
+// bytes tunneling costs. The counts come back by value, so per-frame taps
+// (the Accountant watches every link) allocate nothing.
+func Split(pkt *ipv6.Packet, wireLen int) (counts [numClasses]int) {
 	// Fragments of tunnel packets cannot be walked into (only the first
 	// fragment holds the inner header, and never completely): the whole
 	// frame is attributed to tunnel overhead — in this system tunnel-MTU
@@ -110,6 +96,7 @@ func SplitInto(pkt *ipv6.Packet, wireLen int, counts *[numClasses]int) {
 		counts[ClassTunnel] += overhead
 	}
 	counts[classify(inner)] += wireLen - overhead
+	return
 }
 
 func classify(pkt *ipv6.Packet) Class {
@@ -188,9 +175,7 @@ func (a *Accountant) Watch(l *netem.Link) {
 	a.counters[l] = c
 	a.order = append(a.order, l)
 	l.AddTap(func(ev netem.TxEvent) {
-		var counts [numClasses]int
-		SplitInto(ev.Pkt, len(ev.Frame), &counts)
-		for class, bytes := range counts {
+		for class, bytes := range Split(ev.Pkt, len(ev.Frame)) {
 			if bytes == 0 {
 				continue
 			}
