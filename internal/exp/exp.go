@@ -13,7 +13,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mip6mcast/internal/metrics"
@@ -370,15 +369,4 @@ func ForEach(ctx Context, n int, body func(opt scenario.Options, i int)) {
 		cellErr := contain(func() { body(opt, i) })
 		ctx.reportCell(i, 0, "", time.Since(start), scheds, nil, cellErr)
 	})
-}
-
-// SortedParamNames returns a schema's parameter names sorted (for stable
-// listings).
-func SortedParamNames(params []Param) []string {
-	names := make([]string, len(params))
-	for i, p := range params {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -49,9 +49,6 @@ func (b *BindingUpdate) SetUniqueID(id uint16) {
 	b.hasUniqueID = true
 }
 
-// HasUniqueID reports whether the Unique Identifier sub-option is present.
-func (b *BindingUpdate) HasUniqueID() bool { return b.hasUniqueID }
-
 // Marshal renders the Binding Update as a destination option.
 func (b *BindingUpdate) Marshal() (Option, error) {
 	var flags byte

@@ -101,10 +101,6 @@ func (ifc *Interface) LeaveGroup(g ipv6.Addr) {
 	}
 }
 
-// SetAllMulticast makes the interface accept every multicast frame
-// (multicast routers operate this way).
-func (ifc *Interface) SetAllMulticast(v bool) { ifc.allMcast = v }
-
 // AcceptsGroup reports whether the receive filter passes frames addressed
 // to g.
 func (ifc *Interface) AcceptsGroup(g ipv6.Addr) bool {
