@@ -75,144 +75,73 @@ go test -run '^$' -fuzz '^FuzzPIM$' -fuzztime 10s ./internal/pimdm
 # accepts must come back byte-identical after write -> read -> write.
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/checkpoint
 
-# Chaos determinism smoke: the full fault-injection matrix at a fixed seed
-# must produce byte-identical per-timeline JSONL traces AND a byte-identical
-# sampled telemetry series (-telemetry-out writes the master-seed cell's
-# series into the same directory, so the recursive diff covers both)
-# whether the sweep runs serially or across 8 workers — under the race
-# detector, since the worker fan-out is exactly what could perturb it. Any
-# diff means a nondeterministic impairment draw or a cross-timeline data
-# race.
+# Worker-count determinism smokes. smoke LABEL NAME EXPERIMENT FLAG
+# [mip6sim flags...] runs one experiment at a fixed seed through the race
+# binary twice, with FLAG (-workers, or -shard-workers for a sharded cell)
+# at 1 and at 8, into $tmp/NAME-1 and $tmp/NAME-8. The per-timeline JSONL
+# traces, the sampled telemetry series (-telemetry-out writes the
+# master-seed cell's series into the same directory, so the recursive diff
+# covers both) and stdout must be byte-identical, and every row of the
+# rendered table must report zero invariant violations (its column 2). The
+# race detector matters because the worker fan-out is exactly what could
+# perturb a timeline: any diff means a nondeterministic draw or a
+# cross-timeline (or cross-region) data race.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-go run -race ./cmd/mip6sim -experiment chaos -replicates 1 -seed 7 \
-    -workers 1 -trace-out "$tmp/w1" -telemetry-out "$tmp/w1" > "$tmp/w1.out"
-go run -race ./cmd/mip6sim -experiment chaos -replicates 1 -seed 7 \
-    -workers 8 -trace-out "$tmp/w8" -telemetry-out "$tmp/w8" > "$tmp/w8.out"
-test -s "$tmp/w1/chaos.telemetry.csv" # sampling actually ran
-diff -r "$tmp/w1" "$tmp/w8"
-diff "$tmp/w1.out" "$tmp/w8.out"
-# Every matrix cell must report zero invariant violations (column 2 of the
-# rendered table).
-if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$tmp/w1.out"; then
-    echo "chaos smoke: workers=1 and workers=8 traces byte-identical, 0 violations"
-else
-    echo "chaos smoke: invariant violations reported:" >&2
-    cat "$tmp/w1.out" >&2
-    exit 1
-fi
+go build -race -o "$tmp/mip6sim-race" ./cmd/mip6sim
+smoke() {
+    label=$1 dir=$tmp/$2 experiment=$3 flag=$4
+    shift 4
+    for n in 1 8; do
+        "$tmp/mip6sim-race" -experiment "$experiment" "$@" -replicates 1 -seed 7 \
+            "$flag" "$n" -trace-out "$dir-$n" -telemetry-out "$dir-$n" > "$dir-$n.out"
+    done
+    test -s "$dir-1/$experiment.telemetry.csv" # sampling actually ran
+    diff -r "$dir-1" "$dir-8"
+    diff "$dir-1.out" "$dir-8.out"
+    if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$dir-1.out"; then
+        echo "$label: $flag 1 and 8 traces byte-identical, 0 violations"
+    else
+        echo "$label: invariant violations reported:" >&2
+        cat "$dir-1.out" >&2
+        exit 1
+    fi
+}
 
-# Chaos under the hard-state engine: the same determinism and
-# zero-violation contract must hold with engine=hpimdm (engine-tagged trace
-# files, so this never collides with the default smoke above).
-go run -race ./cmd/mip6sim -experiment chaos -topo engine=hpimdm -replicates 1 -seed 7 \
-    -workers 1 -trace-out "$tmp/h1" -telemetry-out "$tmp/h1" > "$tmp/h1.out"
-go run -race ./cmd/mip6sim -experiment chaos -topo engine=hpimdm -replicates 1 -seed 7 \
-    -workers 8 -trace-out "$tmp/h8" -telemetry-out "$tmp/h8" > "$tmp/h8.out"
-test -s "$tmp/h1/chaos.telemetry.csv"
-diff -r "$tmp/h1" "$tmp/h8"
-diff "$tmp/h1.out" "$tmp/h8.out"
-if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$tmp/h1.out"; then
-    echo "chaos smoke (hpimdm): workers=1 and workers=8 traces byte-identical, 0 violations"
-else
-    echo "chaos smoke (hpimdm): invariant violations reported:" >&2
-    cat "$tmp/h1.out" >&2
-    exit 1
-fi
+# Chaos: the full fault-injection matrix, under the default engine and
+# under the hard-state engine (engine-tagged trace files).
+smoke "chaos smoke" chaos chaos -workers
+smoke "chaos smoke (hpimdm)" chaos-hpimdm chaos -workers -topo engine=hpimdm
 
 # Chaos under the hierarchical MLD-proxy approach (#5): edge routers A
-# and E run the mldproxy engine instead of PIM, and the same determinism
-# and zero-violation contract must hold. Trace files carry the
+# and E run the mldproxy engine instead of PIM. Trace files carry the
 # "proxy-hierarchy-" approach tag, so they never collide with the
 # local-membership smokes above.
-go run -race ./cmd/mip6sim -experiment chaos -topo approach=proxy -replicates 1 -seed 7 \
-    -workers 1 -trace-out "$tmp/p1" -telemetry-out "$tmp/p1" > "$tmp/p1.out"
-go run -race ./cmd/mip6sim -experiment chaos -topo approach=proxy -replicates 1 -seed 7 \
-    -workers 8 -trace-out "$tmp/p8" -telemetry-out "$tmp/p8" > "$tmp/p8.out"
-test -s "$tmp/p1/chaos.telemetry.csv"
-test -s "$tmp/p1/chaos-proxy-hierarchy-baseline-seed7.jsonl" # approach tag present
-diff -r "$tmp/p1" "$tmp/p8"
-diff "$tmp/p1.out" "$tmp/p8.out"
-if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$tmp/p1.out"; then
-    echo "chaos smoke (mldproxy): workers=1 and workers=8 traces byte-identical, 0 violations"
-else
-    echo "chaos smoke (mldproxy): invariant violations reported:" >&2
-    cat "$tmp/p1.out" >&2
-    exit 1
-fi
+smoke "chaos smoke (mldproxy)" chaos-proxy chaos -workers -topo approach=proxy
+test -s "$tmp/chaos-proxy-1/chaos-proxy-hierarchy-baseline-seed7.jsonl" # approach tag present
 
 # Scale under the proxy approach: the proxy-aware invariant checker
 # (check.Converged walking mldproxy trees) must report zero violations on
 # every family — including grids, where the depth-2 peel finds no pendant
 # routers and the approach degenerates honestly to local membership.
-go run -race ./cmd/mip6sim -experiment scale \
-    -topo family=fig1+tree+grid,routers=4,mns=8,approach=proxy \
-    -replicates 1 -seed 7 -workers 1 -trace-out "$tmp/sp1" \
-    -telemetry-out "$tmp/sp1" > "$tmp/sp1.out"
-go run -race ./cmd/mip6sim -experiment scale \
-    -topo family=fig1+tree+grid,routers=4,mns=8,approach=proxy \
-    -replicates 1 -seed 7 -workers 8 -trace-out "$tmp/sp8" \
-    -telemetry-out "$tmp/sp8" > "$tmp/sp8.out"
-test -s "$tmp/sp1/scale.telemetry.csv"
-diff -r "$tmp/sp1" "$tmp/sp8"
-diff "$tmp/sp1.out" "$tmp/sp8.out"
-if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$tmp/sp1.out"; then
-    echo "scale smoke (mldproxy): workers=1 and workers=8 traces byte-identical, 0 violations"
-else
-    echo "scale smoke (mldproxy): invariant violations reported:" >&2
-    cat "$tmp/sp1.out" >&2
-    exit 1
-fi
+smoke "scale smoke (mldproxy)" scale-proxy scale -workers \
+    -topo family=fig1+tree+grid,routers=4,mns=8,approach=proxy
 
-# Scale determinism smoke: the fig1, tree and grid cells of the
-# procedural-topology sweep under BOTH engines, same contract as the chaos
-# smoke — fixed seed, byte-identical per-timeline JSONL traces and
-# telemetry series at workers 1 vs 8 under the race detector, and a zero
-# violations column (field 2 of each table row).
+# Scale: the fig1, tree and grid cells of the procedural-topology sweep
+# under both engines.
 for eng in pimdm hpimdm; do
-    go run -race ./cmd/mip6sim -experiment scale \
-        -topo family=fig1+tree+grid,routers=4,mns=8,engine=$eng \
-        -replicates 1 -seed 7 -workers 1 -trace-out "$tmp/s1-$eng" \
-        -telemetry-out "$tmp/s1-$eng" > "$tmp/s1-$eng.out"
-    go run -race ./cmd/mip6sim -experiment scale \
-        -topo family=fig1+tree+grid,routers=4,mns=8,engine=$eng \
-        -replicates 1 -seed 7 -workers 8 -trace-out "$tmp/s8-$eng" \
-        -telemetry-out "$tmp/s8-$eng" > "$tmp/s8-$eng.out"
-    test -s "$tmp/s1-$eng/scale.telemetry.csv"
-    diff -r "$tmp/s1-$eng" "$tmp/s8-$eng"
-    diff "$tmp/s1-$eng.out" "$tmp/s8-$eng.out"
-    if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$tmp/s1-$eng.out"; then
-        echo "scale smoke ($eng): workers=1 and workers=8 traces byte-identical, 0 violations"
-    else
-        echo "scale smoke ($eng): invariant violations reported:" >&2
-        cat "$tmp/s1-$eng.out" >&2
-        exit 1
-    fi
+    smoke "scale smoke ($eng)" "scale-$eng" scale -workers \
+        -topo "family=fig1+tree+grid,routers=4,mns=8,engine=$eng"
 done
 
-# Sharded-kernel determinism smoke: a 4-region ba-r40 cell must emit
-# byte-identical traces and telemetry whether its regions run on one
-# goroutine or eight — under the race detector, where a cross-region data
-# race or a merge-order bug is also a crash — and report zero violations.
-# (The in-suite TestShardTraceWorkerInvariance covers both engines at
-# shards=2,4; this exercises the same contract end-to-end through the
+# Sharded kernel: a 4-region ba-r40 cell must emit byte-identical traces
+# and telemetry whether its regions run on one goroutine or eight; under
+# the race detector a cross-region data race or a merge-order bug is also a
+# crash. (The in-suite TestShardTraceWorkerInvariance covers both engines
+# at shards=2,4; this exercises the same contract end-to-end through the
 # CLI flags.)
-go run -race ./cmd/mip6sim -experiment scale -topo family=ba,routers=40,mns=80 \
-    -shards 4 -core-delay 2ms -replicates 1 -seed 7 -shard-workers 1 \
-    -trace-out "$tmp/k1" -telemetry-out "$tmp/k1" > "$tmp/k1.out"
-go run -race ./cmd/mip6sim -experiment scale -topo family=ba,routers=40,mns=80 \
-    -shards 4 -core-delay 2ms -replicates 1 -seed 7 -shard-workers 8 \
-    -trace-out "$tmp/k8" -telemetry-out "$tmp/k8" > "$tmp/k8.out"
-test -s "$tmp/k1/scale.telemetry.csv"
-diff -r "$tmp/k1" "$tmp/k8"
-diff "$tmp/k1.out" "$tmp/k8.out"
-if awk 'NR > 2 && NF > 1 && $2 != "0" { bad = 1 } END { exit bad }' "$tmp/k1.out"; then
-    echo "shard smoke: shard-workers=1 and =8 traces byte-identical, 0 violations"
-else
-    echo "shard smoke: invariant violations reported:" >&2
-    cat "$tmp/k1.out" >&2
-    exit 1
-fi
+smoke "shard smoke" shard scale -shard-workers \
+    -topo family=ba,routers=40,mns=80 -shards 4 -core-delay 2ms
 
 # Live-surface smoke: run one sweep experiment with -http on an ephemeral
 # port, scrape /metrics (must be non-empty and Prometheus-shaped, with the
