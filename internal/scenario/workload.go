@@ -1,8 +1,9 @@
 // Package scenario assembles the paper's reference network (its Figure 1)
 // with the full protocol stack on every node — unicast routing, PIM-DM,
-// MLD, NDP router discovery, Mobile IPv6 home agents and mobile nodes —
-// plus workload generation and measurement probes. The experiment harness
-// and the benchmarks build every run on top of it.
+// MLD, NDP router discovery, Mobile IPv6 home agents with their multicast
+// services, and mobile nodes — plus workload generation and measurement
+// probes. The experiment harness and the benchmarks build every run on top
+// of it.
 package scenario
 
 import (
