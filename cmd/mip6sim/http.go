@@ -2,80 +2,50 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"mip6mcast/internal/exp"
-	"mip6mcast/internal/sim"
+	"mip6mcast/internal/live"
 )
 
-// liveServer is the -http run surface: it aggregates CellStats as timeline
-// cells complete and serves them three ways —
+// liveServer is the -http run surface:
 //
-//	/metrics      Prometheus text exposition (hand-rolled; stdlib only)
-//	/progress     NDJSON stream: one line per completed cell, as they land
+//	/metrics      the run's live.Totals as Prometheus text
+//	/progress     the run's live.Feed: every completed cell so far, then
+//	              each one as it lands, then a "run_complete" line
 //	/debug/pprof  the standard pprof endpoints; CPU profiles carry the
 //	              tag=<handler tag> labels the scheduler applies when the
 //	              run is started with -http (see sim.LabelProfiles)
-//
-// The aggregate state is tiny and guarded by one mutex; Progress callbacks
-// arrive serialized from the experiment engine, HTTP handlers from the
-// net/http pool.
 type liveServer struct {
-	mu         sync.Mutex
-	begun      time.Time
-	experiment string
-	cells      int
-	wall       time.Duration
-	virtual    time.Duration // summed across cells (total simulated time)
-	lastRate   float64
-	agg        sim.RunStats // merged across all cells (Virtual/hwm are maxes)
-	done       bool
-
-	subs    map[int]chan []byte
-	nextSub int
-
-	srv *http.Server
-	ln  net.Listener
+	feed *live.Feed
+	srv  *http.Server
 	// interrupted closes on the first SIGINT/SIGTERM (a second force-exits);
 	// finish consults it so a signal received mid-run still cuts the linger.
 	interrupted chan struct{}
 }
 
-// startHTTP binds addr and serves in the background. The signal handler is
-// installed immediately so a SIGINT/SIGTERM arriving mid-run is remembered
-// and honored at linger time (a second signal force-exits).
-func startHTTP(addr string) (*liveServer, error) {
+// startHTTP binds addr and serves totals and a new feed in the
+// background. The signal handler is installed immediately so a
+// SIGINT/SIGTERM arriving mid-run is remembered and honored at linger time
+// (a second signal force-exits).
+func startHTTP(addr string, totals *live.Totals) (*liveServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-http: %v", err)
 	}
-	s := &liveServer{begun: time.Now(), subs: map[int]chan []byte{}}
+	s := &liveServer{feed: live.NewFeed(), interrupted: make(chan struct{})}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/progress", s.handleProgress)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.ln = ln
+	mux.HandleFunc("/", handleIndex)
+	mux.Handle("/progress", s.feed)
+	live.Mount(mux, totals)
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln)
 
-	s.interrupted = make(chan struct{})
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -90,64 +60,7 @@ func startHTTP(addr string) (*liveServer, error) {
 	return s, nil
 }
 
-// setExperiment names the experiment currently running (shown in /metrics
-// and on each progress line).
-func (s *liveServer) setExperiment(id string) {
-	s.mu.Lock()
-	s.experiment = id
-	s.mu.Unlock()
-}
-
-// progressLine is one completed cell, NDJSON-encoded for /progress.
-type progressLine struct {
-	Experiment string             `json:"experiment"`
-	Point      int                `json:"point"`
-	Replicate  int                `json:"replicate"`
-	Label      string             `json:"label,omitempty"`
-	Engine     string             `json:"engine,omitempty"`
-	Events     uint64             `json:"events"`
-	WallNs     int64              `json:"wall_ns"`
-	VirtualNs  int64              `json:"virtual_ns"`
-	EvPerSec   float64            `json:"ev_per_sec"`
-	QueueHWM   int                `json:"queue_hwm"`
-	Vals       map[string]float64 `json:"vals,omitempty"`
-}
-
-// observe folds one completed cell into the aggregates and fans the line
-// out to /progress subscribers. It is the Progress callback.
-func (s *liveServer) observe(cs exp.CellStats) {
-	s.mu.Lock()
-	s.cells++
-	s.wall += cs.Wall
-	s.virtual += time.Duration(cs.Sched.Virtual)
-	s.lastRate = cs.EventsPerSec()
-	s.agg = exp.MergeRunStats(s.agg, cs.Sched)
-	line := progressLine{
-		Experiment: s.experiment,
-		Point:      cs.Point,
-		Replicate:  cs.Replicate,
-		Label:      cs.Label,
-		Engine:     cs.Engine,
-		Events:     cs.Sched.Dispatched,
-		WallNs:     int64(cs.Wall),
-		VirtualNs:  int64(cs.Sched.Virtual),
-		EvPerSec:   cs.EventsPerSec(),
-		QueueHWM:   cs.Sched.QueueHighWater,
-		Vals:       cs.Vals,
-	}
-	b, err := json.Marshal(line)
-	if err == nil {
-		for _, ch := range s.subs {
-			select {
-			case ch <- b:
-			default: // slow consumer: drop rather than stall the sweep
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-func (s *liveServer) handleIndex(w http.ResponseWriter, r *http.Request) {
+func handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
@@ -155,135 +68,18 @@ func (s *liveServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "mip6sim live surface\n\n/metrics\t\tPrometheus text format\n/progress\tNDJSON stream of completed cells\n/debug/pprof/\tprofiles (CPU samples labeled tag=<handler tag>)\n")
 }
 
-// handleMetrics writes Prometheus text exposition format 0.0.4. Everything
-// is derived under the lock from the aggregate CellStats; no state is
-// shared with the (single-threaded) timelines themselves.
-func (s *liveServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	cells, wall, virtual, lastRate := s.cells, s.wall, s.virtual, s.lastRate
-	agg, experiment, done := s.agg, s.experiment, s.done
-	s.mu.Unlock()
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	metric := func(name, help, typ string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-	}
-	metric("mip6sim_cells_completed_total", "Timeline cells completed.", "counter", float64(cells))
-	metric("mip6sim_events_dispatched_total", "Simulation events dispatched across all cells.", "counter", float64(agg.Dispatched))
-	metric("mip6sim_cell_wall_seconds_total", "Wall-clock seconds spent running cells.", "counter", wall.Seconds())
-	metric("mip6sim_virtual_seconds_total", "Virtual (simulated) seconds completed across all cells.", "counter", virtual.Seconds())
-	metric("mip6sim_queue_high_water", "Highest event-queue length observed in any cell.", "gauge", float64(agg.QueueHighWater))
-	metric("mip6sim_cell_events_per_second", "Dispatch rate of the most recently completed cell.", "gauge", lastRate)
-	metric("mip6sim_run_complete", "1 once every requested experiment has finished.", "gauge", boolGauge(done))
-	fmt.Fprintf(&b, "# HELP mip6sim_experiment_info Currently running experiment.\n# TYPE mip6sim_experiment_info gauge\nmip6sim_experiment_info{experiment=%q} 1\n", experiment)
-
-	if len(agg.Tags) > 0 {
-		tags := append([]sim.TagStat(nil), agg.Tags...)
-		sort.Slice(tags, func(i, j int) bool { return tags[i].Tag < tags[j].Tag })
-		fmt.Fprint(&b, "# HELP mip6sim_tag_events_total Events dispatched per scheduler handler tag.\n# TYPE mip6sim_tag_events_total counter\n")
-		for _, ts := range tags {
-			fmt.Fprintf(&b, "mip6sim_tag_events_total{tag=%q} %d\n", tagName(ts.Tag), ts.Events)
-		}
-		fmt.Fprint(&b, "# HELP mip6sim_tag_wall_seconds_total Handler wall-clock seconds per scheduler tag.\n# TYPE mip6sim_tag_wall_seconds_total counter\n")
-		for _, ts := range tags {
-			fmt.Fprintf(&b, "mip6sim_tag_wall_seconds_total{tag=%q} %g\n", tagName(ts.Tag), ts.Wall.Seconds())
-		}
-	}
-
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	metric("go_goroutines", "Number of goroutines.", "gauge", float64(runtime.NumGoroutine()))
-	metric("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge", float64(ms.HeapAlloc))
-	metric("go_memstats_total_alloc_bytes", "Cumulative bytes allocated.", "counter", float64(ms.TotalAlloc))
-	fmt.Fprint(w, b.String())
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func tagName(tag string) string {
-	if tag == "" {
-		return "untagged"
-	}
-	return tag
-}
-
-// handleProgress streams NDJSON: one snapshot line on connect, then one
-// line per cell as it completes, until the client goes away or the run
-// shuts down.
-func (s *liveServer) handleProgress(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-
-	ch := make(chan []byte, 256)
-	s.mu.Lock()
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = ch
-	snap, _ := json.Marshal(map[string]any{
-		"snapshot":     true,
-		"experiment":   s.experiment,
-		"cells":        s.cells,
-		"events":       s.agg.Dispatched,
-		"wall_ns":      int64(s.wall),
-		"virtual_ns":   int64(s.virtual),
-		"run_complete": s.done,
-	})
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, id)
-		s.mu.Unlock()
-	}()
-
-	w.Write(snap)
-	w.Write([]byte{'\n'})
-	fl.Flush()
-	for {
-		select {
-		case line, open := <-ch:
-			if !open {
-				return
-			}
-			if _, err := w.Write(line); err != nil {
-				return
-			}
-			w.Write([]byte{'\n'})
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// finish marks the run complete, lingers (so a human or scraper can grab
-// /metrics or a profile after the tables print), and shuts the server down
-// cleanly. A signal — even one received mid-run — ends the linger early.
+// finish ends /progress with its run_complete line, lingers (so a human or
+// scraper can grab /metrics or a profile after the tables print), and
+// shuts the server down cleanly. A signal — even one received mid-run —
+// ends the linger early.
 func (s *liveServer) finish(linger time.Duration) {
-	s.mu.Lock()
-	s.done = true
-	subs := s.subs
-	s.subs = map[int]chan []byte{}
-	s.mu.Unlock()
-
+	s.feed.Close(map[string]bool{"run_complete": true})
 	if linger > 0 {
 		fmt.Fprintf(os.Stderr, "run complete; serving for %v (interrupt to stop)\n", linger)
 		select {
 		case <-time.After(linger):
 		case <-s.interrupted:
 		}
-	}
-	for _, ch := range subs {
-		close(ch)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

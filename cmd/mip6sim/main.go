@@ -23,10 +23,9 @@ import (
 
 	"mip6mcast"
 	"mip6mcast/internal/exp"
-	"mip6mcast/internal/metrics"
+	"mip6mcast/internal/live"
 	"mip6mcast/internal/obs"
 	"mip6mcast/internal/scenario"
-	"mip6mcast/internal/sim"
 	"mip6mcast/internal/telemetry"
 	"mip6mcast/internal/topo"
 )
@@ -92,59 +91,36 @@ func main() {
 	opt.TelemetryEvery = *telemetryEvery
 	ctx := mip6mcast.ExpContext{Opt: opt, Replicates: *replicates, Workers: *workers}
 
-	// Progress consumers: the stderr printer (-progress), the live server
-	// (-http) and the top aggregator (-top) all tee off the same Progress
-	// callback. The experiment engine serializes Progress calls, so plain
-	// variables are safe here; curID is only written between experiment
-	// runs.
+	// The -progress printer, the -top table and the -http surface all read
+	// the Progress callback, which folds each cell into one live.Totals.
+	// The experiment engine serializes Progress calls; curID is only
+	// written between experiment runs.
 	var (
-		curID       string
-		cells       int
-		totalEvents uint64
-		totalWall   time.Duration
-		cellRate    metrics.Stats
-		consumers   []func(exp.CellStats)
+		curID  string
+		totals live.Totals
+		ls     *liveServer
 	)
-	if *progress {
-		consumers = append(consumers, func(cs exp.CellStats) {
-			cells++
-			totalEvents += cs.Sched.Dispatched
-			totalWall += cs.Wall
-			cellRate.Add(cs.EventsPerSec())
-			label := cs.Label
-			if label == "" {
-				label = fmt.Sprintf("variant %d", cs.Point)
-			}
-			fmt.Fprintf(os.Stderr, "  %s [%s rep %d]: %d events in %v (%.0f ev/s, hwm %d, vt %v)\n",
-				curID, label, cs.Replicate, cs.Sched.Dispatched, cs.Wall.Round(time.Microsecond),
-				cs.EventsPerSec(), cs.Sched.QueueHighWater, time.Duration(cs.Sched.Virtual))
-		})
-	}
-	var ls *liveServer
 	if *httpAddr != "" {
 		var err error
-		if ls, err = startHTTP(*httpAddr); err != nil {
+		if ls, err = startHTTP(*httpAddr, &totals); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		consumers = append(consumers, ls.observe)
 	}
-	var (
-		topAgg   sim.RunStats
-		topCells int
-		topWall  time.Duration
-	)
-	if *top {
-		consumers = append(consumers, func(cs exp.CellStats) {
-			topCells++
-			topWall += cs.Wall
-			topAgg = exp.MergeRunStats(topAgg, cs.Sched)
-		})
-	}
-	if len(consumers) > 0 {
+	if *progress || *top || ls != nil {
 		ctx.Progress = func(cs exp.CellStats) {
-			for _, fn := range consumers {
-				fn(cs)
+			totals.Add(cs)
+			if ls != nil {
+				ls.feed.Publish(live.NewLine("", curID, cs))
+			}
+			if *progress {
+				label := cs.Label
+				if label == "" {
+					label = fmt.Sprintf("variant %d", cs.Point)
+				}
+				fmt.Fprintf(os.Stderr, "  %s [%s rep %d]: %d events in %v (%.0f ev/s, hwm %d, vt %v)\n",
+					curID, label, cs.Replicate, cs.Sched.Dispatched, cs.Wall.Round(time.Microsecond),
+					cs.EventsPerSec(), cs.Sched.QueueHighWater, time.Duration(cs.Sched.Virtual))
 			}
 		}
 	}
@@ -155,9 +131,7 @@ func main() {
 	}
 	for _, id := range ids {
 		curID = id
-		if ls != nil {
-			ls.setExperiment(id)
-		}
+		totals.Begin(id)
 		e, ok := mip6mcast.GetExperiment(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (have: %s)\n",
@@ -256,13 +230,12 @@ func main() {
 		}
 	}
 
-	if *progress && cells > 0 {
-		fmt.Fprintf(os.Stderr, "ran %d timelines: %d events, wall %v; ev/s min %.0f mean %.0f max %.0f\n",
-			cells, totalEvents, totalWall.Round(time.Millisecond),
-			cellRate.Min(), cellRate.Mean(), cellRate.Max())
+	totals.End()
+	if *progress {
+		totals.WriteSummary(os.Stderr)
 	}
 	if *top {
-		renderTop(os.Stdout, topAgg, topCells, topWall)
+		totals.WriteTable(os.Stdout)
 	}
 	if ls != nil {
 		ls.finish(*httpLinger)

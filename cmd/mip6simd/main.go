@@ -1,21 +1,23 @@
 // Command mip6simd is the long-running sweep service: a stdlib net/http
 // server that accepts registry experiment specs, runs them on background
-// workers, streams per-cell progress as NDJSON (the same line shape as
-// mip6sim's -http surface), caches results keyed by
-// (experiment, params, seed), and maintains a pool of warmed-up chaos
-// checkpoints that impairment cells fork from instead of each replaying
-// the shared ramp.
+// workers, streams per-cell progress as NDJSON and serves /metrics and
+// pprof (the internal/live surface mip6sim's -http serves), caches
+// results keyed by (experiment, params, seed), and maintains a pool of
+// warmed-up chaos checkpoints that impairment cells fork from instead of
+// each replaying the shared ramp.
 //
 //	POST /runs                    submit a spec; returns the run record
 //	GET  /runs                    list runs
 //	GET  /runs/{id}               one run: status, error, result
-//	GET  /runs/{id}/progress      NDJSON: history, then live cell lines
+//	GET  /runs/{id}/progress      NDJSON: history, live cell lines, run_complete
 //	GET  /experiments             the experiment registry with schemas
 //	POST /checkpoints             warm the chaos prefix, capture, pool it
 //	GET  /checkpoints             list pooled checkpoints
 //	GET  /checkpoints/{id}        download the checkpoint artifact
 //	POST /checkpoints/{id}/fork   run impairment cells from the warm state
 //	GET  /healthz                 liveness probe
+//	GET  /metrics                 Prometheus text: totals over every run's cells
+//	GET  /debug/pprof/            profiles
 //
 // Every run executes under per-cell panic containment (internal/exp) plus
 // a run-level recover here, so a failing cell — or a failing experiment —
@@ -57,7 +59,7 @@ func main() {
 		<-sigc
 		srv.Close()
 	}()
-	fmt.Fprintf(os.Stderr, "mip6simd serving http://%s/ (runs, experiments, checkpoints)\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "mip6simd serving http://%s/ (runs, experiments, checkpoints, metrics, debug/pprof)\n", ln.Addr())
 	if err := srv.Serve(ln); err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

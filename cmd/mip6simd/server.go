@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"mip6mcast"
 	"mip6mcast/internal/checkpoint"
 	"mip6mcast/internal/exp"
+	"mip6mcast/internal/live"
 	"mip6mcast/internal/scenario"
 )
 
@@ -50,28 +50,7 @@ type run struct {
 	FailedCells int             `json:"failed_cells"`
 	Result      *exp.JSONResult `json:"result,omitempty"`
 
-	lines [][]byte // NDJSON progress history
-	subs  map[int]chan []byte
-	nsub  int
-	done  chan struct{}
-}
-
-// progressLine matches mip6sim's -http /progress line shape (PR 7), plus
-// the run id and the cell's containment error when it failed.
-type progressLine struct {
-	Run        string             `json:"run"`
-	Experiment string             `json:"experiment"`
-	Point      int                `json:"point"`
-	Replicate  int                `json:"replicate"`
-	Label      string             `json:"label,omitempty"`
-	Engine     string             `json:"engine,omitempty"`
-	Events     uint64             `json:"events"`
-	WallNs     int64              `json:"wall_ns"`
-	VirtualNs  int64              `json:"virtual_ns"`
-	EvPerSec   float64            `json:"ev_per_sec"`
-	QueueHWM   int                `json:"queue_hwm"`
-	Vals       map[string]float64 `json:"vals,omitempty"`
-	Err        string             `json:"error,omitempty"`
+	feed *live.Feed // GET /runs/{id}/progress
 }
 
 // warmEntry is one pooled chaos checkpoint: the captured artifact, the
@@ -102,6 +81,7 @@ type server struct {
 
 	cache   *resultCache
 	workers int
+	totals  live.Totals // every run's cells, for /metrics
 }
 
 func newServer(cacheDir string, workers int) (*server, error) {
@@ -132,6 +112,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /checkpoints", s.handleListCheckpoints)
 	mux.HandleFunc("GET /checkpoints/{id}", s.handleGetCheckpoint)
 	mux.HandleFunc("POST /checkpoints/{id}/fork", s.handleFork)
+	live.Mount(mux, &s.totals)
 	return mux
 }
 
@@ -228,8 +209,7 @@ func (s *server) handlePostRun(w http.ResponseWriter, req *http.Request) {
 		Spec:     spec,
 		Status:   "running",
 		CacheKey: key,
-		subs:     map[int]chan []byte{},
-		done:     make(chan struct{}),
+		feed:     live.NewFeed(),
 	}
 	s.runs[r.ID] = r
 	s.order = append(s.order, r.ID)
@@ -243,7 +223,7 @@ func (s *server) handlePostRun(w http.ResponseWriter, req *http.Request) {
 			r.Result = jr
 			snap := *r
 			s.mu.Unlock()
-			close(r.done)
+			s.finish(r)
 			writeJSON(w, http.StatusOK, snap)
 			return
 		}
@@ -260,7 +240,7 @@ func (s *server) handlePostRun(w http.ResponseWriter, req *http.Request) {
 // but an experiment's own reduction code (e.g. a typed Raw assertion on a
 // failed replicate) can still panic — that fails this run, not the daemon.
 func (s *server) execute(r *run, resolved exp.Params) {
-	defer close(r.done)
+	defer s.finish(r)
 	defer func() {
 		if rec := recover(); rec != nil {
 			stack := debug.Stack()
@@ -275,6 +255,7 @@ func (s *server) execute(r *run, resolved exp.Params) {
 	}()
 
 	spec := r.Spec
+	s.totals.Begin(spec.Experiment)
 	opt := scenario.DefaultOptions()
 	opt.Seed = spec.Seed
 	opt.Shards = spec.Shards
@@ -319,40 +300,28 @@ func (s *server) execute(r *run, resolved exp.Params) {
 }
 
 // observe is the run's Progress callback: fold the cell into the run's
-// counters and fan the NDJSON line to history and live subscribers.
+// counters and the daemon's totals, and publish its progress line.
 func (s *server) observe(r *run, cs exp.CellStats) {
-	line := progressLine{
-		Run:        r.ID,
-		Experiment: r.Spec.Experiment,
-		Point:      cs.Point,
-		Replicate:  cs.Replicate,
-		Label:      cs.Label,
-		Engine:     cs.Engine,
-		Events:     cs.Sched.Dispatched,
-		WallNs:     int64(cs.Wall),
-		VirtualNs:  int64(cs.Sched.Virtual),
-		EvPerSec:   cs.EventsPerSec(),
-		QueueHWM:   cs.Sched.QueueHighWater,
-		Vals:       cs.Vals,
-		Err:        cs.Err,
-	}
-	b, err := json.Marshal(line)
-	if err != nil {
-		return
-	}
 	s.mu.Lock()
 	r.Cells++
 	if cs.Err != "" {
 		r.FailedCells++
 	}
-	r.lines = append(r.lines, b)
-	for _, ch := range r.subs {
-		select {
-		case ch <- b:
-		default: // slow consumer: drop rather than stall the sweep
-		}
+	s.mu.Unlock()
+	s.totals.Add(cs)
+	r.feed.Publish(live.NewLine(r.ID, r.Spec.Experiment, cs))
+}
+
+// finish ends the run's progress feed with a summary line carrying its
+// terminal status.
+func (s *server) finish(r *run) {
+	s.mu.Lock()
+	final := map[string]any{
+		"run": r.ID, "run_complete": true, "status": r.Status,
+		"cells": r.Cells, "failed_cells": r.FailedCells, "cached": r.Cached,
 	}
 	s.mu.Unlock()
+	r.feed.Close(final)
 }
 
 func (s *server) handleListRuns(w http.ResponseWriter, req *http.Request) {
@@ -388,71 +357,12 @@ func (s *server) handleGetRun(w http.ResponseWriter, req *http.Request) {
 func (s *server) handleRunProgress(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	r, ok := s.runs[req.PathValue("id")]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		httpError(w, http.StatusNotFound, "no run %q", req.PathValue("id"))
 		return
 	}
-	history := make([][]byte, len(r.lines))
-	copy(history, r.lines)
-	ch := make(chan []byte, 256)
-	id := r.nsub
-	r.nsub++
-	r.subs[id] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(r.subs, id)
-		s.mu.Unlock()
-	}()
-
-	fl, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var buf bytes.Buffer
-	for _, line := range history {
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	w.Write(buf.Bytes())
-	if fl != nil {
-		fl.Flush()
-	}
-	for {
-		select {
-		case line := <-ch:
-			w.Write(line)
-			w.Write([]byte{'\n'})
-			if fl != nil {
-				fl.Flush()
-			}
-		case <-r.done:
-			// Drain lines that raced the close.
-			for {
-				select {
-				case line := <-ch:
-					w.Write(line)
-					w.Write([]byte{'\n'})
-					continue
-				default:
-				}
-				break
-			}
-			s.mu.Lock()
-			final, _ := json.Marshal(map[string]any{
-				"run": r.ID, "run_complete": true, "status": r.Status,
-				"cells": r.Cells, "failed_cells": r.FailedCells, "cached": r.Cached,
-			})
-			s.mu.Unlock()
-			w.Write(final)
-			w.Write([]byte{'\n'})
-			if fl != nil {
-				fl.Flush()
-			}
-			return
-		case <-req.Context().Done():
-			return
-		}
-	}
+	r.feed.ServeHTTP(w, req)
 }
 
 // checkpointSpec is the POST /checkpoints body. Only the chaos experiment

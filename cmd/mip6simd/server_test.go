@@ -17,6 +17,7 @@ import (
 	"mip6mcast"
 	"mip6mcast/internal/checkpoint"
 	"mip6mcast/internal/exp"
+	"mip6mcast/internal/live"
 	"mip6mcast/internal/scenario"
 )
 
@@ -210,7 +211,7 @@ func TestRunResultCacheAndProgress(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("progress lines = %q", lines)
 	}
-	var cellLine progressLine
+	var cellLine live.Line
 	if err := json.Unmarshal([]byte(lines[0]), &cellLine); err != nil || cellLine.Events == 0 {
 		t.Fatalf("cell line %q (err %v)", lines[0], err)
 	}

@@ -27,6 +27,8 @@ import (
 
 	"mip6mcast"
 	"mip6mcast/internal/core"
+	"mip6mcast/internal/exp"
+	"mip6mcast/internal/live"
 	"mip6mcast/internal/obs"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
@@ -161,7 +163,9 @@ func main() {
 			f.Move("S", "L6")
 		})
 	}
+	start := time.Now()
 	f.Run(*duration)
+	wall := time.Since(start)
 
 	switch *format {
 	case "text":
@@ -179,19 +183,12 @@ func main() {
 	}
 
 	if *schedStats {
-		rs := f.Sched.RunStats()
-		fmt.Fprintf(os.Stderr, "scheduler: %d events dispatched, queue high-water %d, virtual %v",
-			rs.Dispatched, rs.QueueHighWater, time.Duration(rs.Virtual))
-		if rs.Wall > 0 {
-			fmt.Fprintf(os.Stderr, ", wall %v in handlers (%.0fx realtime)", rs.Wall.Round(time.Microsecond), rs.SpeedUp())
+		cell := exp.CellStats{Wall: wall}
+		for _, s := range f.Scheds() {
+			cell.Sched = exp.MergeRunStats(cell.Sched, s.RunStats())
 		}
-		fmt.Fprintln(os.Stderr)
-		for _, ts := range rs.Tags {
-			tag := ts.Tag
-			if tag == "" {
-				tag = "(untagged)"
-			}
-			fmt.Fprintf(os.Stderr, "  %-10s %8d events  %v\n", tag, ts.Events, ts.Wall.Round(time.Microsecond))
-		}
+		var t live.Totals
+		t.Add(cell)
+		t.WriteTable(os.Stderr)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"mip6mcast/internal/mld"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/scenario"
-	"mip6mcast/internal/sim"
 )
 
 func main() {
@@ -55,10 +54,8 @@ func main() {
 	svc.Join(scenario.Group)
 
 	received := 0
-	var lastAt sim.Time
 	r3.Node.BindUDP(scenario.WorkloadPort, func(rx netem.RxPacket, u ipv6.UDP) {
 		received++
-		lastAt = f.Sched.Now()
 	})
 
 	// Static sender on Link 1.
@@ -87,7 +84,7 @@ func main() {
 	fmt.Printf("t=%s  ha1 active=%v (promotions: %d)\n",
 		f.Sched.Now(), members[1].Active(), members[1].Promotions)
 	fmt.Printf("         stream resumed: %d more datagrams; outage ≈ %s\n",
-		received-before, outage(crashAt, lastAt, received, before))
+		received-before, outage(received, before))
 
 	members[0].Recover()
 	f.Run(30 * time.Second)
@@ -96,7 +93,7 @@ func main() {
 }
 
 // outage estimates the delivery gap around the crash from counters.
-func outage(crashAt, lastAt sim.Time, now, before int) time.Duration {
+func outage(now, before int) time.Duration {
 	if now == before {
 		return -1 // nothing resumed
 	}
@@ -105,7 +102,5 @@ func outage(crashAt, lastAt sim.Time, now, before int) time.Duration {
 	if missed < 0 {
 		missed = 0
 	}
-	_ = crashAt
-	_ = lastAt
 	return time.Duration(missed) * 100 * time.Millisecond
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mip6mcast/internal/core"
-	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/scenario"
@@ -46,7 +45,7 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	f := scenario.Build(topo.Line(depth), opt)
 
 	// Sender and the mobile receiver's home on link 0.
-	src := f.AddHost("src", "K0", 0x9001)
+	f.AddHost("src", "K0", 0x9001)
 	m := f.AddHost("m", "K0", 0x9002)
 	svc := core.NewService(m.MN, m.MLD, approach, opt.MLD)
 	svc.Join(scenario.Group)
@@ -63,14 +62,7 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	}
 
 	scenario.NewCBR(f.Sched, 1, 100*time.Millisecond, 64, func(p []byte) {
-		a := src.MN.HomeAddress
-		u := &ipv6.UDP{SrcPort: scenario.WorkloadPort, DstPort: scenario.WorkloadPort, Payload: p}
-		pkt := &ipv6.Packet{
-			Hdr:     ipv6.Header{Src: a, Dst: scenario.Group, HopLimit: ipv6.DefaultHopLimit},
-			Proto:   ipv6.ProtoUDP,
-			Payload: u.Marshal(a, scenario.Group),
-		}
-		_ = src.Node.OutputOn(src.Iface, pkt)
+		f.SendLocalMulticast("src", scenario.Group, p)
 	})
 
 	f.Run(20 * time.Second)

@@ -2,8 +2,8 @@
 // deterministic snapshot of a running simulation's virtual time and all
 // live state — scheduler queues and RNG stream positions per region,
 // link/impairment/channel state, multicast engine state for every
-// router via the engine.MulticastEngine Checkpoint/Restore contract,
-// and the MLD/NDP/Mobile-IPv6 binding state.
+// router (engine.MulticastEngine.Checkpoint, checked on restore by
+// engine.VerifyCheckpoint), and the MLD/NDP/Mobile-IPv6 binding state.
 //
 // The restore model is replay-based, verify-and-adopt: closures (timer
 // callbacks, in-flight deliveries) are never serialized. A checkpoint

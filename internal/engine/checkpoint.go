@@ -15,10 +15,10 @@ import (
 // The restore model is verify-and-adopt: a checkpoint is restored by
 // re-executing the deterministic construction and driver program up to
 // the checkpoint's virtual time, after which the engine necessarily
-// holds the same state; Restore then compares the rebuilt state against
-// the snapshot field by field, catching spec drift, binary drift, or a
-// non-deterministic rebuild with a descriptive error instead of a
-// silently divergent tail.
+// holds the same state; VerifyCheckpoint then compares the rebuilt
+// state against the snapshot field by field, catching spec drift,
+// binary drift, or a non-deterministic rebuild with a descriptive error
+// instead of a silently divergent tail.
 type EngineCheckpoint struct {
 	// Engine is the registry name ("pimdm", "hpimdm").
 	Engine string `json:"engine"`
@@ -40,8 +40,8 @@ type EngineCheckpoint struct {
 
 // VerifyCheckpoint compares a checkpointed engine snapshot against the
 // snapshot recaptured after a rebuild and reports the first divergence
-// as a descriptive error (nil when identical). Engines implement
-// Restore by delegating here.
+// as a descriptive error (nil when identical). checkpoint.Verify calls it
+// for every router's engine.
 func VerifyCheckpoint(want, got EngineCheckpoint) error {
 	if want.Engine != got.Engine {
 		return fmt.Errorf("engine: checkpoint is for engine %q, not %q", want.Engine, got.Engine)

@@ -148,11 +148,9 @@ type MulticastEngine interface {
 	Entries() []SGInfo
 	MulticastStats() Stats
 
-	// Checkpoint/Restore (see EngineCheckpoint). Checkpoint returns the
-	// deterministic snapshot of all protocol state; Restore verifies that
-	// the engine — rebuilt to the checkpoint's virtual time by
-	// deterministic replay — holds exactly the checkpointed state, and
-	// returns a descriptive diff error if it does not.
+	// Checkpoint returns the deterministic snapshot of all protocol state
+	// (see EngineCheckpoint). VerifyCheckpoint compares it with the
+	// snapshot of an engine rebuilt to the same virtual time by
+	// deterministic replay.
 	Checkpoint() EngineCheckpoint
-	Restore(cp EngineCheckpoint) error
 }

@@ -12,7 +12,7 @@ import (
 // (point, replicate) cell of a Sweep, or one variant of a ForEach). It
 // carries the wall-clock cost of the cell plus the scheduler counters of
 // every scenario network the cell built, so progress reporters can show
-// events/sec and virtual/wall speed-up as the sweep runs.
+// events/sec and virtual time as the sweep runs.
 type CellStats struct {
 	// Point and Replicate locate the cell in the fan-out. ForEach variants
 	// report Point=i, Replicate=0.
@@ -48,14 +48,6 @@ func (c CellStats) EventsPerSec() float64 {
 		return 0
 	}
 	return float64(c.Sched.Dispatched) / c.Wall.Seconds()
-}
-
-// SpeedUp is the cell's virtual-time / wall-clock ratio.
-func (c CellStats) SpeedUp() float64 {
-	if c.Wall <= 0 {
-		return 0
-	}
-	return float64(c.Sched.Virtual) / float64(c.Wall)
 }
 
 // progressMu serializes Progress callbacks: cells complete on parallel
@@ -102,9 +94,8 @@ func (c Context) reportCell(pt, rep int, label string, wall time.Duration, sched
 
 // MergeRunStats folds b into a: dispatch counts and handler wall time sum,
 // queue high-water and virtual time take the max (timelines are
-// independent, not concatenated), per-tag stats merge by tag. Progress
-// consumers (mip6sim's -top report and /metrics endpoint) use it to
-// aggregate CellStats.Sched across a whole run.
+// independent, not concatenated), per-tag stats merge by tag. live.Totals
+// uses it to aggregate CellStats.Sched across a whole run.
 func MergeRunStats(a, b sim.RunStats) sim.RunStats {
 	a.Dispatched += b.Dispatched
 	a.Wall += b.Wall

@@ -31,7 +31,7 @@ type PointStats struct {
 	Label string
 	// Cols holds the replicate statistics per measured column, reduced
 	// over the successful replicates only.
-	Cols map[string]*metrics.Stats
+	Cols map[string]*metrics.Welford
 	// Raw holds each replicate's typed result in replicate order
 	// (whatever SweepSpec.Run returned; may be nil — always nil for a
 	// failed replicate).
@@ -132,12 +132,12 @@ func Sweep(ctx Context, spec SweepSpec) []PointStats {
 	for pt := 0; pt < npts; pt++ {
 		ps := PointStats{
 			Label: spec.Points[pt],
-			Cols:  make(map[string]*metrics.Stats, len(spec.Columns)),
+			Cols:  make(map[string]*metrics.Welford, len(spec.Columns)),
 			Raw:   make([]any, reps),
 			Errs:  make([]string, reps),
 		}
 		for _, c := range spec.Columns {
-			ps.Cols[c] = &metrics.Stats{}
+			ps.Cols[c] = &metrics.Welford{}
 		}
 		for rep := 0; rep < reps; rep++ {
 			c := cells[pt*reps+rep]

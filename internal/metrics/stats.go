@@ -16,11 +16,6 @@ type Welford struct {
 	min, max float64
 }
 
-// Stats is the original name of the Welford accumulator, kept as an alias
-// for the replicate-reduction call sites that predate the streaming
-// metrics layer.
-type Stats = Welford
-
 // Add accumulates one sample.
 func (s *Welford) Add(x float64) {
 	s.n++
@@ -40,7 +35,7 @@ func (s *Welford) Add(x float64) {
 }
 
 // Merge folds another accumulator into s (Chan et al. parallel update).
-func (s *Welford) Merge(o Stats) {
+func (s *Welford) Merge(o Welford) {
 	if o.n == 0 {
 		return
 	}

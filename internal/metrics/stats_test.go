@@ -6,7 +6,7 @@ import (
 )
 
 func TestStatsEmpty(t *testing.T) {
-	var s Stats
+	var s Welford
 	if s.N() != 0 || s.Mean() != 0 || s.Stddev() != 0 || s.CI95() != 0 {
 		t.Fatalf("zero value not neutral: %+v", s)
 	}
@@ -16,7 +16,7 @@ func TestStatsEmpty(t *testing.T) {
 }
 
 func TestStatsSingleSample(t *testing.T) {
-	var s Stats
+	var s Welford
 	s.Add(42)
 	if s.N() != 1 || s.Mean() != 42 || s.Min() != 42 || s.Max() != 42 {
 		t.Fatalf("n=1 aggregate wrong: %+v", s)
@@ -29,7 +29,7 @@ func TestStatsSingleSample(t *testing.T) {
 }
 
 func TestStatsConstantSeries(t *testing.T) {
-	var s Stats
+	var s Welford
 	for i := 0; i < 100; i++ {
 		s.Add(7.25)
 	}
@@ -45,7 +45,7 @@ func TestStatsConstantSeries(t *testing.T) {
 }
 
 func TestStatsKnownSeries(t *testing.T) {
-	var s Stats
+	var s Welford
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
@@ -68,7 +68,7 @@ func TestStatsKnownSeries(t *testing.T) {
 // formula loses all significant digits here (mean² ≈ 1e18 swamps a
 // variance of 0.25 in float64); Welford keeps it exact.
 func TestStatsWelfordStability(t *testing.T) {
-	var s Stats
+	var s Welford
 	const offset = 1e9
 	const n = 1_000_000
 	for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestStatsWelfordStability(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	var whole, a, b Stats
+	var whole, a, b Welford
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100, -3}
 	for i, v := range vals {
 		whole.Add(v)
@@ -112,14 +112,14 @@ func TestStatsMerge(t *testing.T) {
 		t.Errorf("merged min/max = %v/%v, want %v/%v", a.Min(), a.Max(), whole.Min(), whole.Max())
 	}
 	// Merging into the zero value copies.
-	var z Stats
+	var z Welford
 	z.Merge(whole)
 	if z != whole {
 		t.Error("merge into zero value not a copy")
 	}
 	// Merging the zero value is a no-op.
 	before := whole
-	whole.Merge(Stats{})
+	whole.Merge(Welford{})
 	if whole != before {
 		t.Error("merging empty stats changed the aggregate")
 	}

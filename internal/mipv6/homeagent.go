@@ -251,7 +251,7 @@ func (ha *HomeAgent) handleOption(rx netem.RxPacket, opt ipv6.Option) bool {
 	}
 
 	if bu.Ack {
-		ha.sendAck(careOf, home, &ipv6.BindingAck{
+		ha.sendAck(careOf, &ipv6.BindingAck{
 			Status:   status,
 			Sequence: bu.Sequence,
 			Lifetime: uint32(lifetime / time.Second),
@@ -370,9 +370,8 @@ func (ha *HomeAgent) ImportBinding(home, careOf ipv6.Addr, seq uint16, groups []
 	ha.upsertBinding(home, careOf, seq, groups, lifetime)
 }
 
-func (ha *HomeAgent) sendAck(careOf, home ipv6.Addr, ack *ipv6.BindingAck) {
+func (ha *HomeAgent) sendAck(careOf ipv6.Addr, ack *ipv6.BindingAck) {
 	_ = ha.Node.Output(signalPacket(ha.Address, careOf, ack.Marshal()))
-	_ = home
 }
 
 // intercept captures unicast packets being forwarded toward a bound home

@@ -389,10 +389,3 @@ func (p *Proxy) Checkpoint() engine.EngineCheckpoint {
 	sort.Strings(cp.LocalMembers)
 	return cp
 }
-
-// Restore implements engine.MulticastEngine with the verify-and-adopt
-// semantics shared by all engines: deterministic replay has already
-// rebuilt the state; Restore verifies it matches the snapshot.
-func (p *Proxy) Restore(cp engine.EngineCheckpoint) error {
-	return engine.VerifyCheckpoint(cp, p.Checkpoint())
-}

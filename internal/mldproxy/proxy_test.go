@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mip6mcast/internal/engine"
 	"mip6mcast/internal/icmpv6"
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/mld"
@@ -337,14 +338,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("Entries = %+v", cp.Entries)
 	}
 
-	// Verify-and-adopt: matching state restores cleanly...
-	if err := f.p.Restore(cp); err != nil {
-		t.Fatalf("Restore of own checkpoint failed: %v", err)
+	// Verify-and-adopt: matching state verifies cleanly...
+	if err := engine.VerifyCheckpoint(cp, f.p.Checkpoint()); err != nil {
+		t.Fatalf("verifying own checkpoint failed: %v", err)
 	}
 	// ...and any divergence is a descriptive error, not silent adoption.
 	f.p.RemoveLocalMember(group)
-	if err := f.p.Restore(cp); err == nil {
-		t.Fatal("Restore accepted diverged state")
+	if err := engine.VerifyCheckpoint(cp, f.p.Checkpoint()); err == nil {
+		t.Fatal("VerifyCheckpoint accepted diverged state")
 	}
 }
 

@@ -198,9 +198,8 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, hops uint8, l2dst *Interf
 		mtu = pm
 	}
 	if mtu <= 0 || len(frame) <= mtu {
-		if ifc.Link.transmit(ifc, frame, pkt, l2dst) {
-			net.putFrameBuf(region, frame)
-		}
+		ifc.Link.transmit(ifc, frame, pkt, l2dst)
+		net.putFrameBuf(region, frame)
 		return nil
 	}
 	if hops > 0 || !ifc.Node.HasAddr(pkt.Hdr.Src) {
@@ -222,9 +221,8 @@ func (ifc *Interface) transmitPacket(pkt *ipv6.Packet, hops uint8, l2dst *Interf
 			net.putFrameBuf(region, fb)
 			return fmt.Errorf("netem: %s: %w", ifc, err)
 		}
-		if ifc.Link.transmit(ifc, fb, f, l2dst) {
-			net.putFrameBuf(region, fb)
-		}
+		ifc.Link.transmit(ifc, fb, f, l2dst)
+		net.putFrameBuf(region, fb)
 	}
 	return nil
 }

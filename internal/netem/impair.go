@@ -35,10 +35,10 @@ type Impairment struct {
 	DupProb float64
 
 	// CorruptProb is the probability that the delivered bytes are damaged
-	// in flight. Corruption is surfaced as a decode failure at the
-	// receiver — the frame arrives, fails to parse, and is dropped as
-	// "malformed" — modeling a frame whose damage survives the link layer
-	// but is caught by upper-layer validation.
+	// in flight. The damaged frame arrives and the receiver drops it as
+	// "malformed", as it does a frame that fails to decode — modeling a
+	// frame whose damage survives the link layer but is caught by
+	// upper-layer validation.
 	CorruptProb float64
 
 	// Gilbert–Elliott burst loss: a two-state channel that flips between a
@@ -85,7 +85,9 @@ func (imp *Impairment) reorderDelay(l *Link) time.Duration {
 // impairedDeliver schedules one (possibly jittered, reordered, corrupted
 // and/or duplicated) delivery. The caller has already charged Delivered for
 // the primary copy; duplicates are charged here. Loss was already decided.
-func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, hops uint8, frame []byte, raw *rawFrame, unicast bool) {
+// A corrupted delivery carries no packet, so its receiver drops it as
+// "malformed".
+func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, hops uint8, unicast bool) {
 	s := l.scheduler()
 	imp := l.Impair
 
@@ -100,20 +102,9 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 
 	if imp.CorruptProb > 0 && s.RandFor("netem-impair").Float64() < imp.CorruptProb {
 		l.CorruptedDeliveries++
-		data := make([]byte, len(frame))
-		copy(data, frame)
-		if len(data) > 0 {
-			// Damage the IPv6 version nibble so the receiver's decode
-			// reliably fails (the "malformed" drop path).
-			data[0] ^= 0xf0
-		}
-		l.deliverRaw(ifc, home, at, &rawFrame{data: data}, unicast)
-	} else if raw == nil {
-		l.deliverPkt(ifc, home, at, pkt, hops, unicast)
+		l.deliverPkt(ifc, home, at, nil, 0, unicast)
 	} else {
-		// Sender handed us an undecodable frame: transmit already keeps
-		// the buffer alive (recyclable=false), so sharing it is safe.
-		l.deliverRaw(ifc, home, at, raw, unicast)
+		l.deliverPkt(ifc, home, at, pkt, hops, unicast)
 	}
 
 	if imp.DupProb > 0 && s.RandFor("netem-impair").Float64() < imp.DupProb {
@@ -121,10 +112,6 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 		l.DupDeliveries++
 		l.Delivered++
 		l.DeliveredBytes += frameLen
-		if raw == nil {
-			l.deliverPkt(ifc, home, at, pkt, hops, unicast)
-		} else {
-			l.deliverRaw(ifc, home, at, raw, unicast)
-		}
+		l.deliverPkt(ifc, home, at, pkt, hops, unicast)
 	}
 }

@@ -58,7 +58,7 @@ func (n *Network) getFrameBuf(region int) []byte {
 }
 
 // putFrameBuf recycles an encode buffer. Callers must be certain nothing
-// retains the bytes (Link.transmit reports this).
+// retains the bytes (Link.transmit never does).
 func (n *Network) putFrameBuf(region int, b []byte) {
 	n.frameBufs[region] = append(n.frameBufs[region], b)
 }
@@ -317,17 +317,16 @@ func (l *Link) Resolve(addr ipv6.Addr) *Interface {
 // hop count 0. Either way a datagram forwarded hop by hop is the one
 // packet its origin allocated at every hop, a datagram carried through a
 // tunnel keeps its payload, and an N-receiver multicast delivery costs one
-// parse instead of N. The return value reports whether the caller may
-// recycle the frame buffer: true unless the frame failed to decode, in
-// which case delivery falls back to carrying (and re-parsing) the raw
-// bytes.
-func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst *Interface) (recyclable bool) {
+// parse instead of N. A frame that fails to decode reaches its receivers
+// as a nil packet, which they drop as "malformed". No delivery keeps the
+// frame, so the caller may recycle its buffer.
+func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst *Interface) {
 	s := l.scheduler()
 	now := s.Now()
 
 	if l.down {
 		l.DownDrops++
-		return true
+		return
 	}
 
 	l.TxFrames++
@@ -363,10 +362,6 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 	}
 
 	unicast := l2dst != nil
-	var raw *rawFrame
-	if decErr != nil {
-		raw = &rawFrame{data: frame}
-	}
 	// Delivery events carry the "link" handler tag: wall time spent
 	// receiving and dispatching frames is attributed to the wire, while
 	// timers armed by protocol handlers retag themselves (see sim.PushTag).
@@ -391,14 +386,10 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 			l.Delivered++
 			l.DeliveredBytes += frameLen
 			if imp != nil {
-				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, hops, frame, raw, unicast)
+				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, hops, unicast)
 				continue
 			}
-			if raw == nil {
-				l.deliverPkt(ifc, home, arrive, pkt, hops, unicast)
-			} else {
-				l.deliverRaw(ifc, home, arrive, raw, unicast)
-			}
+			l.deliverPkt(ifc, home, arrive, pkt, hops, unicast)
 		}
 	}
 	deliver(l.Ifaces, l)
@@ -406,32 +397,23 @@ func (l *Link) transmit(from *Interface, frame []byte, sent *ipv6.Packet, l2dst 
 		deliver(l.xpeer.Ifaces, l.xpeer)
 	}
 	s.PopTag(prevTag)
-	return decErr == nil
 }
 
 // deliverPkt arms delivery of the shared packet, hops routers from its
 // sender, at time at. home is the (half-)link the receiver is attached to;
 // for a receiver on the far half of a split link, the event travels as a
 // cross-region message and the packet, often the sender's own, crosses
-// regions as immutable shared data.
+// regions as immutable shared data. A nil pkt is a frame that failed to
+// decode or was corrupted in flight.
 func (l *Link) deliverPkt(ifc *Interface, home *Link, at sim.Time, pkt *ipv6.Packet, hops uint8, unicast bool) {
 	l.scheduler().Deliver(ifc.Node.Sched(), at, sim.Delivery{To: frameReceiver{}, A: ifc, B: home, C: pkt, Flag: unicast, N: hops})
 }
 
-// rawFrame carries bytes that did not decode at transmit to a receiver,
-// which decodes them again and counts the failure as a "malformed" drop.
-type rawFrame struct{ data []byte }
-
-// deliverRaw arms delivery of a raw frame.
-func (l *Link) deliverRaw(ifc *Interface, home *Link, at sim.Time, raw *rawFrame, unicast bool) {
-	l.scheduler().Deliver(ifc.Node.Sched(), at, sim.Delivery{To: frameReceiver{}, A: ifc, B: home, C: raw, Flag: unicast})
-}
-
-// frameReceiver runs the delivery events deliverPkt and deliverRaw arm: A
-// is the receiving *Interface, B its home *Link, C the *ipv6.Packet (or
-// *rawFrame), Flag whether the frame was link-layer unicast, N the
-// packet's hop count. A receiver that went down or moved off the link
-// while the frame was in flight misses it.
+// frameReceiver runs the delivery events deliverPkt arms: A is the
+// receiving *Interface, B its home *Link, C the *ipv6.Packet, Flag whether
+// the frame was link-layer unicast, N the packet's hop count. A receiver
+// that went down or moved off the link while the frame was in flight
+// misses it; one that gets a nil packet drops it as "malformed".
 type frameReceiver struct{}
 
 func (frameReceiver) Receive(d sim.Delivery) {
@@ -439,12 +421,12 @@ func (frameReceiver) Receive(d sim.Delivery) {
 	if !ifc.up || ifc.Link != d.B.(*Link) {
 		return
 	}
-	switch c := d.C.(type) {
-	case *ipv6.Packet:
-		ifc.Node.receivePacket(ifc, c, d.N, d.Flag)
-	case *rawFrame:
-		ifc.Node.receive(ifc, c.data, d.Flag)
+	pkt := d.C.(*ipv6.Packet)
+	if pkt == nil {
+		ifc.Node.drop("malformed")
+		return
 	}
+	ifc.Node.receivePacket(ifc, pkt, d.N, d.Flag)
 }
 
 // Attach connects iface to this link (used by Node.AddInterface and by

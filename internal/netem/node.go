@@ -319,18 +319,6 @@ func (n *Node) drop(reason string) {
 	n.Drops[reason]++
 }
 
-// receive is the input path for raw frames: decode, then dispatch. The
-// link fast path decodes once at transmit and calls receivePacket directly;
-// this wrapper serves tests and the undecodable-frame fallback.
-func (n *Node) receive(ifc *Interface, frame []byte, l2unicast bool) {
-	pkt, err := ipv6.Decode(frame)
-	if err != nil {
-		n.drop("malformed")
-		return
-	}
-	n.receivePacket(ifc, pkt, 0, l2unicast)
-}
-
 // receivePacket dispatches a decoded datagram that arrived on ifc, hops
 // routers after its sender handed it to a link (see RxPacket.Hops). pkt
 // may be shared with sibling receivers of the same transmission and must

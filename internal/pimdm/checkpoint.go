@@ -41,15 +41,6 @@ func (c *Core[E, D]) Checkpoint() engine.EngineCheckpoint {
 	return cp
 }
 
-// Restore implements engine.MulticastEngine with verify-and-adopt
-// semantics: the engine must already hold the checkpointed state
-// (rebuilt by deterministic replay to the checkpoint's virtual time);
-// Restore verifies it does and returns a descriptive diff error
-// otherwise.
-func (c *Core[E, D]) Restore(cp engine.EngineCheckpoint) error {
-	return engine.VerifyCheckpoint(cp, c.Checkpoint())
-}
-
 func ifaceName(ifc *netem.Interface) string {
 	if ifc == nil || ifc.Link == nil {
 		return "?"

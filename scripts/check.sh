@@ -143,12 +143,14 @@ done
 smoke "shard smoke" shard scale -shard-workers \
     -topo family=ba,routers=40,mns=80 -shards 4 -core-delay 2ms
 
-# Live-surface smoke: run one sweep experiment with -http on an ephemeral
-# port, scrape /metrics (must be non-empty and Prometheus-shaped, with the
-# per-tag series a completed cell contributes), then SIGTERM and require a
-# clean exit — startup, the scrape path, and the graceful shutdown path
-# (signal cuts the linger, server drains, exit 0). A sweep experiment is
-# required: only sweep cells report Progress, which feeds /metrics.
+# Live-surface smoke: run one experiment with -http on an ephemeral port,
+# scrape /metrics (must be non-empty and Prometheus-shaped, with the per-tag
+# series a completed cell contributes), read /progress to its closing
+# "run_complete":true line, then SIGTERM and require a clean exit —
+# startup, the scrape path, the progress feed, and the graceful shutdown
+# path (signal cuts the linger, server drains, exit 0). Sweep cells and
+# exp.ForEach variants both report Progress, which feeds /metrics and
+# /progress (mip6sim -experiment f1 -progress prints two cells).
 go build -o "$tmp/mip6sim" ./cmd/mip6sim
 "$tmp/mip6sim" -experiment scale -topo family=fig1,routers=4,mns=4 \
     -replicates 1 -http 127.0.0.1:0 -http-linger 60s \
@@ -185,21 +187,32 @@ if [ -z "$scraped" ]; then
     kill "$httppid" 2>/dev/null || true
     exit 1
 fi
+# /progress replays every completed cell, then streams the rest and ends
+# with the run_complete line once the run finishes (before the linger).
+if ! curl -fsS --max-time 120 "http://$addr/progress" > "$tmp/progress.ndjson" ||
+    ! grep -q '"events":' "$tmp/progress.ndjson" ||
+    ! tail -n 1 "$tmp/progress.ndjson" | grep -q '"run_complete":true'; then
+    echo "http smoke: /progress did not end with a run_complete line:" >&2
+    cat "$tmp/progress.ndjson" >&2 2>/dev/null || true
+    kill "$httppid" 2>/dev/null || true
+    exit 1
+fi
 kill -TERM "$httppid"
 if wait "$httppid"; then
-    echo "http smoke: /metrics scraped, clean shutdown on SIGTERM"
+    echo "http smoke: /metrics scraped, /progress read to run_complete, clean shutdown on SIGTERM"
 else
     echo "http smoke: mip6sim exited non-zero after SIGTERM" >&2
     exit 1
 fi
 
 # mip6simd smoke: start the sweep daemon, submit the same spec twice (the
-# second submission must be served from the cache), warm a chaos checkpoint,
-# fork a cell from it, and download the artifact. Then restart the daemon on
-# the same cache dir: the spec must still be a cache hit (disk persistence),
-# and re-warming the same seed must produce a byte-identical checkpoint
-# artifact — the cross-process form of the checkpoint/resume determinism the
-# in-suite tests prove in-process.
+# second submission must be served from the cache), scrape the daemon's
+# /metrics and pprof (the live surface mip6sim -http mounts too), warm a
+# chaos checkpoint, fork a cell from it, and download the artifact. Then
+# restart the daemon on the same cache dir: the spec must still be a cache
+# hit (disk persistence), and re-warming the same seed must produce a
+# byte-identical checkpoint artifact — the cross-process form of the
+# checkpoint/resume determinism the in-suite tests prove in-process.
 go build -o "$tmp/mip6simd" ./cmd/mip6simd
 spec='{"experiment":"s44","params":{"tquery":[5]},"seed":7,"replicates":1}'
 start_daemon() {
@@ -241,6 +254,19 @@ grep -q '"status": "done"' "$tmp/simd-run1-done.json" || {
     cat "$tmp/simd-run1-done.json" >&2
     exit 1
 }
+curl -fsS "http://$daddr/metrics" > "$tmp/simd-metrics.txt" || true
+simdcells="$(sed -n 's/^mip6sim_cells_completed_total \([0-9]*\)$/\1/p' "$tmp/simd-metrics.txt")"
+if [ -z "$simdcells" ] || [ "$simdcells" -lt 1 ]; then
+    echo "mip6simd smoke: /metrics counts no completed cell after the first run:" >&2
+    cat "$tmp/simd-metrics.txt" >&2
+    kill "$daemonpid" 2>/dev/null || true
+    exit 1
+fi
+if ! curl -fsS -o /dev/null "http://$daddr/debug/pprof/"; then
+    echo "mip6simd smoke: /debug/pprof/ did not answer 200" >&2
+    kill "$daemonpid" 2>/dev/null || true
+    exit 1
+fi
 curl -fsS -X POST -d "$spec" "http://$daddr/runs" > "$tmp/simd-run2.json"
 grep -q '"cached": true' "$tmp/simd-run2.json" || {
     echo "mip6simd smoke: resubmitted spec was not served from the cache:" >&2
@@ -275,4 +301,4 @@ diff "$tmp/simd-cp-a.json" "$tmp/simd-cp-b.json" || {
     exit 1
 }
 stop_daemon
-echo "mip6simd smoke: cache hit, disk persistence across restart, fork clean, checkpoint artifact byte-stable"
+echo "mip6simd smoke: /metrics and pprof served, cache hit, disk persistence across restart, fork clean, checkpoint artifact byte-stable"
