@@ -97,9 +97,9 @@ func BenchmarkF5SubOptionCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		pkt := &ipv6.Packet{
-			Hdr:      ipv6.Header{Src: src, Dst: dst, HopLimit: 64},
-			DestOpts: []ipv6.Option{opt},
-			Proto:    ipv6.ProtoNoNext,
+			Hdr:   ipv6.Header{Src: src, Dst: dst, HopLimit: 64},
+			Ext:   &ipv6.Ext{DestOpts: []ipv6.Option{opt}},
+			Proto: ipv6.ProtoNoNext,
 		}
 		wire, err := pkt.Encode()
 		if err != nil {
@@ -109,7 +109,7 @@ func BenchmarkF5SubOptionCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ipv6.ParseBindingUpdate(back.DestOpts[0]); err != nil {
+		if _, err := ipv6.ParseBindingUpdate(back.DestOpts()[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func runSMGOne(opt Options, nGroups int, approach Approach) SMGPoint {
 	maxBU, subOpts := 0, 0
 	for _, l := range f.Links {
 		l.AddTap(func(ev netem.TxEvent) {
-			opt, ok := ipv6.FindOption(ev.Pkt.DestOpts, ipv6.OptBindingUpdate)
+			opt, ok := ipv6.FindOption(ev.Pkt.DestOpts(), ipv6.OptBindingUpdate)
 			if !ok {
 				return
 			}

@@ -41,7 +41,7 @@ func runSMTUOne(opt Options, payload int, lossRate float64) SMTUPoint {
 	// tunnel flow (fragments or whole tunnel packets).
 	tunnelFrames := 0
 	f.Links["L5"].AddTap(func(ev netem.TxEvent) {
-		if ev.Pkt.Proto == 41 /* IPv6-in-IPv6 */ || ev.Pkt.Fragment != nil {
+		if ev.Pkt.Proto == 41 /* IPv6-in-IPv6 */ || ev.Pkt.Fragment() != nil {
 			tunnelFrames++
 		}
 	})

@@ -152,20 +152,19 @@ func (svc *Service) Send(group ipv6.Addr, payload []byte) {
 		_ = svc.MN.SendReverseTunneled(inner)
 	default: // SendLocal
 		src := svc.MN.CareOf()
-		var opts []ipv6.Option
+		var ext *ipv6.Ext
 		if src.IsUnspecified() {
 			src = svc.MN.HomeAddress
 		} else {
 			// Away: the draft has mobile nodes include the Home Address
 			// option in packets sent from the care-of address.
-			h := &ipv6.HomeAddressOption{HomeAddress: svc.MN.HomeAddress}
-			opts = []ipv6.Option{h.Marshal()}
+			ext = svc.MN.HomeAddressExt()
 		}
 		pkt := &ipv6.Packet{
-			Hdr:      ipv6.Header{Src: src, Dst: group, HopLimit: ipv6.DefaultHopLimit},
-			DestOpts: opts,
-			Proto:    ipv6.ProtoUDP,
-			Payload:  u.Marshal(src, group),
+			Hdr:     ipv6.Header{Src: src, Dst: group, HopLimit: ipv6.DefaultHopLimit},
+			Ext:     ext,
+			Proto:   ipv6.ProtoUDP,
+			Payload: u.Marshal(src, group),
 		}
 		_ = svc.MN.Node.OutputOn(svc.MN.Iface, pkt)
 	}

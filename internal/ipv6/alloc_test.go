@@ -63,14 +63,14 @@ func TestDecodeSharedAllocBudget(t *testing.T) {
 	}
 	// An MLD Query's shape: a Router Alert hop-by-hop option.
 	query := &Packet{
-		Hdr:      Header{Src: LinkLocalFromIID(1), Dst: AllNodes, HopLimit: 1},
-		HopByHop: []Option{RouterAlertOption(RouterAlertMLD)},
-		Proto:    ProtoICMPv6,
-		Payload:  make([]byte, 24),
+		Hdr:     Header{Src: LinkLocalFromIID(1), Dst: AllNodes, HopLimit: 1},
+		Ext:     &Ext{HopByHop: []Option{RouterAlertOption(RouterAlertMLD)}},
+		Proto:   ProtoICMPv6,
+		Payload: make([]byte, 24),
 	}
 	// A mobile node's datagram from its care-of address.
 	homeOpt := *inner
-	homeOpt.DestOpts = []Option{(&HomeAddressOption{HomeAddress: MustParseAddr("2001:db8:9::1")}).Marshal()}
+	homeOpt.Ext = &Ext{DestOpts: []Option{(&HomeAddressOption{HomeAddress: MustParseAddr("2001:db8:9::1")}).Marshal()}}
 	for _, c := range []struct {
 		name string
 		pkt  *Packet

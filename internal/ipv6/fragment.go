@@ -33,7 +33,7 @@ func Fragment(pkt *Packet, mtu int, id uint32) ([]*Packet, error) {
 	if len(whole) <= mtu {
 		return []*Packet{pkt}, nil
 	}
-	if pkt.HopByHop != nil || pkt.Routing != nil || pkt.DestOpts != nil || pkt.Fragment != nil {
+	if !pkt.Ext.equal(nil) {
 		return nil, fmt.Errorf("ipv6: cannot fragment packet with extension headers")
 	}
 	// Per-fragment capacity: mtu - fixed header - fragment header, rounded
@@ -54,11 +54,13 @@ func Fragment(pkt *Packet, mtu int, id uint32) ([]*Packet, error) {
 			end = len(payload)
 			more = false
 		}
+		// Each fragment gets an Ext of its own: its header differs from
+		// every other fragment's.
 		f := &Packet{
-			Hdr:      pkt.Hdr,
-			Fragment: &FragmentHeader{Offset: uint16(off / 8), More: more, ID: id},
-			Proto:    pkt.Proto,
-			Payload:  payload[off:end],
+			Hdr:     pkt.Hdr,
+			Ext:     &Ext{Fragment: &FragmentHeader{Offset: uint16(off / 8), More: more, ID: id}},
+			Proto:   pkt.Proto,
+			Payload: payload[off:end],
 		}
 		frags = append(frags, f)
 	}
@@ -108,10 +110,10 @@ func (r *Reassembler) Pending() int { return len(r.bufs) }
 // virtual time, used for expiry bookkeeping. Non-fragment packets are
 // returned unchanged. The reassembler keeps pkt's payload, not pkt.
 func (r *Reassembler) Offer(pkt *Packet, hops uint8, now time.Duration) *Packet {
-	if pkt.Fragment == nil {
+	fh := pkt.Fragment()
+	if fh == nil {
 		return pkt
 	}
-	fh := pkt.Fragment
 	key := reassemblyKey{src: pkt.Hdr.Src, dst: pkt.Hdr.Dst, id: fh.ID}
 	buf, ok := r.bufs[key]
 	if !ok {

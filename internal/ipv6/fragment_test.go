@@ -50,13 +50,14 @@ func TestFragmentSplitsWithinMTU(t *testing.T) {
 		if len(wire) > mtu {
 			t.Fatalf("fragment %d is %d bytes > MTU", i, len(wire))
 		}
-		if f.Fragment == nil || f.Fragment.ID != 42 {
-			t.Fatalf("fragment %d header: %+v", i, f.Fragment)
+		fh := f.Fragment()
+		if fh == nil || fh.ID != 42 {
+			t.Fatalf("fragment %d header: %+v", i, fh)
 		}
-		if f.Fragment.More != (i < len(frags)-1) {
+		if fh.More != (i < len(frags)-1) {
 			t.Fatalf("fragment %d More flag wrong", i)
 		}
-		if i > 0 && f.Fragment.Offset == 0 {
+		if i > 0 && fh.Offset == 0 {
 			t.Fatalf("fragment %d offset zero", i)
 		}
 	}
@@ -64,7 +65,7 @@ func TestFragmentSplitsWithinMTU(t *testing.T) {
 
 func TestFragmentRejectsExtensionHeaders(t *testing.T) {
 	p := bigPacket(3000)
-	p.DestOpts = []Option{{Type: 7, Data: []byte{1}}}
+	p.Ext = &Ext{DestOpts: []Option{{Type: 7, Data: []byte{1}}}}
 	if _, err := Fragment(p, 1280, 1); err == nil {
 		t.Fatal("fragmented a packet with extension headers")
 	}

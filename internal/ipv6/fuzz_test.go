@@ -18,17 +18,21 @@ import (
 // and decodes to itself; a hint whose hop limit is below the frame's is
 // never returned, and neither is one that differs from the packet in any
 // other field, its inner hop count included, whatever the frame's hop
-// limit. `go test` runs the seeds; run
+// limit, though one that differs outside its extension headers lends the
+// decode its Ext itself (nil when the frame carries none). `go test` runs
+// the seeds; run
 // `go test -fuzz FuzzDecode ./internal/ipv6` to search.
 func FuzzDecode(f *testing.F) {
 	// Every extension header kind but the fragment header, with option data.
 	rich := samplePacket()
 	rich.Hdr.Dst = MustParseAddr("2001:db8:6::1")
-	rich.HopByHop = []Option{RouterAlertOption(RouterAlertMLD)}
-	rich.Routing = &RoutingHeader{SegmentsLeft: 1, Addresses: []Addr{MustParseAddr("2001:db8:4::9")}}
-	rich.DestOpts = []Option{{Type: OptHomeAddress, Data: bytes.Repeat([]byte{0xab}, 16)}}
+	rich.Ext = &Ext{
+		HopByHop: []Option{RouterAlertOption(RouterAlertMLD)},
+		Routing:  &RoutingHeader{SegmentsLeft: 1, Addresses: []Addr{MustParseAddr("2001:db8:4::9")}},
+		DestOpts: []Option{{Type: OptHomeAddress, Data: bytes.Repeat([]byte{0xab}, 16)}},
+	}
 	frag := samplePacket()
-	frag.Fragment = &FragmentHeader{Offset: 3, More: true, ID: 9}
+	frag.Ext = &Ext{Fragment: &FragmentHeader{Offset: 3, More: true, ID: 9}}
 	seeds := []*Packet{samplePacket(), rich, frag}
 	for _, in := range []*Packet{samplePacket(), rich} {
 		outer, err := Encapsulate(MustParseAddr("2001:db8::1"), MustParseAddr("2001:db8::2"), 64, in)
@@ -40,7 +44,7 @@ func FuzzDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		withOpts := *outer
-		withOpts.DestOpts = []Option{{Type: 0x1e, Data: []byte{1, 2, 3}}}
+		withOpts.Ext = &Ext{DestOpts: []Option{{Type: 0x1e, Data: []byte{1, 2, 3}}}}
 		seeds = append(seeds, outer, twice, &withOpts)
 	}
 	for _, p := range seeds {
@@ -144,6 +148,9 @@ func FuzzDecode(f *testing.F) {
 				if q == &v {
 					t.Fatalf("change %d: a hint that differs from the frame was returned: %v", i, q)
 				}
+				if v.Ext == p.Ext && q.Ext != v.Ext {
+					t.Fatalf("change %d: headers equal to the hint's decoded to Ext %p, want the hint's %p", i, q.Ext, v.Ext)
+				}
 				if again, err := q.EncodeAppendHops(nil, hops); err != nil || !bytes.Equal(again, frame) {
 					t.Fatalf("change %d: decoding against a differing hint gave %x (err %v), want %x", i, again, err, frame)
 				}
@@ -163,25 +170,29 @@ var hintChanges = []func(p *Packet){
 	func(p *Packet) { p.Hdr.Src[15] ^= 1 },
 	func(p *Packet) { p.Hdr.Dst[0] ^= 1 },
 	func(p *Packet) { p.Proto ^= 1 },
-	func(p *Packet) { p.HopByHop = changeOptions(p.HopByHop) },
-	func(p *Packet) { p.DestOpts = changeOptions(p.DestOpts) },
+	func(p *Packet) { changeExt(p, func(e *Ext) { e.HopByHop = changeOptions(e.HopByHop) }) },
+	func(p *Packet) { changeExt(p, func(e *Ext) { e.DestOpts = changeOptions(e.DestOpts) }) },
 	func(p *Packet) {
-		if p.Routing == nil {
-			p.Routing = &RoutingHeader{}
-			return
-		}
-		r := *p.Routing
-		r.Addresses = append(append([]Addr(nil), r.Addresses...), Loopback)
-		p.Routing = &r
+		changeExt(p, func(e *Ext) {
+			if e.Routing == nil {
+				e.Routing = &RoutingHeader{}
+				return
+			}
+			r := *e.Routing
+			r.Addresses = append(append([]Addr(nil), r.Addresses...), Loopback)
+			e.Routing = &r
+		})
 	},
 	func(p *Packet) {
-		if p.Fragment == nil {
-			p.Fragment = &FragmentHeader{}
-			return
-		}
-		f := *p.Fragment
-		f.ID++
-		p.Fragment = &f
+		changeExt(p, func(e *Ext) {
+			if e.Fragment == nil {
+				e.Fragment = &FragmentHeader{}
+				return
+			}
+			f := *e.Fragment
+			f.ID++
+			e.Fragment = &f
+		})
 	},
 	func(p *Packet) { p.Payload = append(bytes.Clone(p.Payload), 0) },
 	func(p *Packet) {
@@ -196,6 +207,17 @@ var hintChanges = []func(p *Packet){
 		p.Inner = &in
 	},
 	func(p *Packet) { p.InnerHops ^= 1 },
+}
+
+// changeExt gives p a changed copy of its extension headers (of none, if it
+// has none), leaving the Ext it had as it was.
+func changeExt(p *Packet, change func(e *Ext)) {
+	var e Ext
+	if p.Ext != nil {
+		e = *p.Ext
+	}
+	change(&e)
+	p.Ext = &e
 }
 
 // changeOptions returns opts with one more option, or an empty header's

@@ -135,7 +135,7 @@ func TestGroupListCapacity(t *testing.T) {
 		t.Fatalf("capacity list rejected: %v", err)
 	}
 	p := samplePacket()
-	p.DestOpts = []Option{opt}
+	p.Ext = &Ext{DestOpts: []Option{opt}}
 	wire, err := p.Encode()
 	if err != nil {
 		t.Fatalf("capacity list does not fit a packet: %v", err)
@@ -144,7 +144,7 @@ func TestGroupListCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseBindingUpdate(back.DestOpts[0])
+	got, err := ParseBindingUpdate(back.DestOpts()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestQuickBindingUpdateThroughPacket(t *testing.T) {
 			return false
 		}
 		p := samplePacket()
-		p.DestOpts = []Option{opt}
+		p.Ext = &Ext{DestOpts: []Option{opt}}
 		enc, err := p.Encode()
 		if err != nil {
 			return false
@@ -300,7 +300,7 @@ func TestQuickBindingUpdateThroughPacket(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := ParseBindingUpdate(q.DestOpts[0])
+		got, err := ParseBindingUpdate(q.DestOpts()[0])
 		if err != nil {
 			return false
 		}

@@ -23,8 +23,9 @@ import (
 // in InnerHops. So a packet handed to a link must never change afterwards,
 // whether by its sender, a receiver, a forwarder or a tunnel. Code that
 // changes a header field works on a copy of the Packet value and keeps
-// sharing the payload, the option data and the inner packet; code that
-// changes bytes Clones first.
+// sharing the payload, the extension headers and the inner packet; code
+// that changes an extension header works on a copy of the Ext value; code
+// that changes bytes Clones first.
 type Packet struct {
 	Hdr Header
 
@@ -35,13 +36,18 @@ type Packet struct {
 	// the tunnel: the inner packet's hop limit on the wire is
 	// Inner.Hdr.HopLimit - InnerHops (see EncapsulateHops). It is 0 when
 	// Inner is nil. Proto and InnerHops fill Hdr's tail padding, which
-	// keeps a Packet at 144 bytes on 64-bit platforms.
+	// with the extension headers behind Ext keeps a Packet at 88 bytes
+	// (the 96-byte allocation size class) on 64-bit platforms.
 	InnerHops uint8
 
-	HopByHop []Option        // Hop-by-Hop Options header, nil if absent
-	Routing  *RoutingHeader  // Routing header, nil if absent
-	Fragment *FragmentHeader // Fragment header, nil if absent
-	DestOpts []Option        // Destination Options header, nil if absent
+	// Ext holds the extension headers, nil when there are none. Like the
+	// rest of a sent packet it never changes, so packets share it: headers
+	// that never change are built once (MLD's Router Alert header, a
+	// mobile node's Home Address option), and a decode against the sent
+	// packet returns the sent packet's Ext when the headers decode equal.
+	// Read it through the nil-safe accessors HopByHop, Routing, Fragment
+	// and DestOpts.
+	Ext *Ext
 
 	Payload []byte
 
@@ -52,6 +58,48 @@ type Packet struct {
 	// every other protocol, for fragments, and for tunneled bytes that do
 	// not parse, which then stay in Payload.
 	Inner *Packet
+}
+
+// Ext is the extension headers of a Packet that carries any, in their
+// RFC 2460 §4.1 recommended order. An Ext with no headers set means the
+// same as a nil one.
+type Ext struct {
+	HopByHop []Option        // Hop-by-Hop Options header, nil if absent
+	Routing  *RoutingHeader  // Routing header, nil if absent
+	Fragment *FragmentHeader // Fragment header, nil if absent
+	DestOpts []Option        // Destination Options header, nil if absent
+}
+
+// HopByHop returns the Hop-by-Hop options, nil if the header is absent.
+func (p *Packet) HopByHop() []Option {
+	if p.Ext == nil {
+		return nil
+	}
+	return p.Ext.HopByHop
+}
+
+// Routing returns the routing header, nil if absent.
+func (p *Packet) Routing() *RoutingHeader {
+	if p.Ext == nil {
+		return nil
+	}
+	return p.Ext.Routing
+}
+
+// Fragment returns the fragment header, nil if absent.
+func (p *Packet) Fragment() *FragmentHeader {
+	if p.Ext == nil {
+		return nil
+	}
+	return p.Ext.Fragment
+}
+
+// DestOpts returns the Destination options, nil if the header is absent.
+func (p *Packet) DestOpts() []Option {
+	if p.Ext == nil {
+		return nil
+	}
+	return p.Ext.DestOpts
 }
 
 // bodyLen is the encoded size of the upper-layer body: the payload, or the
@@ -93,31 +141,10 @@ func (p *Packet) encode(b []byte, hopLimit uint8) ([]byte, error) {
 	hdr.HopLimit = hopLimit
 	b = hdr.marshal(b, 0, first) // the Payload Length is patched in below
 	var err error
-	i := 0
-	if p.HopByHop != nil {
-		b, err = marshalOptions(b, chain[i], p.HopByHop)
-		if err != nil {
+	if p.Ext != nil {
+		if b, err = p.Ext.marshal(b, chain); err != nil {
 			return nil, err
 		}
-		i++
-	}
-	if p.Routing != nil {
-		b, err = p.Routing.marshal(b, chain[i])
-		if err != nil {
-			return nil, err
-		}
-		i++
-	}
-	if p.Fragment != nil {
-		b = p.Fragment.marshal(b, chain[i])
-		i++
-	}
-	if p.DestOpts != nil {
-		b, err = marshalOptions(b, chain[i], p.DestOpts)
-		if err != nil {
-			return nil, err
-		}
-		i++
 	}
 	if p.Inner != nil {
 		if b, err = p.Inner.EncodeAppendHops(b, p.InnerHops); err != nil {
@@ -135,22 +162,55 @@ func (p *Packet) encode(b []byte, hopLimit uint8) ([]byte, error) {
 	return b, nil
 }
 
+// marshal appends the present extension headers in order, the i-th
+// carrying chain[i] as its NextHeader (see nextChain).
+func (e *Ext) marshal(b []byte, chain [4]uint8) ([]byte, error) {
+	var err error
+	i := 0
+	if e.HopByHop != nil {
+		if b, err = marshalOptions(b, chain[i], e.HopByHop); err != nil {
+			return nil, err
+		}
+		i++
+	}
+	if e.Routing != nil {
+		if b, err = e.Routing.marshal(b, chain[i]); err != nil {
+			return nil, err
+		}
+		i++
+	}
+	if e.Fragment != nil {
+		b = e.Fragment.marshal(b, chain[i])
+		i++
+	}
+	if e.DestOpts != nil {
+		if b, err = marshalOptions(b, chain[i], e.DestOpts); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
 // nextChain returns the first NextHeader value and, for each present
 // extension header in order, the NextHeader value it carries. The chain is
 // an array so that encoding allocates nothing for it.
 func (p *Packet) nextChain() (first uint8, chain [4]uint8) {
+	e := p.Ext
+	if e == nil {
+		return p.Proto, chain
+	}
 	var kinds [4]uint8
 	n := 0
-	if p.HopByHop != nil {
+	if e.HopByHop != nil {
 		kinds[n], n = ProtoHopByHop, n+1
 	}
-	if p.Routing != nil {
+	if e.Routing != nil {
 		kinds[n], n = ProtoRouting, n+1
 	}
-	if p.Fragment != nil {
+	if e.Fragment != nil {
 		kinds[n], n = ProtoFragment, n+1
 	}
-	if p.DestOpts != nil {
+	if e.DestOpts != nil {
 		kinds[n], n = ProtoDestOpts, n+1
 	}
 	if n == 0 {
@@ -170,8 +230,12 @@ func Decode(b []byte) (*Packet, error) {
 	return p, err
 }
 
-// noHint stands in for a nil sent: it shares nothing.
-var noHint Packet
+// noHint stands in for a nil sent, and noExt for a nil Ext: they share
+// nothing.
+var (
+	noHint Packet
+	noExt  Ext
+)
 
 // DecodeShared decodes b, the encoding of sent, exactly as Decode does. It
 // returns sent itself when the decode equals it field for field (see
@@ -189,7 +253,8 @@ var noHint Packet
 // empty one, raw tunnel bytes as an inner packet, padding options are
 // dropped, the inner hop count is another) the result is a new Packet,
 // with hops 0, that still shares every part of sent that decodes equal:
-// the payload, an option list, the routing or fragment header, and the
+// the payload, the extension headers (sent's Ext when they all decode
+// equal, else each equal option list, routing or fragment header), and the
 // inner packet. sent may be nil, and a sent that does not match b only
 // costs the sharing: the result is always what b says.
 func DecodeShared(b []byte, sent *Packet) (p *Packet, hops uint8, err error) {
@@ -217,7 +282,9 @@ func DecodeShared(b []byte, sent *Packet) (p *Packet, hops uint8, err error) {
 }
 
 // decode fills p from b. b is borrowed: each part of p is hint's when it
-// decodes equal to it, and otherwise copied out of b.
+// decodes equal to it, and otherwise copied out of b. The extension headers
+// are parsed into a stack Ext, so p.Ext is nil without headers, hint.Ext
+// when they decode equal to it, and a new Ext only otherwise.
 func (p *Packet) decode(b []byte, hint *Packet) error {
 	plen, next, err := p.Hdr.unmarshal(b)
 	if err != nil {
@@ -227,6 +294,11 @@ func (p *Packet) decode(b []byte, hint *Packet) error {
 		return fmt.Errorf("ipv6: frame is %d bytes, header says %d", len(b), want)
 	}
 	rest := b[HeaderLen:]
+	hext := hint.Ext
+	if hext == nil {
+		hext = &noExt
+	}
+	var ext Ext
 	var seen uint64 // bit h set: extension header h parsed (all four are < 64)
 	for {
 		switch next {
@@ -237,19 +309,27 @@ func (p *Packet) decode(b []byte, hint *Packet) error {
 			seen |= 1 << next
 		default:
 			p.Proto = next
+			switch {
+			case seen == 0:
+			case hint.Ext.equal(&ext):
+				p.Ext = hint.Ext
+			default:
+				p.Ext = new(Ext)
+				*p.Ext = ext
+			}
 			p.setBody(rest, hint)
 			return nil
 		}
 		var n int
 		switch next {
 		case ProtoHopByHop:
-			p.HopByHop, next, n, err = unmarshalOptions(rest, hint.HopByHop)
+			ext.HopByHop, next, n, err = unmarshalOptions(rest, hext.HopByHop)
 		case ProtoDestOpts:
-			p.DestOpts, next, n, err = unmarshalOptions(rest, hint.DestOpts)
+			ext.DestOpts, next, n, err = unmarshalOptions(rest, hext.DestOpts)
 		case ProtoRouting:
-			p.Routing, next, n, err = unmarshalRouting(rest, hint.Routing)
+			ext.Routing, next, n, err = unmarshalRouting(rest, hext.Routing)
 		case ProtoFragment:
-			p.Fragment, next, n, err = unmarshalFragment(rest, hint.Fragment)
+			ext.Fragment, next, n, err = unmarshalFragment(rest, hext.Fragment)
 		}
 		if err != nil {
 			return err
@@ -262,7 +342,7 @@ func (p *Packet) decode(b []byte, hint *Packet) error {
 // hop count when it parses (decoded against hint's inner packet), else the
 // payload bytes, hint's when they are equal.
 func (p *Packet) setBody(body []byte, hint *Packet) {
-	if p.Proto == ProtoIPv6 && p.Fragment == nil {
+	if p.Proto == ProtoIPv6 && p.Fragment() == nil {
 		if inner, hops, err := DecodeShared(body, hint.Inner); err == nil {
 			p.Inner, p.InnerHops = inner, hops
 			return
@@ -283,24 +363,37 @@ func (p *Packet) setBody(body []byte, hint *Packet) {
 // only the presence of an extension header or a payload (nil or not) is
 // compared for nil-ness.
 func (p *Packet) equal(q *Packet) bool {
-	if p.Hdr != q.Hdr || p.Proto != q.Proto || p.InnerHops != q.InnerHops ||
-		!optionsEqual(p.HopByHop, q.HopByHop) || !optionsEqual(p.DestOpts, q.DestOpts) ||
+	if p.Hdr != q.Hdr || p.Proto != q.Proto || p.InnerHops != q.InnerHops || !p.Ext.equal(q.Ext) ||
 		(p.Payload == nil) != (q.Payload == nil) || !bytes.Equal(p.Payload, q.Payload) {
-		return false
-	}
-	if (p.Routing == nil) != (q.Routing == nil) || (p.Fragment == nil) != (q.Fragment == nil) {
-		return false
-	}
-	if p.Routing != nil && (p.Routing.SegmentsLeft != q.Routing.SegmentsLeft || !slices.Equal(p.Routing.Addresses, q.Routing.Addresses)) {
-		return false
-	}
-	if p.Fragment != nil && *p.Fragment != *q.Fragment {
 		return false
 	}
 	if p.Inner == nil || q.Inner == nil {
 		return p.Inner == q.Inner
 	}
 	return p.Inner == q.Inner || p.Inner.equal(q.Inner)
+}
+
+// equal reports whether e and o carry the same extension headers, by the
+// rule of Packet.equal. Either may be nil, which equals an Ext with no
+// headers.
+func (e *Ext) equal(o *Ext) bool {
+	if e == o {
+		return true
+	}
+	if e == nil {
+		e = &noExt
+	}
+	if o == nil {
+		o = &noExt
+	}
+	if !optionsEqual(e.HopByHop, o.HopByHop) || !optionsEqual(e.DestOpts, o.DestOpts) ||
+		(e.Routing == nil) != (o.Routing == nil) || (e.Fragment == nil) != (o.Fragment == nil) {
+		return false
+	}
+	if e.Routing != nil && (e.Routing.SegmentsLeft != o.Routing.SegmentsLeft || !slices.Equal(e.Routing.Addresses, o.Routing.Addresses)) {
+		return false
+	}
+	return e.Fragment == nil || *e.Fragment == *o.Fragment
 }
 
 func optionsEqual(a, b []Option) bool {
@@ -334,17 +427,21 @@ func (p *Packet) WireLen() int {
 		}
 		return l
 	}
-	if p.HopByHop != nil {
-		n += optLen(p.HopByHop)
+	e := p.Ext
+	if e == nil {
+		return n
 	}
-	if p.Routing != nil {
-		n += 8 + 16*len(p.Routing.Addresses)
+	if e.HopByHop != nil {
+		n += optLen(e.HopByHop)
 	}
-	if p.Fragment != nil {
+	if e.Routing != nil {
+		n += 8 + 16*len(e.Routing.Addresses)
+	}
+	if e.Fragment != nil {
 		n += 8
 	}
-	if p.DestOpts != nil {
-		n += optLen(p.DestOpts)
+	if e.DestOpts != nil {
+		n += optLen(e.DestOpts)
 	}
 	return n
 }
@@ -352,20 +449,24 @@ func (p *Packet) WireLen() int {
 // Clone returns a deep copy of the packet.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	if p.HopByHop != nil {
-		q.HopByHop = cloneOptions(p.HopByHop)
-	}
-	if p.DestOpts != nil {
-		q.DestOpts = cloneOptions(p.DestOpts)
-	}
-	if p.Routing != nil {
-		r := *p.Routing
-		r.Addresses = append([]Addr(nil), p.Routing.Addresses...)
-		q.Routing = &r
-	}
-	if p.Fragment != nil {
-		f := *p.Fragment
-		q.Fragment = &f
+	if p.Ext != nil {
+		e := *p.Ext
+		if e.HopByHop != nil {
+			e.HopByHop = cloneOptions(e.HopByHop)
+		}
+		if e.DestOpts != nil {
+			e.DestOpts = cloneOptions(e.DestOpts)
+		}
+		if e.Routing != nil {
+			r := *e.Routing
+			r.Addresses = append([]Addr(nil), r.Addresses...)
+			e.Routing = &r
+		}
+		if e.Fragment != nil {
+			f := *e.Fragment
+			e.Fragment = &f
+		}
+		q.Ext = &e
 	}
 	q.Payload = append([]byte(nil), p.Payload...)
 	if p.Inner != nil {

@@ -35,6 +35,9 @@ func TestEncodeDecodeBare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if q.Ext != nil {
+		t.Errorf("a frame without extension headers decoded with Ext %+v, want nil", q.Ext)
+	}
 	if q.Hdr.Src != p.Hdr.Src || q.Hdr.Dst != p.Hdr.Dst {
 		t.Error("addresses mangled")
 	}
@@ -54,13 +57,15 @@ func TestEncodeDecodeAllExtensionHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := samplePacket()
-	p.HopByHop = []Option{RouterAlertOption(RouterAlertMLD)}
-	p.Routing = &RoutingHeader{
-		SegmentsLeft: 1,
-		Addresses:    []Addr{MustParseAddr("2001:db8:2::2"), MustParseAddr("2001:db8:3::3")},
+	p.Ext = &Ext{
+		HopByHop: []Option{RouterAlertOption(RouterAlertMLD)},
+		Routing: &RoutingHeader{
+			SegmentsLeft: 1,
+			Addresses:    []Addr{MustParseAddr("2001:db8:2::2"), MustParseAddr("2001:db8:3::3")},
+		},
+		Fragment: &FragmentHeader{Offset: 0, More: false, ID: 0xdeadbeef},
+		DestOpts: []Option{buOpt},
 	}
-	p.Fragment = &FragmentHeader{Offset: 0, More: false, ID: 0xdeadbeef}
-	p.DestOpts = []Option{buOpt}
 
 	b, err := p.Encode()
 	if err != nil {
@@ -70,19 +75,19 @@ func TestEncodeDecodeAllExtensionHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.HopByHop) != 1 || q.HopByHop[0].Type != OptRouterAlert {
-		t.Errorf("hop-by-hop = %+v", q.HopByHop)
+	if len(q.HopByHop()) != 1 || q.HopByHop()[0].Type != OptRouterAlert {
+		t.Errorf("hop-by-hop = %+v", q.HopByHop())
 	}
-	if q.Routing == nil || q.Routing.SegmentsLeft != 1 || len(q.Routing.Addresses) != 2 {
-		t.Errorf("routing = %+v", q.Routing)
+	if r := q.Routing(); r == nil || r.SegmentsLeft != 1 || len(r.Addresses) != 2 {
+		t.Errorf("routing = %+v", r)
 	}
-	if q.Fragment == nil || q.Fragment.ID != 0xdeadbeef || q.Fragment.More {
-		t.Errorf("fragment = %+v", q.Fragment)
+	if f := q.Fragment(); f == nil || f.ID != 0xdeadbeef || f.More {
+		t.Errorf("fragment = %+v", f)
 	}
-	if len(q.DestOpts) != 1 {
-		t.Fatalf("dest opts = %+v", q.DestOpts)
+	if len(q.DestOpts()) != 1 {
+		t.Fatalf("dest opts = %+v", q.DestOpts())
 	}
-	bu2, err := ParseBindingUpdate(q.DestOpts[0])
+	bu2, err := ParseBindingUpdate(q.DestOpts()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +104,21 @@ func TestWireLenMatchesEncode(t *testing.T) {
 		samplePacket(),
 		func() *Packet {
 			p := samplePacket()
-			p.HopByHop = []Option{RouterAlertOption(0)}
+			p.Ext = &Ext{HopByHop: []Option{RouterAlertOption(0)}}
 			return p
 		}(),
 		func() *Packet {
 			p := samplePacket()
-			p.DestOpts = []Option{{Type: 0x33, Data: make([]byte, 21)}}
-			p.Routing = &RoutingHeader{Addresses: []Addr{Loopback}}
-			p.Fragment = &FragmentHeader{ID: 1}
+			p.Ext = &Ext{
+				DestOpts: []Option{{Type: 0x33, Data: make([]byte, 21)}},
+				Routing:  &RoutingHeader{Addresses: []Addr{Loopback}},
+				Fragment: &FragmentHeader{ID: 1},
+			}
 			return p
 		}(),
 		func() *Packet {
 			p := samplePacket()
-			p.DestOpts = []Option{{Type: OptPad1}} // explicit pad option
+			p.Ext = &Ext{DestOpts: []Option{{Type: OptPad1}}} // explicit pad option
 			return p
 		}(),
 	}
@@ -145,7 +152,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 func TestDecodeRejectsDuplicateExtHeader(t *testing.T) {
 	// Hand-build: IPv6 header -> HBH -> HBH -> UDP.
 	p := samplePacket()
-	p.HopByHop = []Option{RouterAlertOption(0)}
+	p.Ext = &Ext{HopByHop: []Option{RouterAlertOption(0)}}
 	b, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +174,7 @@ func TestDecodeRejectsDuplicateExtHeader(t *testing.T) {
 
 func TestDecodeRoutingHeaderValidation(t *testing.T) {
 	p := samplePacket()
-	p.Routing = &RoutingHeader{SegmentsLeft: 5, Addresses: []Addr{Loopback}}
+	p.Ext = &Ext{Routing: &RoutingHeader{SegmentsLeft: 5, Addresses: []Addr{Loopback}}}
 	if _, err := p.Encode(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestOptionsPaddingAlignment(t *testing.T) {
 	// of option payload size.
 	for size := 0; size <= 64; size++ {
 		p := samplePacket()
-		p.DestOpts = []Option{{Type: 0x37, Data: make([]byte, size)}}
+		p.Ext = &Ext{DestOpts: []Option{{Type: 0x37, Data: make([]byte, size)}}}
 		b, err := p.Encode()
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
@@ -195,7 +202,7 @@ func TestOptionsPaddingAlignment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
-		if len(q.DestOpts) != 1 || len(q.DestOpts[0].Data) != size {
+		if len(q.DestOpts()) != 1 || len(q.DestOpts()[0].Data) != size {
 			t.Fatalf("size %d: roundtrip lost option", size)
 		}
 	}
@@ -203,7 +210,7 @@ func TestOptionsPaddingAlignment(t *testing.T) {
 
 func TestEmptyOptionsHeaderRoundtrip(t *testing.T) {
 	p := samplePacket()
-	p.DestOpts = []Option{}
+	p.Ext = &Ext{DestOpts: []Option{}}
 	b, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +219,11 @@ func TestEmptyOptionsHeaderRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.DestOpts == nil {
+	if q.DestOpts() == nil {
 		t.Fatal("empty dest-opts header lost on roundtrip")
 	}
-	if len(q.DestOpts) != 0 {
-		t.Fatalf("phantom options: %+v", q.DestOpts)
+	if len(q.DestOpts()) != 0 {
+		t.Fatalf("phantom options: %+v", q.DestOpts())
 	}
 }
 
@@ -232,18 +239,23 @@ func TestFindOption(t *testing.T) {
 
 func TestPacketClone(t *testing.T) {
 	p := samplePacket()
-	p.DestOpts = []Option{{Type: 7, Data: []byte{1, 2}}}
-	p.Routing = &RoutingHeader{Addresses: []Addr{Loopback}}
-	p.Fragment = &FragmentHeader{ID: 9}
+	p.Ext = &Ext{
+		DestOpts: []Option{{Type: 7, Data: []byte{1, 2}}},
+		Routing:  &RoutingHeader{Addresses: []Addr{Loopback}},
+		Fragment: &FragmentHeader{ID: 9},
+	}
 	q := p.Clone()
+	if q.Ext == p.Ext {
+		t.Fatal("Clone shares the extension headers")
+	}
 	q.Payload[0] = 0xee
-	q.DestOpts[0].Data[0] = 0xee
-	q.Routing.Addresses[0] = AllNodes
-	q.Fragment.ID = 1
-	if p.Payload[0] == 0xee || p.DestOpts[0].Data[0] == 0xee {
+	q.DestOpts()[0].Data[0] = 0xee
+	q.Routing().Addresses[0] = AllNodes
+	q.Fragment().ID = 1
+	if p.Payload[0] == 0xee || p.DestOpts()[0].Data[0] == 0xee {
 		t.Error("Clone shares payload/option storage")
 	}
-	if p.Routing.Addresses[0] == AllNodes || p.Fragment.ID == 1 {
+	if p.Routing().Addresses[0] == AllNodes || p.Fragment().ID == 1 {
 		t.Error("Clone shares routing/fragment storage")
 	}
 
@@ -266,13 +278,60 @@ func TestPacketClone(t *testing.T) {
 	}
 }
 
-// TestPacketSize gates the Packet struct at the 144-byte allocation size
+// TestPacketSize gates the Packet struct at the 96-byte allocation size
 // class on 64-bit platforms: Proto and InnerHops sit in the fixed header's
-// padding. Every packet that is still allocated, the outer packet of each
-// tunnel leg among them, pays for a field added elsewhere.
+// padding and the extension headers behind one pointer. Every packet that
+// is still allocated, the outer packet of each tunnel leg among them, pays
+// for a field added elsewhere.
 func TestPacketSize(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 144 {
-		t.Errorf("ipv6.Packet is %d bytes; keep it within 144", n)
+	if n := unsafe.Sizeof(Packet{}); n > 96 {
+		t.Errorf("ipv6.Packet is %d bytes; keep it within 96", n)
+	}
+}
+
+// TestDecodeSharedSharesExt checks the extension-header half of
+// DecodeShared: headers that decode equal to the sent packet's are its Ext
+// itself, whatever else differs, and an Ext with no headers is the same as
+// none.
+func TestDecodeSharedSharesExt(t *testing.T) {
+	sent := samplePacket()
+	sent.Ext = &Ext{
+		HopByHop: []Option{RouterAlertOption(RouterAlertMLD)},
+		Routing:  &RoutingHeader{SegmentsLeft: 1, Addresses: []Addr{MustParseAddr("2001:db8:4::9")}},
+		DestOpts: []Option{(&HomeAddressOption{HomeAddress: MustParseAddr("2001:db8:9::1")}).Marshal()},
+	}
+	frame, err := sent.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := *sent
+	other.Payload = []byte("different")
+	got, _, err := DecodeShared(frame, &other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == &other || got.Ext != sent.Ext || !bytes.Equal(got.Payload, sent.Payload) {
+		t.Errorf("payload differs: got %v with Ext %p, want a new packet with the sent Ext %p", got, got.Ext, sent.Ext)
+	}
+	fresh, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Ext == sent.Ext || !reflect.DeepEqual(fresh.Ext, sent.Ext) {
+		t.Errorf("Decode gave Ext %+v, want a copy of %+v", fresh.Ext, sent.Ext)
+	}
+	// A packet with an Ext that holds no header encodes as one without,
+	// and is the decode of its frame.
+	bare := samplePacket()
+	bare.Ext = &Ext{}
+	if frame, err = bare.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != HeaderLen+len(bare.Payload) || bare.WireLen() != len(frame) {
+		t.Fatalf("an empty Ext encodes to %d bytes (WireLen %d), want %d", len(frame), bare.WireLen(), HeaderLen+len(bare.Payload))
+	}
+	if got, _, err = DecodeShared(frame, bare); err != nil || got != bare {
+		t.Errorf("an empty Ext: decoded %v (err %v), want the sent packet", got, err)
 	}
 }
 
@@ -341,7 +400,7 @@ func TestDecodeSharedAliasesSentPayload(t *testing.T) {
 func TestDecodeSharedSharesEqualInner(t *testing.T) {
 	src, dst := MustParseAddr("2001:db8:4::1"), MustParseAddr("2001:db8:6::beef")
 	sent := samplePacket()
-	sent.DestOpts = []Option{(&HomeAddressOption{HomeAddress: src}).Marshal()}
+	sent.Ext = &Ext{DestOpts: []Option{(&HomeAddressOption{HomeAddress: src}).Marshal()}}
 	frame, err := sent.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -424,8 +483,8 @@ func TestDecodeSharedSharesEqualInner(t *testing.T) {
 		{"hop limit above, count 0", func(p *Packet) { p.Hdr.HopLimit++ }, 0, false, true},
 		{"hop limit above, count 1", func(p *Packet) { p.Hdr.HopLimit++ }, 1, true, true},
 		{"count 1", func(p *Packet) {}, 1, false, true},
-		{"option data", func(p *Packet) { p.DestOpts = []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}} }, 0, false, false},
-		{"no options", func(p *Packet) { p.DestOpts = nil }, 0, false, false},
+		{"option data", func(p *Packet) { p.Ext = &Ext{DestOpts: []Option{{Type: OptHomeAddress, Data: make([]byte, 16)}}} }, 0, false, false},
+		{"no options", func(p *Packet) { p.Ext = nil }, 0, false, false},
 		{"payload", func(p *Packet) { p.Payload = []byte("different") }, 0, false, false},
 	} {
 		hint := *received

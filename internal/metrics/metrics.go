@@ -74,7 +74,7 @@ func Split(pkt *ipv6.Packet, wireLen int) (counts [numClasses]int) {
 	// fragmentation is itself a cost of tunneling, which is what the
 	// accounting should show. Non-tunnel fragments classify by their
 	// outer destination.
-	if pkt.Fragment != nil {
+	if pkt.Fragment() != nil {
 		if pkt.Proto == ipv6.ProtoIPv6 {
 			counts[ClassTunnel] += wireLen
 			return
@@ -120,7 +120,7 @@ func classify(pkt *ipv6.Packet) Class {
 		}
 		return ClassUnicast
 	case ipv6.ProtoNoNext:
-		for _, o := range pkt.DestOpts {
+		for _, o := range pkt.DestOpts() {
 			switch o.Type {
 			case ipv6.OptBindingUpdate, ipv6.OptBindingAck, ipv6.OptBindingReq:
 				return ClassMIPv6

@@ -55,9 +55,9 @@ func TestSplitBindingUpdateIsMIPv6(t *testing.T) {
 	bu := &ipv6.BindingUpdate{HomeReg: true, Ack: true, Sequence: 1, Lifetime: 10}
 	opt, _ := bu.Marshal()
 	pkt := &ipv6.Packet{
-		Hdr:      ipv6.Header{Src: ipv6.MustParseAddr("2001:db8:2::9"), Dst: ipv6.MustParseAddr("2001:db8:1::1"), HopLimit: 64},
-		DestOpts: []ipv6.Option{opt},
-		Proto:    ipv6.ProtoNoNext,
+		Hdr:   ipv6.Header{Src: ipv6.MustParseAddr("2001:db8:2::9"), Dst: ipv6.MustParseAddr("2001:db8:1::1"), HopLimit: 64},
+		Ext:   &ipv6.Ext{DestOpts: []ipv6.Option{opt}},
+		Proto: ipv6.ProtoNoNext,
 	}
 	wire, _ := pkt.Encode()
 	split := Split(pkt, len(wire))

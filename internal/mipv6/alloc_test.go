@@ -8,6 +8,7 @@ package mipv6_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,6 +28,26 @@ import (
 // copies anything; measured 1. A copy that carries the hop limit adds 1, a
 // forwarding copy per hop 4.
 const haTunnelAllocBudget = 1
+
+// haTunnelBytesBudget bounds the bytes of that allocation: an outer
+// ipv6.Packet in the 96-byte size class, its extension headers behind one
+// pointer. Measured 96; with the four headers inline a Packet took the
+// 144-byte class.
+const haTunnelBytesBudget = 96
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the mean bytes one
+// call of f allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 // floodForwarder is a multicast engine that forwards every datagram onto
 // all of its node's other interfaces.
@@ -118,12 +139,16 @@ func TestHATunnelAllocBudget(t *testing.T) {
 				send()
 			}
 			allocs := testing.AllocsPerRun(200, send)
-			if got != 8+201 {
-				t.Fatalf("delivered %d tunnel packets, want %d", got, 8+201)
+			bytes := bytesPerRun(200, send)
+			if got != 8+201+201 {
+				t.Fatalf("delivered %d tunnel packets, want %d", got, 8+201+201)
 			}
-			t.Logf("tunneled datagram: %v allocs (budget %d)", allocs, haTunnelAllocBudget)
+			t.Logf("tunneled datagram: %v allocs (budget %d), %v B (budget %d)", allocs, haTunnelAllocBudget, bytes, haTunnelBytesBudget)
 			if allocs > haTunnelAllocBudget {
 				t.Errorf("tunneled datagram allocates %v objects; budget %d (a copy per hop?)", allocs, haTunnelAllocBudget)
+			}
+			if bytes > haTunnelBytesBudget {
+				t.Errorf("tunneled datagram allocates %v B; budget %d (a larger ipv6.Packet?)", bytes, haTunnelBytesBudget)
 			}
 		})
 	}

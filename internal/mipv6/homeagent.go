@@ -214,7 +214,7 @@ func (ha *HomeAgent) handleOption(rx netem.RxPacket, opt ipv6.Option) bool {
 
 	// Home address: from the Home Address option if present, else source.
 	home := rx.Pkt.Hdr.Src
-	if hopt, ok := ipv6.FindOption(rx.Pkt.DestOpts, ipv6.OptHomeAddress); ok {
+	if hopt, ok := ipv6.FindOption(rx.Pkt.DestOpts(), ipv6.OptHomeAddress); ok {
 		if h, err := ipv6.ParseHomeAddress(hopt); err == nil {
 			home = h.HomeAddress
 		}
@@ -401,14 +401,16 @@ func (ha *HomeAgent) deliverViaRoutingHeader(b *Binding, rx netem.RxPacket) {
 	out.Hdr.HopLimit = rx.HopLimit()
 	home := out.Hdr.Dst
 	out.Hdr.Dst = b.CareOf
-	out.Routing = &ipv6.RoutingHeader{SegmentsLeft: 1, Addresses: []ipv6.Addr{home}}
+	// The packet has no extension headers (canUseRoutingHeader), so the
+	// routing header gets an Ext of its own.
+	out.Ext = &ipv6.Ext{Routing: &ipv6.RoutingHeader{SegmentsLeft: 1, Addresses: []ipv6.Addr{home}}}
 	ha.PacketsTunneled++
 	_ = ha.Node.Output(&out)
 }
 
 func canUseRoutingHeader(pkt *ipv6.Packet) bool {
-	return !pkt.Hdr.Dst.IsMulticast() && pkt.Routing == nil && pkt.Fragment == nil &&
-		pkt.HopByHop == nil && pkt.DestOpts == nil
+	return !pkt.Hdr.Dst.IsMulticast() && pkt.Routing() == nil && pkt.Fragment() == nil &&
+		pkt.HopByHop() == nil && pkt.DestOpts() == nil
 }
 
 // tunnelTo tunnels the received datagram to b's care-of address: rx.Pkt

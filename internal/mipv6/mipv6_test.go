@@ -288,8 +288,8 @@ func TestRoutingHeaderDelivery(t *testing.T) {
 	f.mnod.BindUDP(7, func(rx netem.RxPacket, u ipv6.UDP) {
 		got++
 		gotDst = rx.Pkt.Hdr.Dst
-		if rx.Pkt.Routing == nil || rx.Pkt.Routing.SegmentsLeft != 0 {
-			t.Errorf("routing header not consumed: %+v", rx.Pkt.Routing)
+		if r := rx.Pkt.Routing(); r == nil || r.SegmentsLeft != 0 {
+			t.Errorf("routing header not consumed: %+v", r)
 		}
 	})
 
@@ -300,7 +300,7 @@ func TestRoutingHeaderDelivery(t *testing.T) {
 	var rhBytes, encBytes int
 	f.l["L2"].AddTap(func(ev netem.TxEvent) {
 		switch {
-		case ev.Pkt.Routing != nil:
+		case ev.Pkt.Routing() != nil:
 			rhBytes = len(ev.Frame)
 		case ev.Pkt.Proto == ipv6.ProtoIPv6:
 			encBytes = len(ev.Frame)
@@ -544,7 +544,7 @@ func TestTunnelFragmentationAcrossMTU(t *testing.T) {
 	// Count fragments on the foreign link.
 	frags := 0
 	f.l["L2"].AddTap(func(ev netem.TxEvent) {
-		if ev.Pkt.Fragment != nil {
+		if ev.Pkt.Fragment() != nil {
 			frags++
 		}
 	})

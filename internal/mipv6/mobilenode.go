@@ -85,6 +85,7 @@ type MobileNode struct {
 	MovesDetected      uint64
 
 	ndpHost    *ndp.Host
+	homeExt    *ipv6.Ext // see HomeAddressExt
 	atHome     bool
 	careOf     ipv6.Addr
 	seq        uint16
@@ -227,12 +228,23 @@ func (mn *MobileNode) buildBU(lifetime time.Duration) (*ipv6.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	home := &ipv6.HomeAddressOption{HomeAddress: mn.HomeAddress}
 	src := mn.careOf
 	if src.IsUnspecified() {
 		src = mn.HomeAddress
 	}
-	return signalPacket(src, mn.Config.HomeAgent, buOpt, home.Marshal()), nil
+	return signalPacket(src, mn.Config.HomeAgent, buOpt, mn.HomeAddressExt().DestOpts[0]), nil
+}
+
+// HomeAddressExt returns the extension header the node's packets from its
+// care-of address carry: the draft's Home Address destination option. It
+// is built on first use and shared by every such packet after, so it must
+// not be changed.
+func (mn *MobileNode) HomeAddressExt() *ipv6.Ext {
+	if mn.homeExt == nil {
+		home := &ipv6.HomeAddressOption{HomeAddress: mn.HomeAddress}
+		mn.homeExt = &ipv6.Ext{DestOpts: []ipv6.Option{home.Marshal()}}
+	}
+	return mn.homeExt
 }
 
 // signalPacket builds a Mobile IPv6 signalling packet: destination options
@@ -242,10 +254,10 @@ func (mn *MobileNode) buildBU(lifetime time.Duration) (*ipv6.Packet, error) {
 // receivers the packet itself instead of a decoded copy.
 func signalPacket(src, dst ipv6.Addr, opts ...ipv6.Option) *ipv6.Packet {
 	return &ipv6.Packet{
-		Hdr:      ipv6.Header{Src: src, Dst: dst, HopLimit: ipv6.DefaultHopLimit},
-		DestOpts: opts,
-		Proto:    ipv6.ProtoNoNext,
-		Payload:  []byte{},
+		Hdr:     ipv6.Header{Src: src, Dst: dst, HopLimit: ipv6.DefaultHopLimit},
+		Ext:     &ipv6.Ext{DestOpts: opts},
+		Proto:   ipv6.ProtoNoNext,
+		Payload: []byte{},
 	}
 }
 

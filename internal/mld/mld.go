@@ -93,16 +93,21 @@ func (c Config) LastListenerQueryTime() time.Duration {
 	return time.Duration(c.Robustness) * c.LastListenerQueryInterval
 }
 
+// routerAlert is the extension header every MLD message carries: the
+// Router Alert hop-by-hop option. It never changes, so every MLD packet
+// shares this one.
+var routerAlert = &ipv6.Ext{HopByHop: []ipv6.Option{ipv6.RouterAlertOption(ipv6.RouterAlertMLD)}}
+
 // Packet builds an MLD message m from src to dst in the packet shape of
 // RFC 2710 §3: hop limit 1 and the Router Alert hop-by-hop option. On a
 // link src is the sender's link-local address; through a Mobile IPv6
 // tunnel it is the mobile node's home address or the home agent's address.
 func Packet(src, dst ipv6.Addr, m *icmpv6.MLD) *ipv6.Packet {
 	return &ipv6.Packet{
-		Hdr:      ipv6.Header{Src: src, Dst: dst, HopLimit: 1},
-		HopByHop: []ipv6.Option{ipv6.RouterAlertOption(ipv6.RouterAlertMLD)},
-		Proto:    ipv6.ProtoICMPv6,
-		Payload:  icmpv6.Marshal(src, dst, m),
+		Hdr:     ipv6.Header{Src: src, Dst: dst, HopLimit: 1},
+		Ext:     routerAlert,
+		Proto:   ipv6.ProtoICMPv6,
+		Payload: icmpv6.Marshal(src, dst, m),
 	}
 }
 

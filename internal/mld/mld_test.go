@@ -321,7 +321,7 @@ func TestMLDPacketShape(t *testing.T) {
 		if ev.Pkt.Hdr.HopLimit != 1 {
 			t.Errorf("MLD with hop limit %d", ev.Pkt.Hdr.HopLimit)
 		}
-		if _, hasRA := ipv6.FindOption(ev.Pkt.HopByHop, ipv6.OptRouterAlert); !hasRA {
+		if _, hasRA := ipv6.FindOption(ev.Pkt.HopByHop(), ipv6.OptRouterAlert); !hasRA {
 			t.Error("MLD without Router Alert")
 		}
 		if !ev.Pkt.Hdr.Src.IsLinkLocalUnicast() {

@@ -209,7 +209,7 @@ func (r *Router) handleMLD(rx netem.RxPacket, m icmpv6.Msg) {
 	prev := s.PushTag("mld")
 	defer s.PopTag(prev)
 	if r.Config.RequireRouterAlert {
-		if _, has := ipv6.FindOption(rx.Pkt.HopByHop, ipv6.OptRouterAlert); !has {
+		if _, has := ipv6.FindOption(rx.Pkt.HopByHop(), ipv6.OptRouterAlert); !has {
 			return
 		}
 	}

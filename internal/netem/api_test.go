@@ -89,15 +89,15 @@ func TestRoutingHeaderForwardedWhenNotOurs(t *testing.T) {
 	c.BindUDP(9, func(rx RxPacket, u ipv6.UDP) {
 		got++
 		hops = rx.HopLimit()
-		if rx.Pkt.Hdr.Dst != cA || rx.Pkt.Routing.SegmentsLeft != 0 {
-			t.Errorf("final hop state wrong: dst=%s segl=%d", rx.Pkt.Hdr.Dst, rx.Pkt.Routing.SegmentsLeft)
+		if rx.Pkt.Hdr.Dst != cA || rx.Pkt.Routing().SegmentsLeft != 0 {
+			t.Errorf("final hop state wrong: dst=%s segl=%d", rx.Pkt.Hdr.Dst, rx.Pkt.Routing().SegmentsLeft)
 		}
 	})
 
 	u := &ipv6.UDP{SrcPort: 9, DstPort: 9, Payload: []byte("segmented")}
 	pkt := &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: aA, Dst: mA, HopLimit: 64},
-		Routing: &ipv6.RoutingHeader{SegmentsLeft: 1, Addresses: []ipv6.Addr{cA}},
+		Ext:     &ipv6.Ext{Routing: &ipv6.RoutingHeader{SegmentsLeft: 1, Addresses: []ipv6.Addr{cA}}},
 		Proto:   ipv6.ProtoUDP,
 		Payload: u.Marshal(aA, cA), // checksum is computed against the FINAL dst
 	}

@@ -341,7 +341,7 @@ func (n *Node) receivePacket(ifc *Interface, pkt *ipv6.Packet, hops uint8, l2uni
 	rx := RxPacket{Iface: ifc, Pkt: pkt, Hops: hops, LocalDst: local}
 
 	if local {
-		if pkt.Fragment != nil {
+		if pkt.Fragment() != nil {
 			// Only the destination reassembles (forwarding paths below
 			// carry fragments onward untouched). Each new reassembly
 			// buffer gets a one-shot expiry sweep (a perpetual ticker
@@ -390,7 +390,7 @@ func (n *Node) deliverLocal(rx RxPacket) {
 	// upper-layer dispatch (RFC 2460 §4.6). Unknown options with the 00
 	// "skip" action semantics are ignored; this system only generates
 	// options it understands.
-	for _, opt := range rx.Pkt.DestOpts {
+	for _, opt := range rx.Pkt.DestOpts() {
 		for _, h := range n.optionHandlers {
 			if h(rx, opt) {
 				break
@@ -402,14 +402,17 @@ func (n *Node) deliverLocal(rx RxPacket) {
 	// delivered upward if that is also ours, forwarded otherwise. Mobile
 	// IPv6 uses this as the lighter alternative to encapsulation for
 	// home-agent-to-mobile-node delivery.
-	if r := rx.Pkt.Routing; r != nil && r.SegmentsLeft > 0 {
+	if r := rx.Pkt.Routing(); r != nil && r.SegmentsLeft > 0 {
 		// Only the routing header, the destination and the hop limit
-		// change: copy those, share the rest of the packet.
+		// change: copy those (the routing header in a copy of the
+		// extension headers), share the rest of the packet.
 		adv := *rx.Pkt
 		adv.Hdr.HopLimit = rx.HopLimit()
+		ext := *rx.Pkt.Ext
 		rh := *r
 		rh.Addresses = append([]ipv6.Addr(nil), r.Addresses...)
-		adv.Routing = &rh
+		ext.Routing = &rh
+		adv.Ext = &ext
 		i := len(rh.Addresses) - int(rh.SegmentsLeft)
 		next := rh.Addresses[i]
 		rh.Addresses[i] = adv.Hdr.Dst

@@ -46,15 +46,6 @@ type RunStats struct {
 	Tags []TagStat
 }
 
-// SpeedUp is the virtual-time / wall-time ratio (how much faster than real
-// time the simulation ran). Zero when no wall time was measured.
-func (rs RunStats) SpeedUp() float64 {
-	if rs.Wall <= 0 {
-		return 0
-	}
-	return float64(rs.Virtual) / float64(rs.Wall)
-}
-
 type instr struct {
 	tags map[string]*TagStat
 }

@@ -29,9 +29,9 @@ var (
 func TestClassifyMobilityOptions(t *testing.T) {
 	mk := func(opt ipv6.Option) *ipv6.Packet {
 		return &ipv6.Packet{
-			Hdr:      ipv6.Header{Src: src, Dst: dst, HopLimit: 64},
-			DestOpts: []ipv6.Option{opt},
-			Proto:    ipv6.ProtoNoNext,
+			Hdr:   ipv6.Header{Src: src, Dst: dst, HopLimit: 64},
+			Ext:   &ipv6.Ext{DestOpts: []ipv6.Option{opt}},
+			Proto: ipv6.ProtoNoNext,
 		}
 	}
 	ack := (&ipv6.BindingAck{Status: 0, Sequence: 5, Lifetime: 100}).Marshal()

@@ -49,10 +49,10 @@ func Describe(ev netem.TxEvent) Event {
 		Bytes: len(ev.Frame),
 	}
 	pkt := ev.Pkt
-	if pkt.Fragment != nil {
+	if fh := pkt.Fragment(); fh != nil {
 		out.Src, out.Dst = pkt.Hdr.Src, pkt.Hdr.Dst
 		out.Kind = "fragment"
-		out.Detail = fmt.Sprintf("id=%d off=%d more=%v", pkt.Fragment.ID, pkt.Fragment.Offset, pkt.Fragment.More)
+		out.Detail = fmt.Sprintf("id=%d off=%d more=%v", fh.ID, fh.Offset, fh.More)
 		return out
 	}
 	out.TunnelDepth = ipv6.TunnelDepth(pkt)
@@ -69,7 +69,7 @@ func Describe(ev netem.TxEvent) Event {
 func classify(pkt *ipv6.Packet) (kind, detail string) {
 	// Mobile IPv6 destination options first: they ride on otherwise-empty
 	// packets in this system.
-	for _, o := range pkt.DestOpts {
+	for _, o := range pkt.DestOpts() {
 		switch o.Type {
 		case ipv6.OptBindingUpdate:
 			if bu, err := ipv6.ParseBindingUpdate(o); err == nil {

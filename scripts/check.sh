@@ -46,8 +46,9 @@ echo "examples smoke: every example ran to completion"
 # a frame came from when decoded against it, also from a frame encoded some
 # router hops on, with that hop count, and from a tunnel frame whose inner
 # packet entered the tunnel some hops from its sender (never a hint that
-# differs in any other field, the inner hop count included), and must keep
-# nothing of the frame it parsed.
+# differs in any other field, the inner hop count included, though one that
+# differs outside its extension headers lends the decode its Ext), and must
+# keep nothing of the frame it parsed.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ipv6
 
 # Mobile IPv6 option fuzz smoke: from the seed options (Binding Update with
@@ -86,8 +87,19 @@ go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/checkpoint
 # race detector matters because the worker fan-out is exactly what could
 # perturb a timeline: any diff means a nondeterministic draw or a
 # cross-timeline (or cross-region) data race.
+# On every exit, a failing curl or grep under set -e included, the EXIT
+# trap stops the servers the smokes below start (httppid, daemonpid; each
+# is cleared once its process has been reaped) and removes $tmp.
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+httppid= daemonpid=
+cleanup() {
+    for pid in $httppid $daemonpid; do
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
 go build -race -o "$tmp/mip6sim-race" ./cmd/mip6sim
 smoke() {
     label=$1 dir=$tmp/$2 experiment=$3 flag=$4
@@ -165,7 +177,6 @@ done
 if [ -z "$addr" ]; then
     echo "http smoke: server never announced its address" >&2
     cat "$tmp/http.err" >&2
-    kill "$httppid" 2>/dev/null || true
     exit 1
 fi
 # Retry until the scrape shows a completed cell's per-tag series: the
@@ -184,7 +195,6 @@ done
 if [ -z "$scraped" ]; then
     echo "http smoke: /metrics never served the expected series" >&2
     cat "$tmp/metrics.txt" >&2 2>/dev/null || true
-    kill "$httppid" 2>/dev/null || true
     exit 1
 fi
 # /progress replays every completed cell, then streams the rest and ends
@@ -194,11 +204,11 @@ if ! curl -fsS --max-time 120 "http://$addr/progress" > "$tmp/progress.ndjson" |
     ! tail -n 1 "$tmp/progress.ndjson" | grep -q '"run_complete":true'; then
     echo "http smoke: /progress did not end with a run_complete line:" >&2
     cat "$tmp/progress.ndjson" >&2 2>/dev/null || true
-    kill "$httppid" 2>/dev/null || true
     exit 1
 fi
-kill -TERM "$httppid"
-if wait "$httppid"; then
+pid=$httppid httppid=
+kill -TERM "$pid"
+if wait "$pid"; then
     echo "http smoke: /metrics scraped, /progress read to run_complete, clean shutdown on SIGTERM"
 else
     echo "http smoke: mip6sim exited non-zero after SIGTERM" >&2
@@ -228,13 +238,13 @@ start_daemon() {
     if [ -z "$daddr" ]; then
         echo "mip6simd smoke: daemon never announced its address" >&2
         cat "$tmp/simd.err" >&2
-        kill "$daemonpid" 2>/dev/null || true
         exit 1
     fi
 }
 stop_daemon() {
-    kill -TERM "$daemonpid"
-    if ! wait "$daemonpid"; then
+    pid=$daemonpid daemonpid=
+    kill -TERM "$pid"
+    if ! wait "$pid"; then
         echo "mip6simd smoke: daemon exited non-zero after SIGTERM" >&2
         exit 1
     fi
@@ -259,12 +269,10 @@ simdcells="$(sed -n 's/^mip6sim_cells_completed_total \([0-9]*\)$/\1/p' "$tmp/si
 if [ -z "$simdcells" ] || [ "$simdcells" -lt 1 ]; then
     echo "mip6simd smoke: /metrics counts no completed cell after the first run:" >&2
     cat "$tmp/simd-metrics.txt" >&2
-    kill "$daemonpid" 2>/dev/null || true
     exit 1
 fi
 if ! curl -fsS -o /dev/null "http://$daddr/debug/pprof/"; then
     echo "mip6simd smoke: /debug/pprof/ did not answer 200" >&2
-    kill "$daemonpid" 2>/dev/null || true
     exit 1
 fi
 curl -fsS -X POST -d "$spec" "http://$daddr/runs" > "$tmp/simd-run2.json"
