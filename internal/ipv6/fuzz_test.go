@@ -20,8 +20,7 @@ import (
 // other field, its inner hop count included, whatever the frame's hop
 // limit, though one that differs outside its extension headers lends the
 // decode its Ext itself (nil when the frame carries none). `go test` runs
-// the seeds; run
-// `go test -fuzz FuzzDecode ./internal/ipv6` to search.
+// the seeds; run `go test -fuzz FuzzDecode ./internal/ipv6` to search.
 func FuzzDecode(f *testing.F) {
 	// Every extension header kind but the fragment header, with option data.
 	rich := samplePacket()

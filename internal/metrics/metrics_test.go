@@ -94,6 +94,7 @@ func TestSplitTunnelOverhead(t *testing.T) {
 func TestSplitFragments(t *testing.T) {
 	// Tunnel fragment: whole frame is tunnel overhead.
 	inner := dataPacket(true)
+	inner.Payload = append(inner.Payload, make([]byte, 3000)...)
 	outer, err := ipv6.Encapsulate(ipv6.MustParseAddr("2001:db8:4::1"), ipv6.MustParseAddr("2001:db8:6::99"), 64, inner)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestSplitFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(frags) < 2 {
-		t.Skip("packet too small to fragment at MinMTU")
+		t.Fatalf("a %d-byte tunnel packet gave %d fragment(s) at MinMTU", outer.WireLen(), len(frags))
 	}
 	for _, f := range frags {
 		wire, _ := f.Encode()
