@@ -76,17 +76,6 @@ go test -run '^$' -fuzz '^FuzzPIM$' -fuzztime 10s ./internal/pimdm
 # accepts must come back byte-identical after write -> read -> write.
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/checkpoint
 
-# Worker-count determinism smokes. smoke LABEL NAME EXPERIMENT FLAG
-# [mip6sim flags...] runs one experiment at a fixed seed through the race
-# binary twice, with FLAG (-workers, or -shard-workers for a sharded cell)
-# at 1 and at 8, into $tmp/NAME-1 and $tmp/NAME-8. The per-timeline JSONL
-# traces, the sampled telemetry series (-telemetry-out writes the
-# master-seed cell's series into the same directory, so the recursive diff
-# covers both) and stdout must be byte-identical, and every row of the
-# rendered table must report zero invariant violations (its column 2). The
-# race detector matters because the worker fan-out is exactly what could
-# perturb a timeline: any diff means a nondeterministic draw or a
-# cross-timeline (or cross-region) data race.
 # On every exit, a failing curl or grep under set -e included, the EXIT
 # trap stops the servers the smokes below start (httppid, daemonpid; each
 # is cleared once its process has been reaped) and removes $tmp.
@@ -100,6 +89,18 @@ cleanup() {
     rm -rf "$tmp"
 }
 trap cleanup EXIT
+
+# Worker-count determinism smokes. smoke LABEL NAME EXPERIMENT FLAG
+# [mip6sim flags...] runs one experiment at a fixed seed through the race
+# binary twice, with FLAG (-workers, or -shard-workers for a sharded cell)
+# at 1 and at 8, into $tmp/NAME-1 and $tmp/NAME-8. The per-timeline JSONL
+# traces, the sampled telemetry series (-telemetry-out writes the
+# master-seed cell's series into the same directory, so the recursive diff
+# covers both) and stdout must be byte-identical, and every row of the
+# rendered table must report zero invariant violations (its column 2). The
+# race detector matters because the worker fan-out is exactly what could
+# perturb a timeline: any diff means a nondeterministic draw or a
+# cross-timeline (or cross-region) data race.
 go build -race -o "$tmp/mip6sim-race" ./cmd/mip6sim
 smoke() {
     label=$1 dir=$tmp/$2 experiment=$3 flag=$4
