@@ -14,6 +14,8 @@ import (
 
 	"mip6mcast/internal/checkpoint"
 	"mip6mcast/internal/obs"
+	"mip6mcast/internal/scenario"
+	"mip6mcast/internal/trace"
 )
 
 // engineDigestsPath holds one "<case> <sha256>" line per pinned trace.
@@ -27,8 +29,9 @@ type digestCase struct {
 
 // fig1HandoverTrace runs the golden's Figure 1 handover (seed 42, R3
 // moves to L6 at 15 s, 40 s horizon) under engine and approach, with an
-// optional State Refresh interval, and returns its JSONL trace.
-func fig1HandoverTrace(t *testing.T, engine string, approach Approach, refresh time.Duration) []byte {
+// optional State Refresh interval, and returns its JSONL trace and the
+// trace.Writer text of its transmissions (the lines mip6trace prints).
+func fig1HandoverTrace(t *testing.T, engine string, approach Approach, refresh time.Duration) (jsonl, text []byte) {
 	t.Helper()
 	opt := FastMLDOptions(10)
 	opt.Seed = 42
@@ -36,13 +39,15 @@ func fig1HandoverTrace(t *testing.T, engine string, approach Approach, refresh t
 	opt.PIM.StateRefreshInterval = refresh
 	rec := obs.NewRecorder(nil)
 	opt.Obs = rec
+	var txt bytes.Buffer
+	opt.OnNetwork = func(f *scenario.Network) { (&trace.Writer{W: &txt}).Attach(f.Net) }
 	f := buildHandover(opt, approach, 15*time.Second)
 	f.Run(40 * time.Second)
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), txt.Bytes()
 }
 
 // fig1CheckpointArtifact captures the same handover run at t=20 s, after
@@ -87,12 +92,18 @@ func engineDigestCases() []digestCase {
 		for _, a := range []Approach{LocalMembership, BidirectionalTunnel} {
 			a := a
 			cases = append(cases, digestCase{"fig1/" + eng + "/" + a.String(), func(t *testing.T) []byte {
-				return fig1HandoverTrace(t, eng, a, 0)
+				jsonl, _ := fig1HandoverTrace(t, eng, a, 0)
+				return jsonl
+			}})
+			cases = append(cases, digestCase{"fig1-text/" + eng + "/" + a.String(), func(t *testing.T) []byte {
+				_, text := fig1HandoverTrace(t, eng, a, 0)
+				return text
 			}})
 		}
 		if eng == "pimdm" {
 			cases = append(cases, digestCase{"fig1-state-refresh-10s/pimdm/bidir-tunnel", func(t *testing.T) []byte {
-				return fig1HandoverTrace(t, "pimdm", BidirectionalTunnel, 10*time.Second)
+				jsonl, _ := fig1HandoverTrace(t, "pimdm", BidirectionalTunnel, 10*time.Second)
+				return jsonl
 			}})
 		}
 		for _, c := range chaosMatrix() {
@@ -121,7 +132,7 @@ func engineDigestCases() []digestCase {
 // TestEngineTraceDigests pins both multicast engines' trace bytes across
 // commits: the Figure 1 handover under local membership and the
 // bidirectional tunnel (the other approaches reproduce one of these two
-// traces in that scenario), PIM-DM with State Refresh on, every cell of
+// traces in that scenario), as JSONL and as decoded text lines, PIM-DM with State Refresh on, every cell of
 // the chaos matrix at seed 7, the 4-shard ba-r40 smoke cell, a Figure 1
 // checkpoint artifact, and R3 in four groups moving away, leaving one and
 // returning home under tunneled MLD and under local membership. The worker-count determinism tests compare runs
