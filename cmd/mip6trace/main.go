@@ -90,7 +90,7 @@ func main() {
 		var bad []string
 		for _, k := range strings.Split(*kinds, ",") {
 			k = strings.TrimSpace(k)
-			if !trace.IsKnownKind(k) {
+			if _, ok := trace.KindNamed(k); !ok {
 				bad = append(bad, k)
 				continue
 			}
@@ -129,10 +129,7 @@ func main() {
 	var w *trace.Writer
 	opt.OnNetwork = func(f *scenario.Network) {
 		if *format == "text" {
-			w = &trace.Writer{W: out}
-			if keep != nil {
-				w.Filter = kindFilter
-			}
+			w = &trace.Writer{W: out, Filter: kindFilter}
 			w.Attach(f.Net)
 		} else {
 			rec = obs.NewRecorder(f.Sched)

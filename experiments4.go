@@ -6,7 +6,6 @@ import (
 
 	"mip6mcast/internal/core"
 	"mip6mcast/internal/metrics"
-	"mip6mcast/internal/netem"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
 	"mip6mcast/internal/topo"
@@ -53,14 +52,6 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	probe := metrics.NewFlowProbe("m")
 	scenario.AttachProbe(m.Node, f.Sched, 1, probe, m.OuterHops)
 
-	tunnelBytes := uint64(0)
-	for _, name := range f.LinkOrder() {
-		f.Links[name].AddTap(func(ev netem.TxEvent) {
-			split := metrics.Split(ev.Pkt, len(ev.Frame))
-			tunnelBytes += uint64(split[metrics.ClassTunnel])
-		})
-	}
-
 	scenario.NewCBR(f.Sched, 1, 100*time.Millisecond, 64, func(p []byte) {
 		f.SendLocalMulticast("src", scenario.Group, p)
 	})
@@ -68,11 +59,12 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	f.Run(20 * time.Second)
 	moveAt := f.Sched.Now()
 	f.Move("m", fmt.Sprintf("K%d", depth))
-	// Snapshot the tunnel-byte counter once the post-move state settles,
-	// so the per-datagram figure covers only steady-state deliveries.
+	// Snapshot the accountant's tunnel bytes once the post-move state
+	// settles, so the per-datagram figure covers only steady-state
+	// deliveries.
 	var tunnelAtSettle uint64
 	settled := moveAt + sim.Time(20*time.Second)
-	f.At(settled, func() { tunnelAtSettle = tunnelBytes })
+	f.At(settled, func() { tunnelAtSettle = f.Acct.TotalBytes(metrics.ClassTunnel) })
 	f.Run(60 * time.Second)
 
 	p := SLDPoint{Depth: depth, Tunnel: tunnel, OptimalHops: depth}
@@ -81,7 +73,7 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	}
 	p.MeanHops = probe.MeanHops(settled, sim.Time(1<<62))
 	if n := probe.CountBetween(settled, sim.Time(1<<62)); n > 0 {
-		p.TunnelBytesPerDgram = float64(tunnelBytes-tunnelAtSettle) / float64(n)
+		p.TunnelBytesPerDgram = float64(f.Acct.TotalBytes(metrics.ClassTunnel)-tunnelAtSettle) / float64(n)
 	}
 	return p
 }

@@ -247,9 +247,7 @@ func finishChaos(r *Run, cell chaosCell, tracedir string) ChaosOutcome {
 	for _, v := range vs {
 		out.Violations = append(out.Violations, v.String())
 	}
-	for _, lc := range f.Acct.Snapshot() {
-		out.PIMBytes += lc.Bytes[metrics.ClassPIM]
-	}
+	out.PIMBytes = f.Acct.TotalBytes(metrics.ClassPIM)
 	if sent := float64(r.CBR.Sent); sent > 0 {
 		end := sim.Time(1 << 62)
 		out.DelivR1 = float64(r.Probes["R1"].CountBetween(0, end)) / sent

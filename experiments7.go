@@ -368,10 +368,8 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 	for _, v := range vs {
 		out.Violations = append(out.Violations, v.String())
 	}
-	for _, lc := range f.Acct.Snapshot() {
-		out.PIMBytes += lc.Bytes[metrics.ClassPIM]
-		out.DataBytes += lc.Bytes[metrics.ClassData]
-	}
+	out.PIMBytes = f.Acct.TotalBytes(metrics.ClassPIM)
+	out.DataBytes = f.Acct.TotalBytes(metrics.ClassData)
 	for _, rn := range f.RouterOrder() {
 		for _, ha := range f.Routers[rn].HomeAgents() {
 			out.HATunneled += ha.PacketsTunneled + ha.MulticastTunneled

@@ -45,7 +45,6 @@ type LinkWatch struct {
 	Frames      int
 	Bytes       uint64
 	First, Last sim.Time
-	seen        bool
 	samples     []linkSample
 }
 
@@ -135,17 +134,15 @@ func (r *Run) WatchLink(name string) *LinkWatch {
 	r.watchers[name] = w
 	sched := r.F.Sched
 	r.F.Links[name].AddTap(func(ev netem.TxEvent) {
-		split := metrics.Split(ev.Pkt, len(ev.Frame))
-		data := split[metrics.ClassData] + split[metrics.ClassTunnel]
-		if split[metrics.ClassData] == 0 {
+		if class, _ := metrics.ClassOf(ev.Pkt); class != metrics.ClassData {
 			return
 		}
+		if w.Frames == 0 {
+			w.First = sched.Now()
+		}
+		data := len(ev.Frame)
 		w.Frames++
 		w.Bytes += uint64(data)
-		if !w.seen {
-			w.First = sched.Now()
-			w.seen = true
-		}
 		w.Last = sched.Now()
 		w.samples = append(w.samples, linkSample{at: sched.Now(), bytes: data})
 	})

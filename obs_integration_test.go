@@ -232,27 +232,34 @@ func TestPerfettoHandoverTracks(t *testing.T) {
 	}
 }
 
-// Every wire event the Figure 1 scenarios produce must decode to a named
-// kind: a fallback ("pim?", "icmp6?", "none") in the trace means the
-// decoder lost track of a message type some protocol actually sends.
+// Every wire event the Figure 1 scenarios produce, under either engine,
+// must decode to a named kind: a fallback ("pim?", "icmp6?", "none") in
+// the trace means the decoder lost track of a message type some protocol
+// actually sends.
 func TestFigure1TraceKindsKnown(t *testing.T) {
-	opt := FastMLDOptions(10)
-	opt.Seed = 1
-	c := &trace.Collector{}
-	f := buildHandover(opt, BidirectionalTunnel, 15*time.Second)
-	c.Attach(f.Net)
-	f.Run(40 * time.Second)
+	for _, engine := range []string{"pimdm", "hpimdm"} {
+		t.Run(engine, func(t *testing.T) {
+			opt := FastMLDOptions(10)
+			opt.Seed = 1
+			opt.Engine = engine
+			c := &trace.Collector{}
+			f := buildHandover(opt, BidirectionalTunnel, 15*time.Second)
+			c.Attach(f.Net)
+			f.Run(40 * time.Second)
 
-	kinds := c.Kinds()
-	if len(kinds) == 0 {
-		t.Fatal("collector saw no traffic")
-	}
-	for k, n := range kinds {
-		if !trace.IsKnownKind(k) {
-			t.Errorf("kind %q (%d events) not in the known-kind list", k, n)
-		}
-		if trace.IsFallbackKind(k) {
-			t.Errorf("fallback kind %q appeared %d times in a Figure 1 run", k, n)
-		}
+			kinds := c.Kinds()
+			if len(kinds) == 0 {
+				t.Fatal("collector saw no traffic")
+			}
+			for name, n := range kinds {
+				k, ok := trace.KindNamed(name)
+				if !ok {
+					t.Errorf("kind %q (%d events) not in the known-kind list", name, n)
+				}
+				if k.Fallback() {
+					t.Errorf("fallback kind %q appeared %d times in a Figure 1 run", name, n)
+				}
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ go test -race ./...
 # (the race runtime's instrumented allocation counts are meaningless), so the
 # race pass above skips them; run them in a plain pass here.
 go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 ./internal/routing \
-    ./internal/ndp ./internal/mld ./internal/mipv6
+    ./internal/ndp ./internal/mld ./internal/mipv6 ./internal/trace ./internal/metrics
 
 # Examples smoke: each example reads its numbers from an experiment's
 # Result (type assertions on Result.Artifact, Stats, Render), which
@@ -69,6 +69,12 @@ go test -run '^$' -fuzz '^FuzzICMPv6$' -fuzztime 10s ./internal/icmpv6
 # HPIM-DM's Interest, NoInterest and DeclAck), parsing must never panic and
 # parse -> marshal -> parse must be a fixed point.
 go test -run '^$' -fuzz '^FuzzPIM$' -fuzztime 10s ./internal/pimdm
+
+# Transmission-kind fuzz smoke: from the seed frames (a packet of every
+# kind, and tunneled ones), a decoded frame must describe and account
+# without a panic, Describe's kind must be Classify's or a refinement of
+# it, and metrics.Split must put every byte of the frame in one class.
+go test -run '^$' -fuzz '^FuzzDescribe$' -fuzztime 10s ./internal/trace
 
 # Checkpoint artifact fuzz smoke: from the seed artifacts (a one-region
 # checkpoint of a one-router line, a minimal artifact with every section,
