@@ -330,9 +330,11 @@ func TestSMTUTunnelBoundary(t *testing.T) {
 	if fits.OuterFrame != 1500 || over.OuterFrame != 1501 {
 		t.Fatalf("outer sizes %d/%d", fits.OuterFrame, over.OuterFrame)
 	}
-	// One byte over the boundary doubles the tunnel frame count...
-	if over.TunnelFramesPerDgram < 1.8*fits.TunnelFramesPerDgram {
-		t.Fatalf("frames/dgram %f vs %f", over.TunnelFramesPerDgram, fits.TunnelFramesPerDgram)
+	// One byte over the boundary doubles the tunnel frame count: each
+	// datagram crosses L5 as one tunnel packet below it and as two
+	// fragments above it...
+	if fits.TunnelFramesPerDgram != 1 || over.TunnelFramesPerDgram != 2 {
+		t.Fatalf("frames/dgram %f and %f, want 1 and 2", fits.TunnelFramesPerDgram, over.TunnelFramesPerDgram)
 	}
 	// ...but lossless delivery stays complete either way.
 	for _, p := range pts {
