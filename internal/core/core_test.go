@@ -296,7 +296,10 @@ func TestSendModes(t *testing.T) {
 		r.f.Run(10 * time.Second) // CoA + binding in place
 		var srcs []ipv6.Addr
 		r.f.Links["L1"].AddTap(func(ev netem.TxEvent) {
-			inner := ipv6.Innermost(ev.Pkt)
+			inner := ev.Pkt
+			for inner.Inner != nil {
+				inner = inner.Inner
+			}
 			if inner.Proto == ipv6.ProtoUDP && inner.Hdr.Dst == scenario.Group {
 				srcs = append(srcs, inner.Hdr.Src)
 			}
