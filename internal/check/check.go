@@ -13,7 +13,6 @@ import (
 	"sort"
 	"time"
 
-	"mip6mcast/internal/engine"
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/obs"
@@ -112,16 +111,6 @@ func extendProxyDemand(f *scenario.Network, group ipv6.Addr, demand map[string]b
 			demand[spec.Upstream] = true
 		}
 	}
-}
-
-// proxyEntry finds a proxy's aggregate (*,G) entry for group.
-func proxyEntry(r *scenario.Router, group ipv6.Addr) (engine.SGInfo, bool) {
-	for _, info := range r.Engine.Entries() {
-		if info.Source.IsUnspecified() && info.Group == group {
-			return info, true
-		}
-	}
-	return engine.SGInfo{}, false
 }
 
 // linkDemand computes, per link name, whether any member host currently
@@ -312,7 +301,7 @@ func ForwardingSet(f *scenario.Network, exp Expectation) []Violation {
 				// member downstream links; subtree traffic additionally
 				// goes upstream unconditionally. No flood fallback — a
 				// proxy without aggregated state forwards nothing down.
-				info, ok := proxyEntry(r, exp.Group)
+				info, ok := r.Engine.Entry(ipv6.Addr{}, exp.Group)
 				if ln != spec.Upstream {
 					fwd = append(fwd, spec.Upstream)
 				}
@@ -331,7 +320,7 @@ func ForwardingSet(f *scenario.Network, exp Expectation) []Violation {
 				}
 				continue
 			}
-			if info, ok := findEntry(r, exp.Source, exp.Group); ok {
+			if info, ok := r.Engine.Entry(exp.Source, exp.Group); ok {
 				// An upstream-pruned entry stops the flow here: data no
 				// longer reaches this router, so nothing continues.
 				if !info.PrunedUpstream || info.GraftPending {
@@ -365,15 +354,6 @@ func ForwardingSet(f *scenario.Network, exp Expectation) []Violation {
 		}
 	}
 	return out
-}
-
-func findEntry(r *scenario.Router, src, group ipv6.Addr) (engine.SGInfo, bool) {
-	for _, info := range r.Engine.Entries() {
-		if info.Source == src && info.Group == group {
-			return info, true
-		}
-	}
-	return engine.SGInfo{}, false
 }
 
 // NoZombies asserts invariant (b): no state owned by a dead incarnation or
@@ -588,7 +568,7 @@ func ProxyTree(f *scenario.Network, exp Expectation) []Violation {
 			}
 		}
 
-		info, ok := proxyEntry(r, exp.Group)
+		info, ok := r.Engine.Entry(ipv6.Addr{}, exp.Group)
 		if !ok {
 			if truth {
 				out = append(out, Violation{

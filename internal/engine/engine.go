@@ -143,9 +143,11 @@ type MulticastEngine interface {
 	RemoveLocalMember(group ipv6.Addr)
 	HasLocalMember(group ipv6.Addr) bool
 
-	// State dump.
+	// State dump. Entry is Entries' record of one entry, without the
+	// rest: an aggregate (*,G) entry has the unspecified source.
 	EntryCount() int
 	Entries() []SGInfo
+	Entry(src, group ipv6.Addr) (SGInfo, bool)
 	MulticastStats() Stats
 
 	// Checkpoint returns the deterministic snapshot of all protocol state

@@ -214,17 +214,13 @@ func New(node *netem.Node, cfg Config, routing engine.UnicastRouting) *Engine {
 	return e
 }
 
-func (e *Engine) handleMessage(ifc *netem.Interface, src ipv6.Addr, msg pimdm.Message) {
+func (e *Engine) handleMessage(ifc *netem.Interface, src ipv6.Addr, m pimdm.Msg) {
 	// JoinPrune/StateRefresh from a foreign soft-state engine are ignored.
-	d, ok := msg.(*pimdm.Declaration)
-	if !ok {
-		return
-	}
-	switch d.Kind {
+	switch m.Type {
 	case pimdm.TypeInterest, pimdm.TypeNoInterest:
-		e.onDeclaration(ifc, src, d)
+		e.onDeclaration(ifc, src, &m.Decl)
 	case pimdm.TypeDeclAck:
-		e.onDeclAck(ifc, src, d)
+		e.onDeclAck(ifc, src, &m.Decl)
 	}
 }
 

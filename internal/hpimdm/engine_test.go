@@ -112,12 +112,8 @@ func (f *line) countDecl(link string, kinds ...uint8) *int {
 		if err != nil {
 			return
 		}
-		d, ok := msg.(*pimdm.Declaration)
-		if !ok {
-			return
-		}
 		for _, k := range kinds {
-			if d.Kind == k {
+			if msg.Type == k {
 				(*n)++
 			}
 		}
@@ -225,9 +221,9 @@ func TestHelloCarriesGenerationID(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if h, ok := msg.(*pimdm.Hello); ok {
+		if msg.Type == pimdm.TypeHello {
 			seen++
-			if h.GenID == 0 {
+			if msg.Hello.GenID == 0 {
 				t.Error("hpimdm hello without Generation ID")
 			}
 		}

@@ -1,14 +1,15 @@
 //go:build !race
 
-// Allocation budget for the MLD receive path. Excluded under -race (the
-// race runtime's allocation counts differ); scripts/check.sh runs it in a
-// separate non-race pass.
+// Allocation budgets for the MLD send and receive paths. Excluded under
+// -race (the race runtime's allocation counts differ); scripts/check.sh
+// runs them in a separate non-race pass.
 
 package mld
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mip6mcast/internal/icmpv6"
 	"mip6mcast/internal/ipv6"
@@ -86,5 +87,43 @@ func TestPacketAllocBudget(t *testing.T) {
 	t.Logf("mld.Packet: %v allocs (budget %d)", allocs, packetAllocBudget)
 	if allocs > packetAllocBudget {
 		t.Errorf("mld.Packet allocates %v objects; budget %d (a Router Alert header per packet?)", allocs, packetAllocBudget)
+	}
+}
+
+// TestGeneralQueryTickAllocBudget pins one General Query period of a
+// querier to 8 listening hosts at no allocation: the querier re-sends the
+// Query it built for the interface, the host that answers first re-sends
+// its membership's Report, the others suppress theirs, and the querier
+// re-arms the group's listener timer. Rebuilding the Query on every send
+// measured 3 (a Packet, its ICMPv6 payload and an MLD value), and
+// rebuilding the Report as well 6.
+func TestGeneralQueryTickAllocBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueryInterval, cfg.StartupQueryInterval = 20*time.Second, 20*time.Second
+	f := newFixture(1, cfg)
+	g := ipv6.MustParseAddr("ff0e::7")
+	const hosts = 8
+	hs := make([]*Host, hosts)
+	for i := range hs {
+		_, ifc, h := f.addHost(fmt.Sprintf("h%d", i), DefaultHostConfig())
+		h.Join(ifc, g)
+		hs[i] = h
+	}
+	f.s.RunFor(5 * cfg.QueryInterval) // startup Queries and unsolicited Reports done
+	if !f.mr.HasListeners(f.router.Ifaces[0], g) {
+		t.Fatal("the querier has no listener record")
+	}
+	queries, reports := f.mr.QueriesSent, f.mr.ReportsHeard
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { f.s.RunFor(cfg.QueryInterval) })
+	if got := f.mr.QueriesSent - queries; got != runs+1 {
+		t.Fatalf("%d Queries in %d periods, want one per period", got, runs+1)
+	}
+	if got := f.mr.ReportsHeard - reports; got < runs+1 {
+		t.Fatalf("%d Reports heard in %d periods, want at least one per period", got, runs+1)
+	}
+	t.Logf("General Query period: %v allocs (budget 0)", allocs)
+	if allocs > 0 {
+		t.Errorf("General Query period allocates %v objects; budget 0 (Query or Report rebuilt per send?)", allocs)
 	}
 }

@@ -58,6 +58,11 @@ type memberState struct {
 	unsolicited  *sim.Timer // pending initial unsolicited re-reports
 	unsolLeft    int
 	lastReporter bool // we sent the most recent Report; owe a Done on leave
+
+	// report is the Report this membership last sent. Packets on links
+	// are immutable (DESIGN.md §5.1), so the same packet goes out on every
+	// Report until the interface's link-local address changes.
+	report *ipv6.Packet
 }
 
 // NewHost installs the MLD listener role on node.
@@ -186,7 +191,7 @@ func (m *memberState) unsolicitedRound() {
 		return
 	}
 	m.unsolLeft--
-	m.h.sendReport(m.key.ifc, m.key.group)
+	m.sendReport()
 	m.lastReporter = true
 	if m.unsolLeft > 0 {
 		m.unsolicited.Reset(m.h.Config.UnsolicitedReportInterval)
@@ -195,16 +200,19 @@ func (m *memberState) unsolicitedRound() {
 
 // respond fires when the random response-delay timer expires.
 func (m *memberState) respond() {
-	m.h.sendReport(m.key.ifc, m.key.group)
+	m.sendReport()
 	m.lastReporter = true
 }
 
-func (h *Host) sendReport(ifc *netem.Interface, group ipv6.Addr) {
+func (m *memberState) sendReport() {
+	h, ifc, group := m.h, m.key.ifc, m.key.group
 	if !ifc.Up() {
 		return
 	}
-	rep := &icmpv6.MLD{Kind: icmpv6.TypeMLDReport, MulticastAddress: group}
-	_ = h.Node.OutputOn(ifc, Packet(ifc.LinkLocal(), group, rep))
+	if src := ifc.LinkLocal(); m.report == nil || m.report.Hdr.Src != src {
+		m.report = Packet(src, group, &icmpv6.MLD{Kind: icmpv6.TypeMLDReport, MulticastAddress: group})
+	}
+	_ = h.Node.OutputOn(ifc, m.report)
 	h.ReportsSent++
 	if h.Obs != nil {
 		h.Obs.Instant(h.Node.Name, h.obsTrack(group), "report-sent", "")

@@ -68,6 +68,13 @@ type routerIfaceState struct {
 	queryTicker  *sim.Ticker
 	startupLeft  int
 
+	// query is the General Query this interface last sent, with Maximum
+	// Response Delay queryDelay. Packets on links are immutable (DESIGN.md
+	// §5.1), so the same packet goes out on every query until its source
+	// or delay changes.
+	query      *ipv6.Packet
+	queryDelay time.Duration
+
 	listeners *Listeners
 }
 
@@ -170,7 +177,12 @@ func (st *routerIfaceState) periodicQuery() {
 }
 
 func (st *routerIfaceState) sendGeneralQuery() {
-	st.sendQuery(ipv6.AllNodes, &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: st.r.Config.MaxResponseDelay})
+	src, delay := st.ifc.LinkLocal(), st.r.Config.MaxResponseDelay
+	if st.query == nil || st.query.Hdr.Src != src || st.queryDelay != delay {
+		st.query = Packet(src, ipv6.AllNodes, &icmpv6.MLD{Kind: icmpv6.TypeMLDQuery, MaxResponseDelay: delay})
+		st.queryDelay = delay
+	}
+	st.send(st.query)
 }
 
 // sendSpecificQuery sends one Address-Specific Query of a last-listener
@@ -179,15 +191,16 @@ func (st *routerIfaceState) sendSpecificQuery(group ipv6.Addr) {
 	if st.r.Obs != nil {
 		st.r.Obs.Instant(st.r.Node.Name, st.obsGroupTrack(group), "specific-query", "")
 	}
-	st.sendQuery(group, &icmpv6.MLD{
+	st.send(Packet(st.ifc.LinkLocal(), group, &icmpv6.MLD{
 		Kind:             icmpv6.TypeMLDQuery,
 		MaxResponseDelay: st.r.Config.LastListenerQueryInterval,
 		MulticastAddress: group,
-	})
+	}))
 }
 
-func (st *routerIfaceState) sendQuery(dst ipv6.Addr, q *icmpv6.MLD) {
-	_ = st.r.Node.OutputOn(st.ifc, Packet(st.ifc.LinkLocal(), dst, q))
+// send transmits a Query on the interface.
+func (st *routerIfaceState) send(query *ipv6.Packet) {
+	_ = st.r.Node.OutputOn(st.ifc, query)
 	st.r.QueriesSent++
 }
 

@@ -340,20 +340,29 @@ func (p *Proxy) EntryCount() int { return p.active() }
 func (p *Proxy) Entries() []engine.SGInfo {
 	out := make([]engine.SGInfo, 0, len(p.groups))
 	for _, g := range p.sortedGroups() {
-		st := p.groups[g]
-		if st.aggregate() == 0 {
-			continue
+		if info, ok := p.Entry(ipv6.Addr{}, g); ok {
+			out = append(out, info)
 		}
-		info := engine.SGInfo{Group: g, Upstream: p.Cfg.Upstream}
-		for ifc := range st.ifaces {
-			if ifc.Link != nil {
-				info.ForwardingOn = append(info.ForwardingOn, ifc.Link.Name)
-			}
-		}
-		sort.Strings(info.ForwardingOn)
-		out = append(out, info)
 	}
 	return out
+}
+
+// Entry implements engine.MulticastEngine: the (*,G) entry of group, as
+// Entries gives it, when src is unspecified and the group has aggregated
+// state. A proxy holds no (S,G) entries.
+func (p *Proxy) Entry(src, group ipv6.Addr) (engine.SGInfo, bool) {
+	st := p.groups[group]
+	if !src.IsUnspecified() || st == nil || st.aggregate() == 0 {
+		return engine.SGInfo{}, false
+	}
+	info := engine.SGInfo{Group: group, Upstream: p.Cfg.Upstream}
+	for ifc := range st.ifaces {
+		if ifc.Link != nil {
+			info.ForwardingOn = append(info.ForwardingOn, ifc.Link.Name)
+		}
+	}
+	sort.Strings(info.ForwardingOn)
+	return info, true
 }
 
 // MulticastStats implements engine.MulticastEngine.

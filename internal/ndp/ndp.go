@@ -189,6 +189,10 @@ type Host struct {
 
 	current map[*netem.Interface]ipv6.Addr // current prefix per iface
 	formed  map[*netem.Interface]ipv6.Addr // SLAAC address we configured
+
+	// solicitation is the Router Solicitation last sent. Like a router's
+	// advertisement it is re-sent as it is until its source changes.
+	solicitation *ipv6.Packet
 }
 
 // NewHost installs the host machine on node. It immediately solicits on
@@ -215,13 +219,14 @@ func (h *Host) Addr(ifc *netem.Interface) ipv6.Addr { return h.formed[ifc] }
 
 // solicit sends a Router Solicitation to speed up prefix discovery.
 func (h *Host) solicit(ifc *netem.Interface) {
-	src := ifc.LinkLocal()
-	pkt := &ipv6.Packet{
-		Hdr:     ipv6.Header{Src: src, Dst: ipv6.AllRouters, HopLimit: 255},
-		Proto:   ipv6.ProtoICMPv6,
-		Payload: icmpv6.Marshal(src, ipv6.AllRouters, icmpv6.RouterSolicit{}),
+	if src := ifc.LinkLocal(); h.solicitation == nil || h.solicitation.Hdr.Src != src {
+		h.solicitation = &ipv6.Packet{
+			Hdr:     ipv6.Header{Src: src, Dst: ipv6.AllRouters, HopLimit: 255},
+			Proto:   ipv6.ProtoICMPv6,
+			Payload: icmpv6.Marshal(src, ipv6.AllRouters, icmpv6.RouterSolicit{}),
+		}
 	}
-	_ = h.Node.OutputOn(ifc, pkt)
+	_ = h.Node.OutputOn(ifc, h.solicitation)
 }
 
 func (h *Host) handleAdvert(rx netem.RxPacket, m icmpv6.Msg) {

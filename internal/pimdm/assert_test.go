@@ -111,15 +111,13 @@ func TestDownstreamFollowsAssertWinner(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					switch m := msg.(type) {
-					case *pimdm.JoinPrune:
-						if m.Kind == pimdm.TypeJoinPrune && len(m.Groups) > 0 && len(m.Groups[0].Prunes) > 0 {
+					switch msg.Type {
+					case pimdm.TypeJoinPrune:
+						if m := msg.JoinPrune; len(m.Groups) > 0 && len(m.Groups[0].Prunes) > 0 {
 							targets = append(targets, m.UpstreamNeighbor)
 						}
-					case *pimdm.Declaration:
-						if m.Kind == pimdm.TypeNoInterest {
-							targets = append(targets, m.Target)
-						}
+					case pimdm.TypeNoInterest:
+						targets = append(targets, msg.Decl.Target)
 					}
 				})
 

@@ -147,8 +147,9 @@ type Hooks[E, D any] struct {
 	// a neighbour said goodbye or timed out.
 	NeighborRestarted, NeighborUp, NeighborDown func(ifc *netem.Interface, nb *Neighbor)
 	// Message dispatches the engine's own messages (anything but Hello
-	// and Assert).
-	Message func(ifc *netem.Interface, src ipv6.Addr, msg Message)
+	// and Assert). The message comes by value, so receiving it allocates
+	// nothing.
+	Message func(ifc *netem.Interface, src ipv6.Addr, m Msg)
 }
 
 // Core is the dense-mode machinery both engines share; see the comment
@@ -178,9 +179,18 @@ type Core[E, D any] struct {
 	// behalf of mobile nodes).
 	localMembers map[ipv6.Addr]map[*netem.Interface]int
 
-	hellos map[*netem.Interface]*sim.Ticker
+	hellos map[*netem.Interface]*helloState
 
 	closed bool
+}
+
+// helloState is one interface's Hello ticker and the Hello it last sent.
+// Packets on links are immutable (DESIGN.md §5.1), so the same packet
+// goes out on every tick until its source or contents change.
+type helloState struct {
+	ticker *sim.Ticker
+	pkt    *ipv6.Packet
+	msg    Hello
 }
 
 // Start runs the core on node: fwd (the engine embedding c) becomes the
@@ -195,7 +205,7 @@ func (c *Core[E, D]) Start(fwd netem.MulticastForwarder, node *netem.Node, routi
 	c.neighbors = map[*netem.Interface]map[ipv6.Addr]*Neighbor{}
 	c.entries = map[SG]*Entry[E, D]{}
 	c.localMembers = map[ipv6.Addr]map[*netem.Interface]int{}
-	c.hellos = map[*netem.Interface]*sim.Ticker{}
+	c.hellos = map[*netem.Interface]*helloState{}
 	node.Forwarder = fwd
 	node.HandleProto(ipv6.ProtoPIM, c.handlePIM)
 	s := node.Sched()
@@ -223,8 +233,8 @@ func (c *Core[E, D]) Close() {
 		return
 	}
 	c.closed = true
-	for _, t := range c.hellos {
-		t.Stop()
+	for _, h := range c.hellos {
+		h.ticker.Stop()
 	}
 	for _, nbrs := range c.neighbors {
 		for _, nb := range nbrs {
@@ -238,7 +248,7 @@ func (c *Core[E, D]) Close() {
 			c.deleteEntry(ent)
 		}
 	}
-	c.hellos = map[*netem.Interface]*sim.Ticker{}
+	c.hellos = map[*netem.Interface]*helloState{}
 	c.neighbors = map[*netem.Interface]map[ipv6.Addr]*Neighbor{}
 	c.localMembers = map[ipv6.Addr]map[*netem.Interface]int{}
 }
@@ -295,9 +305,9 @@ func (c *Core[E, D]) startIface(ifc *netem.Interface) {
 	ifc.JoinGroup(ipv6.AllPIMRouters)
 	c.neighbors[ifc] = map[ipv6.Addr]*Neighbor{}
 	s := c.Node.Sched()
-	c.hellos[ifc] = sim.NewTicker(s, c.params.HelloInterval, c.params.HelloInterval/10, func() {
+	c.hellos[ifc] = &helloState{ticker: sim.NewTicker(s, c.params.HelloInterval, c.params.HelloInterval/10, func() {
 		c.sendHello(ifc)
-	})
+	})}
 	// Triggered hello on startup, with small jitter.
 	s.Schedule(s.Jitter("pimdm-hello", 100*time.Millisecond), func() { c.sendHello(ifc) })
 }
@@ -309,24 +319,43 @@ func (c *Core[E, D]) SendPIM(ifc *netem.Interface, dst ipv6.Addr, msg Message) {
 	if !ifc.Up() {
 		return
 	}
-	src := ifc.LinkLocal()
+	if pkt, err := packet(ifc.LinkLocal(), dst, msg); err == nil {
+		_ = c.Node.OutputOn(ifc, pkt)
+	}
+}
+
+// packet builds the PIM packet carrying msg from src to dst.
+func packet(src, dst ipv6.Addr, msg Message) (*ipv6.Packet, error) {
 	body, err := Marshal(src, dst, msg)
 	if err != nil {
-		return
+		return nil, err
 	}
-	pkt := &ipv6.Packet{
+	return &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: src, Dst: dst, HopLimit: 1},
 		Proto:   ipv6.ProtoPIM,
 		Payload: body,
-	}
-	_ = c.Node.OutputOn(ifc, pkt)
+	}, nil
 }
 
+// sendHello sends ifc's Hello, built again only when the interface's
+// link-local address or the Hello's holdtime or Generation ID changed
+// since the last one.
 func (c *Core[E, D]) sendHello(ifc *netem.Interface) {
 	if c.closed {
 		return
 	}
-	c.SendPIM(ifc, ipv6.AllPIMRouters, &Hello{Holdtime: c.params.HelloHoldtime, GenID: c.params.GenID})
+	if h := c.hellos[ifc]; h != nil && ifc.Up() {
+		src := ifc.LinkLocal()
+		msg := Hello{Holdtime: c.params.HelloHoldtime, GenID: c.params.GenID}
+		if h.pkt == nil || h.pkt.Hdr.Src != src || h.msg != msg {
+			pkt, err := packet(src, ipv6.AllPIMRouters, &msg)
+			if err != nil {
+				return
+			}
+			h.pkt, h.msg = pkt, msg
+		}
+		_ = c.Node.OutputOn(ifc, h.pkt)
+	}
 	c.Stats.HellosSent++
 }
 
@@ -334,20 +363,20 @@ func (c *Core[E, D]) handlePIM(rx netem.RxPacket) {
 	if c.closed {
 		return
 	}
-	msg, err := Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
+	m, err := Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
 	if err != nil {
 		return
 	}
 	s := c.Node.Sched()
 	prev := s.PushTag(c.params.Tag)
 	defer s.PopTag(prev)
-	switch m := msg.(type) {
-	case *Hello:
-		c.onHello(rx.Iface, rx.Pkt.Hdr.Src, m)
-	case *Assert:
-		c.onAssert(rx.Iface, rx.Pkt.Hdr.Src, m)
+	switch m.Type {
+	case TypeHello:
+		c.onHello(rx.Iface, rx.Pkt.Hdr.Src, &m.Hello)
+	case TypeAssert:
+		c.onAssert(rx.Iface, rx.Pkt.Hdr.Src, &m.Assert)
 	default:
-		c.hooks.Message(rx.Iface, rx.Pkt.Hdr.Src, msg)
+		c.hooks.Message(rx.Iface, rx.Pkt.Hdr.Src, m)
 	}
 }
 
@@ -604,33 +633,47 @@ func (c *Core[E, D]) EntryCount() int { return len(c.entries) }
 // Entries snapshots all (S,G) state, sorted for determinism.
 func (c *Core[E, D]) Entries() []engine.SGInfo {
 	out := make([]engine.SGInfo, 0, len(c.entries))
-	for key, ent := range c.entries {
-		info := engine.SGInfo{Source: key.Source, Group: key.Group}
-		info.PrunedUpstream, info.GraftPending = c.hooks.Upstream(ent)
-		if ent.Upstream != nil {
-			info.Upstream = ent.Upstream.Link.Name
-		}
-		for ifc, ds := range ent.Down {
-			if !ifc.Up() {
-				continue
-			}
-			// shouldForward first: local membership overrides withdrawn
-			// neighbor demand on the data path, so the snapshot must agree
-			// with what ForwardMulticast actually does.
-			if c.shouldForward(ds) {
-				info.ForwardingOn = append(info.ForwardingOn, ifc.Link.Name)
-			} else if ds.assertLoser || c.hooks.DownState(ds) == "pruned" {
-				info.PrunedOn = append(info.PrunedOn, ifc.Link.Name)
-			}
-		}
-		slices.Sort(info.ForwardingOn)
-		slices.Sort(info.PrunedOn)
-		out = append(out, info)
+	for _, ent := range c.entries {
+		out = append(out, c.info(ent))
 	}
 	slices.SortFunc(out, func(a, b engine.SGInfo) int {
 		return compareSG(SG{a.Source, a.Group}, SG{b.Source, b.Group})
 	})
 	return out
+}
+
+// Entry snapshots the (src, group) entry as Entries does, if there is one.
+func (c *Core[E, D]) Entry(src, group ipv6.Addr) (engine.SGInfo, bool) {
+	ent, ok := c.entries[SG{src, group}]
+	if !ok {
+		return engine.SGInfo{}, false
+	}
+	return c.info(ent), true
+}
+
+// info snapshots one entry.
+func (c *Core[E, D]) info(ent *Entry[E, D]) engine.SGInfo {
+	info := engine.SGInfo{Source: ent.Source, Group: ent.Group}
+	info.PrunedUpstream, info.GraftPending = c.hooks.Upstream(ent)
+	if ent.Upstream != nil {
+		info.Upstream = ent.Upstream.Link.Name
+	}
+	for ifc, ds := range ent.Down {
+		if !ifc.Up() {
+			continue
+		}
+		// shouldForward first: local membership overrides withdrawn
+		// neighbor demand on the data path, so the snapshot must agree
+		// with what ForwardMulticast actually does.
+		if c.shouldForward(ds) {
+			info.ForwardingOn = append(info.ForwardingOn, ifc.Link.Name)
+		} else if ds.assertLoser || c.hooks.DownState(ds) == "pruned" {
+			info.PrunedOn = append(info.PrunedOn, ifc.Link.Name)
+		}
+	}
+	slices.Sort(info.ForwardingOn)
+	slices.Sort(info.PrunedOn)
+	return info
 }
 
 // shouldForward: the interface is in the outgoing list if it has local MLD

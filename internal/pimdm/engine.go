@@ -222,19 +222,16 @@ func (e *Engine) entryDeleted(ent *sgEntry) {
 	}
 }
 
-func (e *Engine) handleMessage(ifc *netem.Interface, src ipv6.Addr, msg Message) {
-	switch m := msg.(type) {
-	case *JoinPrune:
-		switch m.Kind {
-		case TypeJoinPrune:
-			e.onJoinPrune(ifc, src, m)
-		case TypeGraft:
-			e.onGraft(ifc, src, m)
-		case TypeGraftAck:
-			e.onGraftAck(ifc, src, m)
-		}
-	case *StateRefresh:
-		e.onStateRefresh(ifc, m)
+func (e *Engine) handleMessage(ifc *netem.Interface, src ipv6.Addr, m Msg) {
+	switch m.Type {
+	case TypeJoinPrune:
+		e.onJoinPrune(ifc, src, &m.JoinPrune)
+	case TypeGraft:
+		e.onGraft(ifc, src, &m.JoinPrune)
+	case TypeGraftAck:
+		e.onGraftAck(ifc, src, &m.JoinPrune)
+	case TypeStateRefresh:
+		e.onStateRefresh(ifc, &m.StateRefresh)
 	}
 }
 

@@ -683,7 +683,7 @@ func TestHelloPacketShape(t *testing.T) {
 			t.Errorf("unparseable PIM on wire: %v", err)
 			return
 		}
-		if _, ok := msg.(*pimdm.Hello); !ok {
+		if msg.Type != pimdm.TypeHello {
 			return
 		}
 		checked = true

@@ -46,49 +46,46 @@ type StateRefresh struct {
 // PIMType implements Message.
 func (*StateRefresh) PIMType() uint8 { return TypeStateRefresh }
 
-func (sr *StateRefresh) body() ([]byte, error) {
-	b := putEncodedGroup(nil, sr.Group)
+func (sr *StateRefresh) appendBody(b []byte) []byte {
+	b = putEncodedGroup(b, sr.Group)
 	b = putEncodedUnicast(b, sr.Source)
 	b = putEncodedUnicast(b, sr.Originator)
-	var w [12]byte
-	binary.BigEndian.PutUint32(w[0:4], sr.MetricPreference&0x7fffffff)
-	binary.BigEndian.PutUint32(w[4:8], sr.Metric)
-	w[8] = sr.TTL
+	b = binary.BigEndian.AppendUint32(b, sr.MetricPreference&0x7fffffff)
+	b = binary.BigEndian.AppendUint32(b, sr.Metric)
+	var flags byte
 	if sr.PruneIndicator {
-		w[9] = 0x80
+		flags = 0x80
 	}
 	secs := sr.Interval / time.Second
 	if secs > 255 {
 		secs = 255
 	}
-	w[10] = byte(secs)
-	return append(b, w[:]...), nil
+	return append(b, sr.TTL, flags, byte(secs), 0)
 }
 
-func parseStateRefresh(b []byte) (*StateRefresh, error) {
-	sr := &StateRefresh{}
+func (sr *StateRefresh) parse(b []byte) error {
 	var err error
 	sr.Group, b, err = getEncodedGroup(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sr.Source, b, err = getEncodedUnicast(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sr.Originator, b, err = getEncodedUnicast(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) != 12 {
-		return nil, fmt.Errorf("pimdm: state refresh tail is %d bytes", len(b))
+		return fmt.Errorf("pimdm: state refresh tail is %d bytes", len(b))
 	}
 	sr.MetricPreference = binary.BigEndian.Uint32(b[0:4]) & 0x7fffffff
 	sr.Metric = binary.BigEndian.Uint32(b[4:8])
 	sr.TTL = b[8]
 	sr.PruneIndicator = b[9]&0x80 != 0
 	sr.Interval = time.Duration(b[10]) * time.Second
-	return sr, nil
+	return nil
 }
 
 // startStateRefresh arms per-entry origination on the first-hop router.

@@ -16,7 +16,7 @@ var (
 	wS     = ipv6.MustParseAddr("2001:db8:1::10")
 )
 
-func wireRoundtrip(t *testing.T, msg Message) Message {
+func wireRoundtrip(t *testing.T, msg Message) Msg {
 	t.Helper()
 	b, err := Marshal(wSrc, wDst, msg)
 	if err != nil {
@@ -31,12 +31,12 @@ func wireRoundtrip(t *testing.T, msg Message) Message {
 
 func TestHelloRoundtrip(t *testing.T) {
 	h := &Hello{Holdtime: 105 * time.Second}
-	got := wireRoundtrip(t, h).(*Hello)
+	got := wireRoundtrip(t, h).Hello
 	if got.Holdtime != 105*time.Second {
 		t.Errorf("holdtime = %v", got.Holdtime)
 	}
 	// Goodbye hello.
-	got = wireRoundtrip(t, &Hello{}).(*Hello)
+	got = wireRoundtrip(t, &Hello{}).Hello
 	if got.Holdtime != 0 {
 		t.Errorf("goodbye holdtime = %v", got.Holdtime)
 	}
@@ -60,8 +60,8 @@ func TestJoinPruneRoundtrip(t *testing.T) {
 				},
 			},
 		}
-		got := wireRoundtrip(t, m).(*JoinPrune)
-		if !reflect.DeepEqual(got, m) {
+		got := wireRoundtrip(t, m).JoinPrune
+		if !reflect.DeepEqual(&got, m) {
 			t.Errorf("kind %d: roundtrip\n got %+v\nwant %+v", kind, got, m)
 		}
 	}
@@ -69,7 +69,7 @@ func TestJoinPruneRoundtrip(t *testing.T) {
 
 func TestJoinPruneEmptyGroups(t *testing.T) {
 	m := &JoinPrune{Kind: TypeJoinPrune, UpstreamNeighbor: wSrc, Holdtime: time.Minute}
-	got := wireRoundtrip(t, m).(*JoinPrune)
+	got := wireRoundtrip(t, m).JoinPrune
 	if len(got.Groups) != 0 {
 		t.Errorf("phantom groups: %+v", got.Groups)
 	}
@@ -83,13 +83,13 @@ func TestAssertRoundtrip(t *testing.T) {
 		MetricPreference: 101,
 		Metric:           4,
 	}
-	got := wireRoundtrip(t, a).(*Assert)
-	if !reflect.DeepEqual(got, a) {
+	got := wireRoundtrip(t, a).Assert
+	if got != *a {
 		t.Errorf("roundtrip %+v != %+v", got, a)
 	}
 	// Preference must survive masking of the R bit.
 	a = &Assert{Group: wGroup, Source: wS, MetricPreference: 0x7fffffff, Metric: 0xffffffff}
-	got = wireRoundtrip(t, a).(*Assert)
+	got = wireRoundtrip(t, a).Assert
 	if got.MetricPreference != 0x7fffffff || got.RPTBit {
 		t.Errorf("pref/R = %d/%v", got.MetricPreference, got.RPTBit)
 	}
@@ -203,7 +203,7 @@ func TestQuickJoinPruneRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got, m)
+		return reflect.DeepEqual(&got.JoinPrune, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestQuickAssertRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got, a)
+		return got.Assert == *a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestQuickStateRefreshRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got, sr)
+		return got.StateRefresh == *sr
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -311,13 +311,13 @@ func TestStateRefreshWireRoundtrip(t *testing.T) {
 		PruneIndicator:   true,
 		Interval:         60 * time.Second,
 	}
-	got := wireRoundtrip(t, sr).(*StateRefresh)
-	if !reflect.DeepEqual(got, sr) {
+	got := wireRoundtrip(t, sr).StateRefresh
+	if got != *sr {
 		t.Fatalf("roundtrip\n got %+v\nwant %+v", got, sr)
 	}
 	// Interval clamps at 255 s on the wire.
 	sr2 := &StateRefresh{Group: wGroup, Source: wS, Originator: wS, TTL: 1, Interval: time.Hour}
-	got2 := wireRoundtrip(t, sr2).(*StateRefresh)
+	got2 := wireRoundtrip(t, sr2).StateRefresh
 	if got2.Interval != 255*time.Second {
 		t.Fatalf("interval = %v, want clamp to 255s", got2.Interval)
 	}

@@ -131,20 +131,24 @@ func detail(kind Kind, pkt *ipv6.Packet) (Kind, string) {
 		if err != nil {
 			return KindPIMBad, ""
 		}
-		switch m := msg.(type) {
-		case *pimdm.Hello:
-			return kind, fmt.Sprintf("holdtime=%s", m.Holdtime)
-		case *pimdm.Assert:
+		switch msg.Type {
+		case pimdm.TypeHello:
+			return kind, fmt.Sprintf("holdtime=%s", msg.Hello.Holdtime)
+		case pimdm.TypeAssert:
+			m := msg.Assert
 			return kind, fmt.Sprintf("src=%s grp=%s metric=%d/%d", m.Source, m.Group, m.MetricPreference, m.Metric)
-		case *pimdm.StateRefresh:
+		case pimdm.TypeStateRefresh:
+			m := msg.StateRefresh
 			p := ""
 			if m.PruneIndicator {
 				p = " P"
 			}
 			return kind, fmt.Sprintf("src=%s grp=%s ttl=%d%s", m.Source, m.Group, m.TTL, p)
-		case *pimdm.Declaration:
+		case pimdm.TypeInterest, pimdm.TypeNoInterest, pimdm.TypeDeclAck:
+			m := msg.Decl
 			return kind, fmt.Sprintf("to=%s seq=%d src=%s grp=%s", m.Target, m.Seq, m.Source, m.Group)
-		case *pimdm.JoinPrune:
+		case pimdm.TypeJoinPrune, pimdm.TypeGraft, pimdm.TypeGraftAck:
+			m := msg.JoinPrune
 			nj, np := 0, 0
 			for _, g := range m.Groups {
 				nj += len(g.Joins)
