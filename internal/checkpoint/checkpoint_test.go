@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,46 @@ func TestArtifactRoundTripAndDigest(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(tampered)); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("tampered artifact not rejected: %v", err)
+	}
+}
+
+// Save and Load round-trip an artifact through a file: the loaded
+// checkpoint keeps its digest and still verifies against the network it
+// was captured from, and a file with one byte flipped fails Load on the
+// digest.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	f := buildFig1(3, 5*time.Second)
+	cp := Capture(f, Meta{Experiment: "fig1", Seed: 3})
+	path := filepath.Join(t.TempDir(), "warm.json")
+	if err := cp.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	back, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if back.Digest != cp.Digest {
+		t.Fatalf("Load gives digest %s, Save wrote %s", back.Digest, cp.Digest)
+	}
+	if err := Verify(f, back); err != nil {
+		t.Fatalf("loaded checkpoint does not verify against its network: %v", err)
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, []byte(`"fig1"`))
+	if i < 0 {
+		t.Fatal("experiment name not found in the artifact")
+	}
+	b[i+1] ^= 0x20 // "fig1" becomes "Fig1": still JSON, no longer the digested artifact
+	bad := filepath.Join(t.TempDir(), "flipped.json")
+	if err := os.WriteFile(bad, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("Load of a flipped byte: want the digest error, got %v", err)
 	}
 }
 
