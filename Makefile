@@ -19,7 +19,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet race
+# The full pre-merge gate, the one CI runs: build, vet, gofmt, the race
+# suite, the alloc gates, the examples and the fuzz, determinism, http and
+# daemon smokes.
+check:
+	./scripts/check.sh
 
 # Benchmark evidence for the data-plane fast path: the Figure 1 macro run
 # (events/sec, B/op, allocs/op end to end), the PR5 procedural-topology

@@ -24,12 +24,12 @@ import (
 // the same shape obs_integration_test.go uses as its determinism oracle.
 func buildFigure1(opt scenario.Options, moveAt time.Duration) *scenario.Network {
 	approach := mip6mcast.BidirectionalTunnel
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
+	opt.ResendOnMove = core.RecommendedHostMLD(approach, opt.ResendOnMove)
 	f := scenario.NewFigure1(opt)
 	svcs := map[string]*core.Service{}
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]
-		svcs[name] = core.NewService(h.MN, h.MLD, approach, opt.MLD)
+		svcs[name] = core.NewService(h.MN, h.MLD, approach)
 	}
 	for _, r := range []string{"R1", "R2", "R3"} {
 		svcs[r].Join(scenario.Group)

@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		approachName = flag.String("approach", "bidir", "local | bidir | mn2ha | ha2mn, or any registered approach name/alias (e.g. proxy)")
+		approachName = flag.String("approach", "bidir", "approach: "+strings.Join(core.ApproachNames(), ", ")+" (or alias "+strings.Join(core.ApproachAliases(), "/")+")")
 		kinds        = flag.String("kinds", "", "comma-separated event kinds to keep (empty = all)")
 		duration     = flag.Duration("duration", 150*time.Second, "total virtual time")
 		moveReceiver = flag.Duration("move-receiver", 30*time.Second, "when R3 moves to Link 6 (0 = never)")
@@ -60,21 +60,10 @@ func main() {
 		return
 	}
 
-	// Legacy short names keep working; anything else resolves through the
-	// approach registry, so proxy-hierarchy (and future registrations)
-	// trace without this map growing.
-	approach, ok := map[string]mip6mcast.Approach{
-		"local": mip6mcast.LocalMembership,
-		"bidir": mip6mcast.BidirectionalTunnel,
-		"mn2ha": mip6mcast.UniTunnelMNToHA,
-		"ha2mn": mip6mcast.UniTunnelHAToMN,
-	}[*approachName]
+	approach, ok := mip6mcast.ApproachByName(*approachName)
 	if !ok {
-		approach, ok = mip6mcast.ApproachByName(*approachName)
-	}
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown approach %q (want local, bidir, mn2ha, ha2mn, or a registered name: %s)\n",
-			*approachName, strings.Join(core.ApproachNames(), ", "))
+		fmt.Fprintf(os.Stderr, "unknown approach %q (want a registered name: %s; or alias: %s)\n",
+			*approachName, strings.Join(core.ApproachNames(), ", "), strings.Join(core.ApproachAliases(), ", "))
 		os.Exit(2)
 	}
 	if *format != "text" && *format != "jsonl" && *format != "perfetto" {

@@ -21,10 +21,11 @@ import (
 )
 
 func main() {
-	opt := scenario.DefaultOptions().WithMLD(mld.FastConfig(30 * time.Second))
+	opt := scenario.DefaultOptions()
+	opt.MLD = mld.FastConfig(30 * time.Second)
 	// The stationary hosts in this scenario don't need unsolicited
 	// re-reports; the roaming receiver's membership travels via its HA.
-	opt.HostMLD.ResendOnMove = false
+	opt.ResendOnMove = false
 	f := scenario.NewFigure1(opt)
 
 	// Two dedicated HA boxes on Link 4 (R3's home link) behind one service
@@ -50,7 +51,7 @@ func main() {
 	// through the tunnel.
 	r3 := f.Hosts["R3"]
 	r3.MN.Config.HomeAgent = service
-	svc := core.NewService(r3.MN, r3.MLD, core.UniTunnelHAToMN, opt.MLD)
+	svc := core.NewService(r3.MN, r3.MLD, core.UniTunnelHAToMN)
 	svc.Join(scenario.Group)
 
 	received := 0
@@ -60,7 +61,7 @@ func main() {
 
 	// Static sender on Link 1.
 	s := f.Hosts["S"]
-	sSvc := core.NewService(s.MN, s.MLD, core.LocalMembership, opt.MLD)
+	sSvc := core.NewService(s.MN, s.MLD, core.LocalMembership)
 	scenario.NewCBR(f.Sched, 1, 100*time.Millisecond, 64, func(p []byte) {
 		sSvc.Send(scenario.Group, p)
 	})

@@ -83,7 +83,7 @@ type F2Result struct {
 // pruned Link 6. unsolicitedReports selects the paper's recommended
 // optimization; with it off the receiver waits for the next MLD Query.
 func measureF2(opt Options, unsolicitedReports bool, approach Approach) F2Result {
-	opt.HostMLD.ResendOnMove = unsolicitedReports
+	opt.ResendOnMove = unsolicitedReports
 	r := NewRun(opt, approach, 100*time.Millisecond, 64)
 	l4 := r.WatchLink("L4")
 	// Run past the MLD startup-query phase so the no-unsolicited join path

@@ -57,13 +57,13 @@ func runSMGOne(opt Options, nGroups int, approach Approach) SMGPoint {
 
 	// R3 subscribes to everything.
 	r3 := f.Hosts["R3"]
-	svc := core.NewService(r3.MN, r3.MLD, approach, opt.MLD)
+	svc := core.NewService(r3.MN, r3.MLD, approach)
 	for _, g := range groups {
 		svc.Join(g)
 	}
 	// Sender S cycles across groups, one datagram per 20 ms.
 	s := f.Hosts["S"]
-	sSvc := core.NewService(s.MN, s.MLD, LocalMembership, opt.MLD)
+	sSvc := core.NewService(s.MN, s.MLD, LocalMembership)
 	seq := 0
 	sim.NewTicker(f.Sched, 20*time.Millisecond, 0, func() {
 		seq++

@@ -46,7 +46,7 @@ func runSLDOne(opt Options, depth int, tunnel bool) SLDPoint {
 	// Sender and the mobile receiver's home on link 0.
 	f.AddHost("src", "K0", 0x9001)
 	m := f.AddHost("m", "K0", 0x9002)
-	svc := core.NewService(m.MN, m.MLD, approach, opt.MLD)
+	svc := core.NewService(m.MN, m.MLD, approach)
 	svc.Join(scenario.Group)
 
 	probe := metrics.NewFlowProbe("m")

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mip6mcast/internal/metrics"
+	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
 )
 
@@ -61,7 +62,7 @@ func runSMTUOne(opt Options, payload int, lossRate float64) SMTUPoint {
 		PayloadBytes: payload,
 		InnerFrame:   innerFrame,
 		OuterFrame:   outerFrame,
-		Fragmented:   opt.LinkMTU > 0 && outerFrame > opt.LinkMTU,
+		Fragmented:   outerFrame > scenario.LinkMTU,
 	}
 	if sent > 0 {
 		point.TunnelFramesPerDgram = float64(l5.Frames[metrics.ClassTunnel]-framesStart) / float64(sent)

@@ -110,7 +110,7 @@ func ChaosOptions(base Options) Options { return chaosTune(base) }
 // heals without waiting out PruneHoldtime re-floods (lost override Joins
 // and crashed-router state both recover through refresh rounds).
 func chaosTune(opt Options) Options {
-	opt = opt.WithMLD(mld.FastConfig(10 * time.Second))
+	opt.MLD = mld.FastConfig(10 * time.Second)
 	opt.PIM.StateRefreshInterval = 20 * time.Second
 	return opt
 }
@@ -237,11 +237,7 @@ func finishChaos(r *Run, cell chaosCell, tracedir string) ChaosOutcome {
 	}
 
 	vs := check.Converged(f, expct)
-	retry := opt.PIM.GraftRetry
-	if retry == 0 {
-		retry = DefaultPIMConfig().GraftRetry
-	}
-	vs = append(vs, check.GraftLiveness(rec.Events(), retry, 2*time.Second, f.Sched.Now())...)
+	vs = append(vs, check.GraftLiveness(rec.Events(), opt.PIM.GraftRetry, 2*time.Second, f.Sched.Now())...)
 
 	out := ChaosOutcome{Cell: cell.name, Engine: opt.EngineName(), Seed: opt.Seed, ConvTime: conv}
 	for _, v := range vs {

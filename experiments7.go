@@ -155,7 +155,7 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 	// Per-MN services; members join the group before time starts.
 	svcs := make([]*core.Service, len(w.MNs))
 	for i, h := range mnHosts {
-		svcs[i] = core.NewService(h.MN, h.MLD, cfg.approach, opt.MLD)
+		svcs[i] = core.NewService(h.MN, h.MLD, cfg.approach)
 	}
 	for i, mn := range w.MNs {
 		if mn.Member {
@@ -245,7 +245,7 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 	// One CBR flow per source (sources are stationary, so the send mode is
 	// the degenerate at-home case under either approach).
 	for s, h := range srcHosts {
-		svc := core.NewService(h.MN, h.MLD, cfg.approach, opt.MLD)
+		svc := core.NewService(h.MN, h.MLD, cfg.approach)
 		// The flow's ticker lives on the source's own region scheduler.
 		scenario.NewCBR(h.Node.Sched(), uint16(s+1), scaleCBRInterval, scaleCBRSize,
 			func(payload []byte) { svc.Send(Group, payload) })
@@ -347,11 +347,7 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 		vs = append(vs, check.GraftsResolved(f)...)
 	}
 	if rec != nil {
-		retry := opt.PIM.GraftRetry
-		if retry == 0 {
-			retry = DefaultPIMConfig().GraftRetry
-		}
-		vs = append(vs, check.GraftLiveness(rec.Events(), retry, 2*time.Second, f.Sched.Now())...)
+		vs = append(vs, check.GraftLiveness(rec.Events(), opt.PIM.GraftRetry, 2*time.Second, f.Sched.Now())...)
 	}
 
 	out := ScaleOutcome{

@@ -77,7 +77,7 @@ func TestF2JoinAndLeaveDelays(t *testing.T) {
 		t.Errorf("join delay with unsolicited reports = %v", fast.JoinDelay)
 	}
 	// Leave delay is bounded by T_MLI = 260s and should approach it.
-	tmli := DefaultMLDConfig().ListenerInterval()
+	tmli := DefaultOptions().MLD.ListenerInterval()
 	if fast.LeaveDelay > tmli+10*time.Second {
 		t.Errorf("leave delay %v exceeds T_MLI %v", fast.LeaveDelay, tmli)
 	}
@@ -97,7 +97,8 @@ func TestF2JoinAndLeaveDelays(t *testing.T) {
 	if slow.JoinDelay < 5*time.Second {
 		t.Errorf("join delay without unsolicited reports = %v; should wait for a Query", slow.JoinDelay)
 	}
-	maxJoin := DefaultMLDConfig().QueryInterval + DefaultMLDConfig().MaxResponseDelay + 5*time.Second
+	mldCfg := DefaultOptions().MLD
+	maxJoin := mldCfg.QueryInterval + mldCfg.MaxResponseDelay + 5*time.Second
 	if slow.JoinDelay > maxJoin {
 		t.Errorf("join delay %v exceeds T_Query+T_RespDel bound %v", slow.JoinDelay, maxJoin)
 	}

@@ -13,12 +13,12 @@ import (
 func secs(n int) time.Duration { return time.Duration(n) * time.Second }
 
 // approachOptions applies an approach's build settings to opt: the host
-// MLD configuration core.RecommendedHostMLD gives it, and for
+// ResendOnMove setting core.RecommendedHostMLD gives it, and for
 // proxy-hierarchy builds without a configured plan the depth 2 that peels
 // Figure 1 (and any tree-shaped procedural topology) into its edge proxy
 // domains via topo.AutoProxyDomains.
 func approachOptions(opt scenario.Options, approach Approach) scenario.Options {
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
+	opt.ResendOnMove = core.RecommendedHostMLD(approach, opt.ResendOnMove)
 	if approach.Receive == core.ReceiveProxy && opt.ProxyDepth == 0 {
 		opt.ProxyDepth = 2
 	}
@@ -93,7 +93,7 @@ func NewRun(opt scenario.Options, approach Approach, cbrInterval time.Duration, 
 	// Host services.
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]
-		r.Services[name] = core.NewService(h.MN, h.MLD, approach, opt.MLD)
+		r.Services[name] = core.NewService(h.MN, h.MLD, approach)
 	}
 
 	// Receivers join and get probes.
@@ -117,7 +117,7 @@ func NewRun(opt scenario.Options, approach Approach, cbrInterval time.Duration, 
 // with a core service under the run's approach and a delivery probe.
 func (r *Run) AddMobileReceiver(name, homeLink string, iid uint64) *core.Service {
 	h := r.F.AddHost(name, homeLink, iid)
-	svc := core.NewService(h.MN, h.MLD, r.Approach, r.F.Opt.MLD)
+	svc := core.NewService(h.MN, h.MLD, r.Approach)
 	r.Services[name] = svc
 	probe := metrics.NewFlowProbe(name)
 	r.Probes[name] = probe

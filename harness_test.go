@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mip6mcast/internal/metrics"
+	"mip6mcast/internal/mld"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
 )
@@ -38,12 +39,54 @@ func TestNewRunWiring(t *testing.T) {
 func TestRunApproachAdaptsHostMLD(t *testing.T) {
 	// Tunnel-receive approaches must not re-report on foreign links.
 	r := NewRun(DefaultOptions(), BidirectionalTunnel, 100*time.Millisecond, 64)
-	if r.F.Opt.HostMLD.ResendOnMove {
+	if r.F.Opt.ResendOnMove {
 		t.Fatal("ResendOnMove left enabled for tunnel reception")
 	}
 	r2 := NewRun(DefaultOptions(), LocalMembership, 100*time.Millisecond, 64)
-	if !r2.F.Opt.HostMLD.ResendOnMove {
+	if !r2.F.Opt.ResendOnMove {
 		t.Fatal("ResendOnMove disabled for local membership")
+	}
+}
+
+// Options.MLD is the one MLD timer set: setting it, and nothing else,
+// retunes every querier, host listener, home-agent service and proxy host
+// role of a proxy-hierarchy Figure 1 build. FastMLDOptions sets only it.
+func TestOneMLDTimerSetReachesEveryRole(t *testing.T) {
+	opt := DefaultOptions()
+	opt.MLD = mld.FastConfig(7 * time.Second)
+	if opt.MLD == DefaultOptions().MLD {
+		t.Fatal("FastConfig(7s) equals the default timer set; the test would prove nothing")
+	}
+	if fast := FastMLDOptions(7); fast.MLD != opt.MLD || !fast.ResendOnMove {
+		t.Errorf("FastMLDOptions(7) gives MLD %+v, ResendOnMove %v; want %+v and the default true", fast.MLD, fast.ResendOnMove, opt.MLD)
+	}
+	f := NewRun(opt, ProxyHierarchy, 100*time.Millisecond, 64).F
+	var services, proxies int
+	for _, name := range f.RouterOrder() {
+		r := f.Routers[name]
+		if r.MLD.Config != opt.MLD {
+			t.Errorf("querier %s runs %+v, want %+v", name, r.MLD.Config, opt.MLD)
+		}
+		for _, svc := range r.HAServices {
+			services++
+			if svc.Timers != opt.MLD {
+				t.Errorf("home-agent service on %s runs %+v, want %+v", name, svc.Timers, opt.MLD)
+			}
+		}
+		if px := f.ProxyOf(name); px != nil {
+			proxies++
+			if got := px.Host().Config.Config; got != opt.MLD {
+				t.Errorf("proxy host role on %s runs %+v, want %+v", name, got, opt.MLD)
+			}
+		}
+	}
+	for _, name := range scenario.HostNames() {
+		if got := f.Hosts[name].MLD.Config.Config; got != opt.MLD {
+			t.Errorf("host %s runs %+v, want %+v", name, got, opt.MLD)
+		}
+	}
+	if services == 0 || proxies == 0 {
+		t.Fatalf("build has %d home-agent services and %d proxies; want both", services, proxies)
 	}
 }
 

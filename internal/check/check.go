@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"mip6mcast/internal/engine"
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/netem"
 	"mip6mcast/internal/obs"
@@ -58,13 +59,21 @@ type Expectation struct {
 // healed topology — links up, crashed routers restarted — after enough
 // settle time for the protocols' own convergence horizons (last-listener
 // rounds, graft retries, prune expiry or a State Refresh interval).
+// One Entries snapshot per router serves both the zombie-(S,G) and the
+// graft-pending check.
 func Converged(f *scenario.Network, exp Expectation) []Violation {
-	var out []Violation
-	out = append(out, ForwardingSet(f, exp)...)
-	out = append(out, NoZombies(f, exp)...)
-	out = append(out, GraftsResolved(f)...)
-	out = append(out, ProxyTree(f, exp)...)
-	return out
+	var sgs, grafts []Violation
+	for _, rn := range f.RouterOrder() {
+		entries := f.Routers[rn].Engine.Entries()
+		if _, isP := f.ProxySpec(rn); !isP {
+			sgs = zombieEntries(sgs, f, rn, entries)
+		}
+		grafts = pendingGrafts(grafts, rn, entries)
+	}
+	out := append(ForwardingSet(f, exp), sgs...)
+	out = append(out, zombieMembers(f, exp)...)
+	out = append(out, grafts...)
+	return append(out, ProxyTree(f, exp)...)
 }
 
 // proxyNodes returns the build's proxy plan nodes (empty map when the
@@ -362,29 +371,38 @@ func ForwardingSet(f *scenario.Network, exp Expectation) []Violation {
 // sit, and the binding caches reflect each host's true location.
 func NoZombies(f *scenario.Network, exp Expectation) []Violation {
 	var out []Violation
-
-	proxies := proxyNodes(f)
-
-	// (S,G) entries must agree with the (static) routing domain: an entry
-	// whose recorded upstream is not the router's current RPF link is a
-	// relic of a dead incarnation or a forged message. Proxy routers hold
-	// (*,G) aggregates, not PIM state — ProxyTree owns their checks.
 	for _, rn := range f.RouterOrder() {
-		if _, isP := proxies[rn]; isP {
-			continue
-		}
-		r := f.Routers[rn]
-		for _, info := range r.Engine.Entries() {
-			want := rpfLinkOf(f, r, info.Source)
-			got := info.Upstream
-			if want != got {
-				out = append(out, Violation{
-					Invariant: "zombie-sg", Node: rn,
-					Detail: fmt.Sprintf("(%s,%s) upstream %q but RPF says %q", info.Source, info.Group, got, want),
-				})
-			}
+		if _, isP := f.ProxySpec(rn); !isP {
+			out = zombieEntries(out, f, rn, f.Routers[rn].Engine.Entries())
 		}
 	}
+	return append(out, zombieMembers(f, exp)...)
+}
+
+// zombieEntries appends to out a violation for each of router rn's (S,G)
+// entries that disagrees with the (static) routing domain: an entry whose
+// recorded upstream is not the router's current RPF link is a relic of a
+// dead incarnation or a forged message. Callers skip proxy routers: they
+// hold (*,G) aggregates, not PIM state, and ProxyTree owns their checks.
+func zombieEntries(out []Violation, f *scenario.Network, rn string, entries []engine.SGInfo) []Violation {
+	r := f.Routers[rn]
+	for _, info := range entries {
+		want := rpfLinkOf(f, r, info.Source)
+		if got := info.Upstream; want != got {
+			out = append(out, Violation{
+				Invariant: "zombie-sg", Node: rn,
+				Detail: fmt.Sprintf("(%s,%s) upstream %q but RPF says %q", info.Source, info.Group, got, want),
+			})
+		}
+	}
+	return out
+}
+
+// zombieMembers runs the membership half of NoZombies: listener records
+// and binding caches.
+func zombieMembers(f *scenario.Network, exp Expectation) []Violation {
+	var out []Violation
+	proxies := proxyNodes(f)
 
 	// MLD listener state must match ground truth per link. Proxy joins on
 	// upstream links are ground-truth demand too (the parent's listener
@@ -471,14 +489,20 @@ func NoZombies(f *scenario.Network, exp Expectation) []Violation {
 func GraftsResolved(f *scenario.Network) []Violation {
 	var out []Violation
 	for _, rn := range f.RouterOrder() {
-		r := f.Routers[rn]
-		for _, info := range r.Engine.Entries() {
-			if info.GraftPending {
-				out = append(out, Violation{
-					Invariant: "graft-pending", Node: rn,
-					Detail: fmt.Sprintf("(%s,%s) still awaiting Graft-Ack at quiesce", info.Source, info.Group),
-				})
-			}
+		out = pendingGrafts(out, rn, f.Routers[rn].Engine.Entries())
+	}
+	return out
+}
+
+// pendingGrafts appends to out a violation for each of router rn's
+// entries still awaiting a Graft-Ack.
+func pendingGrafts(out []Violation, rn string, entries []engine.SGInfo) []Violation {
+	for _, info := range entries {
+		if info.GraftPending {
+			out = append(out, Violation{
+				Invariant: "graft-pending", Node: rn,
+				Detail: fmt.Sprintf("(%s,%s) still awaiting Graft-Ack at quiesce", info.Source, info.Group),
+			})
 		}
 	}
 	return out

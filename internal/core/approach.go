@@ -99,9 +99,9 @@ type approachEntry struct {
 // in its numbering (1–4), then the proxy hierarchy.
 var approachRegistry = []approachEntry{
 	{LocalMembership, "local-membership", []string{"local"}},
-	{BidirectionalTunnel, "bidir-tunnel", []string{"tunnel"}},
-	{UniTunnelMNToHA, "uni-tunnel-mn-to-ha", nil},
-	{UniTunnelHAToMN, "uni-tunnel-ha-to-mn", nil},
+	{BidirectionalTunnel, "bidir-tunnel", []string{"tunnel", "bidir"}},
+	{UniTunnelMNToHA, "uni-tunnel-mn-to-ha", []string{"mn2ha"}},
+	{UniTunnelHAToMN, "uni-tunnel-ha-to-mn", []string{"ha2mn"}},
 	{ProxyHierarchy, "proxy-hierarchy", []string{"proxy"}},
 }
 
@@ -124,6 +124,15 @@ func ApproachNames() []string {
 	return out
 }
 
+// ApproachAliases returns every approach alias in registry order.
+func ApproachAliases() []string {
+	var out []string
+	for _, e := range approachRegistry {
+		out = append(out, e.aliases...)
+	}
+	return out
+}
+
 // ApproachByName resolves a canonical name or alias ("local",
 // "tunnel", "proxy") to its approach.
 func ApproachByName(name string) (Approach, bool) {
@@ -140,18 +149,14 @@ func ApproachByName(name string) (Approach, bool) {
 	return Approach{}, false
 }
 
-// String names the approach as the paper does.
+// String names the approach as the paper does: the registry name of its
+// send and receive modes. The home-agent variant is not part of the name,
+// and every proxy receiver is the proxy hierarchy.
 func (a Approach) String() string {
-	switch {
-	case a.Receive == ReceiveProxy:
-		return "proxy-hierarchy"
-	case a.Send == SendLocal && a.Receive == ReceiveLocal:
-		return "local-membership"
-	case a.Send == SendHomeTunnel && a.Receive == ReceiveHomeTunnel:
-		return "bidir-tunnel"
-	case a.Send == SendHomeTunnel && a.Receive == ReceiveLocal:
-		return "uni-tunnel-mn-to-ha"
-	default:
-		return "uni-tunnel-ha-to-mn"
+	for _, e := range approachRegistry {
+		if e.approach.Receive == a.Receive && (e.approach.Send == a.Send || a.Receive == ReceiveProxy) {
+			return e.name
+		}
 	}
+	return "unregistered"
 }

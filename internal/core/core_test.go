@@ -34,9 +34,17 @@ func TestApproachNamesAndTable(t *testing.T) {
 			t.Errorf("Approaches()[%d] = %v, want the paper's numbering prefix %v", i, all[i], a)
 		}
 	}
-	for _, alias := range []string{"local", "tunnel", "proxy", "proxy-hierarchy"} {
+	for _, alias := range []string{"local", "tunnel", "proxy", "proxy-hierarchy", "bidir", "mn2ha", "ha2mn"} {
 		if _, ok := core.ApproachByName(alias); !ok {
 			t.Errorf("alias %q does not resolve", alias)
+		}
+	}
+	// The name ignores the home-agent variant.
+	for i, name := range core.ApproachNames() {
+		a := all[i]
+		a.Variant = core.VariantTunneledMLD
+		if all[i].String() != name || a.String() != name {
+			t.Errorf("approach %d prints %q / %q with tunneled MLD, want %q", i, all[i].String(), a.String(), name)
 		}
 	}
 	if _, ok := core.ApproachByName("nope"); ok {
@@ -51,15 +59,13 @@ func TestApproachNamesAndTable(t *testing.T) {
 }
 
 func TestRecommendedHostMLD(t *testing.T) {
-	base := mld.DefaultHostConfig()
-	if !core.RecommendedHostMLD(core.LocalMembership, base).ResendOnMove {
+	if !core.RecommendedHostMLD(core.LocalMembership, true) {
 		t.Error("local membership should keep unsolicited re-reports")
 	}
-	if core.RecommendedHostMLD(core.BidirectionalTunnel, base).ResendOnMove {
+	if core.RecommendedHostMLD(core.BidirectionalTunnel, true) {
 		t.Error("tunnel reception must not re-report on foreign links")
 	}
-	base.ResendOnMove = false
-	if core.RecommendedHostMLD(core.LocalMembership, base).ResendOnMove {
+	if core.RecommendedHostMLD(core.LocalMembership, false) {
 		t.Error("must not re-enable a disabled knob")
 	}
 }
@@ -72,14 +78,15 @@ type rig struct {
 }
 
 func newRig(seed int64, approach core.Approach) *rig {
-	opt := scenario.DefaultOptions().WithMLD(mld.FastConfig(30 * time.Second))
+	opt := scenario.DefaultOptions()
+	opt.MLD = mld.FastConfig(30 * time.Second)
 	opt.Seed = seed
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
+	opt.ResendOnMove = core.RecommendedHostMLD(approach, opt.ResendOnMove)
 	f := scenario.NewFigure1(opt)
 	r := &rig{f: f, svc: map[string]*core.Service{}}
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]
-		r.svc[name] = core.NewService(h.MN, h.MLD, approach, opt.MLD)
+		r.svc[name] = core.NewService(h.MN, h.MLD, approach)
 	}
 	return r
 }
@@ -331,8 +338,9 @@ func TestHAServiceWithPlainMLDHost(t *testing.T) {
 	// The paper's second §4.3.2 scenario: the home agent is NOT the PIM
 	// router. Build it explicitly: a dedicated HA box on L4 joins groups
 	// via ordinary MLD toward router D.
-	opt := scenario.DefaultOptions().WithMLD(mld.FastConfig(30 * time.Second))
-	opt.HostMLD.ResendOnMove = false
+	opt := scenario.DefaultOptions()
+	opt.MLD = mld.FastConfig(30 * time.Second)
+	opt.ResendOnMove = false
 	f := scenario.NewFigure1(opt)
 
 	// Dedicated HA node on L4.
@@ -349,11 +357,11 @@ func TestHAServiceWithPlainMLDHost(t *testing.T) {
 	// Mobile node homed on L4 using that HA.
 	h := f.AddHost("M", "L4", 0x4242)
 	h.MN.Config.HomeAgent = haAddr
-	svc := core.NewService(h.MN, h.MLD, core.UniTunnelHAToMN, opt.MLD)
+	svc := core.NewService(h.MN, h.MLD, core.UniTunnelHAToMN)
 
 	// Static sender on L1.
 	sHost := f.Hosts["S"]
-	sSvc := core.NewService(sHost.MN, sHost.MLD, core.LocalMembership, opt.MLD)
+	sSvc := core.NewService(sHost.MN, sHost.MLD, core.LocalMembership)
 	cbr := scenario.NewCBR(f.Sched, 1, 100*time.Millisecond, 64, func(p []byte) {
 		sSvc.Send(scenario.Group, p)
 	})

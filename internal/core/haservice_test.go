@@ -39,8 +39,8 @@ func TestHAServiceMemberGroupsAcrossBindings(t *testing.T) {
 	g2 := ipv6.MustParseAddr("ff0e::222")
 	m1 := r.f.AddHost("M1", "L4", 0x6001)
 	m2 := r.f.AddHost("M2", "L4", 0x6002)
-	s1 := core.NewService(m1.MN, m1.MLD, approach, r.f.Opt.MLD)
-	s2 := core.NewService(m2.MN, m2.MLD, approach, r.f.Opt.MLD)
+	s1 := core.NewService(m1.MN, m1.MLD, approach)
+	s2 := core.NewService(m2.MN, m2.MLD, approach)
 	r.f.Settle()
 	s1.Join(scenario.Group)
 	s2.Join(scenario.Group)

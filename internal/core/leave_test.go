@@ -84,8 +84,8 @@ func TestTunneledLeaveSurvivesLostQueryRound(t *testing.T) {
 	r := newRig(72, approach)
 	m1 := r.f.AddHost("M1", "L4", 0x7001)
 	m2 := r.f.AddHost("M2", "L4", 0x7002)
-	s1 := core.NewService(m1.MN, m1.MLD, approach, r.f.Opt.MLD)
-	s2 := core.NewService(m2.MN, m2.MLD, approach, r.f.Opt.MLD)
+	s1 := core.NewService(m1.MN, m1.MLD, approach)
+	s2 := core.NewService(m2.MN, m2.MLD, approach)
 	r.f.Settle()
 	s1.Join(scenario.Group)
 	s2.Join(scenario.Group)

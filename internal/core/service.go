@@ -18,9 +18,6 @@ type Service struct {
 	MN       *mipv6.MobileNode
 	MLD      *mld.Host
 	Approach Approach
-	// Timers supplies the MLD timer set used for tunneled membership
-	// refresh (VariantTunneledMLD).
-	Timers mld.Config
 
 	// OnMove chains the mobile node's movement events to the application.
 	OnMove func(mipv6.MoveEvent)
@@ -43,12 +40,11 @@ type Service struct {
 
 // NewService wires the service onto a mobile host. It takes over
 // MN.OnMove (chain through Service.OnMove).
-func NewService(mn *mipv6.MobileNode, mldHost *mld.Host, approach Approach, timers mld.Config) *Service {
+func NewService(mn *mipv6.MobileNode, mldHost *mld.Host, approach Approach) *Service {
 	svc := &Service{
 		MN:       mn,
 		MLD:      mldHost,
 		Approach: approach,
-		Timers:   timers,
 		delay:    map[ipv6.Addr]*sim.Timer{},
 	}
 	mn.OnMove = svc.onMove
@@ -56,12 +52,11 @@ func NewService(mn *mipv6.MobileNode, mldHost *mld.Host, approach Approach, time
 	return svc
 }
 
-// RecommendedHostMLD adapts a host MLD configuration to an approach:
-// unsolicited re-Reports on movement only make sense when receiving
-// locally.
-func RecommendedHostMLD(a Approach, base mld.HostConfig) mld.HostConfig {
-	base.ResendOnMove = base.ResendOnMove && a.Receive != ReceiveHomeTunnel
-	return base
+// RecommendedHostMLD adapts a host's ResendOnMove setting to an
+// approach: unsolicited re-Reports on movement only make sense when
+// receiving locally.
+func RecommendedHostMLD(a Approach, resendOnMove bool) bool {
+	return resendOnMove && a.Receive != ReceiveHomeTunnel
 }
 
 // Groups returns the current subscriptions, sorted.

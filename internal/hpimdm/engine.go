@@ -8,7 +8,7 @@
 //
 //   - Every (S,G) interest change toward the upstream neighbor is a
 //     unicast Declaration carrying a per-entry sequence number,
-//     retransmitted every SyncRetry until the neighbor acknowledges it.
+//     retransmitted every GraftRetry until the neighbor acknowledges it.
 //     Acknowledged state never expires; there is no holdtime and no
 //     periodic re-flood.
 //   - Hellos carry a Generation ID. A neighbor restarting (or a healed
@@ -27,7 +27,6 @@
 package hpimdm
 
 import (
-	"fmt"
 	"time"
 
 	"mip6mcast/internal/engine"
@@ -37,81 +36,24 @@ import (
 	"mip6mcast/internal/sim"
 )
 
-// Config holds the hard-state engine's timers. There is deliberately no
-// prune holdtime and no refresh interval: interest state, once
-// acknowledged, lives until explicitly changed or its owner dies.
-type Config struct {
-	// HelloInterval between Hello messages; HelloHoldtime is advertised in
-	// them (neighbor liveness is the root of all hard state: a neighbor
-	// whose hellos stop takes its declarations with it).
-	HelloInterval time.Duration
-	HelloHoldtime time.Duration
-	// DataTimeout garbage-collects the (S,G) entry of a silent source —
-	// the one soft timer kept, since a vanished source can't be detected
-	// any other way.
-	DataTimeout time.Duration
-	// SyncRetry is the Declaration retransmission period until the
-	// matching ack arrives.
-	SyncRetry time.Duration
-	// AssertTime expires assert-loser state; AssertSuppress rate-limits
-	// our own Assert transmissions per (entry, interface).
-	AssertTime     time.Duration
-	AssertSuppress time.Duration
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	positive := []struct {
-		name string
-		v    time.Duration
-	}{
-		{"HelloInterval", c.HelloInterval},
-		{"HelloHoldtime", c.HelloHoldtime},
-		{"DataTimeout", c.DataTimeout},
-		{"SyncRetry", c.SyncRetry},
-		{"AssertTime", c.AssertTime},
-	}
-	for _, p := range positive {
-		if p.v <= 0 {
-			return fmt.Errorf("hpimdm: %s must be positive, got %v", p.name, p.v)
-		}
-	}
-	if c.AssertSuppress < 0 {
-		return fmt.Errorf("hpimdm: AssertSuppress must not be negative, got %v", c.AssertSuppress)
-	}
-	return nil
-}
-
-// DefaultConfig mirrors the PIM-DM defaults where timers are shared.
-func DefaultConfig() Config { return FromPIM(pimdm.DefaultConfig()) }
-
-// FromPIM derives the hard-state configuration from a PIM-DM timer set,
-// mapping GraftRetry onto SyncRetry. Cross-engine comparisons configure
-// both engines from one pimdm.Config so every shared timer matches.
-func FromPIM(p pimdm.Config) Config {
-	return Config{
-		HelloInterval:  p.HelloInterval,
-		HelloHoldtime:  p.HelloHoldtime,
-		DataTimeout:    p.DataTimeout,
-		SyncRetry:      p.GraftRetry,
-		AssertTime:     p.AssertTime,
-		AssertSuppress: p.AssertSuppress,
-	}
-}
-
 // repruneInterval rate-limits safety re-declarations of NoInterest and
 // the non-RPF NoInterest sent to a point-to-point peer. A LAN sibling's
 // legitimate demand upstream also keeps data arriving, so the rate is
-// DataTimeout/3, mirroring PIM-DM's re-prune limit, not SyncRetry.
-func (c Config) repruneInterval() time.Duration {
-	return max(c.DataTimeout/3, c.SyncRetry)
+// DataTimeout/3, mirroring PIM-DM's re-prune limit, not GraftRetry.
+func repruneInterval(c pimdm.Config) time.Duration {
+	return max(c.DataTimeout/3, c.GraftRetry)
 }
 
 // Engine is the HPIM-DM instance on one router: the dense-mode core plus
 // reliable Interest/NoInterest sync with each neighbour.
 type Engine struct {
 	pimdm.Core[upState, downState]
-	Config Config
+	// Config is PIM-DM's timer set. The engine reads its hello, assert,
+	// DataTimeout and GraftRetry timers and has no prune holdtime or
+	// refresh: acknowledged interest state lives until explicitly changed
+	// or its owner dies. DataTimeout is the one soft timer kept, since a
+	// vanished source cannot be detected any other way.
+	Config pimdm.Config
 
 	// rxSeq is the highest declaration sequence accepted per (S,G) from
 	// each live neighbour; stale retransmissions are acked but not
@@ -147,8 +89,9 @@ type downState struct {
 }
 
 // New creates the HPIM-DM engine on node and registers it as the node's
-// multicast forwarder. The config is validated here, like pimdm.New.
-func New(node *netem.Node, cfg Config, routing engine.UnicastRouting) *Engine {
+// multicast forwarder. The config is validated here, like pimdm.New, so
+// one timer set configures either engine.
+func New(node *netem.Node, cfg pimdm.Config, routing engine.UnicastRouting) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -168,7 +111,7 @@ func New(node *netem.Node, cfg Config, routing engine.UnicastRouting) *Engine {
 		DataTimeout:    cfg.DataTimeout,
 		AssertTime:     cfg.AssertTime,
 		AssertSuppress: cfg.AssertSuppress,
-		Reprune:        cfg.repruneInterval(),
+		Reprune:        repruneInterval(cfg),
 	}, pimdm.Hooks[upState, downState]{
 		Demand: e.neighborsWant,
 		DownState: func(ds *downstreamState) string {
@@ -342,7 +285,7 @@ func (e *Engine) sendDecl(ent *sgEntry, want, resync bool) {
 		e.Stats.SyncsSent++
 	}
 	e.transmitDecl(ent)
-	st.retry.Reset(e.Config.SyncRetry)
+	st.retry.Reset(e.Config.GraftRetry)
 }
 
 // transmitDecl sends the current declaration (also the retransmit path).
@@ -381,7 +324,7 @@ func (e *Engine) retransmitDecl(ent *sgEntry) {
 	}
 	e.Stats.Retransmits++
 	e.transmitDecl(ent)
-	ent.State.retry.Reset(e.Config.SyncRetry)
+	ent.State.retry.Reset(e.Config.GraftRetry)
 }
 
 // maybeRedeclareNoInterest covers the upstream silently forgetting us:
@@ -403,7 +346,7 @@ func (e *Engine) maybeRedeclareNoInterest(ent *sgEntry) {
 		return
 	}
 	now := e.Node.Sched().Now()
-	if st.hasDeclSent && now.Sub(st.lastDeclSent) < e.Config.repruneInterval() {
+	if st.hasDeclSent && now.Sub(st.lastDeclSent) < repruneInterval(e.Config) {
 		return
 	}
 	e.sendDecl(ent, false, false)

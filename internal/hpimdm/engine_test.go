@@ -34,7 +34,7 @@ type line struct {
 	src     ipv6.Addr
 }
 
-func newLine(seed int64, cfg hpimdm.Config) *line {
+func newLine(seed int64, cfg pimdm.Config) *line {
 	f := &line{
 		s:     sim.NewScheduler(seed),
 		links: map[string]*netem.Link{},
@@ -121,45 +121,75 @@ func (f *line) countDecl(link string, kinds ...uint8) *int {
 	return n
 }
 
-func TestConfigValidateAndFromPIM(t *testing.T) {
-	if err := hpimdm.DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config must validate: %v", err)
-	}
-	bad := hpimdm.DefaultConfig()
-	bad.SyncRetry = 0
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "SyncRetry") {
-		t.Errorf("Validate() = %v, want SyncRetry error", err)
-	}
-	p := pimdm.DefaultConfig()
-	p.GraftRetry = 7 * time.Second
-	if got := hpimdm.FromPIM(p).SyncRetry; got != 7*time.Second {
-		t.Errorf("FromPIM maps GraftRetry to SyncRetry = %v, want 7s", got)
+// New validates the PIM-DM timer set it runs on: GraftRetry, the
+// declaration retry period, must be positive like the hello timers.
+func TestNewValidatesConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*pimdm.Config)
+	}{
+		{"HelloInterval", func(c *pimdm.Config) { c.HelloInterval = 0 }},
+		{"GraftRetry", func(c *pimdm.Config) { c.GraftRetry = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("New accepted an invalid config; want panic")
+				}
+				if err, ok := r.(error); !ok || !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("panic %v does not name %s", r, tc.name)
+				}
+			}()
+			s := sim.NewScheduler(1)
+			net := netem.New(s)
+			l := net.NewLink("L1", 0, time.Millisecond)
+			n := net.NewNode("A", true)
+			n.AddInterface(l)
+			dom := routing.NewDomain(net)
+			dom.AssignPrefix(l, ipv6.MustParseAddr("2001:db8:1::"))
+			dom.Recompute()
+			cfg := pimdm.DefaultConfig()
+			tc.mutate(&cfg)
+			hpimdm.New(n, cfg, dom.TableOf(n))
+		})
 	}
 }
 
-func TestNewValidatesConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted an invalid config; want panic")
+// An unacknowledged declaration is retransmitted every GraftRetry of the
+// PIM-DM timer set: with every frame on L2 dropped, B's Interest goes out
+// again and again, GraftRetry apart.
+func TestDeclarationRetriesEveryGraftRetry(t *testing.T) {
+	cfg := pimdm.DefaultConfig()
+	cfg.GraftRetry = 7 * time.Second
+	f := newLine(15, cfg)
+	f.s.RunFor(5 * time.Second) // B has declared NoInterest and A acked it
+	var sent []sim.Time
+	f.links["L2"].AddTap(func(ev netem.TxEvent) {
+		if ev.Pkt.Proto != ipv6.ProtoPIM {
+			return
 		}
-	}()
-	s := sim.NewScheduler(1)
-	net := netem.New(s)
-	l := net.NewLink("L1", 0, time.Millisecond)
-	n := net.NewNode("A", true)
-	n.AddInterface(l)
-	dom := routing.NewDomain(net)
-	dom.AssignPrefix(l, ipv6.MustParseAddr("2001:db8:1::"))
-	dom.Recompute()
-	cfg := hpimdm.DefaultConfig()
-	cfg.HelloInterval = 0
-	hpimdm.New(n, cfg, dom.TableOf(n))
+		if msg, err := pimdm.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload); err == nil && msg.Type == pimdm.TypeInterest {
+			sent = append(sent, f.s.Now())
+		}
+	})
+	f.links["L2"].LossRate = 1
+	f.b.HandleListenerChange(ifaceOn(f.bn, "L3"), group, true)
+	f.s.RunFor(30 * time.Second)
+	if len(sent) < 4 {
+		t.Fatalf("%d Interest transmissions in 30 s with every frame dropped, want at least 4", len(sent))
+	}
+	for i := 1; i < len(sent); i++ {
+		if gap := sent[i].Sub(sent[i-1]); gap != cfg.GraftRetry {
+			t.Errorf("Interest %d sent %v after the previous one, want GraftRetry %v", i, gap, cfg.GraftRetry)
+		}
+	}
 }
 
 // The hard-state core: a downstream NoInterest stops forwarding without
 // any holdtime, an Interest restores it, and acks make both reliable.
 func TestInterestControlsForwarding(t *testing.T) {
-	f := newLine(11, hpimdm.DefaultConfig())
+	f := newLine(11, pimdm.DefaultConfig())
 	onL3 := f.countData("L3")
 	f.b.HandleListenerChange(ifaceOn(f.bn, "L3"), group, true)
 	f.s.RunFor(5 * time.Second)
@@ -195,7 +225,7 @@ func TestInterestControlsForwarding(t *testing.T) {
 // stable tree exchanges no further declarations — where soft-state PIM-DM
 // re-floods on every holdtime expiry and State Refresh round.
 func TestNoPeriodicDeclarationsWhenStable(t *testing.T) {
-	f := newLine(12, hpimdm.DefaultConfig())
+	f := newLine(12, pimdm.DefaultConfig())
 	f.b.HandleListenerChange(ifaceOn(f.bn, "L3"), group, true)
 	f.s.RunFor(10 * time.Second) // settle
 	decls := f.countDecl("L2", pimdm.TypeInterest, pimdm.TypeNoInterest, pimdm.TypeDeclAck)
@@ -211,7 +241,7 @@ func TestNoPeriodicDeclarationsWhenStable(t *testing.T) {
 // Hellos must carry a non-zero Generation ID so peers can detect a
 // restart and resynchronize hard state.
 func TestHelloCarriesGenerationID(t *testing.T) {
-	f := newLine(13, hpimdm.DefaultConfig())
+	f := newLine(13, pimdm.DefaultConfig())
 	seen := 0
 	f.links["L2"].AddTap(func(ev netem.TxEvent) {
 		if ev.Pkt.Proto != ipv6.ProtoPIM {
@@ -238,7 +268,7 @@ func TestHelloCarriesGenerationID(t *testing.T) {
 // tree still converges when the control link drops most packets for a
 // while.
 func TestDeclarationRetransmitUnderLoss(t *testing.T) {
-	f := newLine(14, hpimdm.DefaultConfig())
+	f := newLine(14, pimdm.DefaultConfig())
 	f.s.RunFor(5 * time.Second) // neighbors up, flood running
 	f.links["L2"].LossRate = 0.7
 	f.b.HandleListenerChange(ifaceOn(f.bn, "L3"), group, true)

@@ -50,9 +50,10 @@ type Config struct {
 	Anchor string
 	// Depth is this proxy's level below the anchor (1 = adjacent).
 	Depth int
-	// HostMLD configures the upstream host role (report robustness and
-	// intervals). ResendOnMove is ignored — proxies do not move.
-	HostMLD mld.HostConfig
+	// MLD is the timer set of the upstream host role (report robustness
+	// and intervals). Proxies do not move, so the role never re-sends
+	// Reports on a move.
+	MLD mld.Config
 }
 
 // groupState is the aggregated membership for one group.
@@ -95,7 +96,6 @@ type Proxy struct {
 // listener-change events from the downstream links to
 // HandleListenerChange.
 func New(node *netem.Node, cfg Config) (*Proxy, error) {
-	cfg.HostMLD.ResendOnMove = false
 	p := &Proxy{
 		Node:   node,
 		Cfg:    cfg,
@@ -121,7 +121,7 @@ func New(node *netem.Node, cfg Config) (*Proxy, error) {
 	if p.up == nil {
 		return nil, fmt.Errorf("mldproxy: %s has no interface on upstream link %q", node.Name, cfg.Upstream)
 	}
-	p.host = mld.NewHost(node, cfg.HostMLD)
+	p.host = mld.NewHost(node, mld.HostConfig{Config: cfg.MLD})
 	node.Forwarder = p
 	return p, nil
 }

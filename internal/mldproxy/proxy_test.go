@@ -59,7 +59,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 		Downstream: []string{"D1", "D2"},
 		Anchor:     "ANCHOR",
 		Depth:      1,
-		HostMLD:    mld.DefaultHostConfig(),
+		MLD:        mld.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)

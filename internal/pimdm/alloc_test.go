@@ -80,7 +80,7 @@ var engines = map[string]func(*netem.Node, engine.UnicastRouting) engine.Multica
 		return pimdm.New(n, pimdm.DefaultConfig(), r)
 	},
 	"hpimdm": func(n *netem.Node, r engine.UnicastRouting) engine.MulticastEngine {
-		return hpimdm.New(n, hpimdm.DefaultConfig(), r)
+		return hpimdm.New(n, pimdm.DefaultConfig(), r)
 	},
 }
 

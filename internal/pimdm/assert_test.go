@@ -25,7 +25,7 @@ var denseEngines = []struct {
 		return pimdm.New(n, pimdm.DefaultConfig(), rt)
 	}},
 	{"hpimdm", func(n *netem.Node, rt engine.UnicastRouting) engine.MulticastEngine {
-		return hpimdm.New(n, hpimdm.DefaultConfig(), rt)
+		return hpimdm.New(n, pimdm.DefaultConfig(), rt)
 	}},
 }
 

@@ -33,7 +33,7 @@ type Config struct {
 	// (default 2.5s, < PruneDelay).
 	JoinOverrideInterval time.Duration
 	// GraftRetry is the Graft retransmission period until a Graft-Ack
-	// arrives (default 3s).
+	// arrives (default 3s). HPIM-DM retransmits its declarations on it.
 	GraftRetry time.Duration
 	// AssertTime expires assert-loser state (default 180s).
 	AssertTime time.Duration

@@ -77,12 +77,9 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 		}
 		// Every cross-region link is a core link, so the core delay is
 		// the smallest cross-region latency — the kernel's lookahead.
-		look = opt.CoreLinkDelay
-		if look <= 0 {
-			look = opt.LinkDelay
-		}
-		if look <= 0 {
-			panic("scenario: sharded build needs a positive CoreLinkDelay (or LinkDelay) as kernel lookahead")
+		look = LinkDelay
+		if opt.CoreLinkDelay > 0 {
+			look = opt.CoreLinkDelay
 		}
 	}
 	f.Kern = sim.NewKernel(scheds, look, opt.ShardWorkers)
@@ -100,14 +97,14 @@ func Build(g *topo.Graph, opt Options, populate ...func(*Network)) *Network {
 	f.Dom = routing.NewDomain(f.Net)
 
 	for i, spec := range g.Links {
-		delay := opt.LinkDelay
+		delay := LinkDelay
 		if opt.CoreLinkDelay > 0 && !spec.LAN {
 			// Applied at every shard count, so one-region and sharded
 			// cells of one experiment model the same network.
 			delay = opt.CoreLinkDelay
 		}
-		l := f.Net.NewLink(spec.Name, opt.LinkBandwidth, delay)
-		l.MTU = opt.LinkMTU
+		l := f.Net.NewLink(spec.Name, LinkBandwidth, delay)
+		l.MTU = LinkMTU
 		if f.Part != nil {
 			if r := linkRegion[i]; r >= 0 {
 				l.SetSched(scheds[r])

@@ -12,15 +12,14 @@ import (
 )
 
 // engineBuilders constructs one router's multicast engine per engine
-// name. Each derives its engine-specific configuration from Options
-// (hpimdm maps the shared PIM timer set onto its own config), so a single
-// Options value drives every engine the same scenario compares.
-var engineBuilders = map[string]func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine{
-	"pimdm": func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine {
-		return pimdm.New(node, opt.PIM, rt)
+// name. Both engines run on the one dense-mode timer set, Options.PIM, so
+// a single Options value drives every engine the same scenario compares.
+var engineBuilders = map[string]func(node *netem.Node, cfg pimdm.Config, rt engine.UnicastRouting) engine.MulticastEngine{
+	"pimdm": func(node *netem.Node, cfg pimdm.Config, rt engine.UnicastRouting) engine.MulticastEngine {
+		return pimdm.New(node, cfg, rt)
 	},
-	"hpimdm": func(node *netem.Node, opt Options, rt engine.UnicastRouting) engine.MulticastEngine {
-		return hpimdm.New(node, hpimdm.FromPIM(opt.PIM), rt)
+	"hpimdm": func(node *netem.Node, cfg pimdm.Config, rt engine.UnicastRouting) engine.MulticastEngine {
+		return hpimdm.New(node, cfg, rt)
 	},
 }
 
@@ -52,7 +51,7 @@ func buildEngine(node *netem.Node, opt Options, rt engine.UnicastRouting) engine
 	if !ok {
 		panic(fmt.Sprintf("scenario: unknown multicast engine %q (registered: %v)", opt.EngineName(), EngineNames()))
 	}
-	return b(node, opt, rt)
+	return b(node, opt.PIM, rt)
 }
 
 // proxyStubRouting wraps a core router's unicast table in proxy-hierarchy

@@ -33,24 +33,16 @@ type Options struct {
 	// Engine selects the dense-mode multicast engine by registry name
 	// ("pimdm", "hpimdm"); empty selects pimdm. See EngineNames.
 	Engine string
-	// PIM is the shared dense-mode timer set. Every engine derives its
-	// configuration from it (hpimdm via hpimdm.FromPIM) so one Options
-	// value parameterizes a cross-engine comparison consistently.
-	PIM     pimdm.Config
-	MLD     mld.Config
-	HostMLD mld.HostConfig
-	NDP     ndp.RouterConfig
-	HA      mipv6.HAConfig
-	// BindingLifetime requested by mobile nodes.
-	BindingLifetime time.Duration
-	// LinkBandwidth in bits/s (0: unconstrained) and one-way LinkDelay.
-	LinkBandwidth int64
-	LinkDelay     time.Duration
-	// LinkMTU bounds frame size (0: unlimited). Encapsulation adds 40
-	// bytes, so tunnels near the MTU trigger source fragmentation at the
-	// tunnel entry — the implementation issue the paper's conclusion
-	// flags for the uni-directional tunnels.
-	LinkMTU int
+	// PIM is the dense-mode timer set both engines run on.
+	PIM pimdm.Config
+	// MLD is the one MLD timer set: queriers, host listeners, home-agent
+	// services and proxy host roles all read it.
+	MLD mld.Config
+	// ResendOnMove makes hosts re-send unsolicited Reports for their
+	// memberships after moving to a new link (the paper's recommendation
+	// for mobile receivers; see mld.HostConfig).
+	ResendOnMove bool
+	NDP          ndp.RouterConfig
 
 	// Shards, when > 1, partitions the router graph into up to that many
 	// regions (topo.PartitionGraph — LANs are never split) and drives them
@@ -66,9 +58,9 @@ type Options struct {
 	ShardWorkers int
 	// CoreLinkDelay, when > 0, replaces LinkDelay on every non-LAN (core)
 	// link — at ALL shard counts, so one-region and sharded cells of one
-	// experiment model the same network. Sharded runs need a positive core
-	// delay: the smallest cross-region latency is the kernel's
-	// conservative lookahead (CoreLinkDelay if set, else LinkDelay).
+	// experiment model the same network. The smallest cross-region latency
+	// is a sharded run's conservative lookahead (CoreLinkDelay if set,
+	// else LinkDelay).
 	CoreLinkDelay time.Duration
 	// MobilityGroups lists sets of link indices that must share a region:
 	// a mobile node's home LAN plus every LAN it may move to (netem.Move
@@ -115,33 +107,28 @@ type Options struct {
 	OnNetwork func(*Network)
 }
 
-// WithMLD returns a copy of o with the router MLD configuration and the
-// host listener configuration replaced in lockstep. Routers and hosts
-// read their timers from different fields (MLD vs HostMLD.Config);
-// setting only one desynchronizes Query Interval from listener behavior,
-// so every caller that retunes MLD must go through this builder.
-func (o Options) WithMLD(cfg mld.Config) Options {
-	o.MLD = cfg
-	o.HostMLD.Config = cfg
-	return o
-}
-
 // DefaultOptions uses every protocol's draft/RFC default — the
 // configuration whose delays the paper criticizes.
 func DefaultOptions() Options {
 	return Options{
-		Seed:            1,
-		PIM:             pimdm.DefaultConfig(),
-		MLD:             mld.DefaultConfig(),
-		HostMLD:         mld.DefaultHostConfig(),
-		NDP:             ndp.DefaultRouterConfig(),
-		HA:              mipv6.DefaultHAConfig(),
-		BindingLifetime: 256 * time.Second,
-		LinkBandwidth:   10_000_000, // 10 Mbit/s shared links
-		LinkDelay:       time.Millisecond,
-		LinkMTU:         1500,
+		Seed:         1,
+		PIM:          pimdm.DefaultConfig(),
+		MLD:          mld.DefaultConfig(),
+		ResendOnMove: true,
+		NDP:          ndp.DefaultRouterConfig(),
 	}
 }
+
+// Every link a build makes is a 10 Mbit/s shared medium with a 1 ms
+// one-way delay (CoreLinkDelay may override the delay on core links) and a
+// 1500-byte MTU. Encapsulation adds 40 bytes, so tunnels near the MTU
+// trigger source fragmentation at the tunnel entry — the implementation
+// issue the paper's conclusion flags for the uni-directional tunnels.
+const (
+	LinkBandwidth int64 = 10_000_000
+	LinkDelay           = time.Millisecond
+	LinkMTU             = 1500
+)
 
 // Router bundles one router's protocol roles. Engine is the dense-mode
 // multicast engine built by the registry selection in Options.Engine.
@@ -317,7 +304,7 @@ func (f *Network) startRouterProtocols(name string) {
 			Downstream: spec.Downstream,
 			Anchor:     spec.Anchor,
 			Depth:      spec.Depth,
-			HostMLD:    opt.HostMLD,
+			MLD:        opt.MLD,
 		})
 		if err != nil {
 			panic(err)
@@ -353,7 +340,7 @@ func (f *Network) startRouterProtocols(name string) {
 		if f.haFor[ifc.Link.Name] != name {
 			continue
 		}
-		r.HAs[ifc.Link.Name] = mipv6.NewHomeAgent(r.Node, ifc, ifc.GlobalAddr(), opt.HA)
+		r.HAs[ifc.Link.Name] = mipv6.NewHomeAgent(r.Node, ifc, ifc.GlobalAddr(), mipv6.DefaultHAConfig())
 	}
 }
 
@@ -493,14 +480,12 @@ func (f *Network) AddHost(name, homeLink string, iid uint64) *Host {
 		}
 	}
 	p, _ := f.Dom.PrefixOf(f.Links[homeLink])
-	cfg := mipv6.DefaultMNConfig(p, haAddr)
-	cfg.BindingLifetime = f.Opt.BindingLifetime
 	h := &Host{Name: name, Node: node, Iface: ifc, IID: iid, HomeLink: homeLink}
-	h.MN = mipv6.NewMobileNode(node, iid, cfg)
+	h.MN = mipv6.NewMobileNode(node, iid, mipv6.DefaultMNConfig(p, haAddr))
 	h.MN.OnDecap = func(outer netem.RxPacket, inner *ipv6.Packet) {
 		h.lastOuterHops = int(ipv6.DefaultHopLimit - outer.HopLimit())
 	}
-	h.MLD = mld.NewHost(node, f.Opt.HostMLD)
+	h.MLD = mld.NewHost(node, mld.HostConfig{Config: f.Opt.MLD, ResendOnMove: f.Opt.ResendOnMove})
 	f.Hosts[name] = h
 	if f.obs != nil {
 		f.attachHostRecorder(h)

@@ -15,7 +15,8 @@ import (
 // decoded event stream contains the protocol sequence the paper describes.
 func runScenario(t *testing.T) *trace.Collector {
 	t.Helper()
-	opt := scenario.DefaultOptions().WithMLD(mld.FastConfig(30 * time.Second))
+	opt := scenario.DefaultOptions()
+	opt.MLD = mld.FastConfig(30 * time.Second)
 	f := scenario.NewFigure1(opt)
 	col := &trace.Collector{}
 	col.Attach(f.Net)
@@ -23,7 +24,7 @@ func runScenario(t *testing.T) *trace.Collector {
 	svcs := map[string]*core.Service{}
 	for _, name := range scenario.HostNames() {
 		h := f.Hosts[name]
-		svcs[name] = core.NewService(h.MN, h.MLD, core.BidirectionalTunnel, opt.MLD)
+		svcs[name] = core.NewService(h.MN, h.MLD, core.BidirectionalTunnel)
 	}
 	svcs["R3"].Join(scenario.Group)
 	cbr := scenario.NewCBR(f.Sched, 1, 200*time.Millisecond, 64, func(p []byte) {

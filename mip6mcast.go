@@ -25,7 +25,6 @@ import (
 	"mip6mcast/internal/exp"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/mld"
-	"mip6mcast/internal/pimdm"
 	"mip6mcast/internal/scenario"
 )
 
@@ -44,7 +43,7 @@ type (
 
 // ...and the scenario/options surface.
 type (
-	// Options parameterizes a network build (timers, bandwidths, seed).
+	// Options parameterizes a network build (timers, engine, seed).
 	Options = scenario.Options
 	// Network is the assembled Figure 1 system.
 	Network = scenario.Network
@@ -93,16 +92,10 @@ func DefaultOptions() Options { return scenario.DefaultOptions() }
 // FastMLDOptions returns DefaultOptions with the paper's §4.4 tuning
 // applied: a reduced MLD Query Interval.
 func FastMLDOptions(queryIntervalSeconds int) Options {
-	return scenario.DefaultOptions().WithMLD(mld.FastConfig(secs(queryIntervalSeconds)))
+	opt := scenario.DefaultOptions()
+	opt.MLD = mld.FastConfig(secs(queryIntervalSeconds))
+	return opt
 }
-
-// DefaultPIMConfig exposes the PIM-DM defaults (210 s data timeout, 3 s
-// prune delay) for ablation studies.
-func DefaultPIMConfig() pimdm.Config { return pimdm.DefaultConfig() }
-
-// DefaultMLDConfig exposes the MLD defaults (125 s query interval, 260 s
-// listener interval).
-func DefaultMLDConfig() mld.Config { return mld.DefaultConfig() }
 
 // Table renders experiment rows as an aligned text table.
 func Table(title string, columns []string, rows []metrics.Row) string {

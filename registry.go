@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mip6mcast/internal/core"
 	"mip6mcast/internal/exp"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/mld"
@@ -165,7 +166,7 @@ func paramEngine() exp.Param {
 // build actually accepts.
 func paramApproach(def string) exp.Param {
 	return exp.Param{
-		Name: "approach", Desc: "approach: " + strings.Join(ApproachNames(), ", ") + " (or alias local/tunnel/proxy)",
+		Name: "approach", Desc: "approach: " + strings.Join(ApproachNames(), ", ") + " (or alias " + strings.Join(core.ApproachAliases(), "/") + ")",
 		Kind: exp.String, Default: def,
 	}
 }
@@ -209,11 +210,10 @@ func paramTQuery() exp.Param {
 	}
 }
 
-// applyTQuery retunes MLD (router and host in lockstep) when the tquery
-// parameter asks for it.
+// applyTQuery retunes MLD when the tquery parameter asks for it.
 func applyTQuery(opt Options, p exp.Params) Options {
 	if tq := p.Int("tquery"); tq > 0 {
-		return opt.WithMLD(mld.FastConfig(secs(tq)))
+		opt.MLD = mld.FastConfig(secs(tq))
 	}
 	return opt
 }
@@ -409,8 +409,8 @@ func runExpS44(ctx exp.Context, p exp.Params) exp.Result {
 		Points:  points,
 		Columns: []string{"join(s)", "leave(s)", "waste(B)", "mld(B/h)"},
 		Run: func(opt scenario.Options, pt int) (map[string]float64, any) {
-			opt = opt.WithMLD(mld.FastConfig(secs(qs[pt])))
-			opt.HostMLD.ResendOnMove = unsolicited
+			opt.MLD = mld.FastConfig(secs(qs[pt]))
+			opt.ResendOnMove = unsolicited
 			join, leave, waste, mldPerHour := measureS44One(opt)
 			return map[string]float64{
 				"join(s)":  join.Seconds(),

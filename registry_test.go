@@ -171,18 +171,3 @@ func TestSingleReplicateMatchesOneShot(t *testing.T) {
 		t.Errorf("stats mean %v != one-shot %v", got, direct.TunnelBytesPerDgram)
 	}
 }
-
-// WithMLD must keep the router and host timer views in lockstep (the
-// drift hazard FastMLDOptions used to carry).
-func TestFastMLDOptionsKeepsHostAndRouterInSync(t *testing.T) {
-	opt := FastMLDOptions(30)
-	if opt.MLD != opt.HostMLD.Config {
-		t.Errorf("router MLD config %+v != host view %+v", opt.MLD, opt.HostMLD.Config)
-	}
-	if !opt.HostMLD.ResendOnMove {
-		t.Error("FastMLDOptions must preserve the default unsolicited-report behavior")
-	}
-	if opt.MLD == DefaultOptions().MLD {
-		t.Error("FastMLDOptions did not change the query interval")
-	}
-}

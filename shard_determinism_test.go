@@ -186,8 +186,8 @@ func TestShardCrashInsideSyncWindow(t *testing.T) {
 		t.Fatal("no crashable router outside the source region")
 	}
 
-	svc := core.NewService(src.MN, src.MLD, LocalMembership, opt.MLD)
-	msvc := core.NewService(mem.MN, mem.MLD, LocalMembership, opt.MLD)
+	svc := core.NewService(src.MN, src.MLD, LocalMembership)
+	msvc := core.NewService(mem.MN, mem.MLD, LocalMembership)
 	scenario.NewCBR(src.Node.Sched(), 1, 500*time.Millisecond, 64,
 		func(p []byte) { svc.Send(Group, p) })
 	msvc.Join(Group)
