@@ -1,13 +1,15 @@
 // Package bench holds the `go test -bench` macro benchmarks: a full
 // Figure-1 handover run (the workload every paper metric rests on), the
 // scale and sharded-kernel cells, the engine head-to-head, and the
-// telemetry and checkpoint overhead cells. `make bench` writes their
-// numbers, with the per-layer micro-benchmarks, to the BENCH file the
-// Makefile names. Those files are recorded on whatever host ran them, so
-// one BENCH file against another is no evidence of a speed change: judge
-// a change by the benchmark BENCHMARK.json declares (mip6bench, see
-// mip6bench/README.md), which runs the parent and the candidate on the
-// same host.
+// telemetry and checkpoint overhead cells. `make bench` prints their
+// numbers, with the per-layer micro-benchmarks. Timings are the host's
+// that ran them, so one run against another recorded elsewhere is no
+// evidence of a speed change: judge a change by the benchmark
+// BENCHMARK.json declares (mip6bench, see mip6bench/README.md), which runs
+// the parent and the candidate on the same host. What does not depend on
+// the host is gated in a plain test: TestMacroCellAllocBudget pins the
+// Figure 1 and r100 scale cells' event, frame and queue counts exactly and
+// their allocations under constant budgets.
 package bench
 
 import (

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -42,7 +43,7 @@ func main() {
 		unsolicited = flag.Bool("unsolicited", true, "mobile receivers send unsolicited MLD reports after moving")
 		progress    = flag.Bool("progress", false, "report per-timeline scheduler stats to stderr as cells complete")
 		traceOut    = flag.String("trace-out", "", "record each experiment's first timeline to <dir>/<id>.jsonl and <dir>/<id>.trace.json")
-		topoSpec    = flag.String("topo", "", "procedural topology spec for the scale experiment: family=tree+grid,routers=4+16,mns=8 (keys optional)")
+		topoSpec    = flag.String("topo", "", "procedural topology spec: family=tree+grid,routers=4+16,mns=8 (keys optional; -list names the parameter each key sets)")
 		shards      = flag.Int("shards", 0, "partition each generated topology into up to N regions run in parallel on one timeline (0/1 = one region; Figure 1 always collapses to one region)")
 		shardWkrs   = flag.Int("shard-workers", 0, "goroutines driving shard regions within a window (0 = one per region); never affects the timeline, only wall-clock")
 		coreDelay   = flag.Duration("core-delay", 0, "one-way delay override for non-LAN core links, applied at every shard count (sharded runs use it as the conservative sync lookahead; 0 = link delay)")
@@ -57,7 +58,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		listExperiments()
+		listExperiments(os.Stdout)
 		return
 	}
 
@@ -409,15 +410,34 @@ func paramKind(e *mip6mcast.Experiment, name string) (exp.Kind, bool) {
 	return 0, false
 }
 
-func listExperiments() {
+// listExperiments writes every registered experiment and its parameters
+// to w, each parameter with the mip6sim route that sets it.
+func listExperiments(w io.Writer) {
 	for _, e := range exp.All() {
 		kind := ""
 		if e.Sweep {
 			kind = "  [sweep]"
 		}
-		fmt.Printf("%-5s %s%s\n", e.Name, e.Desc, kind)
+		fmt.Fprintf(w, "%-5s %s%s\n", e.Name, e.Desc, kind)
 		for _, sp := range e.Params {
-			fmt.Printf("        -%s %s (default %v): %s\n", sp.Name, sp.Kind, sp.Default, sp.Desc)
+			fmt.Fprintf(w, "        %s %s (default %v; %s): %s\n", sp.Name, sp.Kind, sp.Default, paramRoute(sp.Name), sp.Desc)
 		}
 	}
+}
+
+// paramRoute names what sets experiment parameter name on the mip6sim
+// command line: its flag, its -topo key, or nothing (mip6simd's run spec
+// sets every parameter).
+func paramRoute(name string) string {
+	switch name {
+	case "tquery", "unsolicited":
+		return "-" + name
+	case "tracedir":
+		return "-trace-out"
+	case "families":
+		return "-topo family="
+	case "routers", "mns", "sources", "members", "dwell", "horizon", "approach", "engine":
+		return "-topo " + name + "="
+	}
+	return "mip6simd only"
 }

@@ -365,20 +365,6 @@ func ForwardingSet(f *scenario.Network, exp Expectation) []Violation {
 	return out
 }
 
-// NoZombies asserts invariant (b): no state owned by a dead incarnation or
-// a departed host survives — every (S,G) entry is RPF-consistent with
-// current routing, MLD listener records match where member hosts actually
-// sit, and the binding caches reflect each host's true location.
-func NoZombies(f *scenario.Network, exp Expectation) []Violation {
-	var out []Violation
-	for _, rn := range f.RouterOrder() {
-		if _, isP := f.ProxySpec(rn); !isP {
-			out = zombieEntries(out, f, rn, f.Routers[rn].Engine.Entries())
-		}
-	}
-	return append(out, zombieMembers(f, exp)...)
-}
-
 // zombieEntries appends to out a violation for each of router rn's (S,G)
 // entries that disagrees with the (static) routing domain: an entry whose
 // recorded upstream is not the router's current RPF link is a relic of a
@@ -398,8 +384,9 @@ func zombieEntries(out []Violation, f *scenario.Network, rn string, entries []en
 	return out
 }
 
-// zombieMembers runs the membership half of NoZombies: listener records
-// and binding caches.
+// zombieMembers checks that no state owned by a departed host survives:
+// MLD listener records must match where member hosts actually sit, and
+// binding caches must reflect each host's true location.
 func zombieMembers(f *scenario.Network, exp Expectation) []Violation {
 	var out []Violation
 	proxies := proxyNodes(f)

@@ -1,13 +1,10 @@
 package metrics
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Reservoir is a seeded fixed-capacity reservoir sampler (Vitter's
 // algorithm R): it holds a uniform random subset of an unbounded sample
-// stream and answers quantile queries from that subset, so order
+// stream in a Histogram and answers quantile queries from it, so order
 // statistics over millions of events cost O(capacity) memory. The scale
 // experiments use it for join/leave-delay percentiles across thousands of
 // mobile nodes where a full Histogram would grow with the event count.
@@ -17,11 +14,10 @@ import (
 // timeline, and the retained subset must be reproducible for a fixed seed
 // regardless of what else the timeline randomizes.
 type Reservoir struct {
-	cap     int
-	n       int
-	samples []float64
-	sorted  bool
-	rng     *rand.Rand
+	cap  int
+	n    int
+	kept Histogram
+	rng  *rand.Rand
 
 	// Exact extrema and mean are tracked over the FULL stream (they are
 	// O(1)), so Min/Max/Mean never suffer sampling error.
@@ -44,14 +40,13 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 func (r *Reservoir) Add(v float64) {
 	r.w.Add(v)
 	r.n++
-	if len(r.samples) < r.cap {
-		r.samples = append(r.samples, v)
-		r.sorted = false
+	if r.kept.N() < r.cap {
+		r.kept.Add(v)
 		return
 	}
 	if j := r.rng.Intn(r.n); j < r.cap {
-		r.samples[j] = v
-		r.sorted = false
+		r.kept.samples[j] = v
+		r.kept.sorted = false
 	}
 }
 
@@ -59,7 +54,7 @@ func (r *Reservoir) Add(v float64) {
 func (r *Reservoir) N() int { return r.n }
 
 // Retained returns how many samples the reservoir currently holds.
-func (r *Reservoir) Retained() int { return len(r.samples) }
+func (r *Reservoir) Retained() int { return r.kept.N() }
 
 // Mean returns the exact mean of the full stream (0 when empty).
 func (r *Reservoir) Mean() float64 { return r.w.Mean() }
@@ -70,29 +65,7 @@ func (r *Reservoir) Min() float64 { return r.w.Min() }
 // Max returns the exact maximum of the full stream (0 when empty).
 func (r *Reservoir) Max() float64 { return r.w.Max() }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the retained subset
-// by linear interpolation between closest ranks; 0 when empty. Exact while
-// the stream fits the capacity; an unbiased estimate beyond it.
-func (r *Reservoir) Quantile(q float64) float64 {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
-	}
-	if q <= 0 {
-		return r.samples[0]
-	}
-	if q >= 1 {
-		return r.samples[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return r.samples[n-1]
-	}
-	return r.samples[lo]*(1-frac) + r.samples[lo+1]*frac
-}
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the retained subset;
+// 0 when empty. Exact while the stream fits the capacity; an unbiased
+// estimate beyond it.
+func (r *Reservoir) Quantile(q float64) float64 { return r.kept.Quantile(q) }

@@ -110,11 +110,12 @@ type Options struct {
 // DefaultOptions uses every protocol's draft/RFC default — the
 // configuration whose delays the paper criticizes.
 func DefaultOptions() Options {
+	host := mld.DefaultHostConfig()
 	return Options{
 		Seed:         1,
 		PIM:          pimdm.DefaultConfig(),
-		MLD:          mld.DefaultConfig(),
-		ResendOnMove: true,
+		MLD:          host.Config,
+		ResendOnMove: host.ResendOnMove,
 		NDP:          ndp.DefaultRouterConfig(),
 	}
 }

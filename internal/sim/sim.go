@@ -33,9 +33,6 @@ const (
 	Hour        Time = Time(time.Hour)
 )
 
-// Duration converts t to a time.Duration since the simulation epoch.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Seconds reports t as floating-point seconds since the epoch.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
@@ -216,9 +213,6 @@ func NewScheduler(seed int64) *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Seed returns the seed the scheduler was constructed with.
-func (s *Scheduler) Seed() int64 { return s.seed }
 
 // Rand returns the scheduler's root deterministic random source. Simulation
 // components must not share it: each consumer draws from its own named

@@ -1,8 +1,12 @@
 #!/bin/sh
-# Full pre-merge gate: build, vet, and the test suite under the race
-# detector. The race run matters because the experiment registry fans
-# replicate timelines across goroutines (internal/exp.Sweep and the root
-# package's workers=8 determinism tests exercise it).
+# Full pre-merge gate, in order: build and vet; gofmt; the test suite
+# under the race detector; the mip6bench smoke; the allocation gates (the
+# per-layer budgets and the macro-cell budgets of
+# bench.TestMacroCellAllocBudget); every example; the fuzz smokes; and the
+# worker-count determinism, http and mip6simd smokes. The race run
+# matters because the experiment registry fans replicate timelines across
+# goroutines (internal/exp.Sweep and the root package's workers=8
+# determinism tests exercise it).
 set -eu
 cd "$(dirname "$0")/.."
 
