@@ -79,13 +79,13 @@ var macroCells = []macroCell{
 		name:   "ba",
 		run:    scaleCell("ba", 400, 20, 4, "local-membership", "pimdm"),
 		events: 364_651, frames: 140_184, queueHWM: 2_286,
-		allocs: 127_000, bytes: 10_180_000,
+		allocs: 120_000, bytes: 9_130_000,
 	},
 	{
 		name:   "grid",
 		run:    scaleCell("grid", 150, 2, 1, "bidir-tunnel", "hpimdm"),
 		events: 393_141, frames: 318_762, queueHWM: 3_421,
-		allocs: 119_000, bytes: 10_070_000,
+		allocs: 119_000, bytes: 9_190_000,
 	},
 }
 

@@ -140,18 +140,10 @@ func main() {
 			os.Exit(2)
 		}
 
-		// Per-experiment parameter overrides from the shared flags. The
-		// -tquery flag doubles as the sweep list for s44 (whose tquery
-		// parameter is the swept variable).
+		// Per-experiment parameter overrides from the shared flags.
 		p := mip6mcast.ExpParams{}
-		if *tquery > 0 {
-			if k, ok := paramKind(e, "tquery"); ok {
-				if k == exp.IntList {
-					p["tquery"] = []int{*tquery}
-				} else {
-					p["tquery"] = *tquery
-				}
-			}
+		if given(flag.CommandLine, "tquery") {
+			setTQuery(e, p, *tquery)
 		}
 		if e.HasParam("unsolicited") {
 			p["unsolicited"] = *unsolicited
@@ -399,6 +391,32 @@ func printDOT(topoParams exp.Params, seed int64) error {
 	}
 	fmt.Print(g.DOT())
 	return nil
+}
+
+// given reports whether the flag name was set on fs's command line, so
+// that an explicit default value can be told from an absent flag.
+func given(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// setTQuery hands a -tquery value to e's tquery parameter. An Int
+// parameter (smg, sld, smtu) takes any value: 0 inherits the base
+// options, the RFC's 125 s query interval. A sweep list (s44's, whose
+// tquery is the swept variable) is replaced by the one interval, and only
+// by one above 0.
+func setTQuery(e *mip6mcast.Experiment, p mip6mcast.ExpParams, tquery int) {
+	k, ok := paramKind(e, "tquery")
+	switch {
+	case !ok:
+	case k == exp.IntList:
+		if tquery > 0 {
+			p["tquery"] = []int{tquery}
+		}
+	default:
+		p["tquery"] = tquery
+	}
 }
 
 func paramKind(e *mip6mcast.Experiment, name string) (exp.Kind, bool) {

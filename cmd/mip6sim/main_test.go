@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mip6mcast"
 	"mip6mcast/internal/exp"
 )
 
@@ -66,4 +69,54 @@ func topoValue(v any) string {
 		parts[i] = strconv.Itoa(n)
 	}
 	return strings.Join(parts, "+")
+}
+
+// TestTQueryFlagReachesParams parses -tquery as main does and checks what
+// each experiment's tquery parameter resolves to. Given explicitly, the
+// value reaches every Int parameter (smg, sld, smtu), 0 included, which
+// inherits the base options (the RFC's 125 s); s44's sweep list takes a
+// value above 0 as its one point and keeps its default list for 0. With
+// no flag every parameter keeps its default.
+func TestTQueryFlagReachesParams(t *testing.T) {
+	ints, lists := 0, 0
+	for _, args := range [][]string{nil, {"-tquery", "0"}, {"-tquery", "45"}} {
+		fs := flag.NewFlagSet("mip6sim", flag.ContinueOnError)
+		tquery := fs.Int("tquery", 0, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range exp.All() {
+			for _, sp := range e.Params {
+				if sp.Name != "tquery" {
+					continue
+				}
+				p := mip6mcast.ExpParams{}
+				if given(fs, "tquery") {
+					setTQuery(e, p, *tquery)
+				}
+				got, err := e.ResolveParams(p)
+				if err != nil {
+					t.Fatalf("%s %v: %v", e.Name, args, err)
+				}
+				want := sp.Default
+				switch {
+				case args == nil:
+				case sp.Kind == exp.IntList:
+					lists++
+					if *tquery > 0 {
+						want = []int{*tquery}
+					}
+				default:
+					ints++
+					want = *tquery
+				}
+				if !reflect.DeepEqual(got["tquery"], want) {
+					t.Errorf("%s %v: tquery resolves to %v, want %v", e.Name, args, got["tquery"], want)
+				}
+			}
+		}
+	}
+	if ints < 2*3 || lists < 2 {
+		t.Errorf("checked %d Int and %d IntList tquery parameters under a given flag; want smg, sld, smtu and s44 under both values", ints, lists)
+	}
 }

@@ -438,15 +438,9 @@ func zombieMembers(f *scenario.Network, exp Expectation) []Violation {
 		if ha == nil {
 			continue
 		}
-		var bound *ipv6.Addr
-		for _, b := range ha.Bindings() {
-			if b.Home == h.MN.HomeAddress {
-				co := b.CareOf
-				bound = &co
-			}
-		}
+		b, bound := ha.BindingFor(h.MN.HomeAddress)
 		if h.MN.AtHome() {
-			if bound != nil {
+			if bound {
 				out = append(out, Violation{
 					Invariant: "zombie-binding", Node: ha.Node.Name,
 					Detail: fmt.Sprintf("binding for %s (host %s is at home)", h.MN.HomeAddress, name),
@@ -454,15 +448,15 @@ func zombieMembers(f *scenario.Network, exp Expectation) []Violation {
 			}
 			continue
 		}
-		if bound == nil {
+		if !bound {
 			out = append(out, Violation{
 				Invariant: "missing-binding", Node: ha.Node.Name,
 				Detail: fmt.Sprintf("host %s is away but %s holds no binding", name, ha.Node.Name),
 			})
-		} else if *bound != h.MN.CareOf() {
+		} else if b.CareOf != h.MN.CareOf() {
 			out = append(out, Violation{
 				Invariant: "zombie-binding", Node: ha.Node.Name,
-				Detail: fmt.Sprintf("host %s bound to stale care-of %s (current %s)", name, *bound, h.MN.CareOf()),
+				Detail: fmt.Sprintf("host %s bound to stale care-of %s (current %s)", name, b.CareOf, h.MN.CareOf()),
 			})
 		}
 	}

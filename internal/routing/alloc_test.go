@@ -7,32 +7,44 @@
 package routing_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
 
-// recomputeBytesBudget bounds the bytes Recompute allocates on that
-// network: 100 routers × 296 links × 32 B of table entries, plus the BFS
-// scratch, measured 1,002,184 B. A table four times larger fails it, as
-// the object count alone would not notice (ROADMAP item 2).
-const recomputeBytesBudget = 1_100_000
+// recomputeAllocsBudget bounds the objects one Recompute allocates at
+// every router count: the router list, the shared adjacency, the entry
+// and first-hop blocks, the tables, visited marks and BFS queue (14 at
+// 100 and at 500 routers when this was written).
+const recomputeAllocsBudget = 16
 
-// TestRecomputeAllocBudget pins Recompute on a 100-router Barabási–Albert
-// network at one allocation per router, its table's entry slice, plus a
-// constant for the shared adjacency, visited marks and BFS queue (112 in
-// all when this was written), and at recomputeBytesBudget bytes. Map-based
-// tables cost about 47 allocations per router on this network.
+// recomputeBytesBudget bounds the bytes Recompute allocates on the
+// 100-router network: 100 routers × 296 links × 4 B of entries, the
+// first-hop lists, the adjacency and the BFS scratch, measured 176,714 B
+// (1.10 × that, rounded down). A table twice as wide fails it, as the
+// object count alone would not notice.
+const recomputeBytesBudget = 194_000
+
+// TestRecomputeAllocBudget pins Recompute on 100- and 500-router
+// Barabási–Albert networks at recomputeAllocsBudget objects, a number
+// that does not grow with the routers (one allocation per router table
+// cost 112 and 512), and on the 100-router one at recomputeBytesBudget
+// bytes (32-byte entries cost 1,002,184 B). Map-based tables cost about
+// 47 allocations per router on this network.
 func TestRecomputeAllocBudget(t *testing.T) {
-	f := routerNet(t, "ba", 100, 1, 0)
-	routers := len(f.RouterOrder())
-	allocs := testing.AllocsPerRun(20, f.Dom.Recompute)
-	if budget := float64(routers + 16); allocs > budget {
-		t.Errorf("Recompute allocates %v objects for %d routers; budget %v", allocs, routers, budget)
-	}
-	bytes := bytesPerRun(20, f.Dom.Recompute)
-	t.Logf("Recompute: %v allocs, %.0f B", allocs, bytes)
-	if bytes > recomputeBytesBudget {
-		t.Errorf("Recompute allocates %.0f B for %d routers; budget %d B", bytes, routers, recomputeBytesBudget)
+	for _, routers := range []int{100, 500} {
+		t.Run(fmt.Sprintf("ba-r%d", routers), func(t *testing.T) {
+			f := routerNet(t, "ba", routers, 1, 0)
+			allocs := testing.AllocsPerRun(20, f.Dom.Recompute)
+			bytes := bytesPerRun(20, f.Dom.Recompute)
+			t.Logf("Recompute on %d routers, %d links: %v allocs, %.0f B", len(f.RouterOrder()), len(f.Net.Links), allocs, bytes)
+			if allocs > recomputeAllocsBudget {
+				t.Errorf("Recompute allocates %v objects for %d routers; budget %d", allocs, routers, recomputeAllocsBudget)
+			}
+			if routers == 100 && bytes > recomputeBytesBudget {
+				t.Errorf("Recompute allocates %.0f B for %d routers; budget %d B", bytes, routers, recomputeBytesBudget)
+			}
+		})
 	}
 }
 

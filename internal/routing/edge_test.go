@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,4 +120,40 @@ func TestRecomputePreservesExistingHostTables(t *testing.T) {
 	if h.Routes != first {
 		t.Fatal("host table churned on recompute")
 	}
+}
+
+// TestSixteenBitBoundsPanic checks that Recompute refuses, by name, a
+// domain whose 16-bit hop counts or first-hop indexes would wrap: 65,536
+// routers, and a router whose first-hop list could pass slot 65,535.
+func TestSixteenBitBoundsPanic(t *testing.T) {
+	mustPanic := func(t *testing.T, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q, want one containing %q", msg, want)
+			}
+		}()
+		f()
+	}
+	t.Run("routers", func(t *testing.T) {
+		net := netem.New(sim.NewScheduler(1))
+		for i := 0; i <= math.MaxUint16; i++ {
+			net.Nodes = append(net.Nodes, &netem.Node{Net: net, IsRouter: true})
+		}
+		mustPanic(t, "65536 routers", NewDomain(net).Recompute)
+	})
+	t.Run("first hops", func(t *testing.T) {
+		r := &netem.Node{Name: "R0", IsRouter: true}
+		// R0 has one up interface, on link 0, which carries nbrs router
+		// interfaces, R0's among them: slot 0, R0's on-link first hop and
+		// one per other interface.
+		onLink := func(nbrs int32) *graph {
+			return &graph{ifcAt: []int32{0, 1}, ifcs: []routerIfc{{link: 0}}, nbrAt: []int32{0, nbrs}}
+		}
+		if n := onLink(math.MaxUint16).firstHopBound(0, r); n != math.MaxUint16+1 {
+			t.Fatalf("bound %d, want %d", n, math.MaxUint16+1)
+		}
+		mustPanic(t, "router R0 may have 65536 first hops", func() { onLink(math.MaxUint16+1).firstHopBound(0, r) })
+	})
 }

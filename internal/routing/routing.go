@@ -6,13 +6,18 @@
 // A Domain assigns each link a /64 prefix and a dense link number, and
 // computes, for every router, a next-hop entry per link by breadth-first
 // search over the router/link bipartite graph (all links cost 1). A router
-// table is a slice indexed by link number, so a lookup is one probe of the
-// prefix map plus a slice index. Tables implement netem.RouteTable.
+// table is a row of 4-byte entries indexed by link number: a hop count and
+// an index into the router's short first-hop list, which holds the
+// outgoing interface and next-hop address of each branch the search
+// leaves the router by. A lookup is one probe of the prefix map plus two
+// slice indexes. One Recompute builds every router's rows out of two
+// shared blocks. Tables implement netem.RouteTable.
 package routing
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"mip6mcast/internal/ipv6"
 	"mip6mcast/internal/netem"
@@ -99,6 +104,10 @@ func (d *Domain) LinkFor(addr ipv6.Addr) *netem.Link {
 // installs them on the router nodes. Hosts get dynamic tables (installed
 // once; they track movement automatically). Tables from an earlier call
 // stay valid and keep answering from the topology they were computed on.
+// The tables of one call are rows of two blocks allocated here: routers ×
+// links entries, and first-hop lists of firstHopBound slots per router.
+// Entries hold 16-bit hop counts and first-hop indexes, so Recompute
+// panics on more routers, or a longer first-hop list, than they can count.
 func (d *Domain) Recompute() {
 	routers := make([]*netem.Node, 0, len(d.Net.Nodes))
 	ifcs := 0
@@ -110,14 +119,31 @@ func (d *Domain) Recompute() {
 			n.Routes = &HostTable{Domain: d, Node: n}
 		}
 	}
+	if len(routers) > math.MaxUint16 {
+		panic(fmt.Sprintf("routing: %d routers; 16-bit hop counts span at most %d", len(routers), math.MaxUint16))
+	}
 	g := d.buildGraph(routers, ifcs)
+	nFirst := 0
+	for i, r := range routers {
+		nFirst += g.firstHopBound(int32(i), r)
+	}
+	links := len(d.links)
+	entries := make([]entry, len(routers)*links)
+	firsts := make([]firstHop, nFirst)
 	tables := make([]RouterTable, len(routers))
 	seen := make([]int32, len(routers))
 	queue := make([]hop, 0, len(routers))
 	for i, r := range routers {
+		n := g.firstHopBound(int32(i), r)
 		t := &tables[i]
-		*t = RouterTable{node: r, domain: d, entries: make([]entry, len(d.links))}
-		queue = g.spf(int32(i), t.entries, seen, queue[:0])
+		*t = RouterTable{
+			node:    r,
+			domain:  d,
+			entries: entries[i*links : (i+1)*links : (i+1)*links],
+			firsts:  firsts[:1:n], // slot 0 is the unreachable entries' zero first hop
+		}
+		firsts = firsts[n:]
+		queue = g.spf(int32(i), t, seen, queue[:0])
 		d.tables[r] = t
 		r.Routes = t
 	}
@@ -197,23 +223,41 @@ func (d *Domain) buildGraph(routers []*netem.Node, ifcs int) *graph {
 	return g
 }
 
-// hop is a router on the BFS frontier with the branch that reached it: the
-// root's interface the branch leaves by and the first-hop neighbor on it.
-type hop struct {
-	router int32
-	dist   int32
-	first  *netem.Interface
-	via    ipv6.Addr
+// firstHopBound bounds the first-hop list of router i: slot 0, then per
+// up interface one slot per router interface on its link. The
+// interface's own slot is its on-link first hop, and every first-hop
+// neighbor it reaches sits on one of the others. It panics if the list
+// could outgrow a 16-bit index.
+func (g *graph) firstHopBound(i int32, r *netem.Node) int {
+	n := 1
+	for _, ri := range g.ifcs[g.ifcAt[i]:g.ifcAt[i+1]] {
+		n += int(g.nbrAt[ri.link+1] - g.nbrAt[ri.link])
+	}
+	if n > math.MaxUint16+1 {
+		panic(fmt.Sprintf("routing: router %s may have %d first hops; a 16-bit index holds %d", r.Name, n-1, math.MaxUint16))
+	}
+	return n
 }
 
-// spf fills entries with root's next hop toward every link it reaches. A
-// link's entry is written when the BFS first crosses it, by the first of
-// the expanding router's up interfaces in Ifaces order, and every router
-// on the link then joins the frontier in the link's interface order, so
-// equal-cost ties resolve the same way on every call. Hosts are not
-// transit. seen marks visited routers with root+1. The queue's storage is
-// shared by all roots of one Recompute and returned for the next.
-func (g *graph) spf(root int32, entries []entry, seen []int32, queue []hop) []hop {
+// hop is a router on the BFS frontier with the branch that reached it:
+// the index in the root's first-hop list of the root's interface the
+// branch leaves by and the first-hop neighbor on it.
+type hop struct {
+	router int32
+	dist   uint16
+	first  uint16
+}
+
+// spf fills t's entries with its router's next hop toward every link it
+// reaches, appending one first hop per root interface and per first-hop
+// neighbor to t.firsts. A link's entry is written when the BFS first
+// crosses it, by the first of the expanding router's up interfaces in
+// Ifaces order, and every router on the link then joins the frontier in
+// the link's interface order, so equal-cost ties resolve the same way on
+// every call. Hosts are not transit. seen marks visited routers with
+// root+1. The queue's storage is shared by all roots of one Recompute and
+// returned for the next.
+func (g *graph) spf(root int32, t *RouterTable, seen []int32, queue []hop) []hop {
 	mark := root + 1
 	seen[root] = mark
 	queue = append(queue, hop{router: root})
@@ -221,21 +265,23 @@ func (g *graph) spf(root int32, entries []entry, seen []int32, queue []hop) []ho
 		cur := queue[q]
 		for _, ri := range g.ifcs[g.ifcAt[cur.router]:g.ifcAt[cur.router+1]] {
 			j := ri.link
-			if entries[j].out != nil {
+			if t.entries[j].first != 0 {
 				continue
 			}
-			next := hop{dist: cur.dist + 1, first: cur.first, via: cur.via}
-			if q == 0 {
-				next.first = ri.ifc // the root's own link: deliver on-link
+			next := hop{dist: cur.dist + 1, first: cur.first}
+			if q == 0 { // the root's own link: deliver on-link
+				t.firsts = append(t.firsts, firstHop{out: ri.ifc})
+				next.first = uint16(len(t.firsts) - 1)
 			}
-			entries[j] = entry{out: next.first, via: next.via, hops: int(next.dist)}
+			t.entries[j] = entry{first: next.first, hops: next.dist}
 			for _, nb := range g.nbrs[g.nbrAt[j]:g.nbrAt[j+1]] {
 				if seen[nb.router] == mark {
 					continue
 				}
 				seen[nb.router] = mark
-				if q == 0 {
-					next.via = nb.ifc.LinkLocal() // a first-hop neighbor
+				if q == 0 { // a first-hop neighbor
+					t.firsts = append(t.firsts, firstHop{out: ri.ifc, via: nb.ifc.LinkLocal()})
+					next.first = uint16(len(t.firsts) - 1)
 				}
 				next.router = nb.router
 				queue = append(queue, next)
@@ -245,58 +291,65 @@ func (g *graph) spf(root int32, entries []entry, seen []int32, queue []hop) []ho
 	return queue
 }
 
-// entry is a router's next hop toward one link prefix; out is nil for a
-// link the router cannot reach.
+// entry is a router's route toward one link prefix: first indexes the
+// router's first-hop list, and is 0 for a link the router cannot reach.
 type entry struct {
-	out  *netem.Interface
-	via  ipv6.Addr // zero for directly-attached (deliver to dst itself)
-	hops int       // router-to-link distance in links
+	first uint16
+	hops  uint16 // router-to-link distance in links
+}
+
+// firstHop is where a branch of a router's BFS leaves the router.
+type firstHop struct {
+	out *netem.Interface
+	via ipv6.Addr // zero for directly-attached (deliver to dst itself)
 }
 
 // RouterTable is the SPF result for one router.
 type RouterTable struct {
 	node    *netem.Node
 	domain  *Domain
-	entries []entry // by link number
+	entries []entry    // by link number
+	firsts  []firstHop // by entry.first; slot 0 is zero
 }
 
-// lookup returns the entry for the link whose prefix covers a. A link
-// numbered after the table was computed lies past its end: unreachable.
-func (t *RouterTable) lookup(a ipv6.Addr) (entry, bool) {
+// lookup returns the first hop and distance toward the link whose prefix
+// covers a. A link numbered after the table was computed lies past the
+// entries' end: unreachable.
+func (t *RouterTable) lookup(a ipv6.Addr) (firstHop, int, bool) {
 	i, ok := t.domain.byPrefix[prefixKey(a)]
 	if !ok || int(i) >= len(t.entries) {
-		return entry{}, false
+		return firstHop{}, 0, false
 	}
 	e := t.entries[i]
-	return e, e.out != nil
+	return t.firsts[e.first], int(e.hops), e.first != 0
 }
 
 // NextHop implements netem.RouteTable.
 func (t *RouterTable) NextHop(dst ipv6.Addr) (*netem.Interface, ipv6.Addr, bool) {
-	e, ok := t.lookup(dst)
+	f, _, ok := t.lookup(dst)
 	if !ok {
 		return nil, ipv6.Addr{}, false
 	}
-	via := e.via
+	via := f.via
 	if via.IsUnspecified() {
 		via = dst // directly attached: deliver on-link
 	}
-	return e.out, via, true
+	return f.out, via, true
 }
 
 // HopsTo returns the router's distance (in links) to the link covering dst,
 // used by PIM assert metrics. ok is false if unreachable.
 func (t *RouterTable) HopsTo(dst ipv6.Addr) (int, bool) {
-	e, ok := t.lookup(dst)
-	return e.hops, ok
+	_, hops, ok := t.lookup(dst)
+	return hops, ok
 }
 
 // RPFInterface returns the interface this router uses to reach src — PIM's
 // reverse-path-forwarding check — together with the upstream neighbor
 // address (zero if src is directly attached).
 func (t *RouterTable) RPFInterface(src ipv6.Addr) (*netem.Interface, ipv6.Addr, bool) {
-	e, ok := t.lookup(src)
-	return e.out, e.via, ok
+	f, _, ok := t.lookup(src)
+	return f.out, f.via, ok
 }
 
 // HostTable routes for a (possibly mobile) host: destinations covered by
@@ -345,7 +398,7 @@ func (h *HostTable) NextHop(dst ipv6.Addr) (*netem.Interface, ipv6.Addr, bool) {
 func (t *RouterTable) String() string {
 	n := 0
 	for _, e := range t.entries {
-		if e.out != nil {
+		if e.first != 0 {
 			n++
 		}
 	}
