@@ -20,7 +20,7 @@ func BenchmarkF1InitialTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := DefaultOptions()
 		opt.Seed = int64(i + 1)
-		res = runExp(b, "f1", ExpContext{Opt: opt}, nil).Artifact.([2]F1Result)[0]
+		res = sweepPoints[F1Result](b, runExp(b, "f1", ExpContext{Opt: opt}, nil))[0]
 	}
 	b.ReportMetric(float64(res.FloodFramesL5), "floodframesL5")
 	b.ReportMetric(float64(res.DataBytesPerLink["L4"]), "bytesL4")
@@ -28,14 +28,14 @@ func BenchmarkF1InitialTree(b *testing.B) {
 }
 
 func BenchmarkF2MobileReceiverLocal(b *testing.B) {
-	// The f2 artifact's rows 0 and 1 are the two report policies.
-	for row, name := range []string{"unsolicited", "waitforquery"} {
+	// The f2 experiment's points 0 and 1 are the two report policies.
+	for pt, name := range []string{"unsolicited", "waitforquery"} {
 		b.Run(name, func(b *testing.B) {
 			var res F2Result
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
 				opt.Seed = int64(i + 1)
-				res = runExp(b, "f2", ExpContext{Opt: opt}, nil).Artifact.([3]F2Result)[row]
+				res = sweepPoints[F2Result](b, runExp(b, "f2", ExpContext{Opt: opt}, nil))[pt]
 			}
 			b.ReportMetric(res.JoinDelay.Seconds()*1000, "join-ms")
 			b.ReportMetric(res.LeaveDelay.Seconds(), "leave-s")
@@ -45,14 +45,14 @@ func BenchmarkF2MobileReceiverLocal(b *testing.B) {
 }
 
 func BenchmarkF3MobileReceiverTunnel(b *testing.B) {
-	// The f3 artifact's rows 0 and 1 are the two tunnel variants.
-	for row, name := range []string{"grouplist-bu", "tunneled-mld"} {
+	// The f3 experiment's points 0 and 1 are the two tunnel variants.
+	for pt, name := range []string{"grouplist-bu", "tunneled-mld"} {
 		b.Run(name, func(b *testing.B) {
 			var res F3Result
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
 				opt.Seed = int64(i + 1)
-				res = runExp(b, "f3", ExpContext{Opt: opt}, nil).Artifact.([3]F3Result)[row]
+				res = sweepPoints[F3Result](b, runExp(b, "f3", ExpContext{Opt: opt}, nil))[pt]
 			}
 			b.ReportMetric(res.JoinDelay.Seconds()*1000, "join-ms")
 			b.ReportMetric(res.MeanHops, "hops")
@@ -62,14 +62,14 @@ func BenchmarkF3MobileReceiverTunnel(b *testing.B) {
 }
 
 func BenchmarkF4MobileSenderTunnel(b *testing.B) {
-	// The f4 artifact's rows 0 and 1 are the two send modes.
-	for row, name := range []string{"reverse-tunnel", "local-send"} {
+	// The f4 experiment's points 0 and 1 are the two send modes.
+	for pt, name := range []string{"reverse-tunnel", "local-send"} {
 		b.Run(name, func(b *testing.B) {
 			var res F4Result
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
 				opt.Seed = int64(i + 1)
-				res = runExp(b, "f4", ExpContext{Opt: opt}, nil).Artifact.([3]F4Result)[row]
+				res = sweepPoints[F4Result](b, runExp(b, "f4", ExpContext{Opt: opt}, nil))[pt]
 			}
 			b.ReportMetric(float64(res.NewTreesBuilt), "newtrees")
 			b.ReportMetric(float64(res.PeakSGEntries), "peakSG")
@@ -123,7 +123,7 @@ func BenchmarkApproachComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := FastMLDOptions(30)
 		opt.Seed = int64(i + 1)
-		rows = runExp(b, "t1", ExpContext{Opt: opt}, nil).Artifact.([]T1Row)
+		rows = sweepPoints[T1Row](b, runExp(b, "t1", ExpContext{Opt: opt}, nil))
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.JoinDelayR3.Seconds()*1000, r.Approach.String()+"-join-ms")

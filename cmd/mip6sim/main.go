@@ -37,7 +37,7 @@ func main() {
 		list        = flag.Bool("list", false, "list registered experiments and their parameters")
 		jsonDir     = flag.String("json", "", "also write machine-readable results to <dir>/<experiment>.json")
 		workers     = flag.Int("workers", 0, "parallel timeline workers (0 = GOMAXPROCS)")
-		replicates  = flag.Int("replicates", 3, "replicate runs for sweep experiments")
+		replicates  = flag.Int("replicates", 3, "replicate runs per experiment point (replicate 0 runs -seed; 1 reproduces a single run)")
 		seed        = flag.Int64("seed", 1, "simulation master seed")
 		tquery      = flag.Int("tquery", 0, "MLD query interval in seconds (0 = RFC default 125)")
 		unsolicited = flag.Bool("unsolicited", true, "mobile receivers send unsolicited MLD reports after moving")
@@ -115,12 +115,8 @@ func main() {
 				ls.feed.Publish(live.NewLine("", curID, cs))
 			}
 			if *progress {
-				label := cs.Label
-				if label == "" {
-					label = fmt.Sprintf("variant %d", cs.Point)
-				}
 				fmt.Fprintf(os.Stderr, "  %s [%s rep %d]: %d events in %v (%.0f ev/s, hwm %d, vt %v)\n",
-					curID, label, cs.Replicate, cs.Sched.Dispatched, cs.Wall.Round(time.Microsecond),
+					curID, cs.Label, cs.Replicate, cs.Sched.Dispatched, cs.Wall.Round(time.Microsecond),
 					cs.EventsPerSec(), cs.Sched.QueueHighWater, time.Duration(cs.Sched.Virtual))
 			}
 		}
@@ -130,9 +126,11 @@ func main() {
 	if *experiment == "all" {
 		ids = mip6mcast.Experiments()
 	}
-	for _, id := range ids {
-		curID = id
-		totals.Begin(id)
+	// Resolve every requested experiment's parameters before the first
+	// run, so an unknown id or a value a parameter's check rejects (a -topo
+	// value included) exits 2 before any table prints.
+	params := make([]exp.Params, len(ids))
+	for i, id := range ids {
 		e, ok := mip6mcast.GetExperiment(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (have: %s)\n",
@@ -153,41 +151,42 @@ func main() {
 		if *traceOut != "" && e.HasParam("tracedir") {
 			p["tracedir"] = *traceOut
 		}
-		// -topo keys map onto the scale experiment's parameters; other
-		// experiments (fixed Figure 1 topology) ignore them.
+		// -topo keys set the parameters of the same name; an experiment
+		// without one (a fixed Figure 1 topology) ignores the key.
 		for name, v := range topoParams {
 			if e.HasParam(name) {
 				p[name] = v
 			}
 		}
+		var err error
+		if params[i], err = e.ResolveParams(p); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+
+	for i, id := range ids {
+		curID = id
+		totals.Begin(id)
 
 		// Trace and telemetry capture: record the experiment's first
 		// timeline cell (point 0, replicate 0 — the master seed's run).
-		// The factories may be called from parallel workers; they only
-		// read.
+		// The hook may be called from parallel workers; it only reads.
 		var rec *obs.Recorder
 		if *traceOut != "" {
 			rec = obs.NewRecorder(nil)
-			ctx.Recorder = func(pt, rep int) *obs.Recorder {
-				if pt == 0 && rep == 0 {
-					return rec
-				}
-				return nil
-			}
 		}
 		var reg *telemetry.Registry
 		if *telemetryOut != "" {
 			reg = telemetry.NewRegistry()
-			r := reg
-			ctx.Telemetry = func(pt, rep int) *telemetry.Registry {
-				if pt == 0 && rep == 0 {
-					return r
-				}
-				return nil
+		}
+		ctx.OnCell = func(pt, rep int, opt *scenario.Options) {
+			if pt == 0 && rep == 0 {
+				opt.Obs, opt.Telemetry = rec, reg
 			}
 		}
 
-		res, err := mip6mcast.RunExperiment(id, ctx, p)
+		res, err := mip6mcast.RunExperiment(id, ctx, params[i])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -209,12 +208,7 @@ func main() {
 		}
 
 		if *jsonDir != "" {
-			resolved, err := e.ResolveParams(p)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			path, err := exp.WriteJSON(*jsonDir, exp.ResultJSON(id, ctx, resolved, res))
+			path, err := exp.WriteJSON(*jsonDir, exp.ResultJSON(id, ctx, params[i], res))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -304,7 +298,8 @@ func writeTraces(dir, id string, rec *obs.Recorder) error {
 
 // parseTopoSpec turns "family=tree+grid,routers=4+16,mns=8" into the
 // scale experiment's parameters. Lists use '+' because ',' separates the
-// spec's key=value pairs.
+// spec's key=value pairs. It only parses: the parameters' checks vet the
+// values when an experiment resolves them.
 func parseTopoSpec(spec string) (exp.Params, error) {
 	p := exp.Params{}
 	if spec == "" {
@@ -317,15 +312,12 @@ func parseTopoSpec(spec string) (exp.Params, error) {
 		}
 		switch key {
 		case "family", "families":
-			if _, err := mip6mcast.ParseFamilies(val); err != nil {
-				return nil, fmt.Errorf("-topo: %v", err)
-			}
 			p["families"] = val
 		case "routers":
 			var routers []int
 			for _, f := range strings.Split(val, "+") {
 				n, err := strconv.Atoi(f)
-				if err != nil || n < 1 {
+				if err != nil {
 					return nil, fmt.Errorf("-topo: bad router count %q", f)
 				}
 				routers = append(routers, n)
@@ -333,34 +325,17 @@ func parseTopoSpec(spec string) (exp.Params, error) {
 			p["routers"] = routers
 		case "mns", "sources", "dwell", "horizon":
 			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
+			if err != nil {
 				return nil, fmt.Errorf("-topo: bad %s count %q", key, val)
 			}
 			p[key] = n
 		case "members":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil {
 				return nil, fmt.Errorf("-topo: bad member fraction %q", val)
 			}
 			p[key] = f
-		case "approach":
-			if _, ok := mip6mcast.ApproachByName(val); !ok {
-				return nil, fmt.Errorf("-topo: unknown approach %q (registered: %v)",
-					val, mip6mcast.ApproachNames())
-			}
-			p[key] = val
-		case "engine":
-			names := scenario.EngineNames()
-			found := false
-			for _, n := range names {
-				if n == val {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("-topo: unknown engine %q (registered: %v)", val, names)
-			}
+		case "approach", "engine":
 			p[key] = val
 		default:
 			return nil, fmt.Errorf("-topo: unknown key %q (want family, routers, mns, sources, members, dwell, horizon, approach or engine)", key)
@@ -432,11 +407,7 @@ func paramKind(e *mip6mcast.Experiment, name string) (exp.Kind, bool) {
 // to w, each parameter with the mip6sim route that sets it.
 func listExperiments(w io.Writer) {
 	for _, e := range exp.All() {
-		kind := ""
-		if e.Sweep {
-			kind = "  [sweep]"
-		}
-		fmt.Fprintf(w, "%-5s %s%s\n", e.Name, e.Desc, kind)
+		fmt.Fprintf(w, "%-5s %s\n", e.Name, e.Desc)
 		for _, sp := range e.Params {
 			fmt.Fprintf(w, "        %s %s (default %v; %s): %s\n", sp.Name, sp.Kind, sp.Default, paramRoute(sp.Name), sp.Desc)
 		}

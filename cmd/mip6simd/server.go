@@ -140,12 +140,11 @@ func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	type expInfo struct {
 		Name   string      `json:"name"`
 		Desc   string      `json:"desc"`
-		Sweep  bool        `json:"sweep"`
 		Params []paramInfo `json:"params,omitempty"`
 	}
 	var out []expInfo
 	for _, e := range exp.All() {
-		ei := expInfo{Name: e.Name, Desc: e.Desc, Sweep: e.Sweep}
+		ei := expInfo{Name: e.Name, Desc: e.Desc}
 		for _, p := range e.Params {
 			ei.Params = append(ei.Params, paramInfo{
 				Name: p.Name, Desc: p.Desc, Kind: p.Kind.String(), Default: p.Default,

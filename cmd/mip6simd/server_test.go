@@ -30,7 +30,7 @@ var registerOnce sync.Once
 func registerTestExperiments() {
 	registerOnce.Do(func() {
 		exp.Register(&exp.Experiment{
-			Name: "zz-fail-cell", Desc: "test: sweep with one panicking cell", Sweep: true,
+			Name: "zz-fail-cell", Desc: "test: sweep with one panicking cell",
 			Run: func(ctx exp.Context, p exp.Params) exp.Result {
 				spec := exp.SweepSpec{
 					Points:  []string{"ok", "boom"},
@@ -46,7 +46,7 @@ func registerTestExperiments() {
 			},
 		})
 		exp.Register(&exp.Experiment{
-			Name: "zz-panic-run", Desc: "test: Run itself panics", Sweep: true,
+			Name: "zz-panic-run", Desc: "test: Run itself panics",
 			Run: func(ctx exp.Context, p exp.Params) exp.Result {
 				var raw any
 				_ = raw.(int) // the pt.Raw[0].(T) failure shape
@@ -166,6 +166,21 @@ func TestBadSpecsRejected(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "ghost") {
 		t.Fatalf("unknown param: %d %s", resp.StatusCode, body)
+	}
+	// Values the scale schema's checks reject never start a run.
+	for name, v := range map[string]any{
+		"engine":   "bogus",
+		"approach": "nope",
+		"families": "nosuch",
+		"members":  2.5,
+		"routers":  []int{0},
+	} {
+		resp, body = postJSON(t, ts.URL+"/runs", map[string]any{
+			"experiment": "scale", "params": map[string]any{name: v},
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), name) {
+			t.Errorf("scale %s=%v: %d %s", name, v, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -19,10 +19,10 @@ func main() {
 	fmt.Println()
 
 	// Approach A (Figure 2): local membership on the foreign link. The f2
-	// experiment measures both report policies (rows 0 and 1). First with
-	// the default configuration and the paper's recommended unsolicited
-	// Reports...
-	f2 := artifact("f2", mip6mcast.DefaultOptions()).([3]mip6mcast.F2Result)
+	// experiment measures both report policies (points 0 and 1). First
+	// with the default configuration and the paper's recommended
+	// unsolicited Reports...
+	f2 := points[mip6mcast.F2Result]("f2", mip6mcast.DefaultOptions())
 	res := f2[0]
 	fmt.Printf("local membership, unsolicited reports:\n")
 	fmt.Printf("  join delay  %12s   (re-subscription is immediate)\n", res.JoinDelay)
@@ -35,16 +35,16 @@ func main() {
 	fmt.Printf("  join delay  %12s   <- the paper calls this \"far too high\"\n\n", res.JoinDelay)
 
 	// The paper's fix: decrease T_Query (here to 10 s).
-	res = artifact("f2", mip6mcast.FastMLDOptions(10)).([3]mip6mcast.F2Result)[1]
+	res = points[mip6mcast.F2Result]("f2", mip6mcast.FastMLDOptions(10))[1]
 	fmt.Printf("local membership, tuned T_Query=10s (paper §4.4):\n")
 	fmt.Printf("  join delay  %12s\n", res.JoinDelay)
 	fmt.Printf("  leave delay %12s\n\n", res.LeaveDelay)
 
 	// Approach B (Figure 3): membership held at the home agent, traffic
 	// tunneled — no MLD timer in the path, but suboptimal routing and
-	// per-packet tunnel overhead. The f3 experiment's rows 0 and 1 are the
-	// paper's two ways of signaling membership to the home agent.
-	f3 := artifact("f3", mip6mcast.DefaultOptions()).([3]mip6mcast.F3Result)
+	// per-packet tunnel overhead. The f3 experiment's points 0 and 1 are
+	// the paper's two ways of signaling membership to the home agent.
+	f3 := points[mip6mcast.F3Result]("f3", mip6mcast.DefaultOptions())
 	for i, name := range []string{
 		"Multicast Group List sub-option (paper Fig. 5)",
 		"MLD Reports through the tunnel",
@@ -58,11 +58,20 @@ func main() {
 	}
 }
 
-// artifact runs one registered experiment and returns its typed result.
-func artifact(name string, opt mip6mcast.Options) any {
+// points runs one registered experiment and returns each point's typed
+// result (its first replicate's).
+func points[T any](name string, opt mip6mcast.Options) []T {
 	res, err := mip6mcast.RunExperiment(name, mip6mcast.ExpContext{Opt: opt}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res.Artifact
+	out := make([]T, len(res.Stats))
+	for i, pt := range res.Stats {
+		r, ok := pt.Raw[0].(T)
+		if !ok {
+			log.Fatalf("%s %s: %s", name, pt.Label, pt.Errs[0])
+		}
+		out[i] = r
+	}
+	return out
 }

@@ -18,13 +18,16 @@ func main() {
 	fmt.Println("Mobile sender: S moves to Link 6 mid-stream (paper Figure 4 / §4.3.1)")
 	fmt.Println()
 
-	// The f4 experiment's rows 0 and 1 are the two send modes.
+	// The f4 experiment's points 0 and 1 are the two send modes.
 	f4, err := mip6mcast.RunExperiment("f4", mip6mcast.ExpContext{Opt: mip6mcast.DefaultOptions()}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	all := f4.Artifact.([3]mip6mcast.F4Result)
-	tun, loc := all[0], all[1]
+	tun, ok0 := f4.Stats[0].Raw[0].(mip6mcast.F4Result)
+	loc, ok1 := f4.Stats[1].Raw[0].(mip6mcast.F4Result)
+	if !ok0 || !ok1 {
+		log.Fatalf("f4: %q, %q", f4.Stats[0].Errs[0], f4.Stats[1].Errs[0])
+	}
 
 	fmt.Printf("%-34s %18s %18s\n", "", "reverse tunnel", "local sending")
 	row := func(label, a, b string) { fmt.Printf("%-34s %18s %18s\n", label, a, b) }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mip6mcast/internal/check"
-	"mip6mcast/internal/core"
 	"mip6mcast/internal/exp"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/mld"
@@ -132,8 +131,8 @@ func StartChaos(opt Options) *Run {
 
 // StartChaosWith is StartChaos under any approach whose members receive
 // on the visited link (local membership or the proxy hierarchy) — the
-// matrix's invariant checks model local reception, so tunnel-receiving
-// approaches are rejected up front by runExpChaos.
+// matrix's invariant checks model local reception, so the chaos
+// experiment's approach parameter rejects tunnel-receiving approaches.
 func StartChaosWith(opt Options, approach Approach) *Run {
 	if opt.Obs == nil {
 		opt.Obs = obs.NewRecorder(nil)
@@ -300,9 +299,6 @@ func writeTimelineTrace(dir, experiment, eng, stem, cell string, seed int64, rec
 func runExpChaos(ctx exp.Context, p exp.Params) exp.Result {
 	ctx.Opt = applyEngine(chaosTune(ctx.Opt), p)
 	approach := applyApproach(p)
-	if approach.Receive == core.ReceiveHomeTunnel {
-		panic(fmt.Sprintf("chaos: approach %q receives via the home-agent tunnel; the matrix's invariants model local reception (use local-membership or proxy-hierarchy)", approach))
-	}
 	tracedir := p.Str("tracedir")
 	cells := chaosMatrix()
 	points := make([]string, len(cells))

@@ -382,16 +382,11 @@ func runScaleOne(opt Options, cell scaleCell, cfg scaleConfig) ScaleOutcome {
 // and validates every entry against the generator registry. The separator
 // is '+' because ',' already separates sweep parameters on the CLI.
 func ParseFamilies(s string) ([]string, error) {
-	var out []string
-	for _, fam := range strings.Split(s, "+") {
-		fam = strings.TrimSpace(fam)
-		if fam == "" {
-			continue
-		}
+	out := splitFamilies(s)
+	for _, fam := range out {
 		if _, err := topo.FromSpec(fam, 1, 1); err != nil {
 			return nil, err
 		}
-		out = append(out, fam)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("topo: empty family list %q (want e.g. %q)", s, "tree+grid")
@@ -399,12 +394,19 @@ func ParseFamilies(s string) ([]string, error) {
 	return out, nil
 }
 
+// splitFamilies splits a family list at '+', dropping blank entries.
+func splitFamilies(s string) []string {
+	var out []string
+	for _, fam := range strings.Split(s, "+") {
+		if fam = strings.TrimSpace(fam); fam != "" {
+			out = append(out, fam)
+		}
+	}
+	return out
+}
+
 func runExpScale(ctx exp.Context, p exp.Params) exp.Result {
 	ctx.Opt = applyEngine(chaosTune(ctx.Opt), p)
-	families, err := ParseFamilies(p.Str("families"))
-	if err != nil {
-		panic("scale: " + err.Error())
-	}
 	approach := applyApproach(p)
 	cfg := scaleConfig{
 		sources:    p.Int("sources"),
@@ -422,7 +424,7 @@ func runExpScale(ctx exp.Context, p exp.Params) exp.Result {
 
 	var cells []scaleCell
 	var points []string
-	for _, fam := range families {
+	for _, fam := range splitFamilies(p.Str("families")) {
 		for _, r := range p.Ints("routers") {
 			mns := mnsOverride
 			if mns <= 0 {

@@ -37,7 +37,7 @@ func sweepPoints[T any](tb testing.TB, res ExpResult) []T {
 }
 
 func TestF1InitialTree(t *testing.T) {
-	res := runExp(t, "f1", ExpContext{Opt: DefaultOptions()}, nil).Artifact.([2]F1Result)[0]
+	res := sweepPoints[F1Result](t, runExp(t, "f1", ExpContext{Opt: DefaultOptions()}, nil))[0]
 	// All receivers stream.
 	for _, name := range []string{"R1", "R2", "R3"} {
 		if res.Delivered[name] < int(res.Sent)-60 {
@@ -66,7 +66,7 @@ func TestF1InitialTree(t *testing.T) {
 }
 
 func TestF2JoinAndLeaveDelays(t *testing.T) {
-	all := runExp(t, "f2", ExpContext{Opt: DefaultOptions()}, nil).Artifact.([3]F2Result)
+	all := sweepPoints[F2Result](t, runExp(t, "f2", ExpContext{Opt: DefaultOptions()}, nil))
 	// With unsolicited Reports (paper's recommendation): join is fast.
 	fast := all[0]
 	if !fast.Rejoined {
@@ -108,7 +108,7 @@ func TestF2JoinAndLeaveDelays(t *testing.T) {
 }
 
 func TestF3TunnelReceiver(t *testing.T) {
-	all := runExp(t, "f3", ExpContext{Opt: DefaultOptions()}, nil).Artifact.([3]F3Result)
+	all := sweepPoints[F3Result](t, runExp(t, "f3", ExpContext{Opt: DefaultOptions()}, nil))
 	for i, variant := range []HAVariant{VariantGroupListBU, VariantTunneledMLD} {
 		res := all[i]
 		if !res.Rejoined {
@@ -137,7 +137,7 @@ func TestF3TunnelReceiver(t *testing.T) {
 }
 
 func TestF4MobileSender(t *testing.T) {
-	all := runExp(t, "f4", ExpContext{Opt: DefaultOptions()}, nil).Artifact.([3]F4Result)
+	all := sweepPoints[F4Result](t, runExp(t, "f4", ExpContext{Opt: DefaultOptions()}, nil))
 	tun, loc := all[0], all[1]
 
 	// Reverse tunneling: the tree survives the move.
@@ -172,7 +172,7 @@ func TestT1FourApproaches(t *testing.T) {
 		t.Skip("long comparison run")
 	}
 	res := runExp(t, "t1", ExpContext{Opt: FastMLDOptions(30)}, nil)
-	rows := res.Artifact.([]T1Row)
+	rows := sweepPoints[T1Row](t, res)
 	if len(rows) != len(Approaches()) {
 		t.Fatalf("rows = %d, want one per registered approach (%d)", len(rows), len(Approaches()))
 	}

@@ -96,34 +96,3 @@ func TestSweepMissingColumnFailsCell(t *testing.T) {
 		t.Fatalf("failed cells contributed samples: n=%d", pts[0].Cols["v"].N())
 	}
 }
-
-// ForEach contains panicking variants the same way.
-func TestForEachContainsPanickingVariant(t *testing.T) {
-	var reported []CellStats
-	ctx := Context{Opt: scenario.DefaultOptions(), Workers: 2,
-		Progress: func(cs CellStats) { reported = append(reported, cs) }}
-	ran := make([]bool, 4)
-	ForEach(ctx, 4, func(opt scenario.Options, i int) {
-		ran[i] = true
-		if i == 2 {
-			panic("variant down")
-		}
-	})
-	for i, r := range ran {
-		if !r {
-			t.Fatalf("variant %d did not run", i)
-		}
-	}
-	fails := 0
-	for _, cs := range reported {
-		if cs.Err != "" {
-			fails++
-			if cs.Point != 2 {
-				t.Fatalf("failure reported at variant %d", cs.Point)
-			}
-		}
-	}
-	if fails != 1 {
-		t.Fatalf("progress reported %d failures, want 1", fails)
-	}
-}

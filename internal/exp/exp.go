@@ -16,11 +16,7 @@ import (
 	"sync"
 
 	"mip6mcast/internal/metrics"
-	"mip6mcast/internal/obs"
 	"mip6mcast/internal/scenario"
-	"mip6mcast/internal/sim"
-	"mip6mcast/internal/telemetry"
-	"time"
 )
 
 // Kind types an experiment parameter.
@@ -57,13 +53,56 @@ func (k Kind) String() string {
 }
 
 // Param declares one experiment parameter: its name, what it means, its
-// type and its default. The engine validates supplied Params against this
-// schema and fills omitted ones from Default.
+// type, its default and, optionally, the values it accepts. The engine
+// validates supplied Params against this schema and fills omitted ones
+// from Default.
 type Param struct {
 	Name    string
 	Desc    string
 	Kind    Kind
 	Default any
+	// Check, when set, vets a resolved value of Kind (the default too);
+	// ResolveParams rejects the parameter set on its error.
+	Check func(v any) error
+}
+
+// AtLeast is a Check that accepts an Int, or an IntList whose every
+// element, of at least min.
+func AtLeast(min int) func(any) error {
+	return func(v any) error {
+		l, ok := v.([]int)
+		if !ok {
+			l = []int{v.(int)}
+		}
+		for _, n := range l {
+			if n < min {
+				return fmt.Errorf("%d is below %d", n, min)
+			}
+		}
+		return nil
+	}
+}
+
+// Within is a Check that accepts a Float in [lo, hi].
+func Within(lo, hi float64) func(any) error {
+	return func(v any) error {
+		if f := v.(float64); !(f >= lo && f <= hi) {
+			return fmt.Errorf("%v is outside [%v, %v]", f, lo, hi)
+		}
+		return nil
+	}
+}
+
+// OneOf is a Check that accepts a String among names.
+func OneOf(names ...string) func(any) error {
+	return func(v any) error {
+		for _, n := range names {
+			if v == n {
+				return nil
+			}
+		}
+		return fmt.Errorf("unknown %q (registered: %v)", v, names)
+	}
 }
 
 // Params carries parameter values by name. Values must match the declared
@@ -98,14 +137,14 @@ func (p Params) Floats(name string) []float64 { return p[name].([]float64) }
 func (p Params) Str(name string) string { return p[name].(string) }
 
 // Context carries the run-wide knobs every experiment shares: the base
-// simulation options (including the master seed), the replicate count for
-// sweep experiments, and the worker parallelism.
+// simulation options (including the master seed), the replicate count
+// and the worker parallelism.
 type Context struct {
 	// Opt is the base scenario configuration. Opt.Seed is the master seed
 	// from which per-replicate seeds derive.
 	Opt scenario.Options
-	// Replicates is how many independently-seeded timelines each sweep
-	// point runs (minimum 1).
+	// Replicates is how many independently-seeded timelines each
+	// experiment point runs (minimum 1).
 	Replicates int
 	// Workers bounds timeline parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -115,17 +154,12 @@ type Context struct {
 	// locking; delivery order follows completion order, which depends on
 	// the worker schedule (measurements themselves stay deterministic).
 	Progress func(CellStats)
-	// Recorder, when non-nil, supplies the observability recorder for one
-	// (point, replicate) cell before its timeline is built; return nil to
-	// skip recording that cell. Called from parallel workers — the factory
-	// must be safe for concurrent use, and each returned recorder belongs
-	// to exactly one timeline.
-	Recorder func(point, replicate int) *obs.Recorder
-	// Telemetry, when non-nil, supplies the time-series registry for one
-	// (point, replicate) cell; return nil to skip sampling that cell. The
-	// same concurrency contract as Recorder applies: one registry, one
-	// timeline.
-	Telemetry func(point, replicate int) *telemetry.Registry
+	// OnCell, when non-nil, may edit one (point, replicate) cell's options
+	// before its timeline is built: attach a recorder (opt.Obs) or a
+	// telemetry registry (opt.Telemetry) to the cells it wants captured.
+	// Called from parallel workers, so it must be safe for concurrent use,
+	// and a recorder or registry it attaches belongs to one timeline.
+	OnCell func(point, replicate int, opt *scenario.Options)
 }
 
 func (c Context) replicates() int {
@@ -136,22 +170,18 @@ func (c Context) replicates() int {
 }
 
 // Result is what an experiment run produces: a rendered-table view
-// (Title/Columns/Rows), the per-point replicate statistics when the
-// experiment swept, and an optional typed artifact for programmatic
-// consumers (tests, benchmarks and the examples).
+// (Title/Columns/Rows) and the per-point replicate statistics behind it,
+// whose Raw values are the typed results for programmatic consumers
+// (tests, benchmarks and the examples).
 type Result struct {
 	Title   string
 	Columns []string
 	Rows    []metrics.Row
 
-	// StatsColumns and Stats are set by sweep experiments: the measured
-	// column order and the replicate-reduced statistics per point.
+	// StatsColumns and Stats are the measured column order and the
+	// replicate-reduced statistics per point.
 	StatsColumns []string
 	Stats        []PointStats
-
-	// Artifact carries the experiment's typed result (e.g. an F1Result).
-	// It is for in-process consumers and is not serialized.
-	Artifact any
 }
 
 // Render formats the result as an aligned text table.
@@ -167,9 +197,6 @@ type Experiment struct {
 	Desc string
 	// Params declares the accepted parameters and their defaults.
 	Params []Param
-	// Sweep marks experiments whose rows are replicate-reduced statistics
-	// (they honor Context.Replicates).
-	Sweep bool
 	// Run executes the experiment. p has been resolved against Params:
 	// every declared parameter is present and correctly typed.
 	Run func(ctx Context, p Params) Result
@@ -186,8 +213,8 @@ func (e *Experiment) HasParam(name string) bool {
 }
 
 // ResolveParams validates p against the schema and returns a complete
-// parameter set with defaults filled in. Unknown names and kind
-// mismatches are errors.
+// parameter set with defaults filled in. Unknown names, kind mismatches
+// and values a parameter's Check rejects are errors.
 func (e *Experiment) ResolveParams(p Params) (Params, error) {
 	out := make(Params, len(e.Params))
 	for _, sp := range e.Params {
@@ -209,6 +236,14 @@ func (e *Experiment) ResolveParams(p Params) (Params, error) {
 			return nil, fmt.Errorf("experiment %q, parameter %q: %v", e.Name, name, err)
 		}
 		out[name] = cv
+	}
+	for _, sp := range e.Params {
+		if sp.Check == nil {
+			continue
+		}
+		if err := sp.Check(out[sp.Name]); err != nil {
+			return nil, fmt.Errorf("experiment %q, parameter %q: %v", e.Name, sp.Name, err)
+		}
 	}
 	return out, nil
 }
@@ -345,28 +380,4 @@ func Run(name string, ctx Context, p Params) (Result, error) {
 		return Result{}, err
 	}
 	return e.Run(ctx, rp), nil
-}
-
-// ForEach runs n independent timeline bodies under the context's worker
-// budget. It is the non-sweep counterpart of Sweep: experiments with a
-// fixed small set of variants (the four approaches, tunnel vs local) use
-// it to occupy idle cores while staying deterministic — body i must
-// depend only on (opt, i). opt is the context's base options with the
-// per-variant observability hooks (Recorder, progress capture) already
-// wired in; bodies must build their networks from it for those hooks to
-// take effect.
-// A panicking body is contained to its variant and reported through
-// Progress as a failed cell, like a Sweep replicate.
-func ForEach(ctx Context, n int, body func(opt scenario.Options, i int)) {
-	sim.RunParallel(n, ctx.Workers, func(i int) {
-		opt := ctx.Opt
-		var scheds []*sim.Scheduler
-		ctx.prepareCell(&opt, i, 0, &scheds)
-		var start time.Time
-		if ctx.Progress != nil {
-			start = time.Now()
-		}
-		cellErr := contain(func() { body(opt, i) })
-		ctx.reportCell(i, 0, "", time.Since(start), scheds, nil, cellErr)
-	})
 }

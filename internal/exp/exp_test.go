@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mip6mcast/internal/metrics"
@@ -17,7 +18,7 @@ func testExperiment(name string) *Experiment {
 		Name: name,
 		Desc: "test experiment",
 		Params: []Param{
-			{Name: "n", Desc: "count", Kind: Int, Default: 3},
+			{Name: "n", Desc: "count", Kind: Int, Default: 3, Check: AtLeast(0)},
 			{Name: "on", Desc: "flag", Kind: Bool, Default: true},
 			{Name: "rate", Desc: "rate", Kind: Float, Default: 0.5},
 			{Name: "sizes", Desc: "sizes", Kind: IntList, Default: []int{1, 2}},
@@ -106,6 +107,9 @@ func TestResolveParams(t *testing.T) {
 	}
 	if _, err := e.ResolveParams(Params{"n": "seven"}); err == nil {
 		t.Error("kind mismatch accepted")
+	}
+	if _, err := e.ResolveParams(Params{"n": -1}); err == nil || !strings.Contains(err.Error(), `parameter "n": -1 is below 0`) {
+		t.Errorf("value its check rejects: error %v", err)
 	}
 }
 
@@ -255,17 +259,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Error("JSON output not byte-stable")
 	}
 
-	// Single-shot results serialize display rows as n=1 cells.
-	single := Result{
-		Title:   "one",
-		Columns: []string{"v"},
-		Rows:    []metrics.Row{{Label: "r", Values: map[string]float64{"v": 5}}},
-	}
-	js := ResultJSON("test-json-single", Context{Opt: scenario.DefaultOptions()}, nil, single)
-	if js.Rows[0].Values["v"].N != 1 || js.Rows[0].Values["v"].Mean != 5 {
-		t.Errorf("single-shot cells: %+v", js.Rows[0])
-	}
-	if js.Params == nil {
+	if js := ResultJSON("test-json-nil", ctx, nil, res); js.Params == nil {
 		t.Error("nil params should serialize as empty object")
 	}
 }

@@ -11,8 +11,8 @@ import (
 // schema name — downstream bench trajectories key on it.
 const JSONSchema = "mip6mcast/exp-result/v1"
 
-// JSONValue is one cell's replicate statistics. Single-shot experiments
-// report n=1 with 0-width spread.
+// JSONValue is one cell's replicate statistics. A single replicate
+// reports n=1 with 0-width spread.
 type JSONValue struct {
 	Mean float64 `json:"mean"`
 	Std  float64 `json:"std"`
@@ -41,9 +41,9 @@ type JSONResult struct {
 	Rows       []JSONRow      `json:"rows"`
 }
 
-// ResultJSON converts a run's Result into the stable JSON form. Sweep
-// results serialize their replicate statistics; single-shot results
-// serialize their display rows as n=1 cells.
+// ResultJSON converts a run's Result into the stable JSON form: one row
+// per point, holding its replicate statistics and its failed replicates'
+// errors.
 func ResultJSON(name string, ctx Context, p Params, r Result) JSONResult {
 	jr := JSONResult{
 		Schema:     JSONSchema,
@@ -56,29 +56,18 @@ func ResultJSON(name string, ctx Context, p Params, r Result) JSONResult {
 	if jr.Params == nil {
 		jr.Params = map[string]any{}
 	}
-	if len(r.Stats) > 0 {
-		jr.Columns = r.StatsColumns
-		for _, pt := range r.Stats {
-			row := JSONRow{Label: pt.Label, Values: make(map[string]JSONValue, len(pt.Cols))}
-			for col, s := range pt.Cols {
-				row.Values[col] = JSONValue{Mean: s.Mean(), Std: s.Stddev(), CI95: s.CI95(), N: s.N()}
-			}
-			for _, e := range pt.Errs {
-				if e != "" {
-					row.Errors = append(row.Errors, e)
-				}
-			}
-			jr.Rows = append(jr.Rows, row)
+	jr.Columns = r.StatsColumns
+	for _, pt := range r.Stats {
+		row := JSONRow{Label: pt.Label, Values: make(map[string]JSONValue, len(pt.Cols))}
+		for col, s := range pt.Cols {
+			row.Values[col] = JSONValue{Mean: s.Mean(), Std: s.Stddev(), CI95: s.CI95(), N: s.N()}
 		}
-		return jr
-	}
-	jr.Columns = r.Columns
-	for _, row := range r.Rows {
-		out := JSONRow{Label: row.Label, Values: make(map[string]JSONValue, len(row.Values))}
-		for col, v := range row.Values {
-			out.Values[col] = JSONValue{Mean: v, N: 1}
+		for _, e := range pt.Errs {
+			if e != "" {
+				row.Errors = append(row.Errors, e)
+			}
 		}
-		jr.Rows = append(jr.Rows, out)
+		jr.Rows = append(jr.Rows, row)
 	}
 	return jr
 }

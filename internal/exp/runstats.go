@@ -8,17 +8,16 @@ import (
 	"mip6mcast/internal/sim"
 )
 
-// CellStats reports one completed timeline of a fan-out (one
-// (point, replicate) cell of a Sweep, or one variant of a ForEach). It
-// carries the wall-clock cost of the cell plus the scheduler counters of
-// every scenario network the cell built, so progress reporters can show
-// events/sec and virtual time as the sweep runs.
+// CellStats reports one completed timeline of a Sweep: one
+// (point, replicate) cell. It carries the wall-clock cost of the cell
+// plus the scheduler counters of every scenario network the cell built,
+// so progress reporters can show events/sec and virtual time as the sweep
+// runs.
 type CellStats struct {
-	// Point and Replicate locate the cell in the fan-out. ForEach variants
-	// report Point=i, Replicate=0.
+	// Point and Replicate locate the cell in the sweep.
 	Point     int
 	Replicate int
-	// Label is the point label when the fan-out has one ("" for ForEach).
+	// Label is the point's label.
 	Label string
 	// Engine is the multicast engine the cell's options selected (always
 	// set; "pimdm" unless the experiment switched engines).
@@ -26,10 +25,10 @@ type CellStats struct {
 	// Wall is the wall-clock time the cell's Run body took.
 	Wall time.Duration
 	// Vals holds the cell's measured columns as returned by the sweep
-	// body (nil for ForEach variants, which return nothing). Bodies may
-	// compute these from batch samples or from streaming accumulators
-	// (metrics.Welford / metrics.Reservoir) — by the time a cell reports,
-	// both have been reduced to one float per column.
+	// body (nil for a failed cell). Bodies may compute these from batch
+	// samples or from streaming accumulators (metrics.Welford /
+	// metrics.Reservoir) — by the time a cell reports, both have been
+	// reduced to one float per column.
 	Vals map[string]float64
 	// Sched aggregates the scheduler counters of every network the cell
 	// built: dispatch counts and virtual time summed/maxed across
@@ -54,16 +53,13 @@ func (c CellStats) EventsPerSec() float64 {
 // workers, but reporters (stderr printers, aggregators) need not lock.
 var progressMu sync.Mutex
 
-// prepareCell wires the context's observability hooks into one cell's
-// options: the per-cell recorder (if a factory is set) and, when progress
-// reporting is on, an OnNetwork wrapper that collects every scheduler the
-// cell builds so reportCell can snapshot its counters.
+// prepareCell wires the context's hooks into one cell's options: the
+// OnCell hook (if set) and, when progress reporting is on, an OnNetwork
+// wrapper that collects every scheduler the cell builds so reportCell can
+// snapshot its counters.
 func (c Context) prepareCell(opt *scenario.Options, pt, rep int, scheds *[]*sim.Scheduler) {
-	if c.Recorder != nil {
-		opt.Obs = c.Recorder(pt, rep)
-	}
-	if c.Telemetry != nil {
-		opt.Telemetry = c.Telemetry(pt, rep)
+	if c.OnCell != nil {
+		c.OnCell(pt, rep, opt)
 	}
 	if c.Progress == nil {
 		return

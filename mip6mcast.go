@@ -15,9 +15,10 @@
 //		mip6mcast.ExpContext{Opt: opt, Replicates: 5}, nil)
 //	fmt.Print(res.Render())
 //
-// RunExperiment is the only way to run a paper artifact. Typed results
-// come from Result.Artifact (the non-sweep experiments f1–f4 and t1) or
-// from each sweep point's Stats[i].Raw (one value per replicate).
+// RunExperiment is the only way to run a paper artifact. Every experiment
+// is a sweep over its variants, replicated Replicates times; typed results
+// (F1Result … F4Result, T1Row, S431Result, ...) come from each point's
+// Stats[i].Raw, one value per replicate.
 package mip6mcast
 
 import (

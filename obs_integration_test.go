@@ -37,12 +37,12 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			Opt:        FastMLDOptions(10),
 			Replicates: 2,
 			Workers:    workers,
-			Recorder: func(pt, rep int) *obs.Recorder {
+			OnCell: func(pt, rep int, opt *scenario.Options) {
 				r := obs.NewRecorder(nil)
 				mu.Lock()
 				recs[fmt.Sprintf("%d/%d", pt, rep)] = r
 				mu.Unlock()
-				return r
+				opt.Obs = r
 			},
 		}
 		moves := []time.Duration{12 * time.Second, 18 * time.Second}
@@ -98,12 +98,12 @@ func TestTraceDeterministicStateRefresh(t *testing.T) {
 			Opt:        opt,
 			Replicates: 2,
 			Workers:    workers,
-			Recorder: func(pt, rep int) *obs.Recorder {
+			OnCell: func(pt, rep int, opt *scenario.Options) {
 				r := obs.NewRecorder(nil)
 				mu.Lock()
 				recs[fmt.Sprintf("%d/%d", pt, rep)] = r
 				mu.Unlock()
-				return r
+				opt.Obs = r
 			},
 		}
 		exp.Sweep(ctx, exp.SweepSpec{

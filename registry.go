@@ -12,10 +12,12 @@ import (
 )
 
 // This file registers every paper artifact as an internal/exp experiment.
-// The registration order is the canonical "run all" order. RunExperiment
-// is the only way to run one: tables come from Result.Render, replicate
-// statistics from Result.Stats, and typed results from Result.Artifact
-// (non-sweep experiments) or Stats[i].Raw (sweep points).
+// The registration order is the canonical "run all" order. Every
+// experiment is an exp.Sweep whose points are its variants (an approach,
+// a report policy, a parameter value), each run Context.Replicates times.
+// RunExperiment is the only way to run one: tables come from
+// Result.Render, replicate statistics from Result.Stats, and typed
+// results from each point's Stats[i].Raw[rep].
 
 func init() {
 	exp.Register(&exp.Experiment{
@@ -44,9 +46,8 @@ func init() {
 		Run:  runExpT1,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "s44",
-		Desc:  "§4.4: MLD Query Interval sweep (delay vs signaling tradeoff)",
-		Sweep: true,
+		Name: "s44",
+		Desc: "§4.4: MLD Query Interval sweep (delay vs signaling tradeoff)",
 		Params: []exp.Param{
 			{Name: "tquery", Desc: "MLD query intervals to sweep (s)", Kind: exp.IntList,
 				Default: []int{5, 10, 20, 30, 60, 125}},
@@ -56,20 +57,19 @@ func init() {
 		Run: runExpS44,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "s431",
-		Desc:  "§4.3.1: mobile-sender flood/assert overhead vs movement count",
-		Sweep: true,
+		Name: "s431",
+		Desc: "§4.3.1: mobile-sender flood/assert overhead vs movement count",
 		Params: []exp.Param{
 			{Name: "moves", Desc: "sender movement counts to sweep", Kind: exp.IntList,
 				Default: []int{1, 2, 4, 8}},
-			{Name: "dwell", Desc: "dwell time per foreign link (s)", Kind: exp.Int, Default: 45},
+			{Name: "dwell", Desc: "dwell time per foreign link (s)", Kind: exp.Int, Default: 45,
+				Check: exp.AtLeast(0)},
 		},
 		Run: runExpS431,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "s432",
-		Desc:  "§4.3.2: tunnel convergence, N co-located receivers on one foreign link",
-		Sweep: true,
+		Name: "s432",
+		Desc: "§4.3.2: tunnel convergence, N co-located receivers on one foreign link",
 		Params: []exp.Param{
 			{Name: "n", Desc: "co-located mobile receiver counts", Kind: exp.IntList,
 				Default: []int{1, 2, 4, 8}},
@@ -77,9 +77,8 @@ func init() {
 		Run: runExpS432,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "smg",
-		Desc:  "extension: multi-group scaling of the Group List mechanism",
-		Sweep: true,
+		Name: "smg",
+		Desc: "extension: multi-group scaling of the Group List mechanism",
 		Params: []exp.Param{
 			{Name: "groups", Desc: "group subscription counts", Kind: exp.IntList,
 				Default: []int{1, 4, 15, 16, 40}},
@@ -89,9 +88,8 @@ func init() {
 		Run: runExpSMG,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "sld",
-		Desc:  "extension: receive modes vs roaming depth (line topology)",
-		Sweep: true,
+		Name: "sld",
+		Desc: "extension: receive modes vs roaming depth (line topology)",
 		Params: []exp.Param{
 			{Name: "depths", Desc: "roaming depths (router hops from home)", Kind: exp.IntList,
 				Default: []int{1, 2, 4, 8}},
@@ -100,9 +98,8 @@ func init() {
 		Run: runExpSLD,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "smtu",
-		Desc:  "extension: tunnel MTU boundary (fragmentation and loss amplification)",
-		Sweep: true,
+		Name: "smtu",
+		Desc: "extension: tunnel MTU boundary (fragmentation and loss amplification)",
 		Params: []exp.Param{
 			{Name: "payloads", Desc: "datagram payload sizes (B)", Kind: exp.IntList,
 				Default: []int{1200, 1400, 1412, 1413, 1432}},
@@ -113,11 +110,10 @@ func init() {
 		Run: runExpSMTU,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "chaos",
-		Desc:  "chaos: fault-injection matrix with convergence invariant checks",
-		Sweep: true,
+		Name: "chaos",
+		Desc: "chaos: fault-injection matrix with convergence invariant checks",
 		Params: []exp.Param{
-			paramApproach("local-membership"),
+			chaosApproach(),
 			paramEngine(),
 			{Name: "tracedir", Desc: "write each timeline's JSONL trace under this directory for seed replay; empty disables",
 				Kind: exp.String, Default: ""},
@@ -125,23 +121,26 @@ func init() {
 		Run: runExpChaos,
 	})
 	exp.Register(&exp.Experiment{
-		Name:  "scale",
-		Desc:  "scale: procedural topologies (internal/topo) under handover churn",
-		Sweep: true,
+		Name: "scale",
+		Desc: "scale: procedural topologies (internal/topo) under handover churn",
 		Params: []exp.Param{
 			{Name: "families", Desc: "'+'-separated topology families (tree, grid, waxman, ba, fig1)",
-				Kind: exp.String, Default: "tree+grid+waxman"},
+				Kind: exp.String, Default: "tree+grid+waxman",
+				Check: func(v any) error { _, err := ParseFamilies(v.(string)); return err }},
 			{Name: "routers", Desc: "router counts to sweep per family", Kind: exp.IntList,
-				Default: []int{4, 16}},
+				Default: []int{4, 16}, Check: exp.AtLeast(1)},
 			{Name: "mnfrac", Desc: "mobile nodes per router (when mns is 0)", Kind: exp.Float,
 				Default: 2.0},
 			{Name: "mns", Desc: "explicit mobile-node count; 0 derives from mnfrac", Kind: exp.Int,
-				Default: 0},
-			{Name: "sources", Desc: "multicast source count", Kind: exp.Int, Default: 2},
+				Default: 0, Check: exp.AtLeast(0)},
+			{Name: "sources", Desc: "multicast source count", Kind: exp.Int, Default: 2,
+				Check: exp.AtLeast(0)},
 			{Name: "members", Desc: "fraction of mobile nodes subscribed to the group", Kind: exp.Float,
-				Default: 0.5},
-			{Name: "dwell", Desc: "mean dwell time between handovers (s)", Kind: exp.Int, Default: 20},
-			{Name: "horizon", Desc: "churn window length (s)", Kind: exp.Int, Default: 60},
+				Default: 0.5, Check: exp.Within(0, 1)},
+			{Name: "dwell", Desc: "mean dwell time between handovers (s)", Kind: exp.Int, Default: 20,
+				Check: exp.AtLeast(0)},
+			{Name: "horizon", Desc: "churn window length (s)", Kind: exp.Int, Default: 60,
+				Check: exp.AtLeast(0)},
 			paramApproach("local-membership"),
 			paramEngine(),
 			{Name: "tracedir", Desc: "write each timeline's JSONL trace under this directory for seed replay; empty disables",
@@ -156,47 +155,52 @@ func init() {
 func paramEngine() exp.Param {
 	return exp.Param{
 		Name: "engine", Desc: "multicast engine: " + strings.Join(scenario.EngineNames(), " or "),
-		Kind: exp.String, Default: "pimdm",
+		Kind: exp.String, Default: "pimdm", Check: exp.OneOf(scenario.EngineNames()...),
 	}
 }
 
 // paramApproach is the receive-approach selector shared by the sweeps
 // that can run any registered approach. The description lists the
 // registry's canonical names, so `mip6sim -list` always shows what a
-// build actually accepts.
+// build actually accepts, and the check accepts exactly those and their
+// aliases.
 func paramApproach(def string) exp.Param {
 	return exp.Param{
 		Name: "approach", Desc: "approach: " + strings.Join(ApproachNames(), ", ") + " (or alias " + strings.Join(core.ApproachAliases(), "/") + ")",
 		Kind: exp.String, Default: def,
+		Check: func(v any) error {
+			if _, ok := ApproachByName(v.(string)); !ok {
+				return fmt.Errorf("unknown approach %q (registered: %v)", v, ApproachNames())
+			}
+			return nil
+		},
 	}
 }
 
-// applyApproach resolves the approach parameter against the core
-// registry; unknown names panic with the registered set.
-func applyApproach(p exp.Params) Approach {
-	name := p.Str("approach")
-	a, ok := ApproachByName(name)
-	if !ok {
-		panic(fmt.Sprintf("unknown approach %q (registered: %v)", name, ApproachNames()))
+// chaosApproach is paramApproach without the approaches that receive via
+// the home-agent tunnel: the chaos matrix's invariants model local
+// reception.
+func chaosApproach() exp.Param {
+	p := paramApproach("local-membership")
+	registered := p.Check
+	p.Check = func(v any) error {
+		if a, ok := ApproachByName(v.(string)); ok && a.Receive == core.ReceiveHomeTunnel {
+			return fmt.Errorf("approach %q receives via the home-agent tunnel; the chaos matrix's invariants model local reception (use local-membership or proxy-hierarchy)", v)
+		}
+		return registered(v)
 	}
+	return p
+}
+
+// applyApproach returns the approach the approach parameter names.
+func applyApproach(p exp.Params) Approach {
+	a, _ := ApproachByName(p.Str("approach"))
 	return a
 }
 
-// applyEngine validates the engine parameter against the scenario
-// registry and selects it in the build options.
+// applyEngine selects the engine parameter in the build options.
 func applyEngine(opt Options, p exp.Params) Options {
-	name := p.Str("engine")
-	found := false
-	for _, n := range scenario.EngineNames() {
-		if n == name {
-			found = true
-			break
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("unknown multicast engine %q (registered: %v)", name, scenario.EngineNames()))
-	}
-	opt.Engine = name
+	opt.Engine = p.Str("engine")
 	return opt
 }
 
@@ -219,84 +223,87 @@ func applyTQuery(opt Options, p exp.Params) Options {
 }
 
 func runExpF1(ctx exp.Context, p exp.Params) exp.Result {
-	// Column 0 is the paper's flat build; column 1 rebuilds the same tree
+	// Point 0 is the paper's flat build; point 1 rebuilds the same tree
 	// with the edge routers peeled into MLD-proxy domains (approach #5) —
 	// same delivery, aggregated state instead of per-proxy PIM state.
 	approaches := []Approach{LocalMembership, ProxyHierarchy}
-	cols := []string{"flat", "proxy"}
-	var out [2]F1Result
-	exp.ForEach(ctx, len(approaches), func(opt scenario.Options, i int) {
-		out[i] = measureF1(opt, approaches[i])
-	})
-	val := func(get func(F1Result) float64) map[string]float64 {
-		return map[string]float64{"flat": get(out[0]), "proxy": get(out[1])}
-	}
-	rows := []metrics.Row{
-		{Label: "sent", Values: val(func(r F1Result) float64 { return float64(r.Sent) })},
-	}
-	for _, name := range []string{"R1", "R2", "R3"} {
-		name := name
-		rows = append(rows, metrics.Row{
-			Label:  "delivered@" + name,
-			Values: val(func(r F1Result) float64 { return float64(r.Delivered[name]) }),
-		})
-	}
+	measures := []string{"sent", "delivered@R1", "delivered@R2", "delivered@R3"}
 	for _, l := range scenario.LinkNames() {
-		l := l
-		rows = append(rows, metrics.Row{
-			Label:  "data@" + l + "(B)",
-			Values: val(func(r F1Result) float64 { return float64(r.DataBytesPerLink[l]) }),
-		})
+		measures = append(measures, "data@"+l+"(B)")
 	}
-	rows = append(rows,
-		metrics.Row{Label: "flood-frames@L5", Values: val(func(r F1Result) float64 { return float64(r.FloodFramesL5) })},
-		metrics.Row{Label: "frames@L6", Values: val(func(r F1Result) float64 { return float64(r.FramesL6) })},
-		metrics.Row{Label: "sg-entries@D", Values: val(func(r F1Result) float64 { return float64(len(r.TreeAtD)) })},
-	)
+	measures = append(measures, "flood-frames@L5", "frames@L6", "sg-entries@D")
+	spec := exp.SweepSpec{
+		Points:  []string{"flat", "proxy"},
+		Columns: measures,
+		Run: func(opt scenario.Options, pt int) (map[string]float64, any) {
+			res := measureF1(opt, approaches[pt])
+			vals := map[string]float64{
+				"sent":            float64(res.Sent),
+				"flood-frames@L5": float64(res.FloodFramesL5),
+				"frames@L6":       float64(res.FramesL6),
+				"sg-entries@D":    float64(len(res.TreeAtD)),
+			}
+			for _, name := range []string{"R1", "R2", "R3"} {
+				vals["delivered@"+name] = float64(res.Delivered[name])
+			}
+			for _, l := range scenario.LinkNames() {
+				vals["data@"+l+"(B)"] = float64(res.DataBytesPerLink[l])
+			}
+			return vals, res
+		},
+	}
+	pts := exp.Sweep(ctx, spec)
+	// The table turns the sweep on its side: one row per measure, a mean
+	// and a ±95 column per build.
+	cols := make([]string, 0, 2*len(pts))
+	for _, pt := range pts {
+		cols = append(cols, pt.Label, pt.Label+"±95")
+	}
+	rows := make([]metrics.Row, len(measures))
+	for i, m := range measures {
+		vals := make(map[string]float64, len(cols))
+		for _, pt := range pts {
+			vals[pt.Label] = pt.Cols[m].Mean()
+			vals[pt.Label+"±95"] = pt.Cols[m].CI95()
+		}
+		rows[i] = metrics.Row{Label: m, Values: vals}
+	}
 	return exp.Result{
-		Title:    "F1: initial distribution tree (paper Figure 1; flat vs proxy build)",
-		Columns:  cols,
-		Rows:     rows,
-		Artifact: out,
+		Title:        "F1: initial distribution tree (paper Figure 1; flat vs proxy build)",
+		Columns:      cols,
+		Rows:         rows,
+		StatsColumns: measures,
+		Stats:        pts,
 	}
 }
 
 func runExpF2(ctx exp.Context, p exp.Params) exp.Result {
-	// Rows 0/1 are the paper's report-policy contrast under local
-	// membership; row 2 repeats the unsolicited-report move under the
+	// Points 0/1 are the paper's report-policy contrast under local
+	// membership; point 2 repeats the unsolicited-report move under the
 	// proxy hierarchy, where L4→L6 is an anchor-local handover.
-	var out [3]F2Result
-	exp.ForEach(ctx, 3, func(opt scenario.Options, i int) {
-		approach := LocalMembership
-		if i == 2 {
-			approach = ProxyHierarchy
-		}
-		out[i] = measureF2(opt, i != 1, approach)
-	})
-	labels := []string{"unsolicited-reports", "wait-for-query", "proxy-hierarchy"}
-	cols := []string{"join(s)", "leave(s)", "waste(B)", "delivered-after"}
-	rows := make([]metrics.Row, 0, len(out))
-	for i, res := range out {
-		rows = append(rows, metrics.Row{
-			Label: labels[i],
-			Values: map[string]float64{
+	spec := exp.SweepSpec{
+		Points:  []string{"unsolicited-reports", "wait-for-query", "proxy-hierarchy"},
+		Columns: []string{"join(s)", "leave(s)", "waste(B)", "delivered-after"},
+		Run: func(opt scenario.Options, pt int) (map[string]float64, any) {
+			approach := LocalMembership
+			if pt == 2 {
+				approach = ProxyHierarchy
+			}
+			res := measureF2(opt, pt != 1, approach)
+			return map[string]float64{
 				"join(s)":         res.JoinDelay.Seconds(),
 				"leave(s)":        res.LeaveDelay.Seconds(),
 				"waste(B)":        float64(res.WastedBytes),
 				"delivered-after": float64(res.DeliveredAfterMove),
-			},
-		})
+			}, res
+		},
 	}
-	return exp.Result{
-		Title:    "F2: mobile receiver, local membership (paper Figure 2)",
-		Columns:  cols,
-		Rows:     rows,
-		Artifact: out,
-	}
+	return exp.SweepResult("F2: mobile receiver, local membership (paper Figure 2)",
+		spec.Columns, exp.Sweep(ctx, spec))
 }
 
 func runExpF3(ctx exp.Context, p exp.Params) exp.Result {
-	// Rows 0/1 are the paper's §4.3.2 signaling variants. The third row
+	// Points 0/1 are the paper's §4.3.2 signaling variants. The third
 	// contrasts both with the proxy hierarchy: R3's move lands below proxy
 	// A (domain B), so it rejoins locally through the proxy tree — no
 	// tunnel, near-optimal hops.
@@ -304,79 +311,61 @@ func runExpF3(ctx exp.Context, p exp.Params) exp.Result {
 	groupList.Variant = VariantGroupListBU
 	tunneledMLD.Variant = VariantTunneledMLD
 	approaches := []Approach{groupList, tunneledMLD, ProxyHierarchy}
-	labels := []string{"group-list-BU", "tunneled-MLD", "proxy-hierarchy"}
-	var out [3]F3Result
-	exp.ForEach(ctx, len(out), func(opt scenario.Options, i int) {
-		out[i] = measureF3(opt, approaches[i])
-	})
-	cols := []string{"join(s)", "hops", "optimal", "tun-ovh(B)", "ha-tunneled"}
-	rows := make([]metrics.Row, 0, len(out))
-	for i, res := range out {
-		rows = append(rows, metrics.Row{
-			Label: labels[i],
-			Values: map[string]float64{
+	spec := exp.SweepSpec{
+		Points:  []string{"group-list-BU", "tunneled-MLD", "proxy-hierarchy"},
+		Columns: []string{"join(s)", "hops", "optimal", "tun-ovh(B)", "ha-tunneled"},
+		Run: func(opt scenario.Options, pt int) (map[string]float64, any) {
+			res := measureF3(opt, approaches[pt])
+			return map[string]float64{
 				"join(s)":     res.JoinDelay.Seconds(),
 				"hops":        res.MeanHops,
 				"optimal":     float64(res.OptimalHops),
 				"tun-ovh(B)":  float64(res.TunnelOverheadBytes),
 				"ha-tunneled": float64(res.HATunneled),
-			},
-		})
+			}, res
+		},
 	}
-	return exp.Result{
-		Title:    "F3: mobile receiver via home-agent tunnel (paper Figure 3)",
-		Columns:  cols,
-		Rows:     rows,
-		Artifact: out,
-	}
+	return exp.SweepResult("F3: mobile receiver via home-agent tunnel (paper Figure 3)",
+		spec.Columns, exp.Sweep(ctx, spec))
 }
 
 func runExpF4(ctx exp.Context, p exp.Params) exp.Result {
-	// Rows 0/1 are the paper's send-mode contrast; row 2 moves the sender
-	// under the proxy hierarchy, where L6 sits below proxy E and the new
-	// source is up-forwarded into anchor D's existing domain.
+	// Points 0/1 are the paper's send-mode contrast; point 2 moves the
+	// sender under the proxy hierarchy, where L6 sits below proxy E and the
+	// new source is up-forwarded into anchor D's existing domain.
 	approaches := []Approach{UniTunnelMNToHA, LocalMembership, ProxyHierarchy}
-	var out [3]F4Result
-	exp.ForEach(ctx, len(out), func(opt scenario.Options, i int) {
-		out[i] = measureF4(opt, approaches[i])
-	})
-	labels := []string{"reverse-tunnel", "local-send", "proxy-hierarchy"}
-	cols := []string{"gap(s)", "newtrees", "peakSG", "asserts", "tun(B)", "recv-R1", "recv-R2", "recv-R3"}
-	rows := make([]metrics.Row, 0, len(out))
-	for i, res := range out {
-		vals := map[string]float64{
-			"gap(s)":   res.MaxGapAfterMove.Seconds(),
-			"newtrees": float64(res.NewTreesBuilt),
-			"peakSG":   float64(res.PeakSGEntries),
-			"asserts":  float64(res.AssertsSent),
-			"tun(B)":   float64(res.TunnelOverheadBytes),
-		}
-		for _, name := range []string{"R1", "R2", "R3"} {
-			vals["recv-"+name] = float64(res.DeliveredAfterMove[name])
-		}
-		rows = append(rows, metrics.Row{Label: labels[i], Values: vals})
+	spec := exp.SweepSpec{
+		Points:  []string{"reverse-tunnel", "local-send", "proxy-hierarchy"},
+		Columns: []string{"gap(s)", "newtrees", "peakSG", "asserts", "tun(B)", "recv-R1", "recv-R2", "recv-R3"},
+		Run: func(opt scenario.Options, pt int) (map[string]float64, any) {
+			res := measureF4(opt, approaches[pt])
+			vals := map[string]float64{
+				"gap(s)":   res.MaxGapAfterMove.Seconds(),
+				"newtrees": float64(res.NewTreesBuilt),
+				"peakSG":   float64(res.PeakSGEntries),
+				"asserts":  float64(res.AssertsSent),
+				"tun(B)":   float64(res.TunnelOverheadBytes),
+			}
+			for _, name := range []string{"R1", "R2", "R3"} {
+				vals["recv-"+name] = float64(res.DeliveredAfterMove[name])
+			}
+			return vals, res
+		},
 	}
-	return exp.Result{
-		Title:    "F4: mobile sender (paper Figure 4 vs local sending)",
-		Columns:  cols,
-		Rows:     rows,
-		Artifact: out,
-	}
+	return exp.SweepResult("F4: mobile sender (paper Figure 4 vs local sending)",
+		spec.Columns, exp.Sweep(ctx, spec))
 }
 
 func runExpT1(ctx exp.Context, p exp.Params) exp.Result {
 	// Every approach rides the identical movement scenario: the paper's
 	// four plus the proxy hierarchy.
 	approaches := Approaches()
-	out := make([]T1Row, len(approaches))
-	exp.ForEach(ctx, len(approaches), func(opt scenario.Options, i int) {
-		out[i] = runT1One(opt, approaches[i])
-	})
-	rows := make([]metrics.Row, 0, len(out))
-	for _, r := range out {
-		rows = append(rows, metrics.Row{
-			Label: r.Approach.String(),
-			Values: map[string]float64{
+	spec := exp.SweepSpec{
+		Points:  ApproachNames(),
+		Columns: []string{"join(s)", "sndgap(s)", "data(kB)", "tun(kB)", "ctrl(kB)", "haload", "peakSG", "hopsR3", "optR3", "lossR3"},
+		Run: func(opt scenario.Options, pt int) (map[string]float64, any) {
+			r := runT1One(opt, approaches[pt])
+			return map[string]float64{
 				"join(s)":   r.JoinDelayR3.Seconds(),
 				"sndgap(s)": r.SenderGap.Seconds(),
 				"data(kB)":  float64(r.DataBytes) / 1000,
@@ -387,15 +376,11 @@ func runExpT1(ctx exp.Context, p exp.Params) exp.Result {
 				"hopsR3":    r.MeanHopsR3,
 				"optR3":     float64(r.OptimalHopsR3),
 				"lossR3":    float64(r.LossR3),
-			},
-		})
+			}, r
+		},
 	}
-	return exp.Result{
-		Title:    "T1: registered approaches, Fig.1 movement scenario",
-		Columns:  []string{"join(s)", "sndgap(s)", "data(kB)", "tun(kB)", "ctrl(kB)", "haload", "peakSG", "hopsR3", "optR3", "lossR3"},
-		Rows:     rows,
-		Artifact: out,
-	}
+	return exp.SweepResult("T1: registered approaches, Fig.1 movement scenario",
+		spec.Columns, exp.Sweep(ctx, spec))
 }
 
 func runExpS44(ctx exp.Context, p exp.Params) exp.Result {

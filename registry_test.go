@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"mip6mcast/internal/exp"
 	"mip6mcast/internal/obs"
+	"mip6mcast/internal/scenario"
 )
 
 // Every paper artifact must be registered, in the canonical order.
@@ -96,7 +98,7 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			render := func(ctx ExpContext) string {
+			run := func(ctx ExpContext) ExpResult {
 				ctx.Opt = DefaultOptions()
 				ctx.Opt.Seed = 7
 				ctx.Replicates = 2
@@ -104,7 +106,7 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", ctx.Workers, err)
 				}
-				return res.Render()
+				return res
 			}
 			// The serial run also records cell (0,0) and reports progress,
 			// as mip6sim -trace-out -progress does: every cell must
@@ -112,17 +114,30 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			// neither may change the table.
 			var cells []exp.CellStats
 			rec := obs.NewRecorder(nil)
-			serial := render(ExpContext{
+			res := run(ExpContext{
 				Workers:  1,
 				Progress: func(cs exp.CellStats) { cells = append(cells, cs) },
-				Recorder: func(pt, rep int) *obs.Recorder {
+				OnCell: func(pt, rep int, opt *scenario.Options) {
 					if pt == 0 && rep == 0 {
-						return rec
+						opt.Obs = rec
 					}
-					return nil
 				},
 			})
-			parallel := render(ExpContext{Workers: 8})
+			serial, parallel := res.Render(), run(ExpContext{Workers: 8}).Render()
+			// Every point runs both replicates, and none fails.
+			if len(res.Stats) == 0 {
+				t.Error("no point statistics")
+			}
+			for _, pt := range res.Stats {
+				if len(pt.Raw) != 2 {
+					t.Errorf("point %q: %d raw results, want one per replicate (2)", pt.Label, len(pt.Raw))
+				}
+				for rep, e := range pt.Errs {
+					if e != "" {
+						t.Errorf("point %q replicate %d failed: %s", pt.Label, rep, e)
+					}
+				}
+			}
 			if len(cells) == 0 {
 				t.Error("no cell reported progress")
 			}
@@ -169,5 +184,37 @@ func TestSingleReplicateMatchesOneShot(t *testing.T) {
 	}
 	if got := res.Stats[0].Mean("tunnel(B/dgram)"); got != direct.TunnelBytesPerDgram {
 		t.Errorf("stats mean %v != one-shot %v", got, direct.TunnelBytesPerDgram)
+	}
+
+	// The paper's artifacts: each point of f1–f4 and t1 is one direct
+	// measurement of its variant.
+	groupList, tunneledMLD := UniTunnelHAToMN, UniTunnelHAToMN
+	groupList.Variant = VariantGroupListBU
+	tunneledMLD.Variant = VariantTunneledMLD
+	var t1 []any
+	for _, a := range Approaches() {
+		t1 = append(t1, runT1One(opt, a))
+	}
+	for name, want := range map[string][]any{
+		"f1": {measureF1(opt, LocalMembership), measureF1(opt, ProxyHierarchy)},
+		"f2": {measureF2(opt, true, LocalMembership), measureF2(opt, false, LocalMembership),
+			measureF2(opt, true, ProxyHierarchy)},
+		"f3": {measureF3(opt, groupList), measureF3(opt, tunneledMLD), measureF3(opt, ProxyHierarchy)},
+		"f4": {measureF4(opt, UniTunnelMNToHA), measureF4(opt, LocalMembership),
+			measureF4(opt, ProxyHierarchy)},
+		"t1": t1,
+	} {
+		res, err := RunExperiment(name, ExpContext{Opt: opt, Replicates: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Stats) != len(want) {
+			t.Fatalf("%s: %d points, want %d", name, len(res.Stats), len(want))
+		}
+		for i, pt := range res.Stats {
+			if !reflect.DeepEqual(pt.Raw[0], want[i]) {
+				t.Errorf("%s point %q: sweep result %+v != one-shot %+v", name, pt.Label, pt.Raw[0], want[i])
+			}
+		}
 	}
 }

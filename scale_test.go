@@ -104,9 +104,6 @@ func TestScaleExperimentSchema(t *testing.T) {
 	if !ok {
 		t.Fatal("scale experiment not registered")
 	}
-	if !e.Sweep {
-		t.Error("scale must be a sweep experiment")
-	}
 	p, err := e.ResolveParams(exp.Params{})
 	if err != nil {
 		t.Fatalf("defaults do not resolve: %v", err)

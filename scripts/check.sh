@@ -37,7 +37,7 @@ go test -race ./...
 go test -run 'AllocFree|AllocBudget' ./...
 
 # Examples smoke: each example reads its numbers from an experiment's
-# Result (type assertions on Result.Artifact, Stats, Render), which
+# Result (type assertions on a point's Stats[i].Raw, and Render), which
 # `go build` cannot check. Run every example once; a non-zero exit fails.
 for ex in examples/*/; do
     go run "./$ex" > /dev/null
@@ -171,9 +171,9 @@ smoke "shard smoke" shard scale -shard-workers \
 # series a completed cell contributes), read /progress to its closing
 # "run_complete":true line, then SIGTERM and require a clean exit —
 # startup, the scrape path, the progress feed, and the graceful shutdown
-# path (signal cuts the linger, server drains, exit 0). Sweep cells and
-# exp.ForEach variants both report Progress, which feeds /metrics and
-# /progress (mip6sim -experiment f1 -progress prints two cells).
+# path (signal cuts the linger, server drains, exit 0). Every experiment's
+# sweep cells report Progress, which feeds /metrics and /progress
+# (mip6sim -experiment f1 -replicates 1 -progress prints two cells).
 go build -o "$tmp/mip6sim" ./cmd/mip6sim
 "$tmp/mip6sim" -experiment scale -topo family=fig1,routers=4,mns=4 \
     -replicates 1 -http 127.0.0.1:0 -http-linger 60s \

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mip6mcast/internal/exp"
+	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/telemetry"
 )
 
@@ -42,18 +43,18 @@ func TestTelemetrySeriesDeterministicAcrossWorkers(t *testing.T) {
 						Opt:        FastMLDOptions(10),
 						Replicates: 2,
 						Workers:    workers,
-						Telemetry: func(pt, rep int) *telemetry.Registry {
+						OnCell: func(pt, rep int, opt *scenario.Options) {
 							// Sample the first sweep point only: one chaos
 							// cell and one scale cell is the contract, and
 							// skipping the rest keeps the double run cheap.
 							if pt != 0 {
-								return nil
+								return
 							}
 							r := telemetry.NewRegistry()
 							mu.Lock()
 							regs[fmt.Sprintf("%d/%d", pt, rep)] = r
 							mu.Unlock()
-							return r
+							opt.Telemetry = r
 						},
 					}
 					if _, err := RunExperiment(tc.experiment, ctx, params); err != nil {
